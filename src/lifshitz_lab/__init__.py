@@ -34,6 +34,5 @@ from .spectral import (BandStructure, GapReport, SolverError,
                        count_eigenvalues_below, count_sorted_leq, counts_below,
                        distance_to_spectrum, floquet_bands, lowest_eigenpairs,
                        periodic_ids_curve, spectral_gaps)
-from .stats import (bootstrap_slope_interval, clopper_pearson, dkw_epsilon,
-                    fit_line)
+from .stats import bootstrap_slope_interval, clopper_pearson, fit_line
 from .version import __version__

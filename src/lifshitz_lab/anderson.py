@@ -26,6 +26,7 @@ import scipy.sparse as sp
 
 from .disorder import (DisorderSpec, Realization, ValidationError, lattice_cube,
                        law_cdf, law_quantile, sample_realization, site_uniforms)
+from .lattice import lattice_correlate
 from .spectral import count_sorted_leq
 from .curves import IDSCurve
 
@@ -156,18 +157,11 @@ def potential_on_box(realization: Realization, d: int, k: int, nu: float,
                      tol: float = 1e-8) -> np.ndarray:
     """Potential on every site of {-k..k}^d, same truncation certificate."""
     radius = truncation_radius_for(d, nu, tol)
-    window = lattice_cube(d, k + radius)
-    values = realization.values_at(window)
-    side_w = 2 * (k + radius) + 1
-    grid = values.reshape((side_w,) * d)
+    values = realization.values_at(lattice_cube(d, k + radius))
     offsets = lattice_cube(d, radius)
     weights = (1.0 + np.max(np.abs(offsets), axis=1)) ** (-nu)
-    side = 2 * k + 1
-    out = np.zeros((side,) * d)
-    for off, w in zip(offsets + radius, weights):
-        block = grid[tuple(slice(o, o + side) for o in off)]
-        out += w * block
-    return out.ravel()
+    return lattice_correlate(values.reshape((2 * (k + radius) + 1,) * d),
+                             weights.reshape((2 * radius + 1,) * d)).ravel()
 
 
 def sample_anderson(disorder: DisorderSpec, d: int, k: int, nu: float,

@@ -215,6 +215,9 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     _try(diags, "error",
          lambda: _reject_unknown(config.ensemble, ENSEMBLE_KEYS, "ensemble"),
          "ensemble")
+    if config.solver:
+        diags.append(Diagnostic("error", f"solver: no solver options are supported; "
+                                f"remove {sorted(config.solver)}"))
     geo_ok = _try(diags, "error", lambda: build_background(config), "background")
     profile_ok = _try(diags, "error", lambda: build_profile(config), "profile")
     _try(diags, "error", lambda: build_disorder(config), "disorder")

@@ -11,6 +11,7 @@ of evaluation order or parallelism.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,18 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 def _fold_signed(coords: np.ndarray) -> np.ndarray:
     # Zig-zag fold Z -> N: 0,-1,1,-2,2,... -> 0,1,2,3,4,...
     c = np.asarray(coords, dtype=np.int64)
-    return np.where(c >= 0, 2 * c, -2 * c - 1).astype(np.uint64)
+    return ((c << 1) ^ (c >> 63)).view(np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _byte_spread(d: int) -> np.ndarray:
+    # bit i of a byte moves to bit d*i; read-only, shared by every caller
+    byte = np.arange(256, dtype=np.uint64)
+    table = np.zeros(256, dtype=np.uint64)
+    for i in range(min(8, 63 // d)):
+        table |= ((byte >> _U64(i)) & _U64(1)) << _U64(d * i)
+    table.flags.writeable = False
+    return table
 
 
 def encode_sites(sites: np.ndarray) -> np.ndarray:
@@ -70,7 +82,8 @@ def encode_sites(sites: np.ndarray) -> np.ndarray:
 
     Coordinates are zig-zag folded to nonnegative integers first, so the
     packing is injective over the permitted range |coordinate| < 2**(bits-1)
-    with bits = 63 // d per axis.
+    with bits = 63 // d per axis.  Bit b of axis a lands on bit d*b + a; the
+    interleave goes a byte at a time through a 256-entry spread table.
     """
     sites = np.atleast_2d(np.asarray(sites, dtype=np.int64))
     n, d = sites.shape
@@ -78,13 +91,14 @@ def encode_sites(sites: np.ndarray) -> np.ndarray:
     folded = _fold_signed(sites)
     if np.any(folded >= (1 << bits)):
         raise ValidationError(f"site coordinate out of packable range for d={d} (|c| < 2**{bits - 1})")
-    code = np.zeros(n, dtype=np.uint64)
     if d == 1:
         return folded[:, 0]
-    for b in range(bits):
+    table = _byte_spread(d)
+    octets = np.ascontiguousarray(folded, dtype="<u8").view(np.uint8).reshape(n, d, 8)
+    code = np.zeros(n, dtype=np.uint64)
+    for byte in range(-(-bits // 8)):
         for axis in range(d):
-            bit = (folded[:, axis] >> _U64(b)) & _U64(1)
-            code |= bit << _U64(d * b + axis)
+            code |= table[octets[:, axis, byte]] << _U64(8 * d * byte + axis)
     return code
 
 
@@ -188,27 +202,32 @@ class Realization:
     values: np.ndarray  # (n,) float64 couplings in [0,1]
     seed: int
     index: int
-    _lookup: dict = field(default=None, repr=False, compare=False)
+    _sorted: tuple = field(default=None, repr=False, compare=False)
 
     @property
     def d(self) -> int:
         return self.window.shape[1]
 
     def _index_of(self, sites: np.ndarray) -> np.ndarray:
-        if self._lookup is None:
-            self._lookup = {tuple(row): i for i, row in enumerate(self.window.tolist())}
+        # window positions by binary search over the sorted Morton codes; a
+        # site listed twice resolves to its last position
         sites = np.atleast_2d(np.asarray(sites, dtype=np.int64))
-        idx = np.empty(len(sites), dtype=np.int64)
-        missing = []
-        for j, row in enumerate(sites.tolist()):
-            i = self._lookup.get(tuple(row))
-            if i is None:
-                missing.append(row)
-            else:
-                idx[j] = i
-        if missing:
-            raise CoverageError(np.asarray(missing))
-        return idx
+        if sites.shape[1] != self.d:
+            raise CoverageError(sites)
+        if self._sorted is None:
+            codes = encode_sites(self.window)
+            order = np.argsort(codes, kind="stable")
+            self._sorted = (codes[order], order)
+        keys, order = self._sorted
+        half = 1 << (63 // self.d - 1)
+        packable = np.all((sites >= -half) & (sites < half), axis=1)
+        codes = encode_sites(np.where(packable[:, None], sites, 0))
+        pos = np.searchsorted(keys, codes, side="right") - 1
+        found = packable & (pos >= 0)
+        found[found] = keys[pos[found]] == codes[found]
+        if not found.all():
+            raise CoverageError(sites[~found])
+        return order[pos]
 
     def values_at(self, sites: np.ndarray) -> np.ndarray:
         """Couplings on the given sites; CoverageError if any lie outside."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .disorder import CoverageError, ValidationError
+from .disorder import CoverageError, ValidationError, lattice_cube
 
 __all__ = [
     "BoxSpec",
@@ -43,6 +43,7 @@ __all__ = [
     "assemble_operator",
     "assemble_grid",
     "check_ellipticity",
+    "lattice_correlate",
     "wrap_sites",
 ]
 
@@ -112,9 +113,6 @@ class BoxSpec:
                     bc=self.bc, phases=(1.0 + 0.0j,) * self.d,
                     origin=(-self.side / 2.0,) * self.d)
 
-    def cell_centers(self) -> np.ndarray:
-        return self.grid().cell_centers()
-
 
 @dataclass(frozen=True)
 class Grid:
@@ -163,12 +161,6 @@ class Grid:
     @property
     def is_complex(self) -> bool:
         return any(p != 1.0 for p in self.phases)
-
-    def cell_centers(self) -> np.ndarray:
-        axes = [self.origin[j] + (np.arange(self.shape[j]) + 0.5) * self.h
-                for j in range(self.d)]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=1)
 
     def node_positions(self) -> np.ndarray:
         axes = []
@@ -314,35 +306,18 @@ class SingleSiteProfile:
     def matrix_at(self, x) -> np.ndarray:
         return float(self.envelope(np.atleast_2d(x))[0]) * self.template
 
-    def norm_bound(self, dist: float) -> float:
-        """Upper bound on ||rho0(x)||_2 over |x| >= dist (any norm >= this dist)."""
+    def norm_bound(self, dist) -> np.ndarray:
+        """Upper bound on ||rho0(x)||_2 over |x| >= dist (any norm), elementwise."""
+        dist = np.maximum(dist, 0.0)
         if self.kind == "compact":
-            return 0.0 if dist > self.radius else self.g_plus * self._template_norm
-        return self.g_plus * self._template_norm * (1.0 + max(dist, 0.0)) ** (-self.nu)
+            return np.where(dist > self.radius, 0.0, self.g_plus * self._template_norm)
+        return self.g_plus * self._template_norm * (1.0 + dist) ** (-self.nu)
 
     def truncation_radius(self, tol: float = TAIL_TOL) -> float:
         """Distance beyond which a unit-coupling site contributes < tol in norm."""
         if self.kind == "compact":
             return self.radius
         return max((self.g_plus * self._template_norm / tol) ** (1.0 / self.nu) - 1.0, 0.0)
-
-    def envelope_diagnostics(self, n_gamma: int = 6, n_x: int = 32, seed: int = 0) -> list[str]:
-        """Spot-check the two-sided decay envelope on sampled (x, gamma) pairs."""
-        if self.kind == "compact":
-            return []
-        rng = np.random.default_rng(seed)
-        notes = []
-        for g in range(n_gamma):
-            gamma = np.zeros(self.d)
-            gamma[0] = g
-            xs = rng.uniform(-0.5, 0.5, size=(n_x, self.d))
-            vals = self.envelope(xs - gamma)[:, None, None] * self.template
-            scaled = vals * (1.0 + np.linalg.norm(gamma)) ** self.nu
-            if scaled.max() > self.g_plus + 1e-12:
-                notes.append(f"upper envelope exceeded near gamma={gamma}")
-            if self.kind == "long_range" and scaled.min() < self.g_minus - 1e-12:
-                notes.append(f"lower envelope violated near gamma={gamma}")
-        return notes
 
 
 def long_range_profile(d: int, nu: float, g_plus: float = 1.0, g_minus: float = None,
@@ -384,34 +359,48 @@ class CoefficientField:
 
 def required_window(profile: SingleSiteProfile, box: BoxSpec, tol: float = TAIL_TOL) -> np.ndarray:
     """Lattice sites whose bump can touch the box above the tail tolerance."""
-    from .disorder import lattice_cube
-
     reach = box.side / 2.0 + profile.truncation_radius(tol)
     return lattice_cube(box.d, int(math.ceil(reach)))
+
+
+def lattice_correlate(big: np.ndarray, small: np.ndarray) -> np.ndarray:
+    """Valid-mode correlation out[x] = sum_j big[x + j] * small[j], any dimension.
+
+    Summed directly over a strided window view of `big`, with no copy.
+    """
+    axes = list(range(2 * small.ndim))
+    view = np.lib.stride_tricks.sliding_window_view(big, small.shape)
+    return np.einsum(view, axes, small, axes[small.ndim:], axes[:small.ndim])
 
 
 def _accumulate(background: PeriodicBackground, profile: SingleSiteProfile,
                 sites: np.ndarray, couplings: np.ndarray, box: BoxSpec,
                 tol: float) -> CoefficientField:
+    # Mesh sub-lattice r has its cell centres at x + o_r, x in {-k..k}^d and
+    # o_r = (r + 1/2)/m - 1/2, so its scalar field sum_gamma w_gamma env(x - gamma
+    # + o_r) is one lattice correlation of the couplings with a shifted envelope.
     if np.any(couplings < 0):
         raise ValidationError("couplings must be nonnegative")
-    cells = background.tile(box)
-    centers = box.cell_centers()
-    half = box.side / 2.0
-    # site-level truncation: drop sites whose whole contribution stays below tol
-    dist_box = np.maximum(np.max(np.abs(sites), axis=1) - half, 0.0)
-    bounds = np.array([profile.norm_bound(r) for r in dist_box])
-    keep = couplings * bounds > tol
-    sites, couplings = sites[keep], couplings[keep]
-    scalar = np.zeros(len(centers))
-    chunk = max(1, int(2e6 // max(len(centers), 1)))
-    for lo in range(0, len(sites), chunk):
-        block = sites[lo:lo + chunk]
-        w = couplings[lo:lo + chunk]
-        disp = centers[None, :, :] - block[:, None, :].astype(float)
-        env = profile.envelope(disp.reshape(-1, box.d)).reshape(len(block), -1)
-        scalar += w @ env
-    cells = cells + scalar[:, None, None] * profile.template[None, :, :]
+    d, m, k = box.d, box.m, box.k
+    # site-level truncation: a site whose whole contribution stays below tol
+    # gets weight zero
+    reach = np.max(np.abs(sites), axis=1, initial=0)
+    bound = profile.norm_bound(reach - box.side / 2.0)
+    weights = np.where(couplings * bound > tol, couplings, 0.0)
+    # couplings on the cube of radius R, mirrored: index j holds gamma = R - j
+    R = int(np.max(reach, initial=0))
+    shape = (2 * R + 1,) * d
+    flat = np.ravel_multi_index(tuple((R - np.asarray(sites, dtype=np.int64)).T), shape)
+    grid = np.bincount(flat, weights, minlength=math.prod(shape)).reshape(shape)
+    del reach, bound, weights, flat  # release the per-site arrays before the kernel loop
+    disp = lattice_cube(d, k + R).astype(float)
+    scalar = np.empty((m,) * d + (box.side,) * d)
+    for r in np.ndindex(*(m,) * d):
+        kernel = profile.envelope(disp + ((np.array(r) + 0.5) / m - 0.5))
+        scalar[r] = lattice_correlate(kernel.reshape((2 * (k + R) + 1,) * d), grid)
+    # interleave (r_1..r_d, x_1..x_d) into C-ordered cells (x_1, r_1, ..., x_d, r_d)
+    scalar = scalar.transpose([a + s for a in range(d) for s in (d, 0)]).reshape(-1)
+    cells = background.tile(box) + scalar[:, None, None] * profile.template[None, :, :]
     return CoefficientField(box=box, cells=cells, background=background, profile=profile)
 
 

@@ -270,10 +270,10 @@ def distance_to_spectrum(A, E: float, dense_threshold: int = DENSE_THRESHOLD) ->
     try:
         w = spla.eigsh(smat, k=1, sigma=E, which="LM", return_eigenvectors=False)
         return float(np.min(np.abs(w - E)))
+    except spla.ArpackNoConvergence as exc:  # a RuntimeError too, so caught first
+        raise SolverError(f"distance_to_spectrum failed to converge at E={E}") from exc
     except RuntimeError:
         return 0.0  # singular shift factorization: E is an eigenvalue
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError(f"distance_to_spectrum failed to converge at E={E}") from exc
 
 
 def periodic_ids_curve(bands: BandStructure, energies) -> IDSCurve:

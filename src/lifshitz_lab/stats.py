@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import beta
 
-__all__ = ["clopper_pearson", "dkw_epsilon", "fit_line", "bootstrap_slope_interval"]
+__all__ = ["clopper_pearson", "fit_line", "bootstrap_slope_interval"]
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
@@ -18,13 +18,6 @@ def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tu
     lo = 0.0 if successes == 0 else float(beta.ppf(alpha / 2.0, successes, trials - successes + 1))
     hi = 1.0 if successes == trials else float(beta.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes))
     return lo, hi
-
-
-def dkw_epsilon(n: int, confidence: float = 0.999) -> float:
-    """Half-width of the Dvoretzky-Kiefer-Wolfowitz uniform CDF band."""
-    if n <= 0:
-        raise ValueError("sample size must be positive")
-    return float(np.sqrt(np.log(2.0 / (1.0 - confidence)) / (2.0 * n)))
 
 
 def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:

@@ -107,10 +107,14 @@ def test_validate_rejects_stray_keys_in_nested_blocks():
         {"profile": {"kind": "compact", "radius": 0.5, "amplitdue": 1.0}},
         {"geometry": {"d": 1, "k": 2, "cells": 2}},
         {"ensemble": {"n_realizations": 3, "sede": 7}},
+        {"solver": {"method": "dense"}},  # no solver option is read
     ]
     for patch in cases:
         diags = validate(parse_config({**IDS_DOC, **patch}))
         assert any(d.severity == "error" for d in diags), patch
+    empty = parse_config({**IDS_DOC, "solver": {}})
+    assert validate(empty) == []
+    assert config_hash(empty) == config_hash(parse_config(IDS_DOC))
 
 
 def test_validate_checks_gap_for_initial_scale_probe():

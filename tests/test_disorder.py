@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifshitz_lab.disorder import (CoverageError, DisorderSpec, ValidationError,
-                                   encode_sites, lattice_cube, law_cdf,
+from lifshitz_lab.disorder import (CoverageError, DisorderSpec, Realization,
+                                   ValidationError, encode_sites, lattice_cube, law_cdf,
                                    law_quantile, sample_realization,
                                    site_uniforms, truncate)
 
@@ -56,6 +56,37 @@ def test_site_uniforms_mean_near_half():
 def test_encode_sites_injective_pairs(x1, y1, x2, y2):
     codes = encode_sites(np.array([[x1, y1], [x2, y2]], dtype=np.int64))
     assert (codes[0] == codes[1]) == ((x1, y1) == (x2, y2))
+
+
+def bit_loop_codes(sites):
+    """Morton codes one bit at a time: the reference for encode_sites."""
+    sites = np.atleast_2d(np.asarray(sites, dtype=np.int64))
+    n, d = sites.shape
+    folded = np.where(sites >= 0, 2 * sites, -2 * sites - 1).astype(np.uint64)
+    if d == 1:
+        return folded[:, 0]
+    code = np.zeros(n, dtype=np.uint64)
+    for b in range(63 // d):
+        for axis in range(d):
+            bit = (folded[:, axis] >> np.uint64(b)) & np.uint64(1)
+            code |= bit << np.uint64(d * b + axis)
+    return code
+
+
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1))
+def test_encode_sites_matches_bit_loop(d, seed):
+    # coordinates of every magnitude up to the edges of the packable range
+    half = 2 ** (63 // d - 1)
+    rng = np.random.default_rng(seed)
+    sites = rng.integers(-half, half, size=(64, d)) >> rng.integers(0, 63 // d, size=(64, d))
+    sites[:2] = [[-half] * d, [half - 1] * d]
+    assert np.array_equal(encode_sites(sites), bit_loop_codes(sites))
+
+
+def test_encode_sites_rejects_unpackable_coordinates():
+    with pytest.raises(ValidationError):
+        encode_sites(np.array([[2**30, 0]]))
+    assert encode_sites(np.array([[-(2**30), 0]]))[0] == bit_loop_codes([[-(2**30), 0]])[0]
 
 
 # -- laws ---------------------------------------------------------------------
@@ -140,6 +171,41 @@ def test_realization_reproducible_across_windows():
     large = sample_realization(spec, cube(1, 10), seed=11, index=3)
     sites = cube(1, 2)
     assert np.array_equal(small.values_at(sites), large.values_at(sites))
+
+
+@st.composite
+def window_queries(draw):
+    """A shuffled non-cube window and a query mixing covered and missing sites."""
+    d = draw(st.integers(1, 3))
+    site = st.tuples(*[st.integers(-6, 6)] * d)
+    window = draw(st.lists(site, min_size=1, max_size=60, unique=True))
+    far = st.tuples(*[st.sampled_from([-(2**40), 7, 2**40])] * d)
+    query = draw(st.lists(st.one_of(st.sampled_from(window), site, far), max_size=80))
+    return d, window, query
+
+
+@given(window_queries())
+@settings(max_examples=200)
+def test_values_at_matches_dict_lookup(case):
+    d, window, query = case
+    omega = Realization(spec=DisorderSpec(), window=np.array(window, dtype=np.int64),
+                        values=np.arange(len(window), dtype=float), seed=0, index=0)
+    position = {site: i for i, site in enumerate(window)}
+    missing = [site for site in query if site not in position]
+    sites = np.array(query, dtype=np.int64).reshape(len(query), d)
+    if missing:
+        with pytest.raises(CoverageError) as err:
+            omega.values_at(sites)
+        assert err.value.missing_sites == missing
+        assert not omega.covers(sites)
+    else:
+        assert np.array_equal(omega.values_at(sites), [position[s] for s in query])
+
+
+def test_values_at_treats_wrong_dimension_as_missing():
+    omega = sample_realization(DisorderSpec(), cube(2, 2), seed=0, index=0)
+    with pytest.raises(CoverageError):
+        omega.values_at(np.array([[1]]))
 
 
 @given(st.floats(0.0, 1.0), st.integers(0, 2**32))

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifshitz_lab.disorder import (CoverageError, DisorderSpec, ValidationError,
-                                   lattice_cube, sample_realization)
+                                   lattice_cube, sample_realization, truncate)
 from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, assemble_operator,
                                   background_field, check_ellipticity,
                                   compact_profile, identity_field,
-                                  long_range_profile, periodized_coefficient_field,
-                                  required_window, sample_coefficient_field,
-                                  short_range_profile)
+                                  lattice_correlate, long_range_profile,
+                                  periodized_coefficient_field, required_window,
+                                  sample_coefficient_field, short_range_profile,
+                                  wrap_sites)
 
 
 def free_op(d, k, m, bc="dirichlet", theta=None):
@@ -164,6 +165,75 @@ def test_periodized_field_wraps_pattern():
     fld = periodized_coefficient_field(bg, prof, pattern, k=1, m=2)
     m = assemble_operator(fld).matrix
     assert abs((m - m.conj().T).toarray()).max() < 1e-12
+
+
+def direct_sum_cells(background, profile, sites, couplings, box, tol):
+    """The field summed over every (site, cell-centre) pair: the reference.
+
+    Sites whose whole contribution stays below tol are dropped, as the
+    package's truncation prescribes.
+    """
+    axis = -box.side / 2.0 + (np.arange(box.cells_per_axis) + 0.5) * box.h
+    centers = np.stack([g.ravel() for g in np.meshgrid(*[axis] * box.d, indexing="ij")], axis=1)
+    dist = np.maximum(np.max(np.abs(sites), axis=1) - box.side / 2.0, 0.0)
+    keep = couplings * np.array([float(profile.norm_bound(r)) for r in dist]) > tol
+    disp = centers[None, :, :] - sites[keep][:, None, :].astype(float)
+    env = profile.envelope(disp.reshape(-1, box.d)).reshape(int(keep.sum()), -1)
+    return background.tile(box) + (couplings[keep] @ env)[:, None, None] * profile.template
+
+
+FIELD_CASES = [
+    (1, compact_profile(d=1, radius=0.8), 1e-10),
+    (1, short_range_profile(d=1, nu=3.5), 1e-5),
+    (1, long_range_profile(d=1, nu=2.5), 1e-6),
+    (2, compact_profile(d=2, radius=0.5, amplitude=2.0), 1e-10),
+    (2, short_range_profile(d=2, nu=4.5), 1e-4),
+    (2, long_range_profile(d=2, nu=3.5), 1e-4),
+    (3, compact_profile(d=3, radius=1.2), 1e-10),
+    (3, short_range_profile(d=3, nu=5.5), 1e-2),
+    (3, long_range_profile(d=3, nu=4.5), 1e-2),
+]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("d,prof,tol", FIELD_CASES,
+                         ids=[f"d{d}-{p.kind}" for d, p, _ in FIELD_CASES])
+def test_field_matches_direct_sum(d, prof, tol, m):
+    bg = PeriodicBackground.two_phase(m=m, low=1.0, high=3.0, d=d)
+    k = 2 if d < 3 else 1
+    box = BoxSpec(d=d, k=k, m=m)
+    sites = required_window(prof, box, tol)
+    omega = sample_realization(DisorderSpec(), sites, seed=17, index=d)
+    capped = truncate(omega, 0.4)
+    pattern = sample_realization(DisorderSpec(), lattice_cube(d, k), seed=5, index=m)
+    periodic = BoxSpec(d=d, k=k, m=m, bc="quasiperiodic")
+    periodic_sites = required_window(prof, periodic, tol)
+    pairs = [
+        (sample_coefficient_field(bg, prof, omega, box, tol),
+         direct_sum_cells(bg, prof, sites, omega.values_at(sites), box, tol)),
+        (sample_coefficient_field(bg, prof, capped, box, tol),
+         direct_sum_cells(bg, prof, sites, capped.values_at(sites), box, tol)),
+        (periodized_coefficient_field(bg, prof, pattern, k, m, tol),
+         direct_sum_cells(bg, prof, periodic_sites,
+                          pattern.values_at(wrap_sites(periodic_sites, k)), periodic, tol)),
+    ]
+    for fld, want in pairs:
+        scale = np.max(np.abs(want - bg.tile(fld.box)))
+        assert scale > 0.0
+        assert np.max(np.abs(fld.cells - want)) <= 1e-12 * scale
+
+
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 4), st.integers(0, 2**16))
+@settings(max_examples=30, deadline=None)
+def test_lattice_correlate_matches_loop(d, big_extra, small_side, seed):
+    rng = np.random.default_rng(seed)
+    small = rng.standard_normal((small_side + 1,) * d)
+    big = rng.standard_normal((small_side + 1 + big_extra,) * d)
+    want = np.zeros((big_extra + 1,) * d)
+    for x in np.ndindex(*want.shape):
+        for j in np.ndindex(*small.shape):
+            want[x] += big[tuple(a + b for a, b in zip(x, j))] * small[j]
+    assert np.allclose(lattice_correlate(big, small), want, rtol=1e-13, atol=1e-13)
 
 
 def test_check_ellipticity_bounds():

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifshitz_lab.curves import IDSCurve
 from lifshitz_lab.lattice import BoxSpec, PeriodicBackground, assemble_operator, identity_field
-from lifshitz_lab.spectral import (count_eigenvalues_below, count_sorted_leq,
+from lifshitz_lab.spectral import (SolverError, count_eigenvalues_below, count_sorted_leq,
                                    counts_below, distance_to_spectrum,
                                    floquet_bands, lowest_eigenpairs,
                                    periodic_ids_curve, spectral_gaps)
@@ -81,6 +82,26 @@ def test_distance_to_spectrum():
     A = sp.diags([0.0, 1.0, 5.0]).tocsr()
     assert distance_to_spectrum(A, 1.2) == pytest.approx(0.2, abs=1e-9)
     assert distance_to_spectrum(A, 5.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def _failing_eigsh(exc):
+    def eigsh(*args, **kwargs):
+        raise exc
+    return eigsh
+
+
+def test_distance_to_spectrum_raises_when_arpack_does_not_converge(monkeypatch):
+    A = sp.diags([0.0, 1.0, 5.0]).tocsr()
+    stalled = spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
+    monkeypatch.setattr(spla, "eigsh", _failing_eigsh(stalled))
+    with pytest.raises(SolverError):
+        distance_to_spectrum(A, 1.2, dense_threshold=0)
+
+
+def test_distance_to_spectrum_reads_singular_shift_as_eigenvalue(monkeypatch):
+    A = sp.diags([0.0, 1.0, 5.0]).tocsr()
+    monkeypatch.setattr(spla, "eigsh", _failing_eigsh(RuntimeError("Factor is exactly singular")))
+    assert distance_to_spectrum(A, 1.0, dense_threshold=0) == 0.0
 
 
 # -- Floquet bands ---------------------------------------------------------------------
