@@ -190,7 +190,7 @@ def anderson_ids(disorder: DisorderSpec, d: int, k: int, nu: float, energies,
     for i in range(n_realizations):
         inst = sample_anderson(disorder, d, k, nu, E_plus, seed, i, tol)
         vals = np.linalg.eigvalsh(inst.matrix.toarray())
-        samples[i] = [count_sorted_leq(vals, E) for E in energies]
+        samples[i] = count_sorted_leq(vals, energies)
     samples /= vol
     values = samples.mean(axis=0)
     stderr = (samples.std(axis=0, ddof=1) / math.sqrt(n_realizations)

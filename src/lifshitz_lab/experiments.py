@@ -192,7 +192,7 @@ def _anderson_samples(config, threads):
     def one(i):
         inst = sample_anderson(dis, d, k, nu, E_plus, seed, i, tol)
         vals = np.linalg.eigvalsh(inst.matrix.toarray())
-        return np.array([count_sorted_leq(vals, E) for E in energies]) / vol
+        return count_sorted_leq(vals, energies) / vol
 
     samples, failures = indexed_map(one, config.n_realizations, threads,
                                     collect_errors=True)

@@ -73,7 +73,7 @@ def finite_volume_ids(operator, energies, volume: float) -> IDSCurve:
     counts = counts_below(operator, energies)
     return IDSCurve(energies=energies, values=counts / volume, volume=float(volume),
                     n_realizations=1, bc=getattr(operator, "bc", ""),
-                    meta={"counting": "inertia"})
+                    meta={"counting": "eigvalsh"})
 
 
 def empirical_ids(background: PeriodicBackground, profile: SingleSiteProfile,

@@ -303,9 +303,6 @@ class SingleSiteProfile:
         r = np.sqrt(np.sum(pts * pts, axis=1))
         return self.g_plus * (1.0 + r) ** (-self.nu)
 
-    def matrix_at(self, x) -> np.ndarray:
-        return float(self.envelope(np.atleast_2d(x))[0]) * self.template
-
     def norm_bound(self, dist) -> np.ndarray:
         """Upper bound on ||rho0(x)||_2 over |x| >= dist (any norm), elementwise."""
         dist = np.maximum(dist, 0.0)
@@ -412,7 +409,10 @@ def sample_coefficient_field(background: PeriodicBackground, profile: SingleSite
     reach of the box; a CoverageError names any missing sites.
     """
     sites = required_window(profile, box, tol)
-    couplings = realization.values_at(sites)
+    # a realization drawn on exactly this window needs no lookup: its values
+    # are already in site order, and the window has no repeated sites
+    couplings = (realization.values if np.array_equal(realization.window, sites)
+                 else realization.values_at(sites))
     return _accumulate(background, profile, sites, couplings, box, tol)
 
 

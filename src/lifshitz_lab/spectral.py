@@ -1,10 +1,10 @@
 """Eigenvalue counting, low-lying eigenpairs, and Bloch band structure.
 
-Counting below a threshold uses matrix inertia: LDL^T (Bunch-Kaufman) of the
-shifted matrix A - (E + eta) I with a fixed relative offset
-eta = 1e-12 * ||A||_1, so "<= E" is realized as "strictly below E + eta".
-Factorization breakdown (a numerically zero pivot block) retries with eta
-doubled, up to ten times.
+Counting "<= E" means "strictly below E + eta", eta = 1e-12 * ||A||_1 (1e-12
+for A = 0).  `counts_below` counts a whole energy grid from one dense
+`eigvalsh`; `count_eigenvalues_below` counts one energy by the inertia of the
+Bunch-Kaufman LDL^T of A - (E + eta) I, retrying with eta doubled (up to ten
+times) when a pivot block is numerically zero.
 """
 
 from __future__ import annotations
@@ -59,20 +59,13 @@ def _norm1(mat) -> float:
 
 def _block_diag_eigs(d: np.ndarray) -> np.ndarray:
     """Eigenvalues of the (1x1 / 2x2) block diagonal factor from an LDL^T."""
-    n = d.shape[0]
-    eigs = np.empty(n)
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i, i + 1] != 0:
-            a, c = d[i, i].real, d[i + 1, i + 1].real
-            b2 = abs(d[i, i + 1]) ** 2
-            root = np.sqrt((a - c) ** 2 / 4.0 + b2)
-            mid = (a + c) / 2.0
-            eigs[i], eigs[i + 1] = mid - root, mid + root
-            i += 2
-        else:
-            eigs[i] = d[i, i].real
-            i += 1
+    eigs = np.diagonal(d).real.copy()
+    off = np.diagonal(d, 1)
+    i = np.flatnonzero(off != 0)  # 2x2 block starts; blocks of D never touch
+    a, c = eigs[i], eigs[i + 1]
+    root = np.sqrt((a - c) ** 2 / 4.0 + np.abs(off[i]) ** 2)
+    mid = (a + c) / 2.0
+    eigs[i], eigs[i + 1] = mid - root, mid + root
     return eigs
 
 
@@ -104,16 +97,23 @@ def count_eigenvalues_below(A, E: float, max_retries: int = 10) -> int:
 
 
 def counts_below(A, energies) -> np.ndarray:
-    """Inertia counts for each energy of a grid (independent factorizations)."""
-    return np.array([count_eigenvalues_below(A, float(E)) for E in np.asarray(energies)])
+    """#{eigenvalues of A <= E} for each energy of a grid, from one eigvalsh."""
+    mat = _as_matrix(A)
+    dense = mat.toarray() if sp.issparse(mat) else np.array(mat)  # a copy to overwrite
+    try:
+        vals = scipy.linalg.eigvalsh(dense, overwrite_a=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SolverError(f"eigvalsh failed on a {dense.shape} operator: {exc}") from exc
+    return count_sorted_leq(vals, energies, scale=_norm1(mat) or 1.0)
 
 
-def count_sorted_leq(sorted_vals: np.ndarray, E: float, scale: float = None) -> int:
-    """#{v <= E} for a sorted array, using the same relative offset as inertia."""
+def count_sorted_leq(sorted_vals: np.ndarray, energies, scale: float = None):
+    """#{v <= E} in a sorted array, per energy (an int for a scalar E), with inertia's offset."""
     if scale is None:
         scale = float(np.max(np.abs(sorted_vals), initial=0.0))
     eta = 1e-12 * max(scale, 1e-300)
-    return int(np.searchsorted(sorted_vals, E + eta, side="left"))
+    counts = np.searchsorted(sorted_vals, np.asarray(energies, dtype=float) + eta, side="left")
+    return int(counts) if counts.ndim == 0 else counts
 
 
 @dataclass
@@ -280,10 +280,7 @@ def periodic_ids_curve(bands: BandStructure, energies) -> IDSCurve:
     """Quasimomentum-averaged counting function per unit volume."""
     energies = np.asarray(energies, dtype=float)
     scale = float(np.max(np.abs(bands.bands), initial=0.0))
-    counts = np.empty((bands.bands.shape[0], len(energies)))
-    for t in range(bands.bands.shape[0]):
-        row = bands.bands[t]
-        counts[t] = [count_sorted_leq(row, E, scale) for E in energies]
+    counts = np.array([count_sorted_leq(row, energies, scale) for row in bands.bands])
     vol = float(bands.period**bands.d)
     values = counts.mean(axis=0) / vol
     return IDSCurve(energies=energies, values=values, volume=vol, n_realizations=1,

@@ -6,9 +6,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lifshitz_lab.disorder import (CoverageError, DisorderSpec, ValidationError,
+from lifshitz_lab.config import parse_config
+from lifshitz_lab.disorder import (CoverageError, DisorderSpec, Realization, ValidationError,
                                    lattice_cube, sample_realization, truncate)
-from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, assemble_operator,
+from lifshitz_lab.experiments import run
+from lifshitz_lab.ids import empirical_ids
+from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _accumulate, assemble_operator,
                                   background_field, check_ellipticity,
                                   compact_profile, identity_field,
                                   lattice_correlate, long_range_profile,
@@ -138,6 +141,65 @@ def test_sample_field_requires_coverage():
     omega = sample_realization(DisorderSpec(), lattice_cube(1, 1), seed=0, index=0)
     with pytest.raises(CoverageError):
         sample_coefficient_field(PeriodicBackground.identity(1, 2), prof, omega, box)
+
+
+def _no_lookup(self, sites):
+    raise AssertionError("values_at called for a realization on the required window")
+
+
+@pytest.mark.parametrize("prof,tol", [(compact_profile(d=2, radius=0.7), 1e-10),
+                                      (long_range_profile(d=2, nu=3.5), 1e-4)],
+                         ids=["compact", "long_range"])
+def test_field_on_its_own_window_skips_the_lookup(monkeypatch, prof, tol):
+    bg = PeriodicBackground.two_phase(m=2, low=1.0, high=3.0, d=2)
+    box = BoxSpec(d=2, k=2, m=2)
+    sites = required_window(prof, box, tol)
+    omega = sample_realization(DisorderSpec(), sites, seed=8, index=1)
+    realizations = (omega, truncate(omega, 0.4))
+    lookups = [_accumulate(bg, prof, sites, r.values_at(sites), box, tol).cells
+               for r in realizations]
+    monkeypatch.setattr(Realization, "values_at", _no_lookup)
+    for r, want in zip(realizations, lookups):
+        assert np.array_equal(sample_coefficient_field(bg, prof, r, box, tol).cells, want)
+
+
+def test_ids_drivers_never_look_up_sites(monkeypatch, tmp_path):
+    monkeypatch.setattr(Realization, "values_at", _no_lookup)
+    prof = long_range_profile(d=1, nu=2.5)
+    curve = empirical_ids(PeriodicBackground.identity(1, 2), prof, DisorderSpec(),
+                          BoxSpec(d=1, k=2, m=2), 2, [1.0, 4.0], seed=1, tol=1e-6)
+    assert np.all(curve.values > 0)
+    doc = {"kind": "ids", "geometry": {"d": 1, "k": 2, "m": 2, "bc": "dirichlet"},
+           "profile": {"kind": "long_range", "nu": 2.5},
+           "disorder": {"law": "uniform01"},
+           "energies": {"min": 0.5, "max": 10.0, "count": 4},
+           "ensemble": {"n_realizations": 2, "seed": 3}}
+    assert run(parse_config(doc), out_dir=str(tmp_path / "ids")).exit_code == 0
+
+
+def test_field_on_a_permuted_window_looks_sites_up(monkeypatch):
+    bg = PeriodicBackground.identity(2, 2)
+    prof = compact_profile(d=2, radius=0.7)
+    box = BoxSpec(d=2, k=2, m=2)
+    sites = required_window(prof, box)
+    omega = sample_realization(DisorderSpec(), sites, seed=8, index=1)
+    perm = np.random.default_rng(0).permutation(len(sites))
+    shuffled = sample_realization(DisorderSpec(), sites[perm], seed=8, index=1)
+    calls = []
+    lookup = Realization.values_at
+
+    def counted(self, query):
+        calls.append(len(query))
+        return lookup(self, query)
+
+    monkeypatch.setattr(Realization, "values_at", counted)
+    fld = sample_coefficient_field(bg, prof, shuffled, box)
+    assert calls == [len(sites)]
+    assert np.array_equal(fld.cells, sample_coefficient_field(bg, prof, omega, box).cells)
+    # a window of the same length that does not cover the box still fails
+    shifted = sample_realization(DisorderSpec(), sites + 1, seed=8, index=1)
+    with pytest.raises(CoverageError):
+        sample_coefficient_field(bg, prof, shifted, box)
 
 
 def test_zero_couplings_reduce_to_background():

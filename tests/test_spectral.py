@@ -7,9 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifshitz_lab.curves import IDSCurve
-from lifshitz_lab.lattice import BoxSpec, PeriodicBackground, assemble_operator, identity_field
-from lifshitz_lab.spectral import (SolverError, count_eigenvalues_below, count_sorted_leq,
-                                   counts_below, distance_to_spectrum,
+from lifshitz_lab.disorder import DisorderSpec, lattice_cube, sample_realization
+from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, assemble_operator,
+                                  compact_profile, identity_field, long_range_profile,
+                                  periodized_coefficient_field, required_window,
+                                  sample_coefficient_field)
+from lifshitz_lab.spectral import (SolverError, _block_diag_eigs, count_eigenvalues_below,
+                                   count_sorted_leq, counts_below, distance_to_spectrum,
                                    floquet_bands, lowest_eigenpairs,
                                    periodic_ids_curve, spectral_gaps)
 
@@ -54,6 +58,138 @@ def test_count_sorted_leq_handles_ties():
     assert count_sorted_leq(vals, 1.0) == 3
     assert count_sorted_leq(vals, 0.999999999999) == 3  # within absolute slack
     assert count_sorted_leq(vals, 0.9) == 1
+    assert type(count_sorted_leq(vals, np.float64(0.9))) is int
+    grid = [0.9, 0.999999999999, 1.0, 5.0]
+    assert count_sorted_leq(vals, grid).tolist() == [count_sorted_leq(vals, E) for E in grid]
+
+
+# ids operators of every kind the drivers count: d = 1, 2, 3, compact and
+# long-range bumps, Dirichlet boxes and complex Floquet fibers at theta != 0
+IDS_PROFILES = {
+    1: (compact_profile(d=1, radius=0.8), long_range_profile(d=1, nu=2.5), 1e-6),
+    2: (compact_profile(d=2, amplitude=2.0), long_range_profile(d=2, nu=3.5), 1e-4),
+    3: (compact_profile(d=3, radius=1.2), long_range_profile(d=3, nu=4.5), 1e-2),
+}
+MAX_K = {1: 8, 2: 3, 3: 1}
+
+
+def ids_operator(d, long_range, floquet, k, seed):
+    compact, long_range_prof, tol = IDS_PROFILES[d]
+    prof = long_range_prof if long_range else compact
+    bg = PeriodicBackground.two_phase(m=2, low=1.0, high=3.0, d=d)
+    if floquet:
+        pattern = sample_realization(DisorderSpec(), lattice_cube(d, k), seed=seed, index=d)
+        fld = periodized_coefficient_field(bg, prof, pattern, k=k, m=2, tol=tol)
+        return assemble_operator(fld, theta=(0.7,) * d)
+    box = BoxSpec(d=d, k=k, m=2)
+    omega = sample_realization(DisorderSpec(), required_window(prof, box, tol), seed=seed, index=d)
+    return assemble_operator(sample_coefficient_field(bg, prof, omega, box, tol))
+
+
+@given(st.sampled_from([1, 2, 3]), st.booleans(), st.booleans(), st.integers(1, 8),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_counts_below_equals_inertia_on_ids_operators(d, long_range, floquet, k, seed):
+    op = ids_operator(d, long_range, floquet, min(k, MAX_K[d]), seed)
+    assert op.matrix.dtype == (complex if floquet else float)
+    vals = scipy.linalg.eigvalsh(op.matrix.toarray())
+    picks = np.linspace(0, len(vals) - 1, 6).astype(int)
+    energies = np.concatenate([vals[picks], (vals[picks[:-1]] + vals[picks[:-1] + 1]) / 2,
+                               [vals[0] - 1.0, vals[-1] + 1.0]])
+    got = counts_below(op, energies)
+    assert got.tolist() == [count_eigenvalues_below(op, E) for E in energies]
+    # an energy placed on a computed eigenvalue counts it
+    assert np.all(got[:len(picks)] >= picks + 1)
+
+
+def test_counts_below_zero_matrix_keeps_absolute_slack():
+    zero = np.zeros((3, 3))
+    energies = [-2e-12, -0.5e-12, 0.0]
+    assert counts_below(zero, energies).tolist() == [0, 3, 3]
+    assert counts_below(sp.csr_matrix(zero), energies).tolist() == \
+        [count_eigenvalues_below(zero, E) for E in energies]
+
+
+def test_counts_below_rejects_nan_matrix():
+    A = np.eye(4)
+    A[1, 2] = A[2, 1] = np.nan
+    with pytest.raises(SolverError):
+        counts_below(A, [0.0, 1.0])
+    with pytest.raises(SolverError):
+        counts_below(sp.csr_matrix(A), [0.0])
+
+
+def test_counts_below_maps_eigvalsh_failure_to_solver_error(monkeypatch):
+    def eigvalsh(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", eigvalsh)
+    with pytest.raises(SolverError):
+        counts_below(np.eye(3), [0.5])
+
+
+def test_counts_below_leaves_input_array_unchanged():
+    # Fortran order is what LAPACK would overwrite in place
+    rng = np.random.default_rng(11)
+    A = np.asfortranarray(random_sym(rng, 12))
+    kept = A.copy()
+    H = A + 1j * np.triu(random_sym(rng, 12), 1)
+    H = np.asfortranarray(np.triu(H) + np.triu(H, 1).conj().T)
+    kept_h = H.copy()
+    counts_below(A, [-1.0, 0.0, 1.0])
+    counts_below(H, [0.0])
+    assert np.array_equal(A, kept)
+    assert np.array_equal(H, kept_h)
+
+
+def block_diag_eigs_loop(d):
+    """The pivot-by-pivot walk over D that _block_diag_eigs replaced: the reference."""
+    n = d.shape[0]
+    eigs = np.empty(n)
+    i = 0
+    while i < n:
+        if i + 1 < n and d[i, i + 1] != 0:
+            a, c = d[i, i].real, d[i + 1, i + 1].real
+            b2 = abs(d[i, i + 1]) ** 2
+            root = np.sqrt((a - c) ** 2 / 4.0 + b2)
+            mid = (a + c) / 2.0
+            eigs[i], eigs[i + 1] = mid - root, mid + root
+            i += 2
+        else:
+            eigs[i] = d[i, i].real
+            i += 1
+    return eigs
+
+
+def assert_block_eigs_match_loop(dblk):
+    # the loop squares numpy scalars through pow(), the vectorized code
+    # multiplies exactly; the two differ by a few ulps of the block's scale
+    got, want = _block_diag_eigs(dblk), block_diag_eigs_loop(dblk)
+    assert np.max(np.abs(got - want), initial=0.0) <= \
+        8 * np.finfo(float).eps * np.max(np.abs(dblk), initial=0.0)
+    assert np.array_equal(got < 0, want < 0)
+
+
+@given(st.integers(1, 40), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_block_diag_eigs_matches_loop(n, seed, hermitian):
+    rng = np.random.default_rng(seed)
+    A = random_sym(rng, n)
+    if hermitian:
+        B = rng.standard_normal((n, n))
+        A = A + 1j * (B - B.T) / 2.0
+    _, dblk, _ = scipy.linalg.ldl(A, hermitian=True)
+    assert_block_eigs_match_loop(dblk)
+
+
+def test_block_diag_eigs_sees_two_by_two_blocks():
+    # indefinite matrices make Bunch-Kaufman pick 2x2 pivots; the blocks
+    # must come out as the eigenvalues of each block
+    rng = np.random.default_rng(3)
+    A = random_sym(rng, 30)
+    _, dblk, _ = scipy.linalg.ldl(A)
+    assert np.count_nonzero(np.diagonal(dblk, 1)) > 0
+    assert_block_eigs_match_loop(dblk)
+    assert np.allclose(np.sort(_block_diag_eigs(dblk)), np.linalg.eigvalsh(dblk))
 
 
 @given(st.integers(2, 25), st.integers(0, 10**6), st.floats(-4.0, 4.0))
