@@ -13,7 +13,7 @@ from .anderson import (AndersonInstance, BoundEvaluation, LatticeWindow,
                        sample_anderson, truncation_radius_for)
 from .config import (Diagnostic, ExperimentConfig, config_hash, load_config,
                      parse_config, validate)
-from .curves import IDSCurve, InsufficientDataError
+from .curves import IDSCurve, InsufficientDataError, ensemble_curve
 from .disorder import (CoverageError, DisorderSpec, Realization,
                        TruncatedRealization, ValidationError, lattice_cube,
                        sample_realization, site_uniforms)
@@ -26,13 +26,13 @@ from .ids import (CheckReport, ExponentFit, decay_diagnostic, empirical_ids,
 from .lattice import (AssembledOperator, BoxSpec, CoefficientField, Grid,
                       PeriodicBackground, SingleSiteProfile, assemble_operator,
                       background_field, check_ellipticity, compact_profile,
-                      identity_field, long_range_profile,
+                      identity_field, long_range_profile, operator_sampler,
                       periodized_coefficient_field, required_window,
                       sample_coefficient_field, short_range_profile)
-from .runner import TaskFailure, indexed_map, resolve_threads
+from .runner import TaskFailure, ensemble, indexed_map, resolve_threads, trials
 from .spectral import (BandStructure, GapReport, SolverError,
                        count_eigenvalues_below, count_sorted_leq, counts_below,
                        distance_to_spectrum, floquet_bands, lowest_eigenpairs,
                        periodic_ids_curve, spectral_gaps)
-from .stats import bootstrap_slope_interval, clopper_pearson, fit_line
+from .stats import bootstrap_slope_interval, clopper_pearson, fit_line, mean_stderr
 from .version import __version__

@@ -24,11 +24,13 @@ import scipy.integrate
 import scipy.linalg
 import scipy.sparse as sp
 
+from .curves import IDSCurve, ensemble_curve
 from .disorder import (DisorderSpec, Realization, ValidationError, lattice_cube,
                        law_cdf, law_quantile, sample_realization, site_uniforms)
 from .lattice import lattice_correlate
+from .runner import trials
 from .spectral import count_sorted_leq
-from .curves import IDSCurve
+from .stats import clopper_pearson
 
 __all__ = [
     "AndersonInstance",
@@ -180,38 +182,34 @@ def sample_anderson(disorder: DisorderSpec, d: int, k: int, nu: float,
 
 def anderson_ids(disorder: DisorderSpec, d: int, k: int, nu: float, energies,
                  n_realizations: int, E_plus: float = 0.0, seed: int = 0,
-                 tol: float = 1e-8) -> IDSCurve:
-    """Mean normalized eigenvalue counts of the box model."""
-    if n_realizations < 1:
-        raise ValidationError("need at least one realization")
+                 tol: float = 1e-8, threads: int = 1) -> IDSCurve:
+    """Mean normalized eigenvalue counts of the box model.
+
+    Failed realizations are dropped as in `curves.ensemble_curve`.
+    """
     energies = np.asarray(energies, dtype=float)
     vol = float((2 * k + 1) ** d)
-    samples = np.empty((n_realizations, len(energies)))
-    for i in range(n_realizations):
+
+    def one(i):
         inst = sample_anderson(disorder, d, k, nu, E_plus, seed, i, tol)
-        vals = np.linalg.eigvalsh(inst.matrix.toarray())
-        samples[i] = count_sorted_leq(vals, energies)
-    samples /= vol
-    values = samples.mean(axis=0)
-    stderr = (samples.std(axis=0, ddof=1) / math.sqrt(n_realizations)
-              if n_realizations > 1 else np.zeros(len(energies)))
-    return IDSCurve(energies=energies, values=values, volume=vol,
-                    n_realizations=n_realizations, stderr=stderr, bc="box",
-                    meta={"counting": "monte_carlo", "model": "anderson",
-                          "seed": seed, "nu": nu, "E_plus": E_plus})
+        return count_sorted_leq(np.linalg.eigvalsh(inst.matrix.toarray()), energies) / vol
+
+    return ensemble_curve(one, n_realizations, energies, vol, "box", threads,
+                          model="anderson", seed=seed, nu=nu, E_plus=E_plus)
 
 
 def eigenvalue_below_probability(disorder: DisorderSpec, d: int, k: int, nu: float,
                                  E: float, n_trials: int, E_plus: float = 0.0,
-                                 seed: int = 0, tol: float = 1e-8):
-    """Frequency of {lambda_min <= E} with a 95% Clopper-Pearson interval."""
-    from .stats import clopper_pearson
-    successes = 0
-    for i in range(n_trials):
+                                 seed: int = 0, tol: float = 1e-8, threads: int = 1):
+    """Frequency of {lambda_min <= E} with a 95% Clopper-Pearson interval.
+
+    A failed trial raises.
+    """
+    def below(i):
         inst = sample_anderson(disorder, d, k, nu, E_plus, seed, i, tol)
-        lam = scipy.linalg.eigvalsh(inst.matrix.toarray(), subset_by_index=[0, 0])[0]
-        if lam <= E:
-            successes += 1
+        return scipy.linalg.eigvalsh(inst.matrix.toarray(), subset_by_index=[0, 0])[0] <= E
+
+    successes = int(np.count_nonzero(trials(below, n_trials, threads)))
     lo, hi = clopper_pearson(successes, n_trials)
     return successes / n_trials, lo, hi, successes
 
@@ -444,7 +442,6 @@ def mc_chernoff_event(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
         omega = law_quantile(spec, site_uniforms(seed, i, sites))
         if np.minimum(omega, trunc).sum() / (C * n_sites) <= thr:
             successes += 1
-    from .stats import clopper_pearson
     lo, hi = clopper_pearson(successes, n_trials)
     return successes / n_trials, lo, hi, successes
 
@@ -472,7 +469,6 @@ def mc_product_event_1(spec: DisorderSpec, eps: float, alpha: float, nu: float,
         omega = law_quantile(spec, site_uniforms(seed, i, window))
         if np.max(weights @ omega) + far <= threshold:
             successes += 1
-    from .stats import clopper_pearson
     lo, hi = clopper_pearson(successes, n_trials)
     return successes / n_trials, lo, hi, successes
 
@@ -490,6 +486,5 @@ def mc_product_event_2(spec: DisorderSpec, eps: float, alpha: float, nu: float,
         omega = law_quantile(spec, site_uniforms(seed, i, sites))
         if float(weights @ omega) <= threshold:
             successes += 1
-    from .stats import clopper_pearson
     lo, hi = clopper_pearson(successes, n_trials)
     return successes / n_trials, lo, hi, successes

@@ -193,6 +193,19 @@ def eps_grid(config: ExperimentConfig) -> np.ndarray:
 # -- validation -------------------------------------------------------------------
 
 
+def _increasing(grid: np.ndarray):
+    if not np.all(np.diff(grid) > 0):
+        raise ValidationError("grid must be strictly increasing")
+
+
+def _check_eps(config: ExperimentConfig):
+    eps = eps_grid(config)
+    if not np.all(eps > 0):
+        raise ValidationError("eps values must be positive")
+    if config.kind == "lifshitz":  # its energies are E_plus + eps
+        _increasing(eps)
+
+
 def _try(diags: list, severity: str, fn, label: str):
     try:
         fn()
@@ -229,9 +242,11 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     if needs_box:
         _try(diags, "error", lambda: build_box(config), "geometry")
     if config.kind in ("ids", "anderson"):
-        _try(diags, "error", lambda: energy_grid(config), "energies")
+        _try(diags, "error", lambda: _increasing(energy_grid(config)), "energies")
     if config.kind in ("lifshitz", "wegner"):
-        _try(diags, "error", lambda: eps_grid(config), "eps grid")
+        _try(diags, "error", lambda: _check_eps(config), "eps grid")
+    if int(config.params.get("n_trials", 1)) < 1:
+        diags.append(Diagnostic("error", "params.n_trials must be >= 1"))
 
     if profile_ok:
         prof = build_profile(config)

@@ -7,8 +7,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .disorder import ValidationError
+from .runner import ensemble
+from .stats import mean_stderr
 
-__all__ = ["IDSCurve", "InsufficientDataError"]
+__all__ = ["IDSCurve", "InsufficientDataError", "ensemble_curve"]
 
 
 class InsufficientDataError(ValueError):
@@ -52,14 +54,24 @@ class IDSCurve:
         i = self.index_of(E)
         return float(self.values[i])
 
-    def stderr_at(self, E: float) -> float:
-        if self.stderr is None:
-            return 0.0
-        return float(self.stderr[self.index_of(E)])
-
     def index_of(self, E: float) -> int:
         scale = 1.0 + np.max(np.abs(self.energies))
         hits = np.nonzero(np.abs(self.energies - E) <= 1e-9 * scale)[0]
         if len(hits) == 0:
             raise InsufficientDataError(f"energy {E} is not on the curve's grid")
         return int(hits[0])
+
+
+def ensemble_curve(task, n: int, energies, volume: float, bc: str, threads: int = 1,
+                   **meta) -> IDSCurve:
+    """Ensemble mean of the counting functions task(i) on the grid, i < n.
+
+    A failed realization is dropped, listed in meta["failures"] and left out
+    of n_realizations; when every realization fails the first failure is
+    raised.
+    """
+    samples, failures = ensemble(task, n, threads)
+    mean, stderr = mean_stderr(samples)
+    return IDSCurve(energies=energies, values=mean, volume=volume,
+                    n_realizations=samples.shape[0], stderr=stderr, bc=bc,
+                    meta={"counting": "monte_carlo", **meta, "failures": failures})

@@ -1,8 +1,10 @@
 """Experiment drivers: config in, CSV + JSON + manifest out.
 
-Every driver fans realizations/trials out as numbered tasks and reduces them
-in index order, so outputs do not depend on the parallelism degree.  CSV
-headers are part of the artifact contract and must not be reordered.
+The ensemble kinds (ids, anderson, lifshitz, ile, wegner, sandwich) call the
+library estimators, which fan realizations/trials out as numbered tasks and
+reduce them in index order, so outputs do not depend on the parallelism
+degree; bands, bounds and decay are single computations.  CSV headers are
+part of the artifact contract and must not be reordered.
 """
 
 from __future__ import annotations
@@ -18,18 +20,23 @@ import numpy as np
 import scipy.linalg
 
 from . import version
-from .anderson import (chernoff_bound_P1, product_bound_P_eps_alpha_1,
+from .anderson import (anderson_ids, chernoff_bound_P1, product_bound_P_eps_alpha_1,
                        product_bound_P_eps_alpha_2, sample_anderson)
-from .config import (Diagnostic, ExperimentConfig, build_background, build_box,
-                     build_disorder, build_profile, config_hash, energy_grid,
-                     eps_grid, resolved_dict, validate)
-from .curves import IDSCurve, InsufficientDataError
-from .disorder import sample_realization
-from .ids import (decay_diagnostic, ile_check, lifshitz_exponent, sandwich_check,
-                  theoretical_exponent, wegner_check)
-from .lattice import TAIL_TOL, assemble_operator, required_window, sample_coefficient_field
-from .runner import indexed_map, resolve_threads
-from .spectral import count_sorted_leq, counts_below, floquet_bands, spectral_gaps
+from .config import (ExperimentConfig, build_background, build_box, build_disorder,
+                     build_profile, config_hash, energy_grid, eps_grid, resolved_dict,
+                     validate)
+from .curves import InsufficientDataError
+from .ids import (decay_diagnostic, empirical_ids, ile_check, lifshitz_exponent,
+                  sandwich_check, theoretical_exponent, wegner_check)
+from .lattice import operator_sampler
+from .runner import resolve_threads
+from .spectral import floquet_bands, spectral_gaps
+# Not called here (the ensemble kinds go through the library estimators), but
+# kept as attributes of this module: perfbench/tracing.py patches these names.
+from .disorder import sample_realization  # noqa: F401
+from .lattice import assemble_operator, sample_coefficient_field  # noqa: F401
+from .runner import indexed_map  # noqa: F401
+from .spectral import counts_below  # noqa: F401
 
 __all__ = ["RunManifest", "RunResult", "run"]
 
@@ -109,24 +116,18 @@ def _check_rows(reports) -> list:
 CHECKS_HEADER = ["name", "trials", "successes", "p_lo", "p_hi", "bound", "verdict"]
 
 
-# -- ensemble reductions -----------------------------------------------------------
-
-
-def _mean_stderr(samples: np.ndarray):
-    mean = samples.mean(axis=0)
-    if samples.shape[0] > 1:
-        stderr = samples.std(axis=0, ddof=1) / math.sqrt(samples.shape[0])
-    else:
-        stderr = np.zeros(samples.shape[1])
-    return mean, stderr
-
-
-def _ids_csv_rows(energies, mean, stderr, n):
-    return [(float(E), float(m), float(s), n)
-            for E, m, s in zip(energies, mean, stderr)]
-
-
 IDS_HEADER = ["E", "N_mean", "N_stderr", "n_realizations"]
+
+
+def _write_ids(config, out_dir, curve, **extra) -> tuple[list, list]:
+    """ids.csv and ids.json of an ensemble curve; returns (files, failures)."""
+    rows = [(float(E), float(m), float(s), curve.n_realizations)
+            for E, m, s in zip(curve.energies, curve.values, curve.stderr)]
+    _write_csv(os.path.join(out_dir, "ids.csv"), IDS_HEADER, rows)
+    results = {"energies": curve.energies, "N_mean": curve.values, "N_stderr": curve.stderr,
+               "n_realizations": curve.n_realizations, "volume": curve.volume, **extra}
+    _write_json(os.path.join(out_dir, "ids.json"), config, results)
+    return ["ids.csv", "ids.json"], [str(f) for f in curve.meta["failures"]]
 
 
 # -- drivers ------------------------------------------------------------------------
@@ -151,79 +152,30 @@ def _run_bands(config, out_dir, threads):
 
 
 def _run_ids(config, out_dir, threads):
-    bg, prof, dis = build_background(config), build_profile(config), build_disorder(config)
     box = build_box(config)
-    energies = energy_grid(config)
-    window = required_window(prof, box, TAIL_TOL)
-    seed = config.seed
-
-    def one(i):
-        omega = sample_realization(dis, window, seed, i)
-        fld = sample_coefficient_field(bg, prof, omega, box, TAIL_TOL)
-        return counts_below(assemble_operator(fld), energies) / box.volume
-
-    samples, failures = indexed_map(one, config.n_realizations, threads,
-                                    collect_errors=True)
-    good = [s for s in samples if s is not None]
-    if not good:
-        raise RuntimeError("all realizations failed")
-    arr = np.stack(good)
-    mean, stderr = _mean_stderr(arr)
-    _write_csv(os.path.join(out_dir, "ids.csv"), IDS_HEADER,
-               _ids_csv_rows(energies, mean, stderr, arr.shape[0]))
-    results = {"energies": energies, "N_mean": mean, "N_stderr": stderr,
-               "n_realizations": arr.shape[0], "volume": box.volume, "bc": box.bc}
-    _write_json(os.path.join(out_dir, "ids.json"), config, results)
-    return ["ids.csv", "ids.json"], [str(f) for f in failures]
+    curve = empirical_ids(build_background(config), build_profile(config),
+                          build_disorder(config), box, config.n_realizations,
+                          energy_grid(config), seed=config.seed, threads=threads)
+    return _write_ids(config, out_dir, curve, bc=box.bc)
 
 
-def _anderson_samples(config, threads):
-    dis = build_disorder(config)
+def _anderson_curve(config, energies, threads):
     p = config.params
-    d = int(config.geometry.get("d", 1))
-    k = int(p["k"])
-    nu = float(p["nu"])
-    E_plus = float(p.get("E_plus", 0.0))
-    tol = float(p.get("potential_tol", 1e-8))
-    energies = np.asarray(p["energies"], dtype=float) if "energies" in p else energy_grid(config)
-    seed = config.seed
-    vol = float((2 * k + 1) ** d)
-
-    def one(i):
-        inst = sample_anderson(dis, d, k, nu, E_plus, seed, i, tol)
-        vals = np.linalg.eigvalsh(inst.matrix.toarray())
-        return count_sorted_leq(vals, energies) / vol
-
-    samples, failures = indexed_map(one, config.n_realizations, threads,
-                                    collect_errors=True)
-    good = [s for s in samples if s is not None]
-    if not good:
-        raise RuntimeError("all realizations failed")
-    arr = np.stack(good)
-    mean, stderr = _mean_stderr(arr)
-    curve = IDSCurve(energies=energies, values=mean, volume=vol,
-                     n_realizations=arr.shape[0], stderr=stderr, bc="box",
-                     meta={"counting": "monte_carlo", "model": "anderson"})
-    return curve, energies, failures
+    return anderson_ids(build_disorder(config), int(config.geometry.get("d", 1)), int(p["k"]),
+                        float(p["nu"]), energies, config.n_realizations,
+                        E_plus=float(p.get("E_plus", 0.0)), seed=config.seed,
+                        tol=float(p.get("potential_tol", 1e-8)), threads=threads)
 
 
 def _run_anderson(config, out_dir, threads):
-    curve, energies, failures = _anderson_samples(config, threads)
-    _write_csv(os.path.join(out_dir, "ids.csv"), IDS_HEADER,
-               _ids_csv_rows(energies, curve.values, curve.stderr, curve.n_realizations))
-    results = {"energies": energies, "N_mean": curve.values, "N_stderr": curve.stderr,
-               "n_realizations": curve.n_realizations, "volume": curve.volume}
-    _write_json(os.path.join(out_dir, "ids.json"), config, results)
-    return ["ids.csv", "ids.json"], [str(f) for f in failures]
+    return _write_ids(config, out_dir, _anderson_curve(config, energy_grid(config), threads))
 
 
 def _run_lifshitz(config, out_dir, threads):
     p = config.params
     eps = eps_grid(config)
     E_plus = float(p.get("E_plus", 0.0))
-    cfg = ExperimentConfig(**{**asdict(config),
-                              "params": {**p, "energies": [E_plus] + list(E_plus + eps)}})
-    curve, _, failures = _anderson_samples(cfg, threads)
+    curve = _anderson_curve(config, np.concatenate([[E_plus], E_plus + eps]), threads)
     d = int(config.geometry.get("d", 1))
     nu = float(p["nu"])
     dis = build_disorder(config)
@@ -246,7 +198,7 @@ def _run_lifshitz(config, out_dir, threads):
     _write_csv(os.path.join(out_dir, "expfit.csv"),
                ["eps", "dN", "log_abs_log_dN"], rows)
     _write_json(os.path.join(out_dir, "expfit.json"), config, results)
-    return ["expfit.csv", "expfit.json"], [str(f) for f in failures]
+    return ["expfit.csv", "expfit.json"], [str(f) for f in curve.meta["failures"]]
 
 
 def _run_bounds(config, out_dir, threads):
@@ -293,7 +245,8 @@ def _run_wegner(config, out_dir, threads):
                        eps_list=eps_grid(config), n_trials=int(p.get("n_trials", 100)),
                        theta=theta, seed=config.seed,
                        min_exponent=float(p.get("min_exponent", 0.5)),
-                       volume_ratio_cap=float(p.get("volume_ratio_cap", 2.5)))
+                       volume_ratio_cap=float(p.get("volume_ratio_cap", 2.5)),
+                       threads=threads)
     _write_csv(os.path.join(out_dir, "checks.csv"), CHECKS_HEADER, _check_rows([rep]))
     _write_json(os.path.join(out_dir, "checks.json"), config,
                 {"report": {**asdict(rep)}})
@@ -306,7 +259,7 @@ def _run_ile(config, out_dir, threads):
     rep = ile_check(bg, prof, dis, E_plus=float(p["E_plus"]), k=int(p["k"]),
                     alpha=float(p.get("alpha", 1.2)), p=float(p.get("p", 2.0)),
                     n_trials=int(p.get("n_trials", 100)), theta=p.get("theta"),
-                    seed=config.seed)
+                    seed=config.seed, threads=threads)
     _write_csv(os.path.join(out_dir, "checks.csv"), CHECKS_HEADER, _check_rows([rep]))
     _write_json(os.path.join(out_dir, "checks.json"), config,
                 {"report": {**asdict(rep)}})
@@ -323,11 +276,9 @@ def _run_decay(config, out_dir, threads):
                                seed=config.seed, index=int(p.get("index", 0)))
         op = inst
     elif model == "lattice":
-        bg, prof, dis = build_background(config), build_profile(config), build_disorder(config)
-        box = build_box(config)
-        omega = sample_realization(dis, required_window(prof, box), config.seed,
-                                   int(p.get("index", 0)))
-        op = assemble_operator(sample_coefficient_field(bg, prof, omega, box))
+        op = operator_sampler(build_background(config), build_profile(config),
+                              build_disorder(config), build_box(config),
+                              config.seed)(int(p.get("index", 0)))
     else:
         raise ValueError(f"unknown decay model {model!r}")
     if "window" in p:
@@ -352,7 +303,8 @@ def _run_sandwich(config, out_dir, threads):
     rep = sandwich_check(bg, prof, dis, E=float(p["E"]), eps=float(p["eps"]),
                          k=int(p["k"]), n_realizations=config.n_realizations,
                          n_theta=config.n_theta, k_big=p.get("k_big"),
-                         eta0=float(p.get("eta0", 1.5)), seed=config.seed)
+                         eta0=float(p.get("eta0", 1.5)), seed=config.seed,
+                         threads=threads)
     _write_csv(os.path.join(out_dir, "checks.csv"), CHECKS_HEADER, _check_rows([rep]))
     _write_json(os.path.join(out_dir, "checks.json"), config,
                 {"report": {**asdict(rep)}})

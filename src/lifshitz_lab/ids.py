@@ -15,14 +15,14 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .curves import IDSCurve, InsufficientDataError
+from .curves import IDSCurve, InsufficientDataError, ensemble_curve
 from .disorder import DisorderSpec, ValidationError, lattice_cube, sample_realization
 from .lattice import (BoxSpec, PeriodicBackground, SingleSiteProfile, TAIL_TOL,
                       assemble_operator, background_field, identity_field,
-                      periodized_coefficient_field, required_window,
-                      sample_coefficient_field)
+                      operator_sampler, periodized_coefficient_field)
+from .runner import trials
 from .spectral import counts_below, distance_to_spectrum, floquet_bands, periodic_ids_curve
-from .stats import bootstrap_slope_interval, clopper_pearson, fit_line
+from .stats import bootstrap_slope_interval, clopper_pearson, fit_line, mean_stderr
 
 __all__ = [
     "CheckReport",
@@ -78,26 +78,16 @@ def finite_volume_ids(operator, energies, volume: float) -> IDSCurve:
 
 def empirical_ids(background: PeriodicBackground, profile: SingleSiteProfile,
                   disorder: DisorderSpec, box: BoxSpec, n_realizations: int,
-                  energies, seed: int = 0, tol: float = TAIL_TOL) -> IDSCurve:
-    """Ensemble mean of finite-volume counting functions on a fixed box."""
-    if n_realizations < 1:
-        raise ValidationError("need at least one realization")
+                  energies, seed: int = 0, tol: float = TAIL_TOL,
+                  threads: int = 1) -> IDSCurve:
+    """Ensemble mean of finite-volume counting functions on a fixed box.
+
+    Failed realizations are dropped as in `curves.ensemble_curve`.
+    """
     energies = np.asarray(energies, dtype=float)
-    window = required_window(profile, box, tol)
-    samples = np.empty((n_realizations, len(energies)))
-    for i in range(n_realizations):
-        omega = sample_realization(disorder, window, seed, i)
-        fld = sample_coefficient_field(background, profile, omega, box, tol)
-        op = assemble_operator(fld)
-        samples[i] = counts_below(op, energies) / box.volume
-    values = samples.mean(axis=0)
-    if n_realizations > 1:
-        stderr = samples.std(axis=0, ddof=1) / math.sqrt(n_realizations)
-    else:
-        stderr = np.zeros(len(energies))
-    return IDSCurve(energies=energies, values=values, volume=box.volume,
-                    n_realizations=n_realizations, stderr=stderr, bc=box.bc,
-                    meta={"counting": "monte_carlo", "seed": seed})
+    operator = operator_sampler(background, profile, disorder, box, seed, tol)
+    return ensemble_curve(lambda i: counts_below(operator(i), energies) / box.volume,
+                          n_realizations, energies, box.volume, box.bc, threads, seed=seed)
 
 
 def periodic_approx_ids(background: PeriodicBackground, profile: SingleSiteProfile,
@@ -115,32 +105,27 @@ def periodic_approx_ids(background: PeriodicBackground, profile: SingleSiteProfi
 def expected_periodic_ids(background: PeriodicBackground, profile: SingleSiteProfile,
                           disorder: DisorderSpec, k: int, n_realizations: int,
                           n_theta: int, energies, seed: int = 0,
-                          tol: float = TAIL_TOL) -> IDSCurve:
-    """Monte Carlo expectation of the periodized-disorder IDS."""
-    if n_realizations < 1:
-        raise ValidationError("need at least one realization")
+                          tol: float = TAIL_TOL, threads: int = 1) -> IDSCurve:
+    """Monte Carlo expectation of the periodized-disorder IDS.
+
+    Failed realizations are dropped as in `curves.ensemble_curve`.
+    """
     energies = np.asarray(energies, dtype=float)
     sites = lattice_cube(background.d, k)
-    samples = np.empty((n_realizations, len(energies)))
-    for i in range(n_realizations):
+
+    def one(i):
         pattern = sample_realization(disorder, sites, seed, i)
-        samples[i] = periodic_approx_ids(background, profile, pattern, k, n_theta,
-                                         energies, tol).values
-    values = samples.mean(axis=0)
-    if n_realizations > 1:
-        stderr = samples.std(axis=0, ddof=1) / math.sqrt(n_realizations)
-    else:
-        stderr = np.zeros(len(energies))
-    vol = float((2 * k + 1)**background.d)
-    return IDSCurve(energies=energies, values=values, volume=vol,
-                    n_realizations=n_realizations, stderr=stderr, bc="floquet",
-                    meta={"counting": "monte_carlo", "seed": seed, "n_theta": n_theta})
+        return periodic_approx_ids(background, profile, pattern, k, n_theta, energies, tol).values
+
+    return ensemble_curve(one, n_realizations, energies, float((2 * k + 1)**background.d),
+                          "floquet", threads, seed=seed, n_theta=n_theta)
 
 
 def sandwich_check(background: PeriodicBackground, profile: SingleSiteProfile,
                    disorder: DisorderSpec, E: float, eps: float, k: int,
                    n_realizations: int, n_theta: int = 4, k_big: int = None,
-                   eta0: float = 1.5, seed: int = 0, tol: float = TAIL_TOL) -> CheckReport:
+                   eta0: float = 1.5, seed: int = 0, tol: float = TAIL_TOL,
+                   threads: int = 1) -> CheckReport:
     """Two-sided comparison of periodized-disorder increments with a large box.
 
     Checks, within twice the combined standard errors,
@@ -149,7 +134,7 @@ def sandwich_check(background: PeriodicBackground, profile: SingleSiteProfile,
         N(E + eps) - N(E) <= E[N_k(E + 2 eps) - N_k(E - 2 eps)] + err
 
     with err = exp(-eps**(-eta0)) and N estimated on an independent Dirichlet
-    box of half-side k_big (default 2k).
+    box of half-side k_big (default 2k).  A failed realization raises.
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
@@ -161,19 +146,21 @@ def sandwich_check(background: PeriodicBackground, profile: SingleSiteProfile,
     err = math.exp(-eps ** (-eta0))
     inner_E = np.array([E - 2 * eps, E - eps / 2.0, E + eps / 2.0, E + 2 * eps])
     sites = lattice_cube(d, k)
-    incr = np.empty((n_realizations, 2))
-    for i in range(n_realizations):
+
+    def increments(i):
         pattern = sample_realization(disorder, sites, seed, i)
-        curve = periodic_approx_ids(background, profile, pattern, k, n_theta, inner_E, tol)
-        v = curve.values
-        incr[i] = (v[2] - v[1], v[3] - v[0])
-    lower = float(incr[:, 0].mean())
-    upper = float(incr[:, 1].mean())
-    se_lower = float(incr[:, 0].std(ddof=1) / math.sqrt(n_realizations)) if n_realizations > 1 else 0.0
-    se_upper = float(incr[:, 1].std(ddof=1) / math.sqrt(n_realizations)) if n_realizations > 1 else 0.0
+        v = periodic_approx_ids(background, profile, pattern, k, n_theta, inner_E, tol).values
+        return np.array([v[2] - v[1], v[3] - v[0]])
+
+    incr = trials(increments, n_realizations, threads)
+    # one 1-d reduction per column: an axis-0 reduction of the stack rounds differently
+    lower, se_lower = map(float, mean_stderr(incr[:, 0]))
+    upper, se_upper = map(float, mean_stderr(incr[:, 1]))
     big_box = BoxSpec(d=d, k=k_big, m=background.m, bc="dirichlet")
     mid_curve = empirical_ids(background, profile, disorder, big_box, n_realizations,
-                              np.array([E, E + eps]), seed=seed + 1, tol=tol)
+                              np.array([E, E + eps]), seed=seed + 1, tol=tol, threads=threads)
+    if mid_curve.meta["failures"]:
+        raise mid_curve.meta["failures"][0]
     middle = float(mid_curve.values[1] - mid_curve.values[0])
     se_mid = float(math.hypot(mid_curve.stderr[0], mid_curve.stderr[1]))
     ok_lower = (lower - err) <= middle + 2.0 * math.hypot(se_lower, se_mid)
@@ -215,10 +202,6 @@ class ExponentFit:
     n_points: int
     target: float | None = None
     nondegenerate: bool = True
-
-    @property
-    def ci95(self) -> float:
-        return 0.5 * (self.ci_hi - self.ci_lo)
 
 
 def lifshitz_exponent(curve: IDSCurve, E_plus: float, eps_grid, n_boot: int = 1000,
@@ -292,12 +275,13 @@ def theoretical_exponent(d: int, kappa: float, range_kind: str, nu: float = None
 def ile_check(background: PeriodicBackground, profile: SingleSiteProfile,
               disorder: DisorderSpec, E_plus: float, k: int, alpha: float,
               p: float, n_trials: int, theta=None, seed: int = 0,
-              tol: float = TAIL_TOL) -> CheckReport:
+              tol: float = TAIL_TOL, threads: int = 1) -> CheckReport:
     """Initial-scale estimate: how often spectrum comes within 1/k of E_plus.
 
     Boxes have half-side round(k**alpha) with quasiperiodic bc; the observed
     frequency is compared against k**(-p) through its Clopper-Pearson upper
     bound.  Passing requires the upper bound below k**(-p), or zero hits.
+    A failed trial raises.
     """
     if alpha <= 1.0:
         raise ValidationError("box-growth exponent alpha must exceed 1")
@@ -307,15 +291,11 @@ def ile_check(background: PeriodicBackground, profile: SingleSiteProfile,
     k_box = max(1, int(round(k**alpha)))
     box = BoxSpec(d=d, k=k_box, m=background.m, bc="quasiperiodic",
                   theta=tuple(theta) if theta is not None else None)
-    window = required_window(profile, box, tol)
+    operator = operator_sampler(background, profile, disorder, box, seed, tol)
     threshold = 1.0 / k
-    successes = 0
-    for i in range(n_trials):
-        omega = sample_realization(disorder, window, seed, i)
-        fld = sample_coefficient_field(background, profile, omega, box, tol)
-        op = assemble_operator(fld)
-        if distance_to_spectrum(op, E_plus) <= threshold:
-            successes += 1
+    hits = trials(lambda i: distance_to_spectrum(operator(i), E_plus) <= threshold,
+                  n_trials, threads)
+    successes = int(np.count_nonzero(hits))
     p_lo, p_hi = clopper_pearson(successes, n_trials)
     bound = float(k) ** (-p)
     verdict = "pass" if (successes == 0 or p_hi <= bound) else "fail"
@@ -328,14 +308,15 @@ def ile_check(background: PeriodicBackground, profile: SingleSiteProfile,
 def wegner_check(background: PeriodicBackground, profile: SingleSiteProfile,
                  disorder: DisorderSpec, E: float, ks, eps_list, n_trials: int,
                  theta=None, seed: int = 0, tol: float = TAIL_TOL,
-                 min_exponent: float = 0.5, volume_ratio_cap: float = 2.5) -> CheckReport:
+                 min_exponent: float = 0.5, volume_ratio_cap: float = 2.5,
+                 threads: int = 1) -> CheckReport:
     """Level-repulsion probe: P(dist(spectrum, E) <= eps) across eps and box sizes.
 
     Reports the fitted eps-exponent on the largest box and whether the hit
     probability grows at most like the volume (ratio capped) between
     consecutive box sizes.  Only compactly supported profiles are accepted:
     level statistics under unbounded-range couplings are outside the
-    regime this probe is meant for.
+    regime this probe is meant for.  A failed trial raises.
     """
     if profile.kind != "compact":
         raise ValidationError("level-repulsion probe requires a compact profile")
@@ -348,13 +329,8 @@ def wegner_check(background: PeriodicBackground, profile: SingleSiteProfile,
     for k in ks:
         box = BoxSpec(d=d, k=k, m=background.m, bc="quasiperiodic",
                       theta=tuple(theta) if theta is not None else None)
-        window = required_window(profile, box, tol)
-        dists = np.empty(n_trials)
-        for i in range(n_trials):
-            omega = sample_realization(disorder, window, seed, i)
-            fld = sample_coefficient_field(background, profile, omega, box, tol)
-            op = assemble_operator(fld)
-            dists[i] = distance_to_spectrum(op, E)
+        operator = operator_sampler(background, profile, disorder, box, seed, tol)
+        dists = trials(lambda i: distance_to_spectrum(operator(i), E), n_trials, threads)
         table[k] = np.array([(dists <= e).mean() for e in eps_list])
     probs_top = table[max(ks)]
     pos = probs_top > 0
@@ -427,7 +403,7 @@ def decay_diagnostic(operator, window: tuple, dense_threshold: int = 6000) -> li
 def event_E_check(background: PeriodicBackground, profile: SingleSiteProfile,
                   disorder: DisorderSpec, k: int, eps: float, n_trials: int,
                   seed: int = 0, tol: float = TAIL_TOL,
-                  min_probability: float = 0.5) -> CheckReport:
+                  min_probability: float = 0.5, threads: int = 1) -> CheckReport:
     """Frequency of the operator inequality (A(omega) - A0) + eps*L >= 0.
 
     A0 is the disorder-free periodized operator and L the free Laplacian on
@@ -435,6 +411,7 @@ def event_E_check(background: PeriodicBackground, profile: SingleSiteProfile,
     -1e-10 numerical slack.  The box/coupling scaling is healthy when
     log(k)/log(1/eps) exceeds 1/(nu - d); the report flags a violation but
     still measures.  eps = 0 is allowed (pure positivity of the coupling).
+    A failed trial raises.
     """
     if eps < 0:
         raise ValidationError("eps must be >= 0")
@@ -446,14 +423,14 @@ def event_E_check(background: PeriodicBackground, profile: SingleSiteProfile,
     premise_ok = True
     if profile.kind == "long_range" and 0.0 < eps < 1.0 and k >= 2:
         premise_ok = math.log(k) / math.log(1.0 / eps) > 1.0 / (profile.nu - d)
-    successes = 0
-    for i in range(n_trials):
+
+    def holds(i):
         pattern = sample_realization(disorder, sites, seed, i)
         fld = periodized_coefficient_field(background, profile, pattern, k, background.m, tol)
         A = assemble_operator(fld).matrix.toarray().real
-        lam_min = scipy.linalg.eigvalsh(A - A0 + eps * L, subset_by_index=[0, 0])[0]
-        if lam_min >= -1e-10:
-            successes += 1
+        return scipy.linalg.eigvalsh(A - A0 + eps * L, subset_by_index=[0, 0])[0] >= -1e-10
+
+    successes = int(np.count_nonzero(trials(holds, n_trials, threads)))
     p_lo, p_hi = clopper_pearson(successes, n_trials)
     verdict = "pass" if p_lo >= min_probability or successes == n_trials else "fail"
     return CheckReport(name="form_event", trials=n_trials, successes=successes,

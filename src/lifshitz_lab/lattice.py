@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .disorder import CoverageError, ValidationError, lattice_cube
+from .disorder import CoverageError, ValidationError, lattice_cube, sample_realization
 
 __all__ = [
     "BoxSpec",
@@ -37,6 +37,7 @@ __all__ = [
     "compact_profile",
     "required_window",
     "sample_coefficient_field",
+    "operator_sampler",
     "periodized_coefficient_field",
     "background_field",
     "identity_field",
@@ -216,15 +217,6 @@ class PeriodicBackground:
         grids = np.meshgrid(*([np.arange(m)] * d), indexing="ij")
         scalars = scalar_axis[grids[axis].ravel()]
         samples = scalars[:, None, None] * np.eye(d)[None, :, :]
-        return cls(d=d, m=m, samples=samples)
-
-    @classmethod
-    def from_function(cls, d: int, m: int, fn) -> "PeriodicBackground":
-        """Sample a callable x -> (d,d) symmetric matrix at unit-cell centers."""
-        axes = [-0.5 + (np.arange(m) + 0.5) / m] * d
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in grids], axis=1)
-        samples = np.stack([np.asarray(fn(x), dtype=float) for x in pts])
         return cls(d=d, m=m, samples=samples)
 
     def tile(self, box: BoxSpec) -> np.ndarray:
@@ -414,6 +406,21 @@ def sample_coefficient_field(background: PeriodicBackground, profile: SingleSite
     couplings = (realization.values if np.array_equal(realization.window, sites)
                  else realization.values_at(sites))
     return _accumulate(background, profile, sites, couplings, box, tol)
+
+
+def operator_sampler(background: PeriodicBackground, profile: SingleSiteProfile,
+                     disorder, box: BoxSpec, seed: int, tol: float = TAIL_TOL):
+    """Function index -> assembled operator of that realization on the box.
+
+    The realization window is computed here, once for the whole ensemble.
+    """
+    window = required_window(profile, box, tol)
+
+    def operator(index: int) -> AssembledOperator:
+        omega = sample_realization(disorder, window, seed, index)
+        return assemble_operator(sample_coefficient_field(background, profile, omega, box, tol))
+
+    return operator
 
 
 def wrap_sites(sites: np.ndarray, k: int) -> np.ndarray:

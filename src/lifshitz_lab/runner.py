@@ -2,7 +2,9 @@
 
 Results are collected into task order no matter how many workers run, so
 outputs are identical across parallelism degrees.  Tasks should be pure
-functions of their index (plus closed-over config).
+functions of their index (plus closed-over config).  `ensemble` is the
+Monte Carlo loop of every IDS estimator and check, in the library and in
+the drivers; only the `mc_*` bound companions keep their own loops.
 """
 
 from __future__ import annotations
@@ -10,7 +12,11 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["resolve_threads", "indexed_map", "TaskFailure"]
+import numpy as np
+
+from .disorder import ValidationError
+
+__all__ = ["resolve_threads", "indexed_map", "ensemble", "trials", "TaskFailure"]
 
 THREADS_ENV = "LIFSHITZ_LAB_THREADS"
 
@@ -68,3 +74,27 @@ def indexed_map(fn, n_tasks: int, threads: int = 1, collect_errors: bool = False
     if collect_errors:
         return results, failures
     return results
+
+
+def ensemble(task, n: int, threads: int = 1):
+    """task(i) for i < n fanned out; returns (samples, failures).
+
+    samples stacks the results of the tasks that ran, in index order, along
+    axis 0; failures lists a TaskFailure per task that raised.  When every
+    task fails the first failure is raised.
+    """
+    if n < 1:
+        raise ValidationError("need at least one realization")
+    results, failures = indexed_map(task, n, threads, collect_errors=True)
+    if len(failures) == n:
+        raise failures[0]
+    return np.stack([r for r in results if r is not None]), failures
+
+
+def trials(task, n: int, threads: int = 1) -> np.ndarray:
+    """ensemble() for checks that report a frequency: a failed trial raises,
+    since dropping it would bias the frequency."""
+    samples, failures = ensemble(task, n, threads)
+    if failures:
+        raise failures[0]
+    return samples

@@ -176,23 +176,8 @@ class BandStructure:
     m: int
     d: int
 
-    @property
-    def n_bands(self) -> int:
-        return self.bands.shape[1]
-
     def band_ranges(self) -> np.ndarray:
         return np.stack([self.bands.min(axis=0), self.bands.max(axis=0)], axis=1)
-
-    def max_adjacent_jump(self) -> float:
-        """Largest |E_n(theta) - E_n(theta')| between neighboring grid points."""
-        if self.d == 1:
-            return float(np.max(np.abs(np.diff(self.bands, axis=0)), initial=0.0))
-        n_theta = round(len(self.thetas) ** (1.0 / self.d))
-        cube = self.bands.reshape((n_theta,) * self.d + (self.n_bands,))
-        worst = 0.0
-        for axis in range(self.d):
-            worst = max(worst, float(np.max(np.abs(np.diff(cube, axis=axis)), initial=0.0)))
-        return worst
 
 
 def floquet_bands(background: PeriodicBackground, n_theta: int = 64, profile=None,
@@ -232,11 +217,6 @@ class GapReport:
     gaps: list          # [(left, right, band_below, band_above)]
     band_ranges: np.ndarray
     resolution: float
-
-    @property
-    def lower_edges_above(self) -> list:
-        """Candidate band-edge energies: lower edge of the band above each gap."""
-        return [g[1] for g in self.gaps]
 
 
 def spectral_gaps(bands: BandStructure, resolution: float = None) -> GapReport:

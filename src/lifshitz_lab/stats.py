@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.stats import beta
 
-__all__ = ["clopper_pearson", "fit_line", "bootstrap_slope_interval"]
+__all__ = ["mean_stderr", "clopper_pearson", "fit_line", "bootstrap_slope_interval"]
+
+
+def mean_stderr(samples: np.ndarray):
+    """Ensemble mean along axis 0 and its standard error (zero for one sample)."""
+    mean = samples.mean(axis=0)
+    n = samples.shape[0]
+    stderr = samples.std(axis=0, ddof=1) / math.sqrt(n) if n > 1 else np.zeros_like(mean)
+    return mean, stderr
 
 
 def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:

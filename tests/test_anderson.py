@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lifshitz_lab.anderson as anderson_mod
 from lifshitz_lab.anderson import (AndersonInstance, LatticeWindow,
                                    OptimizerWarning, anderson_ids,
                                    assemble_anderson, chernoff_bound_P1,
@@ -16,6 +17,7 @@ from lifshitz_lab.anderson import (AndersonInstance, LatticeWindow,
                                    truncation_radius_for, _tail_bound)
 from lifshitz_lab.disorder import (DisorderSpec, Realization, ValidationError,
                                    lattice_cube, sample_realization)
+from lifshitz_lab.runner import TaskFailure
 
 UNIFORM = DisorderSpec()
 
@@ -134,6 +136,29 @@ def test_anderson_ids_monotone():
     assert np.all(np.diff(curve.values) >= 0.0)
     assert curve.values[0] >= 0.0
     assert curve.values[-1] <= 1.0 + 1e-12
+
+
+def test_anderson_ids_drops_a_failed_realization(monkeypatch):
+    energies = np.linspace(0.0, 1.0, 6)
+    real = anderson_mod.sample_realization
+    lost = {1}
+
+    def flaky(spec, window, seed, index):
+        if index in lost:
+            raise RuntimeError("synthetic loss")
+        return real(spec, window, seed, index)
+
+    monkeypatch.setattr(anderson_mod, "sample_realization", flaky)
+    curve = anderson_ids(UNIFORM, 1, 8, 4.0, energies, n_realizations=4, seed=1, threads=2)
+    assert curve.n_realizations == 3
+    assert [f.index for f in curve.meta["failures"]] == [1]
+    with pytest.raises(TaskFailure):
+        eigenvalue_below_probability(UNIFORM, 1, 6, 4.0, E=0.4, n_trials=3, seed=2)
+    lost.update(range(4))
+    with pytest.raises(TaskFailure):
+        anderson_ids(UNIFORM, 1, 8, 4.0, energies, n_realizations=4, seed=1)
+    with pytest.raises(ValidationError):
+        anderson_ids(UNIFORM, 1, 8, 4.0, energies, n_realizations=0)
 
 
 def test_eigenvalue_below_probability_interval():

@@ -4,12 +4,15 @@ import os
 import numpy as np
 import pytest
 
+import lifshitz_lab.anderson as anderson_mod
+import lifshitz_lab.lattice as lattice_mod
 from lifshitz_lab.cli import main
 from lifshitz_lab.config import (ExperimentConfig, config_hash, energy_grid,
                                  eps_grid, load_config, parse_config, validate)
+from lifshitz_lab.disorder import ValidationError
 from lifshitz_lab.experiments import run
-from lifshitz_lab.runner import (THREADS_ENV, TaskFailure, indexed_map,
-                                 resolve_threads)
+from lifshitz_lab.runner import (THREADS_ENV, TaskFailure, ensemble, indexed_map,
+                                 resolve_threads, trials)
 
 IDS_DOC = {
     "kind": "ids",
@@ -18,6 +21,31 @@ IDS_DOC = {
     "disorder": {"law": "uniform01"},
     "energies": {"min": 0.5, "max": 10.0, "count": 4},
     "ensemble": {"n_realizations": 4, "seed": 3},
+}
+
+_COMPACT = {"kind": "compact", "radius": 0.5, "amplitude": 1.0}
+# one small config per kind that fans realizations or trials out
+ENSEMBLE_DOCS = {
+    "ids": IDS_DOC,
+    "anderson": {"kind": "anderson", "geometry": {"d": 1}, "disorder": {"law": "uniform01"},
+                 "energies": {"min": 0.0, "max": 2.0, "count": 5},
+                 "ensemble": {"n_realizations": 6, "seed": 5},
+                 "params": {"k": 8, "nu": 4.0, "E_plus": 0.1}},
+    "lifshitz": {"kind": "lifshitz", "geometry": {"d": 1}, "disorder": {"law": "uniform01"},
+                 "ensemble": {"n_realizations": 8, "seed": 6},
+                 "params": {"k": 16, "nu": 4.0, "E_plus": 0.0, "n_boot": 50,
+                            "eps_min": 0.01, "eps_max": 0.3, "eps_count": 8}},
+    "ile": {"kind": "ile", "geometry": {"d": 1, "m": 4},
+            "background": {"type": "two_phase", "low": 1.0, "high": 4.0},
+            "profile": _COMPACT, "disorder": {"law": "uniform01"}, "ensemble": {"seed": 1},
+            "params": {"E_plus": 22.5, "k": 4, "alpha": 1.2, "p": 2.0, "n_trials": 6}},
+    "wegner": {"kind": "wegner", "geometry": {"d": 1, "m": 2}, "profile": _COMPACT,
+               "disorder": {"law": "uniform01"}, "ensemble": {"seed": 4},
+               "params": {"E": 1.0, "ks": [3, 5], "n_trials": 6, "eps_values": [0.3, 0.1]}},
+    "sandwich": {"kind": "sandwich", "geometry": {"d": 1, "m": 2}, "profile": _COMPACT,
+                 "disorder": {"law": "uniform01"},
+                 "ensemble": {"n_realizations": 6, "seed": 31}, "n_theta": 2,
+                 "params": {"E": 0.0, "eps": 0.2, "k": 2, "k_big": 4}},
 }
 
 
@@ -50,6 +78,24 @@ def test_indexed_map_collects_failures():
 def test_indexed_map_raises_without_collection():
     with pytest.raises(RuntimeError):
         indexed_map(lambda i: 1 / 0, 3, threads=1)
+
+
+def test_ensemble_drops_failures_and_keeps_order():
+    def flaky(i):
+        if i == 1:
+            raise RuntimeError("boom")
+        return np.array([i, 2.0 * i])
+
+    samples, failures = ensemble(flaky, 4, threads=3)
+    assert np.array_equal(samples, [[0, 0], [2, 4], [3, 6]])
+    assert [f.index for f in failures] == [1]
+    with pytest.raises(TaskFailure):
+        trials(flaky, 4, threads=3)
+    with pytest.raises(TaskFailure) as info:
+        ensemble(lambda i: 1 / 0, 3)
+    assert info.value.index == 0
+    with pytest.raises(ValidationError):
+        ensemble(lambda i: i, 0)
 
 
 def test_resolve_threads_env(monkeypatch):
@@ -162,37 +208,57 @@ def test_run_seed_override_changes_hash_and_data(tmp_path):
 
 
 def test_run_rejects_invalid_config_before_compute(tmp_path):
-    doc = {**IDS_DOC, "profile": {"kind": "long_range", "nu": 9.0}}
-    result = run(parse_config(doc), out_dir=str(tmp_path / "never"))
-    assert result.exit_code == 2
-    assert not (tmp_path / "never").exists()
+    for kind, doc in ENSEMBLE_DOCS.items():
+        assert validate(parse_config(doc)) == [], kind
+    unsorted = {"energies": {"values": [0.5, 0.1]}}
+    cases = [
+        {**IDS_DOC, "profile": {"kind": "long_range", "nu": 9.0}},
+        {**IDS_DOC, **unsorted},
+        {**ENSEMBLE_DOCS["anderson"], **unsorted},
+    ]
+    for kind, patch in [("ile", {"n_trials": 0}), ("wegner", {"n_trials": 0}),
+                        ("wegner", {"eps_values": [0.1, 0.0]}),
+                        ("lifshitz", {"eps_values": [-0.1, 0.1, 0.2]}),
+                        ("lifshitz", {"eps_values": [0.1, 0.3, 0.2]})]:
+        doc = ENSEMBLE_DOCS[kind]
+        cases.append({**doc, "params": {**doc["params"], **patch}})
+    for i, doc in enumerate(cases):
+        result = run(parse_config(doc), out_dir=str(tmp_path / f"never{i}"))
+        assert result.exit_code == 2, doc
+        assert not (tmp_path / f"never{i}").exists()
 
 
-def test_run_records_task_failures(tmp_path, monkeypatch):
-    import lifshitz_lab.experiments as exp
-
-    real = exp.sample_realization
+@pytest.mark.parametrize("kind,module", [("ids", lattice_mod), ("anderson", anderson_mod)],
+                         ids=["ids", "anderson"])
+def test_run_records_task_failures(tmp_path, monkeypatch, kind, module):
+    # the realization is drawn where the library's realization function draws it
+    real = module.sample_realization
 
     def flaky(spec, window, seed, index):
         if index == 2:
             raise RuntimeError("synthetic loss")
         return real(spec, window, seed, index)
 
-    monkeypatch.setattr(exp, "sample_realization", flaky)
-    result = run(parse_config(dict(IDS_DOC)), out_dir=str(tmp_path / "o"))
+    monkeypatch.setattr(module, "sample_realization", flaky)
+    doc = ENSEMBLE_DOCS[kind]
+    result = run(parse_config(dict(doc)), out_dir=str(tmp_path / "o"))
     assert result.exit_code == 3
     assert len(result.manifest.failures) == 1
-    doc = json.loads((tmp_path / "o" / "ids.json").read_text())
-    assert doc["results"]["n_realizations"] == 3
+    assert "task 2 failed" in result.manifest.failures[0]
+    out = json.loads((tmp_path / "o" / "ids.json").read_text())
+    assert out["results"]["n_realizations"] == doc["ensemble"]["n_realizations"] - 1
 
 
-def test_identical_bytes_across_thread_counts(tmp_path):
+@pytest.mark.parametrize("kind", sorted(ENSEMBLE_DOCS))
+def test_identical_bytes_across_thread_counts(tmp_path, kind):
     blobs = {}
     for threads in (1, 4, 16):
         out = tmp_path / f"t{threads}"
-        result = run(parse_config(dict(IDS_DOC)), out_dir=str(out), threads=threads)
+        result = run(parse_config(dict(ENSEMBLE_DOCS[kind])), out_dir=str(out), threads=threads)
         assert result.exit_code == 0
-        blobs[threads] = ((out / "ids.csv").read_bytes(), (out / "ids.json").read_bytes())
+        blobs[threads] = {name: (out / name).read_bytes()
+                          for name in result.manifest.files}
+    assert len(blobs[1]) == 2
     assert blobs[1] == blobs[4] == blobs[16]
 
 

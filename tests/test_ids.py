@@ -8,17 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lifshitz_lab.ids as ids_mod
+import lifshitz_lab.lattice as lattice_mod
 from lifshitz_lab.curves import IDSCurve, InsufficientDataError
 from lifshitz_lab.disorder import (DisorderSpec, ValidationError, lattice_cube,
                                    sample_realization, truncate)
-from lifshitz_lab.ids import (empirical_ids, event_E_check, finite_volume_ids,
-                              ile_check, lifshitz_exponent, periodic_approx_ids,
-                              sandwich_check, shell_decay_rate,
+from lifshitz_lab.ids import (empirical_ids, event_E_check, expected_periodic_ids,
+                              finite_volume_ids, ile_check, lifshitz_exponent,
+                              periodic_approx_ids, sandwich_check, shell_decay_rate,
                               theoretical_exponent, wegner_check)
 from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, assemble_operator,
                                   compact_profile, identity_field,
-                                  long_range_profile, required_window,
-                                  sample_coefficient_field)
+                                  long_range_profile, operator_sampler,
+                                  required_window, sample_coefficient_field)
+from lifshitz_lab.runner import TaskFailure
 from lifshitz_lab.spectral import counts_below, periodic_ids_curve, floquet_bands
 from lifshitz_lab.stats import fit_line
 
@@ -185,6 +187,72 @@ def test_theoretical_exponent_long_range_is_min_of_mechanisms(d, kappa, excess):
     nu = d + excess
     got = theoretical_exponent(d, kappa, "long_range", nu=nu, nondegenerate=True)
     assert got == pytest.approx(min(-(d / 2.0 + kappa), -d / (nu - d)), rel=1e-12)
+
+
+# -- ensemble failure rules ---------------------------------------------------------------
+
+
+def _lose_realizations(monkeypatch, module, lost):
+    real = module.sample_realization
+
+    def flaky(spec, window, seed, index):
+        if index in lost:
+            raise RuntimeError("synthetic loss")
+        return real(spec, window, seed, index)
+
+    monkeypatch.setattr(module, "sample_realization", flaky)
+
+
+def test_empirical_ids_drops_a_failed_realization(monkeypatch):
+    bg, prof, box = PeriodicBackground.identity(1, 2), compact_profile(d=1), BoxSpec(d=1, k=2, m=2)
+    energies = np.array([1.0, 8.0])
+    full = empirical_ids(bg, prof, UNIFORM, box, 4, energies, seed=2)
+    assert full.n_realizations == 4 and full.meta["failures"] == []
+    operator = operator_sampler(bg, prof, UNIFORM, box, seed=2)
+    kept = np.mean([counts_below(operator(i), energies) / box.volume for i in (0, 2, 3)], axis=0)
+    _lose_realizations(monkeypatch, lattice_mod, {1})
+    curve = empirical_ids(bg, prof, UNIFORM, box, 4, energies, seed=2, threads=2)
+    assert curve.n_realizations == 3
+    assert [f.index for f in curve.meta["failures"]] == [1]
+    assert np.array_equal(curve.values, kept)
+    _lose_realizations(monkeypatch, lattice_mod, {0, 1, 2, 3})
+    with pytest.raises(TaskFailure):
+        empirical_ids(bg, prof, UNIFORM, box, 4, energies, seed=2)
+
+
+def test_expected_periodic_ids_drops_a_failed_realization(monkeypatch):
+    bg, prof = PeriodicBackground.identity(1, 2), compact_profile(d=1)
+    _lose_realizations(monkeypatch, ids_mod, {2})
+    curve = expected_periodic_ids(bg, prof, UNIFORM, 2, 3, 2, [1.0, 8.0], seed=4, threads=3)
+    assert curve.n_realizations == 2
+    assert [f.index for f in curve.meta["failures"]] == [2]
+    assert curve.bc == "floquet" and curve.volume == 5.0
+
+
+def test_ensemble_estimators_need_a_realization():
+    bg, prof = PeriodicBackground.identity(1, 2), compact_profile(d=1)
+    with pytest.raises(ValidationError):
+        empirical_ids(bg, prof, UNIFORM, BoxSpec(d=1, k=2, m=2), 0, [1.0])
+    with pytest.raises(ValidationError):
+        expected_periodic_ids(bg, prof, UNIFORM, 2, 0, 2, [1.0])
+
+
+def test_ile_check_raises_on_a_failed_trial(monkeypatch):
+    _lose_realizations(monkeypatch, lattice_mod, {1})
+    with pytest.raises(TaskFailure) as info:
+        ile_check(PeriodicBackground.identity(1, 2), compact_profile(d=1), UNIFORM,
+                  E_plus=1.0, k=2, alpha=1.2, p=2.0, n_trials=3, threads=2)
+    assert info.value.index == 1
+
+
+def test_sandwich_check_raises_on_a_failed_reference_realization(monkeypatch):
+    # the large-box reference is an empirical_ids mean, which drops failures;
+    # the check must not compare against a silently thinner ensemble
+    _lose_realizations(monkeypatch, lattice_mod, {1})
+    with pytest.raises(TaskFailure) as info:
+        sandwich_check(PeriodicBackground.identity(1, 2), compact_profile(d=1), UNIFORM,
+                       E=0.0, eps=0.2, k=2, n_realizations=3, n_theta=2, k_big=4, threads=2)
+    assert info.value.index == 1
 
 
 # -- localization-input checkers ---------------------------------------------------------
