@@ -33,10 +33,10 @@ def main():
     print(f"{len(ranges)} bands over {bands.bands.shape[0]} quasimomenta")
     for i, (lo, hi) in enumerate(ranges):
         print(f"  band {i:3d}: [{lo:12.6f}, {hi:12.6f}]  width {hi - lo:10.6f}")
-    report = spectral_gaps(bands)
-    if not report.gaps:
+    gaps = spectral_gaps(bands)
+    if not gaps:
         print("no spectral gaps found")
-    for lo, hi, below, above in report.gaps:
+    for lo, hi, below, above in gaps:
         print(f"gap ({lo:12.6f}, {hi:12.6f})  width {hi - lo:10.6f}  "
               f"between bands {below} and {above}")
 

@@ -45,7 +45,7 @@ def main():
     target = theoretical_exponent(args.d, kappa, kind,
                                   nu=None if kind == "short_range" else args.nu)
     try:
-        fit = lifshitz_exponent(curve, 0.0, eps, n_boot=1000, seed=202, target=target)
+        fit = lifshitz_exponent(curve, 0.0, eps, n_boot=1000, seed=202)
     except InsufficientDataError as exc:
         print(f"no fit: {exc}")
         print("increase --n-realizations, --k, or --eps-count")

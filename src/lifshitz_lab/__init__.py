@@ -6,8 +6,7 @@ localization proofs."""
 from .anderson import (AndersonInstance, BoundEvaluation, LatticeWindow,
                        OptimizerWarning, anderson_ids, assemble_anderson,
                        chernoff_bound_P1, eigenvalue_below_probability,
-                       log_mgf_truncated, long_range_potential,
-                       mc_chernoff_event, mc_product_event_1,
+                       log_mgf_truncated, mc_chernoff_event, mc_product_event_1,
                        mc_product_event_2, potential_on_box,
                        product_bound_P_eps_alpha_1, product_bound_P_eps_alpha_2,
                        sample_anderson, truncation_radius_for)
@@ -19,20 +18,18 @@ from .disorder import (CoverageError, DisorderSpec, Realization,
                        sample_realization, site_uniforms)
 from .experiments import RunManifest, RunResult, run
 from .ids import (CheckReport, ExponentFit, decay_diagnostic, empirical_ids,
-                  event_E_check, expected_periodic_ids, finite_volume_ids,
-                  ile_check, lifshitz_exponent, periodic_approx_ids,
-                  sandwich_check, shell_decay_rate, theoretical_exponent,
-                  wegner_check)
+                  event_E_check, expected_periodic_ids, ile_check,
+                  lifshitz_exponent, periodic_approx_ids, sandwich_check,
+                  shell_decay_rate, theoretical_exponent, wegner_check)
 from .lattice import (AssembledOperator, BoxSpec, CoefficientField, Grid,
                       PeriodicBackground, SingleSiteProfile, assemble_operator,
-                      background_field, check_ellipticity, compact_profile,
-                      identity_field, long_range_profile, operator_sampler,
+                      background_field, compact_profile, identity_field,
+                      long_range_profile, operator_sampler,
                       periodized_coefficient_field, required_window,
                       sample_coefficient_field, short_range_profile)
 from .runner import TaskFailure, ensemble, indexed_map, resolve_threads, trials
-from .spectral import (BandStructure, GapReport, SolverError,
-                       count_eigenvalues_below, count_sorted_leq, counts_below,
-                       distance_to_spectrum, floquet_bands, lowest_eigenpairs,
-                       periodic_ids_curve, spectral_gaps)
+from .spectral import (BandStructure, SolverError, count_eigenvalues_below,
+                       count_sorted_leq, counts_below, distance_to_spectrum,
+                       floquet_bands, periodic_ids_curve, spectral_gaps)
 from .stats import bootstrap_slope_interval, clopper_pearson, fit_line, mean_stderr
 from .version import __version__

@@ -38,7 +38,6 @@ __all__ = [
     "LatticeWindow",
     "OptimizerWarning",
     "truncation_radius_for",
-    "long_range_potential",
     "potential_on_box",
     "assemble_anderson",
     "sample_anderson",
@@ -78,14 +77,6 @@ class AndersonInstance:
         dev = abs(self.matrix - self.matrix.T)
         if dev.nnz and dev.max() > 1e-12:
             raise ValidationError("assembled matrix must be symmetric")
-
-    @property
-    def n_sites(self) -> int:
-        return self.sites.shape[0]
-
-    @property
-    def volume(self) -> float:
-        return float((2 * self.k + 1) ** self.d)
 
     def node_positions(self) -> np.ndarray:
         return self.sites.astype(float)
@@ -141,18 +132,6 @@ def truncation_radius_for(d: int, nu: float, tol: float) -> int:
 def _tail_bound(d: int, nu: float, radius: int) -> float:
     lead = 2 * d * 3 ** (d - 1)
     return lead * (1.0 + radius) ** (d - nu) / (nu - d)
-
-
-def long_range_potential(realization: Realization, site, nu: float,
-                         tol: float = 1e-8) -> float:
-    """Potential value at one site, truncated with remainder below tol."""
-    site = np.asarray(site, dtype=np.int64)
-    d = site.shape[0]
-    radius = truncation_radius_for(d, nu, tol)
-    offsets = lattice_cube(d, radius)
-    weights = (1.0 + np.max(np.abs(offsets), axis=1)) ** (-nu)
-    values = realization.values_at(site[None, :] + offsets)
-    return float(values @ weights)
 
 
 def potential_on_box(realization: Realization, d: int, k: int, nu: float,

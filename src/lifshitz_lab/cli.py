@@ -10,13 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import load_config
+from .config import EXPERIMENT_KINDS, load_config
 from .experiments import run
 from .runner import THREADS_ENV
 from .version import __version__
-
-KINDS = ("bands", "ids", "anderson", "lifshitz", "bounds", "wegner", "ile",
-         "decay", "sandwich")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -25,7 +22,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite-volume experiments on random divergence-form operators")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for kind in KINDS:
+    for kind in EXPERIMENT_KINDS:
         p = sub.add_parser(kind, help=f"run a '{kind}' experiment from a config file")
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--out", default=None, help="output directory (overrides config)")

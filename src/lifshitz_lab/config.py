@@ -233,7 +233,9 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                                 f"remove {sorted(config.solver)}"))
     geo_ok = _try(diags, "error", lambda: build_background(config), "background")
     profile_ok = _try(diags, "error", lambda: build_profile(config), "profile")
-    _try(diags, "error", lambda: build_disorder(config), "disorder")
+    if _try(diags, "error", lambda: build_disorder(config), "disorder"):
+        diags.extend(Diagnostic("warning", f"disorder: {note}")
+                     for note in build_disorder(config).diagnostics())
     if config.n_realizations < 1:
         diags.append(Diagnostic("error", "ensemble.n_realizations must be >= 1"))
     if config.n_theta < 1:
@@ -283,9 +285,9 @@ def _validate_gap(config: ExperimentConfig, diags: list[Diagnostic]):
         return
     bg = build_background(config)
     bands = floquet_bands(bg, n_theta=int(config.params.get("gap_scan_n_theta", 32)))
-    report = spectral_gaps(bands)
-    inside = any(lo < float(E_probe) < hi for lo, hi, _, _ in report.gaps)
+    gaps = spectral_gaps(bands)
+    inside = any(lo < float(E_probe) < hi for lo, hi, _, _ in gaps)
     if not inside:
         diags.append(Diagnostic("error",
                      f"probe energy {E_probe} is not inside any spectral gap of the "
-                     f"reference medium (gaps: {[(round(a, 4), round(b, 4)) for a, b, _, _ in report.gaps]})"))
+                     f"reference medium (gaps: {[(round(a, 4), round(b, 4)) for a, b, _, _ in gaps]})"))

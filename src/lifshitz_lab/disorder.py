@@ -233,13 +233,6 @@ class Realization:
         """Couplings on the given sites; CoverageError if any lie outside."""
         return self.values[self._index_of(sites)]
 
-    def covers(self, sites: np.ndarray) -> bool:
-        try:
-            self._index_of(sites)
-            return True
-        except CoverageError:
-            return False
-
 
 @dataclass
 class TruncatedRealization:

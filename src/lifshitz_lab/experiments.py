@@ -143,9 +143,8 @@ def _run_bands(config, out_dir, threads):
         th = bands.thetas[i]
         for n in range(bands.bands.shape[1]):
             rows.append(tuple(float(t) for t in th) + (n, float(bands.bands[i, n])))
-    gaps = spectral_gaps(bands)
     _write_csv(os.path.join(out_dir, "bands.csv"), header, rows)
-    results = {"band_ranges": bands.band_ranges(), "gaps": gaps.gaps,
+    results = {"band_ranges": bands.band_ranges(), "gaps": spectral_gaps(bands),
                "n_theta": config.n_theta, "period": bands.period}
     _write_json(os.path.join(out_dir, "bands.json"), config, results)
     return ["bands.csv", "bands.json"], []
@@ -187,7 +186,7 @@ def _run_lifshitz(config, out_dir, threads):
     rows = []
     try:
         fit = lifshitz_exponent(curve, E_plus, eps, n_boot=int(p.get("n_boot", 1000)),
-                                seed=int(p.get("fit_seed", 715517)), target=target)
+                                seed=int(p.get("fit_seed", 715517)))
         rows = [(float(e), float(dn), float(np.log(np.abs(np.log(dn)))))
                 for e, dn in zip(fit.eps_used, fit.dN_used)]
         results.update({"slope": fit.slope, "intercept": fit.intercept,

@@ -28,7 +28,6 @@ __all__ = [
     "CheckReport",
     "ExponentFit",
     "empirical_ids",
-    "finite_volume_ids",
     "periodic_approx_ids",
     "expected_periodic_ids",
     "sandwich_check",
@@ -40,6 +39,8 @@ __all__ = [
     "shell_decay_rate",
     "event_E_check",
 ]
+
+DECAY_DENSE_LIMIT = 6000  # largest operator `decay_diagnostic` diagonalizes densely
 
 
 @dataclass
@@ -65,15 +66,6 @@ class CheckReport:
 
 
 # -- IDS estimators -----------------------------------------------------------
-
-
-def finite_volume_ids(operator, energies, volume: float) -> IDSCurve:
-    """Counting function of one finite-volume operator, per unit volume."""
-    energies = np.asarray(energies, dtype=float)
-    counts = counts_below(operator, energies)
-    return IDSCurve(energies=energies, values=counts / volume, volume=float(volume),
-                    n_realizations=1, bc=getattr(operator, "bc", ""),
-                    meta={"counting": "eigvalsh"})
 
 
 def empirical_ids(background: PeriodicBackground, profile: SingleSiteProfile,
@@ -186,10 +178,6 @@ class ExponentFit:
     fitted line: they see only the scatter of the admissible points about
     that line, not the ensemble sampling noise of a Monte Carlo curve, so
     they can be far narrower than the seed-to-seed spread of the slope.
-
-    target carries the closed-form exponent the slope is compared against
-    (None when no prediction applies); nondegenerate records the band-edge
-    assumption used to pick that target.
     """
 
     slope: float
@@ -200,13 +188,10 @@ class ExponentFit:
     eps_used: np.ndarray
     dN_used: np.ndarray
     n_points: int
-    target: float | None = None
-    nondegenerate: bool = True
 
 
 def lifshitz_exponent(curve: IDSCurve, E_plus: float, eps_grid, n_boot: int = 1000,
-                      seed: int = 715517, target: float = None,
-                      nondegenerate: bool = True) -> ExponentFit:
+                      seed: int = 715517) -> ExponentFit:
     """Tail-exponent probe of a counting curve just above the energy E_plus.
 
     Admissible points keep dN = N(E_plus + eps) - N(E_plus) strictly positive,
@@ -237,8 +222,7 @@ def lifshitz_exponent(curve: IDSCurve, E_plus: float, eps_grid, n_boot: int = 10
     slope, intercept, r2 = fit_line(x, y)
     ci_lo, ci_hi = bootstrap_slope_interval(x, y, n_boot=n_boot, seed=seed)
     return ExponentFit(slope=slope, intercept=intercept, ci_lo=ci_lo, ci_hi=ci_hi,
-                       r2=r2, eps_used=eps_a, dN_used=dN_a, n_points=len(eps_a),
-                       target=target, nondegenerate=nondegenerate)
+                       r2=r2, eps_used=eps_a, dN_used=dN_a, n_points=len(eps_a))
 
 
 def theoretical_exponent(d: int, kappa: float, range_kind: str, nu: float = None,
@@ -382,13 +366,13 @@ def shell_decay_rate(vector: np.ndarray, positions: np.ndarray,
     return -slope, r2, masses
 
 
-def decay_diagnostic(operator, window: tuple, dense_threshold: int = 6000) -> list[dict]:
+def decay_diagnostic(operator, window: tuple) -> list[dict]:
     """Shell-decay rates of all eigenvectors with eigenvalue inside the window."""
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValidationError("energy window must have positive width")
     mat = operator.matrix
-    if mat.shape[0] > dense_threshold:
+    if mat.shape[0] > DECAY_DENSE_LIMIT:
         raise ValidationError("decay diagnostic is limited to dense-solvable sizes")
     w, v = scipy.linalg.eigh(mat.toarray())
     positions = operator.node_positions()

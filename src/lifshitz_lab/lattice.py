@@ -18,12 +18,12 @@ per axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .disorder import CoverageError, ValidationError, lattice_cube, sample_realization
+from .disorder import ValidationError, lattice_cube, sample_realization
 
 __all__ = [
     "BoxSpec",
@@ -43,7 +43,6 @@ __all__ = [
     "identity_field",
     "assemble_operator",
     "assemble_grid",
-    "check_ellipticity",
     "lattice_correlate",
     "wrap_sites",
 ]
@@ -184,7 +183,6 @@ class PeriodicBackground:
     d: int
     m: int
     samples: np.ndarray  # (m^d, d, d)
-    rho_star: float = field(init=False)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=float)
@@ -194,11 +192,9 @@ class PeriodicBackground:
         sym_err = np.max(np.abs(self.samples - np.transpose(self.samples, (0, 2, 1))))
         if sym_err > 1e-12:
             raise ValidationError(f"background samples not symmetric (max dev {sym_err:.2e})")
-        eigs = np.linalg.eigvalsh(self.samples)
-        lo, hi = float(eigs.min()), float(eigs.max())
+        lo = float(np.linalg.eigvalsh(self.samples).min())
         if lo <= 0.0:
             raise ValidationError(f"background not uniformly elliptic (min eigenvalue {lo:.3e})")
-        self.rho_star = max(hi, 1.0 / lo, 1.0 + 1e-12)
 
     @classmethod
     def identity(cls, d: int, m: int) -> "PeriodicBackground":
@@ -333,12 +329,10 @@ def compact_profile(d: int, radius: float = 0.5, amplitude: float = 1.0,
 
 @dataclass
 class CoefficientField:
-    """Cell-centered coefficient matrices over a box, with provenance."""
+    """Cell-centered coefficient matrices over a box."""
 
     box: BoxSpec
     cells: np.ndarray  # (n_cells, d, d)
-    background: PeriodicBackground = None
-    profile: SingleSiteProfile = None
 
     def __post_init__(self):
         expected = (self.box.n_cells, self.box.d, self.box.d)
@@ -390,7 +384,7 @@ def _accumulate(background: PeriodicBackground, profile: SingleSiteProfile,
     # interleave (r_1..r_d, x_1..x_d) into C-ordered cells (x_1, r_1, ..., x_d, r_d)
     scalar = scalar.transpose([a + s for a in range(d) for s in (d, 0)]).reshape(-1)
     cells = background.tile(box) + scalar[:, None, None] * profile.template[None, :, :]
-    return CoefficientField(box=box, cells=cells, background=background, profile=profile)
+    return CoefficientField(box=box, cells=cells)
 
 
 def sample_coefficient_field(background: PeriodicBackground, profile: SingleSiteProfile,
@@ -401,24 +395,21 @@ def sample_coefficient_field(background: PeriodicBackground, profile: SingleSite
     reach of the box; a CoverageError names any missing sites.
     """
     sites = required_window(profile, box, tol)
-    # a realization drawn on exactly this window needs no lookup: its values
-    # are already in site order, and the window has no repeated sites
-    couplings = (realization.values if np.array_equal(realization.window, sites)
-                 else realization.values_at(sites))
-    return _accumulate(background, profile, sites, couplings, box, tol)
+    return _accumulate(background, profile, sites, realization.values_at(sites), box, tol)
 
 
 def operator_sampler(background: PeriodicBackground, profile: SingleSiteProfile,
                      disorder, box: BoxSpec, seed: int, tol: float = TAIL_TOL):
     """Function index -> assembled operator of that realization on the box.
 
-    The realization window is computed here, once for the whole ensemble.
+    The realization window is computed here, once for the whole ensemble, and
+    each realization is drawn on it, so its values are already in site order.
     """
     window = required_window(profile, box, tol)
 
     def operator(index: int) -> AssembledOperator:
         omega = sample_realization(disorder, window, seed, index)
-        return assemble_operator(sample_coefficient_field(background, profile, omega, box, tol))
+        return assemble_operator(_accumulate(background, profile, window, omega.values, box, tol))
 
     return operator
 
@@ -439,7 +430,7 @@ def periodized_coefficient_field(background: PeriodicBackground, profile: Single
 
 
 def background_field(background: PeriodicBackground, box: BoxSpec) -> CoefficientField:
-    return CoefficientField(box=box, cells=background.tile(box), background=background)
+    return CoefficientField(box=box, cells=background.tile(box))
 
 
 def identity_field(box: BoxSpec) -> CoefficientField:
@@ -447,49 +438,19 @@ def identity_field(box: BoxSpec) -> CoefficientField:
     return CoefficientField(box=box, cells=cells)
 
 
-def check_ellipticity(field: CoefficientField) -> tuple[float, float]:
-    """(min, max) eigenvalue over all cell matrices; error if not elliptic."""
-    sym_err = np.max(np.abs(field.cells - np.transpose(field.cells, (0, 2, 1))))
-    if sym_err > 1e-12:
-        raise ValidationError(f"cell matrices not symmetric (max dev {sym_err:.2e})")
-    eigs = np.linalg.eigvalsh(field.cells)
-    lo, hi = float(eigs.min()), float(eigs.max())
-    if lo <= 0.0:
-        raise ValidationError(f"field is not uniformly elliptic (min eigenvalue {lo:.3e})")
-    return lo, hi
-
-
 # -- assembly -----------------------------------------------------------------
 
 
 @dataclass
 class AssembledOperator:
-    """Sparse Hermitian finite-volume matrix plus the geometry that built it."""
+    """Sparse Hermitian finite-volume matrix plus the mesh that built it."""
 
     matrix: sp.csr_matrix
     grid: Grid
-    box: BoxSpec = None
-    theta: tuple = None
-    _norm1: float = field(default=None, repr=False, compare=False)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
 
     @property
     def h(self) -> float:
         return self.grid.h
-
-    @property
-    def bc(self) -> str:
-        if self.box is not None:
-            return self.box.bc
-        return self.grid.bc
-
-    def norm_1(self) -> float:
-        if self._norm1 is None:
-            self._norm1 = float(abs(self.matrix).sum(axis=1).max())
-        return self._norm1
 
     def node_positions(self) -> np.ndarray:
         return self.grid.node_positions()
@@ -571,6 +532,4 @@ def assemble_operator(field: CoefficientField, theta=None) -> AssembledOperator:
         if len(theta) != box.d:
             raise ValidationError("theta must have one component per axis")
     grid = box.grid(theta=theta)
-    matrix = assemble_grid(field.cells, grid)
-    eff_theta = theta if theta is not None else box.theta
-    return AssembledOperator(matrix=matrix, grid=grid, box=box, theta=eff_theta)
+    return AssembledOperator(matrix=assemble_grid(field.cells, grid), grid=grid)

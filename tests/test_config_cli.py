@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 
@@ -6,11 +7,12 @@ import pytest
 
 import lifshitz_lab.anderson as anderson_mod
 import lifshitz_lab.lattice as lattice_mod
-from lifshitz_lab.cli import main
-from lifshitz_lab.config import (ExperimentConfig, config_hash, energy_grid,
-                                 eps_grid, load_config, parse_config, validate)
+from lifshitz_lab.cli import build_parser, main
+from lifshitz_lab.config import (EXPERIMENT_KINDS, ExperimentConfig, config_hash,
+                                 energy_grid, eps_grid, load_config, parse_config,
+                                 validate)
 from lifshitz_lab.disorder import ValidationError
-from lifshitz_lab.experiments import run
+from lifshitz_lab.experiments import _DRIVERS, run
 from lifshitz_lab.runner import (THREADS_ENV, TaskFailure, ensemble, indexed_map,
                                  resolve_threads, trials)
 
@@ -163,6 +165,16 @@ def test_validate_rejects_stray_keys_in_nested_blocks():
     assert config_hash(empty) == config_hash(parse_config(IDS_DOC))
 
 
+@pytest.mark.parametrize("law", [{"p": 1.0, "a": 0.5}, {"p": 0.5, "a": 0.0}],
+                         ids=["p1", "a0"])
+def test_degenerate_bernoulli_runs_with_one_warning(tmp_path, law):
+    doc = {**IDS_DOC, "disorder": {"law": "bernoulli", **law}}
+    diags = validate(parse_config(doc))
+    assert [d.severity for d in diags] == ["warning"]
+    assert "degenerate" in diags[0].message
+    assert run(parse_config(doc), out_dir=str(tmp_path / "out")).exit_code == 0
+
+
 def test_validate_checks_gap_for_initial_scale_probe():
     base = {
         "kind": "ile",
@@ -263,6 +275,11 @@ def test_identical_bytes_across_thread_counts(tmp_path, kind):
 
 
 # -- command line ------------------------------------------------------------------------
+
+
+def test_experiment_kinds_are_one_list():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(_DRIVERS) == set(EXPERIMENT_KINDS) == set(sub.choices)
 
 
 def test_cli_roundtrip(tmp_path, capsys):

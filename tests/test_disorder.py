@@ -156,7 +156,6 @@ def test_realization_values_and_coverage():
     spec = DisorderSpec()
     window = cube(2, 3)
     omega = sample_realization(spec, window, seed=5, index=0)
-    assert omega.covers(window)
     vals = omega.values_at(window)
     assert vals.shape == (len(window),)
     assert np.all((vals >= 0.0) & (vals <= 1.0))
@@ -197,7 +196,6 @@ def test_values_at_matches_dict_lookup(case):
         with pytest.raises(CoverageError) as err:
             omega.values_at(sites)
         assert err.value.missing_sites == missing
-        assert not omega.covers(sites)
     else:
         assert np.array_equal(omega.values_at(sites), [position[s] for s in query])
 

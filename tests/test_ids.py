@@ -13,9 +13,9 @@ from lifshitz_lab.curves import IDSCurve, InsufficientDataError
 from lifshitz_lab.disorder import (DisorderSpec, ValidationError, lattice_cube,
                                    sample_realization, truncate)
 from lifshitz_lab.ids import (empirical_ids, event_E_check, expected_periodic_ids,
-                              finite_volume_ids, ile_check, lifshitz_exponent,
-                              periodic_approx_ids, sandwich_check, shell_decay_rate,
-                              theoretical_exponent, wegner_check)
+                              ile_check, lifshitz_exponent, periodic_approx_ids,
+                              sandwich_check, shell_decay_rate, theoretical_exponent,
+                              wegner_check)
 from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, assemble_operator,
                                   compact_profile, identity_field,
                                   long_range_profile, operator_sampler,
@@ -33,9 +33,7 @@ ZERO = DisorderSpec(law="bernoulli", p=1.0, a=0.0)
 
 def test_finite_volume_ids_exact_on_diagonal_fixture():
     A = sp.diags([0.5, 1.0, 2.0, 4.0]).tocsr()
-    curve = finite_volume_ids(A, [0.75, 3.0], volume=5.0)
-    assert np.array_equal(curve.values, [0.2, 0.6])
-    assert curve.volume == 5.0
+    assert np.array_equal(counts_below(A, [0.75, 3.0]), [1, 3])
 
 
 def test_empirical_ids_monotone_and_bounded():

@@ -11,13 +11,12 @@ from lifshitz_lab.disorder import (CoverageError, DisorderSpec, Realization, Val
                                    lattice_cube, sample_realization, truncate)
 from lifshitz_lab.experiments import run
 from lifshitz_lab.ids import empirical_ids
-from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _accumulate, assemble_operator,
-                                  background_field, check_ellipticity,
-                                  compact_profile, identity_field,
+from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, assemble_operator,
+                                  background_field, compact_profile, identity_field,
                                   lattice_correlate, long_range_profile,
-                                  periodized_coefficient_field, required_window,
-                                  sample_coefficient_field, short_range_profile,
-                                  wrap_sites)
+                                  operator_sampler, periodized_coefficient_field,
+                                  required_window, sample_coefficient_field,
+                                  short_range_profile, wrap_sites)
 
 
 def free_op(d, k, m, bc="dirichlet", theta=None):
@@ -151,16 +150,17 @@ def _no_lookup(self, sites):
                                       (long_range_profile(d=2, nu=3.5), 1e-4)],
                          ids=["compact", "long_range"])
 def test_field_on_its_own_window_skips_the_lookup(monkeypatch, prof, tol):
+    # the sampler draws each realization on its own window and builds the
+    # field from the drawn values: the same matrix as the lookup path
     bg = PeriodicBackground.two_phase(m=2, low=1.0, high=3.0, d=2)
     box = BoxSpec(d=2, k=2, m=2)
-    sites = required_window(prof, box, tol)
-    omega = sample_realization(DisorderSpec(), sites, seed=8, index=1)
-    realizations = (omega, truncate(omega, 0.4))
-    lookups = [_accumulate(bg, prof, sites, r.values_at(sites), box, tol).cells
-               for r in realizations]
-    monkeypatch.setattr(Realization, "values_at", _no_lookup)
-    for r, want in zip(realizations, lookups):
-        assert np.array_equal(sample_coefficient_field(bg, prof, r, box, tol).cells, want)
+    omega = sample_realization(DisorderSpec(), required_window(prof, box, tol), seed=8, index=1)
+    want = assemble_operator(sample_coefficient_field(bg, prof, omega, box, tol)).matrix
+    sampler = operator_sampler(bg, prof, DisorderSpec(), box, seed=8, tol=tol)
+    with monkeypatch.context() as patch:
+        patch.setattr(Realization, "values_at", _no_lookup)
+        got = sampler(1).matrix
+    assert np.array_equal(got.toarray(), want.toarray())
 
 
 def test_ids_drivers_never_look_up_sites(monkeypatch, tmp_path):
@@ -298,13 +298,6 @@ def test_lattice_correlate_matches_loop(d, big_extra, small_side, seed):
     assert np.allclose(lattice_correlate(big, small), want, rtol=1e-13, atol=1e-13)
 
 
-def test_check_ellipticity_bounds():
-    box = BoxSpec(d=1, k=1, m=2)
-    lo, hi = check_ellipticity(identity_field(box))
-    assert lo == pytest.approx(1.0)
-    assert hi == pytest.approx(1.0)
-
-
 # -- structural invariants (property-based) ------------------------------------------
 
 
@@ -326,6 +319,14 @@ def test_assembled_operator_symmetric_psd(field):
     A = assemble_operator(field).matrix.toarray()
     assert np.max(np.abs(A - A.T)) < 1e-12
     assert scipy.linalg.eigvalsh(A)[0] > -1e-9
+
+
+def check_ellipticity(field):
+    """(min, max) eigenvalue over the cell matrices, which must be symmetric."""
+    cells = field.cells
+    assert np.max(np.abs(cells - np.transpose(cells, (0, 2, 1)))) <= 1e-12
+    eigs = np.linalg.eigvalsh(cells)
+    return float(eigs.min()), float(eigs.max())
 
 
 @given(random_fields())

@@ -9,13 +9,12 @@ from hypothesis import strategies as st
 from lifshitz_lab.curves import IDSCurve
 from lifshitz_lab.disorder import DisorderSpec, lattice_cube, sample_realization
 from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, assemble_operator,
-                                  compact_profile, identity_field, long_range_profile,
+                                  compact_profile, long_range_profile,
                                   periodized_coefficient_field, required_window,
                                   sample_coefficient_field)
 from lifshitz_lab.spectral import (SolverError, _block_diag_eigs, count_eigenvalues_below,
                                    count_sorted_leq, counts_below, distance_to_spectrum,
-                                   floquet_bands, lowest_eigenpairs,
-                                   periodic_ids_curve, spectral_gaps)
+                                   floquet_bands, periodic_ids_curve, spectral_gaps)
 
 
 def random_sym(rng, n, sparse=False):
@@ -200,18 +199,7 @@ def test_count_is_sylvester_inertia(n, seed, E):
     assert count_eigenvalues_below(sp.csr_matrix(A), E) == exact
 
 
-# -- eigenpair extraction --------------------------------------------------------------
-
-
-def test_lowest_eigenpairs_match_dense():
-    op = assemble_operator(identity_field(BoxSpec(d=1, k=3, m=2)))
-    summary = lowest_eigenpairs(op.matrix, 4)
-    dense = np.sort(scipy.linalg.eigvalsh(op.matrix.toarray()))[:4]
-    assert np.max(np.abs(summary.eigenvalues - dense)) < 1e-9
-    # residuals certify the pairs
-    for lam, vec in zip(summary.eigenvalues, summary.vectors.T):
-        r = op.matrix @ vec - lam * vec
-        assert np.linalg.norm(r) < 1e-8
+# -- distance to the spectrum -----------------------------------------------------------
 
 
 def test_distance_to_spectrum():
@@ -267,10 +255,10 @@ def test_band_grid_is_half_open():
 def test_two_phase_gap_values_frozen():
     # medium with m=4 cells alternating 1 and 4 opens these gaps (64-point scan)
     bg = PeriodicBackground.two_phase(m=4, low=1.0, high=4.0)
-    report = spectral_gaps(floquet_bands(bg, n_theta=64))
-    assert len(report.gaps) >= 2
-    lo0, hi0 = report.gaps[0][0], report.gaps[0][1]
-    lo1, hi1 = report.gaps[1][0], report.gaps[1][1]
+    gaps = spectral_gaps(floquet_bands(bg, n_theta=64))
+    assert len(gaps) >= 2
+    lo0, hi0 = gaps[0][0], gaps[0][1]
+    lo1, hi1 = gaps[1][0], gaps[1][1]
     assert lo0 == pytest.approx(10.362400714242993, rel=1e-9)
     assert hi0 == pytest.approx(23.01515499505873, rel=1e-9)
     assert lo1 == pytest.approx(41.209137585631154, rel=1e-9)
@@ -278,8 +266,7 @@ def test_two_phase_gap_values_frozen():
 
 
 def test_free_medium_has_no_gap():
-    report = spectral_gaps(floquet_bands(PeriodicBackground.identity(1, 4), n_theta=64))
-    assert report.gaps == []
+    assert spectral_gaps(floquet_bands(PeriodicBackground.identity(1, 4), n_theta=64)) == []
 
 
 def test_periodic_ids_curve_normalization():
