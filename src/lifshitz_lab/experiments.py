@@ -138,11 +138,8 @@ def _run_bands(config, out_dir, threads):
     bands = floquet_bands(bg, n_theta=config.n_theta)
     d = bg.d
     header = [f"theta_{j+1}" for j in range(d)] + ["band_index", "energy"]
-    rows = []
-    for i in range(bands.thetas.shape[0]):
-        th = bands.thetas[i]
-        for n in range(bands.bands.shape[1]):
-            rows.append(tuple(float(t) for t in th) + (n, float(bands.bands[i, n])))
+    rows = [(*th, n, e) for th, row in zip(bands.thetas.tolist(), bands.bands.tolist())
+            for n, e in enumerate(row)]
     _write_csv(os.path.join(out_dir, "bands.csv"), header, rows)
     results = {"band_ranges": bands.band_ranges(), "gaps": spectral_gaps(bands),
                "n_theta": config.n_theta, "period": bands.period}

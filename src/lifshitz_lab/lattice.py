@@ -522,6 +522,35 @@ def assemble_grid(cells: np.ndarray, grid: Grid) -> sp.csr_matrix:
     return acc
 
 
+def _bloch_family(field: CoefficientField):
+    """The quasiperiodic operator of a field at every theta, from one real assembly.
+
+    Returns (rows, cols, shifts, coeffs): a fixed pattern, the shifts
+    t in {-1,0,1}^d as an int (3^d, d) array, and one real row C_t per shift
+    over the pattern, so that `assemble_operator(field, theta)` has the entries
+    exp(1j * shifts @ (theta * side)) @ coeffs there.  C_t holds the couplings
+    of the middle copy to the copy at offset t in a periodic cover of 3^d
+    copies of the cell, where no coupling of the middle copy crosses a seam.
+    Rows are symmetrized as (C_t + C_-t^T) / 2.
+    """
+    grid = field.box.grid()
+    d, n, n_nodes = grid.d, grid.shape[0], grid.n_nodes
+    cover_shape = (3 * n,) * d
+    cells = np.tile(field.cells.reshape(grid.shape + (d, d)), (3,) * d + (1, 1))
+    cover = assemble_grid(cells.reshape(-1, d, d), Grid(cover_shape, grid.h, "periodic")).tocoo()
+    row = np.array(np.unravel_index(cover.row, cover_shape))
+    col = np.array(np.unravel_index(cover.col, cover_shape))
+    mid = np.all(row // n == 1, axis=0)
+    pairs, where = np.unique(np.ravel_multi_index(
+        tuple(row[:, mid] % n) + tuple(col[:, mid] % n), grid.shape * 2), return_inverse=True)
+    coeffs = np.zeros((3**d, len(pairs)))
+    coeffs[np.ravel_multi_index(tuple(col[:, mid] // n), (3,) * d), where] = cover.data[mid]
+    rows, cols = np.divmod(pairs, n_nodes)
+    transpose = np.searchsorted(pairs, cols * n_nodes + rows)
+    coeffs = (coeffs + coeffs[::-1, transpose]) * 0.5  # row 3^d - 1 - s holds shift -t
+    return rows, cols, np.array(list(np.ndindex(*(3,) * d))) - 1, coeffs
+
+
 def assemble_operator(field: CoefficientField, theta=None) -> AssembledOperator:
     """Finite-volume operator for a coefficient field under the box's bc."""
     box = field.box

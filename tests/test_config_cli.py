@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import lifshitz_lab.anderson as anderson_mod
+import lifshitz_lab.experiments as experiments_mod
 import lifshitz_lab.lattice as lattice_mod
 from lifshitz_lab.cli import build_parser, main
 from lifshitz_lab.config import (EXPERIMENT_KINDS, ExperimentConfig, config_hash,
@@ -13,6 +14,8 @@ from lifshitz_lab.config import (EXPERIMENT_KINDS, ExperimentConfig, config_hash
                                  validate)
 from lifshitz_lab.disorder import ValidationError
 from lifshitz_lab.experiments import _DRIVERS, run
+from lifshitz_lab.lattice import PeriodicBackground
+from lifshitz_lab.spectral import floquet_bands
 from lifshitz_lab.runner import (THREADS_ENV, TaskFailure, ensemble, indexed_map,
                                  resolve_threads, trials)
 
@@ -286,6 +289,20 @@ def test_cli_roundtrip(tmp_path, capsys):
     path = write_config(tmp_path, {**IDS_DOC, "out": str(tmp_path / "res")})
     assert main(["ids", "--config", path]) == 0
     assert (tmp_path / "res" / "ids.csv").exists()
+
+
+def test_bands_csv_rows_keep_their_bytes(tmp_path, monkeypatch):
+    # _run_bands rows against the per-element loop that built them before
+    bands = floquet_bands(PeriodicBackground.two_phase(m=4, low=1.0, high=4.0, d=2), n_theta=3)
+    monkeypatch.setattr(experiments_mod, "floquet_bands", lambda *a, **kw: bands)
+    doc = {"kind": "bands", "geometry": {"d": 2, "m": 4}, "n_theta": 3,
+           "background": {"type": "two_phase", "low": 1.0, "high": 4.0}}
+    assert run(parse_config(doc), out_dir=str(tmp_path / "run")).exit_code == 0
+    rows = [tuple(float(t) for t in bands.thetas[i]) + (n, float(bands.bands[i, n]))
+            for i in range(bands.thetas.shape[0]) for n in range(bands.bands.shape[1])]
+    experiments_mod._write_csv(str(tmp_path / "loop.csv"),
+                               ["theta_1", "theta_2", "band_index", "energy"], rows)
+    assert (tmp_path / "run" / "bands.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
 
 
 def test_cli_dry_run_skips_compute(tmp_path, capsys):

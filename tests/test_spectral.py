@@ -6,10 +6,11 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lifshitz_lab.spectral as spectral
 from lifshitz_lab.curves import IDSCurve
 from lifshitz_lab.disorder import DisorderSpec, lattice_cube, sample_realization
-from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, assemble_operator,
-                                  compact_profile, long_range_profile,
+from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _bloch_family, assemble_operator,
+                                  background_field, compact_profile, long_range_profile,
                                   periodized_coefficient_field, required_window,
                                   sample_coefficient_field)
 from lifshitz_lab.spectral import (SolverError, _block_diag_eigs, count_eigenvalues_below,
@@ -250,6 +251,53 @@ def test_band_grid_is_half_open():
     assert th[0] == 0.0
     assert th[-1] < 2.0 * np.pi
     assert len(np.unique(th)) == 8
+
+
+def floquet_medium(d, periodized, seed=0):
+    """A two-phase background, or a k=1 pattern on it: (background, floquet_bands keywords, field)."""
+    bg = PeriodicBackground.two_phase(m=3 if d == 1 else 2, low=1.0, high=3.0, d=d)
+    if not periodized:
+        return bg, {}, background_field(bg, BoxSpec(d=d, k=0, m=bg.m, bc="quasiperiodic"))
+    kw = {"profile": IDS_PROFILES[d][0], "k": 1,
+          "pattern": sample_realization(DisorderSpec(), lattice_cube(d, 1), seed=seed, index=0)}
+    return bg, kw, periodized_coefficient_field(bg, m=bg.m, **kw)
+
+
+@given(st.sampled_from([1, 2]), st.booleans(), st.integers(0, 2**32 - 1),
+       st.lists(st.floats(0.0, 2.0 * np.pi, exclude_max=True), min_size=2, max_size=2))
+@settings(max_examples=30, deadline=None)
+def test_bloch_family_fiber_equals_assembled_operator(d, periodized, seed, phi):
+    _, _, field = floquet_medium(d, periodized, seed)
+    phi, period = np.array(phi[:d]), field.box.side
+    rows, cols, shifts, coeffs = _bloch_family(field)
+    want = assemble_operator(field, theta=tuple(phi / period)).matrix.toarray()
+    got = np.zeros_like(want, dtype=complex)
+    got[rows, cols] = np.exp(1j * (shifts @ phi)) @ coeffs
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n_theta", [1, 2, 5, 6])
+@pytest.mark.parametrize("d,periodized", [(1, False), (1, True), (2, False), (2, True)])
+def test_every_band_row_is_its_own_fiber(d, periodized, n_theta):
+    # rows filled from the time-reversed fiber (-j) mod n_theta included
+    bg, kw, field = floquet_medium(d, periodized, seed=5)
+    bands = floquet_bands(bg, n_theta=n_theta, **kw)
+    direct = np.array([np.linalg.eigvalsh(assemble_operator(field, theta=tuple(th)).matrix.toarray())
+                       for th in bands.thetas])
+    assert np.max(np.abs(bands.bands - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("d,n_theta,solves", [(1, 1, 1), (1, 5, 3), (1, 6, 4),
+                                              (2, 2, 4), (2, 5, 13), (2, 6, 20)])
+def test_floquet_bands_solves_half_the_grid(monkeypatch, d, n_theta, solves):
+    # (n^d + c) / 2 eigensolves, c = 2^d self-conjugate points for even n, 1 for odd n
+    calls = []
+    eigvalsh = spectral.scipy.linalg.eigvalsh
+    monkeypatch.setattr(spectral.scipy.linalg, "eigvalsh",
+                        lambda *a, **kw: calls.append(1) or eigvalsh(*a, **kw))
+    bands = floquet_bands(PeriodicBackground.two_phase(m=4, low=1.0, high=3.0, d=d), n_theta=n_theta)
+    assert len(calls) == solves == (n_theta**d + (2**d if n_theta % 2 == 0 else 1)) // 2
+    assert bands.bands.shape == (n_theta**d, 4**d)
 
 
 def test_two_phase_gap_values_frozen():
