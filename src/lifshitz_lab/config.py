@@ -247,6 +247,10 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         _try(diags, "error", lambda: _increasing(energy_grid(config)), "energies")
     if config.kind in ("lifshitz", "wegner"):
         _try(diags, "error", lambda: _check_eps(config), "eps grid")
+    if config.kind in ("ile", "wegner") and geo_ok and "theta" in config.params:
+        bg = build_background(config)  # the boxes these kinds build are quasiperiodic
+        _try(diags, "error", lambda: BoxSpec(d=bg.d, k=0, m=bg.m, bc="quasiperiodic",
+                                             theta=tuple(config.params["theta"])), "params.theta")
     if int(config.params.get("n_trials", 1)) < 1:
         diags.append(Diagnostic("error", "params.n_trials must be >= 1"))
 

@@ -13,6 +13,14 @@ cell center.  For rho = identity this reduces exactly to the graph Laplacian
 stencil divided by h^2.  Boundary conditions: dirichlet (boundary nodes
 dropped), periodic, or quasiperiodic with seam phase exp(i * theta_j * L)
 per axis.
+
+Assembly is element by element: cell c adds the 2^d x 2^d form
+sum_ij rho_ij(c) B_ij over its corners a in {0,1}^d.  With sigma_a =
+(2a - 1)/h, B_jj[a, b] = sigma_aj sigma_bj [a, b agree off axis j] / 2^(d-1)
+averages the edges along axis j, and B_ij[a, b] = sigma_ai sigma_bj / 4^(d-1)
+(i != j) is the product of two edge means.  A Dirichlet boundary corner is
+dropped and a corner across a periodic seam carries its phase, so the seam
+shift s_b - s_a of a coupling is its Floquet shift.
 """
 
 from __future__ import annotations
@@ -456,99 +464,73 @@ class AssembledOperator:
         return self.grid.node_positions()
 
 
-def _selectors_1d(n: int, bc: str, phase: complex, dtype) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    # E0 picks the low corner of each cell, E1 the high corner; Dirichlet
-    # boundary corners map to zero rows, the periodic seam picks up `phase`.
-    if bc == "dirichlet":
-        rows0, cols0 = np.arange(1, n), np.arange(0, n - 1)
-        e0 = sp.csr_matrix((np.ones(n - 1, dtype=dtype), (rows0, cols0)), shape=(n, n - 1))
-        rows1, cols1 = np.arange(0, n - 1), np.arange(0, n - 1)
-        e1 = sp.csr_matrix((np.ones(n - 1, dtype=dtype), (rows1, cols1)), shape=(n, n - 1))
-        return e0, e1
-    e0 = sp.identity(n, dtype=dtype, format="csr")
-    data = np.ones(n, dtype=dtype)
-    data[n - 1] = phase if dtype is complex else float(np.real(phase))
-    rows = np.arange(n)
-    cols = np.concatenate([np.arange(1, n), [0]])
-    e1 = sp.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return e0, e1
+def _cell_scatter(cells: np.ndarray, grid: Grid):
+    """(form, node, seams) over cells c and corners a in {0,1}^d (C order).
+
+    form[c] = sum_ij rho_ij(c) B_ij (module docstring); node[c, a] is -1 for a
+    Dirichlet boundary corner; seams[j, c, a] counts the seams of axis j it lies across.
+    """
+    d = grid.d
+    cells = np.asarray(cells, dtype=float)
+    if cells.shape != (grid.n_cells, d, d):
+        raise ValidationError(f"cells must have shape {(grid.n_cells, d, d)}")
+    corners = np.array(list(np.ndindex(*(2,) * d)))
+    sigma = (2.0 * corners - 1.0) / grid.h
+    B = np.einsum("ai,bj->ijab", sigma, sigma) / 4.0 ** (d - 1)
+    for j in range(d):
+        agree = np.all(np.delete(corners[:, None, :] == corners[None, :, :], j, axis=2), axis=2)
+        B[j, j] = np.outer(sigma[:, j], sigma[:, j]) * agree / 2.0 ** (d - 1)
+    form = np.einsum("cij,ijab->cab", cells, B)
+    pos = np.indices(grid.shape).reshape(d, -1, 1) + corners.T[:, None, :]  # pos[j, c, a]
+    n = np.reshape(grid.shape, (d, 1, 1))
+    if grid.bc == "periodic":
+        return form, np.ravel_multi_index(tuple(pos), grid.shape, mode="wrap"), pos // n
+    node = np.ravel_multi_index(tuple(pos - 1), grid.node_shape, mode="clip")
+    return form, np.where(np.all((pos > 0) & (pos < n), axis=0), node, -1), np.zeros_like(pos)
 
 
 def assemble_grid(cells: np.ndarray, grid: Grid) -> sp.csr_matrix:
-    """Assemble the finite-volume matrix for cell coefficients on a grid."""
-    d = grid.d
-    n_cells = grid.n_cells
-    cells = np.asarray(cells, dtype=float)
-    if cells.shape != (n_cells, d, d):
-        raise ValidationError(f"cells must have shape {(n_cells, d, d)}")
-    dtype = complex if grid.is_complex else float
-    sel_axis = [_selectors_1d(grid.shape[j], grid.bc, grid.phases[j], dtype) for j in range(d)]
+    """Assemble the finite-volume matrix for cell coefficients on a grid.
 
-    def corner(offsets):
-        mat = sel_axis[0][offsets[0]]
-        for j in range(1, d):
-            mat = sp.kron(mat, sel_axis[j][offsets[j]], format="csr")
-        return mat
-
-    inv_h = 1.0 / grid.h
-    # per-axis edge-difference operators, one per perpendicular corner offset
-    edge_ops = []
-    mean_ops = []
-    perp_offsets = list(np.ndindex(*([2] * (d - 1)))) if d > 1 else [()]
-    for j in range(d):
-        ops = []
-        for po in perp_offsets:
-            lo = list(po[:j]) + [0] + list(po[j:])
-            hi = list(po[:j]) + [1] + list(po[j:])
-            ops.append((corner(hi) - corner(lo)) * inv_h)
-        edge_ops.append(ops)
-        mean_ops.append(sum(ops[1:], ops[0]) * (1.0 / len(ops)))
-
-    n_nodes = grid.n_nodes
-    acc = sp.csr_matrix((n_nodes, n_nodes), dtype=dtype)
-    share = 1.0 / len(perp_offsets)
-    for j in range(d):
-        w = sp.diags(cells[:, j, j])
-        for g in edge_ops[j]:
-            acc = acc + (g.getH() @ (w @ g)) * share
-    for i in range(d):
-        for j in range(i + 1, d):
-            w = sp.diags(cells[:, i, j])
-            t = mean_ops[i].getH() @ (w @ mean_ops[j])
-            acc = acc + t + t.getH()
+    Entry (node_a, node_b) of cell c gets conj(phi_a) phi_b form[c, a, b], with
+    phi_a the product of the seam phases corner a lies across.
+    """
+    form, node, seams = _cell_scatter(cells, grid)
+    phi = np.prod(np.where(seams > 0, np.reshape(grid.phases, (-1, 1, 1)), 1.0), axis=0)
+    if grid.is_complex:
+        form = phi.conj()[:, :, None] * form * phi[:, None, :]
+    keep = (node[:, :, None] >= 0) & (node[:, None, :] >= 0)
+    rows = np.broadcast_to(node[:, :, None], form.shape)[keep]
+    cols = np.broadcast_to(node[:, None, :], form.shape)[keep]
+    acc = sp.csr_matrix((form[keep], (rows, cols)), shape=(grid.n_nodes,) * 2)
     acc = (acc + acc.getH()) * 0.5  # exact Hermitian symmetry of stored entries
-    acc = sp.csr_matrix(acc)
     acc.sort_indices()
     return acc
 
 
 def _bloch_family(field: CoefficientField):
-    """The quasiperiodic operator of a field at every theta, from one real assembly.
+    """The quasiperiodic operator of a field at every theta, from one cell scatter.
 
     Returns (rows, cols, shifts, coeffs): a fixed pattern, the shifts
     t in {-1,0,1}^d as an int (3^d, d) array, and one real row C_t per shift
     over the pattern, so that `assemble_operator(field, theta)` has the entries
-    exp(1j * shifts @ (theta * side)) @ coeffs there.  C_t holds the couplings
-    of the middle copy to the copy at offset t in a periodic cover of 3^d
-    copies of the cell, where no coupling of the middle copy crosses a seam.
-    Rows are symmetrized as (C_t + C_-t^T) / 2.
+    exp(1j * shifts @ (theta * side)) @ coeffs there.  C_t sums the corner
+    forms of the couplings whose corners a, b lie across seams s_a, s_b with
+    s_b - s_a = t.  Rows are symmetrized as (C_t + C_-t^T) / 2, and node pairs
+    that are zero at every shift are dropped.
     """
     grid = field.box.grid()
-    d, n, n_nodes = grid.d, grid.shape[0], grid.n_nodes
-    cover_shape = (3 * n,) * d
-    cells = np.tile(field.cells.reshape(grid.shape + (d, d)), (3,) * d + (1, 1))
-    cover = assemble_grid(cells.reshape(-1, d, d), Grid(cover_shape, grid.h, "periodic")).tocoo()
-    row = np.array(np.unravel_index(cover.row, cover_shape))
-    col = np.array(np.unravel_index(cover.col, cover_shape))
-    mid = np.all(row // n == 1, axis=0)
-    pairs, where = np.unique(np.ravel_multi_index(
-        tuple(row[:, mid] % n) + tuple(col[:, mid] % n), grid.shape * 2), return_inverse=True)
-    coeffs = np.zeros((3**d, len(pairs)))
-    coeffs[np.ravel_multi_index(tuple(col[:, mid] // n), (3,) * d), where] = cover.data[mid]
+    d, n_nodes = grid.d, grid.n_nodes
+    form, node, seams = _cell_scatter(field.cells, grid)
+    shift = np.ravel_multi_index(tuple(seams[:, :, None, :] - seams[:, :, :, None] + 1), (3,) * d)
+    pairs, where = np.unique(node[:, :, None] * n_nodes + node[:, None, :], return_inverse=True)
+    coeffs = np.bincount(shift.ravel() * len(pairs) + where.ravel(), form.ravel(),
+                         minlength=3**d * len(pairs)).reshape(3**d, len(pairs))
     rows, cols = np.divmod(pairs, n_nodes)
     transpose = np.searchsorted(pairs, cols * n_nodes + rows)
     coeffs = (coeffs + coeffs[::-1, transpose]) * 0.5  # row 3^d - 1 - s holds shift -t
-    return rows, cols, np.array(list(np.ndindex(*(3,) * d))) - 1, coeffs
+    nonzero = np.any(coeffs != 0.0, axis=0)
+    return rows[nonzero], cols[nonzero], np.array(list(np.ndindex(*(3,) * d))) - 1, coeffs[:, nonzero]
 
 
 def assemble_operator(field: CoefficientField, theta=None) -> AssembledOperator:

@@ -1,7 +1,10 @@
 """Eigenvalue counting, Bloch band structure, and spectral gaps.
 
-Counting "<= E" means "strictly below E + eta", eta = 1e-12 * ||A||_1 (1e-12
-for A = 0).  `counts_below` counts a whole energy grid from one dense
+Counting "<= E" means "strictly below E + eta", eta = 1e-12 * scale.
+`counts_below` and `count_eigenvalues_below` take scale = ||A||_1 (1 for
+A = 0); `anderson.anderson_ids` counts with `count_sorted_leq`'s default,
+max|lambda| of each spectrum, and `periodic_ids_curve` with max|E| over its
+band table.  `counts_below` counts a whole energy grid from one dense
 `eigvalsh`; `count_eigenvalues_below` counts one energy by the inertia of the
 Bunch-Kaufman LDL^T of A - (E + eta) I, retrying with eta doubled (up to
 MAX_RETRIES times) when a pivot block is numerically zero.
@@ -107,7 +110,7 @@ def counts_below(A, energies) -> np.ndarray:
 
 
 def count_sorted_leq(sorted_vals: np.ndarray, energies, scale: float = None):
-    """#{v <= E} in a sorted array, per energy (an int for a scalar E), with inertia's offset."""
+    """#{v <= E} per energy (an int for a scalar E), slack 1e-12 * scale; scale defaults to max|v|."""
     if scale is None:
         scale = float(np.max(np.abs(sorted_vals), initial=0.0))
     eta = 1e-12 * max(scale, 1e-300)

@@ -234,7 +234,9 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
     for kind, patch in [("ile", {"n_trials": 0}), ("wegner", {"n_trials": 0}),
                         ("wegner", {"eps_values": [0.1, 0.0]}),
                         ("lifshitz", {"eps_values": [-0.1, 0.1, 0.2]}),
-                        ("lifshitz", {"eps_values": [0.1, 0.3, 0.2]})]:
+                        ("lifshitz", {"eps_values": [0.1, 0.3, 0.2]}),
+                        ("ile", {"theta": [7.0]}), ("wegner", {"theta": [0.5, 0.5]}),
+                        ("ile", {"theta": 0.5})]:
         doc = ENSEMBLE_DOCS[kind]
         cases.append({**doc, "params": {**doc["params"], **patch}})
     for i, doc in enumerate(cases):

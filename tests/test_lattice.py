@@ -11,8 +11,8 @@ from lifshitz_lab.disorder import (CoverageError, DisorderSpec, Realization, Val
                                    lattice_cube, sample_realization, truncate)
 from lifshitz_lab.experiments import run
 from lifshitz_lab.ids import empirical_ids
-from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, assemble_operator,
-                                  background_field, compact_profile, identity_field,
+from lifshitz_lab.lattice import (BoxSpec, CoefficientField, PeriodicBackground, _bloch_family,
+                                  assemble_operator, background_field, compact_profile, identity_field,
                                   lattice_correlate, long_range_profile,
                                   operator_sampler, periodized_coefficient_field,
                                   required_window, sample_coefficient_field,
@@ -106,6 +106,62 @@ def test_quasiperiodic_operator_is_hermitian():
     op = free_op(2, 1, 2, bc="quasiperiodic", theta=(1.1, 2.7))
     M = op.matrix.toarray()
     assert np.max(np.abs(M - M.conj().T)) < 1e-12
+
+
+def cell_form_loop(cells, box, u, theta):
+    """sum_cells (grad u)* rho (grad u), cell by cell from the module docstring's form.
+
+    A Dirichlet boundary corner carries 0; a corner across the periodic seam of
+    axis j carries exp(1j * theta_j * side) times the node value it wraps to.
+    """
+    d, n, h = box.d, box.cells_per_axis, box.h
+    seam = np.exp(1j * np.asarray(theta) * box.side) if theta is not None else np.ones(d)
+    nodes = u.reshape((n - 1,) * d if box.bc == "dirichlet" else (n,) * d)
+    total = 0.0
+    for c, rho in zip(np.ndindex(*(n,) * d), cells):
+        corner = {}
+        for a in np.ndindex(*(2,) * d):
+            x = np.add(c, a)
+            if box.bc == "dirichlet":
+                inside = np.all((x > 0) & (x < n))
+                corner[a] = nodes[tuple(x - 1)] if inside else 0.0
+            else:
+                corner[a] = nodes[tuple(x % n)] * np.prod(seam[x == n])
+        diffs = []  # per axis: the 2^(d-1) edge differences along it
+        for j in range(d):
+            diffs.append(np.array([(corner[a[:j] + (1,) + a[j + 1:]] - corner[a]) / h
+                                   for a in np.ndindex(*(2,) * d) if a[j] == 0]))
+            total += rho[j, j] * np.mean(np.abs(diffs[j]) ** 2)
+        for i in range(d):
+            for j in range(d):
+                if i != j:
+                    total += rho[i, j] * np.conj(diffs[i].mean()) * diffs[j].mean()
+    return total
+
+
+@pytest.mark.parametrize("d,k,m", [(1, 2, 3), (2, 1, 2), (3, 0, 2)])
+@pytest.mark.parametrize("bc", ["dirichlet", "periodic", "quasiperiodic"])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_assembled_form_matches_cell_loop(d, k, m, bc, seed):
+    # random SPD cells with off-diagonal entries, so every rho_ij term is checked
+    rng = np.random.default_rng(seed)
+    theta = tuple(rng.uniform(0.0, 2.0 * np.pi, d)) if bc == "quasiperiodic" else None
+    box = BoxSpec(d=d, k=k, m=m, bc=bc, theta=theta)
+    g = rng.standard_normal((box.n_cells, d, d))
+    cells = g @ np.transpose(g, (0, 2, 1)) + 0.1 * np.eye(d)
+    cells = (cells + np.transpose(cells, (0, 2, 1))) / 2.0
+    field = CoefficientField(box=box, cells=cells)
+    A = assemble_operator(field).matrix
+    u = rng.standard_normal(A.shape[0]) + 1j * rng.standard_normal(A.shape[0])
+    want = cell_form_loop(cells, box, u, theta)
+    forms = [np.vdot(u, A @ u)]
+    if bc == "quasiperiodic":
+        rows, cols, shifts, coeffs = _bloch_family(field)
+        fiber = np.zeros(A.shape, dtype=complex)
+        fiber[rows, cols] = np.exp(1j * (shifts @ (np.asarray(theta) * box.side))) @ coeffs
+        forms.append(np.vdot(u, fiber @ u))
+    for got in forms:
+        assert abs(got - want) <= 1e-12 * abs(want)
 
 
 # -- profiles and fields ----------------------------------------------------------
