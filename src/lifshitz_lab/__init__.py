@@ -21,7 +21,7 @@ from .ids import (CheckReport, ExponentFit, decay_diagnostic, empirical_ids,
                   event_E_check, expected_periodic_ids, ile_check,
                   lifshitz_exponent, periodic_approx_ids, sandwich_check,
                   shell_decay_rate, theoretical_exponent, wegner_check)
-from .lattice import (AssembledOperator, BoxSpec, CoefficientField, Grid,
+from .lattice import (AssembledOperator, BoxSpec, CoefficientField,
                       PeriodicBackground, SingleSiteProfile, assemble_operator,
                       background_field, compact_profile, identity_field,
                       long_range_profile, operator_sampler,

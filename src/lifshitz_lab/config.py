@@ -34,6 +34,13 @@ __all__ = [
 
 EXPERIMENT_KINDS = ("bands", "ids", "lifshitz", "anderson", "bounds",
                     "wegner", "ile", "decay", "sandwich")
+# params keys each kind reads without a default; then the choices `bounds`
+# (evaluations[*].type) and `decay` (model) dispatch on, with the keys each reads
+REQUIRED_PARAMS = {"anderson": ("k", "nu"), "lifshitz": ("k", "nu"), "bounds": ("nu",),
+                   "wegner": ("E",), "ile": ("E_plus", "k"), "sandwich": ("E", "eps", "k")}
+BOUND_EVALUATIONS = {"chernoff": ("k", "delta"), "product1": ("eps", "alpha", "nu"),
+                     "product2": ("eps", "alpha", "nu")}
+DECAY_MODELS = {"lattice": (), "anderson": ("k", "nu")}
 
 
 @dataclass(frozen=True)
@@ -206,6 +213,31 @@ def _check_eps(config: ExperimentConfig):
         _increasing(eps)
 
 
+def _require(block: dict, keys, label: str):
+    missing = [key for key in keys if key not in block]
+    if missing:
+        raise ValidationError(f"{label} requires {missing}")
+
+
+def _check_choice(block: dict, key: str, default, table: dict):
+    if not isinstance(block, dict):
+        raise ValidationError(f"expected an object with a {key!r}, got {block!r}")
+    choice = block.get(key, default)
+    if choice not in table:
+        raise ValidationError(f"unknown {key} {choice!r}; expected one of {sorted(table)}")
+    _require(block, table[choice], f"{key} {choice!r}")
+
+
+def _check_decay(p: dict):
+    _check_choice(p, "model", "lattice", DECAY_MODELS)
+    if "window" in p:
+        lo, hi = (float(v) for v in p["window"])
+        if not lo < hi:
+            raise ValidationError("window must be [lo, hi] with lo < hi")
+    elif int(p.get("n_states", 5)) < 1:
+        raise ValidationError("n_states must be >= 1")
+
+
 def _try(diags: list, severity: str, fn, label: str):
     try:
         fn()
@@ -251,6 +283,14 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         bg = build_background(config)  # the boxes these kinds build are quasiperiodic
         _try(diags, "error", lambda: BoxSpec(d=bg.d, k=0, m=bg.m, bc="quasiperiodic",
                                              theta=tuple(config.params["theta"])), "params.theta")
+    _try(diags, "error", lambda: _require(config.params, REQUIRED_PARAMS.get(config.kind, ()),
+                                          f"kind {config.kind!r}"), "params")
+    if config.kind == "bounds":
+        for i, spec in enumerate(config.params.get("evaluations", [])):
+            _try(diags, "error", lambda: _check_choice(spec, "type", None, BOUND_EVALUATIONS),
+                 f"params.evaluations[{i}]")
+    if config.kind == "decay":
+        _try(diags, "error", lambda: _check_decay(config.params), "params")
     if int(config.params.get("n_trials", 1)) < 1:
         diags.append(Diagnostic("error", "params.n_trials must be >= 1"))
 
@@ -269,24 +309,15 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                          "profile; results with unbounded range are not covered "
                          "by the estimate being tested"))
 
-    if config.kind == "ile" and geo_ok:
+    if config.kind == "ile" and geo_ok and "E_plus" in config.params:
         _validate_gap(config, diags)
-
-    if config.kind in ("bounds", "lifshitz"):
-        p = config.params
-        nu = p.get("nu")
-        if nu is None:
-            diags.append(Diagnostic("error", "params.nu is required for this kind"))
     return diags
 
 
 def _validate_gap(config: ExperimentConfig, diags: list[Diagnostic]):
     """Numeric scan: the probe energy must sit inside a spectral gap."""
     from .spectral import floquet_bands, spectral_gaps
-    E_probe = config.params.get("E_plus")
-    if E_probe is None:
-        diags.append(Diagnostic("error", "params.E_plus is required for ile"))
-        return
+    E_probe = config.params["E_plus"]
     bg = build_background(config)
     bands = floquet_bands(bg, n_theta=int(config.params.get("gap_scan_n_theta", 32)))
     gaps = spectral_gaps(bands)

@@ -64,22 +64,12 @@ class RunResult:
 # -- serialization helpers -------------------------------------------------------
 
 
-def _cell(x) -> str:
-    if isinstance(x, (bool, np.bool_)):
-        return "1" if x else "0"
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _write_csv(path: str, header: list, rows: list):
+    """Rows hold str, int and float only: csv writes floats by repr, but a bool as True."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for row in rows:
-            w.writerow([_cell(x) for x in row])
+        w.writerows(rows)
 
 
 def _jsonable(obj):
@@ -108,12 +98,15 @@ def _write_json(path: str, config: ExperimentConfig, results: dict):
         fh.write("\n")
 
 
-def _check_rows(reports) -> list:
-    return [(r.name, r.trials, r.successes, r.p_lo, r.p_hi, r.bound, r.verdict)
-            for r in reports]
-
-
 CHECKS_HEADER = ["name", "trials", "successes", "p_lo", "p_hi", "bound", "verdict"]
+
+
+def _write_check(config, out_dir, r) -> tuple[list, list]:
+    """checks.csv and checks.json of one check report; returns (files, failures)."""
+    _write_csv(os.path.join(out_dir, "checks.csv"), CHECKS_HEADER,
+               [(r.name, r.trials, r.successes, r.p_lo, r.p_hi, r.bound, r.verdict)])
+    _write_json(os.path.join(out_dir, "checks.json"), config, {"report": asdict(r)})
+    return ["checks.csv", "checks.json"], []
 
 
 IDS_HEADER = ["E", "N_mean", "N_stderr", "n_realizations"]
@@ -215,7 +208,7 @@ def _run_bounds(config, out_dir, threads):
                                              nu=float(spec["nu"]), d=int(spec.get("d", 1)))
             rows.append((be.name, be.params["eps"], be.params["alpha"],
                          be.params["nu"], be.params["d"], be.log_bound, ""))
-        elif kind == "product2":
+        else:  # product2; validate() admits only BOUND_EVALUATIONS types
             be = product_bound_P_eps_alpha_2(dis, eps=float(spec["eps"]),
                                              alpha=float(spec["alpha"]),
                                              nu=float(spec["nu"]), d=int(spec.get("d", 1)),
@@ -223,8 +216,6 @@ def _run_bounds(config, out_dir, threads):
                                              C=float(spec.get("C", 1.0)))
             rows.append((be.name, be.params["eps"], be.params["alpha"],
                          be.params["nu"], be.params["d"], be.log_bound, ""))
-        else:
-            raise ValueError(f"unknown bound evaluation type {kind!r}")
         details.append({"name": be.name, "params": be.params, "details": be.details,
                         "log_bound": be.log_bound, "t_star": be.t_star})
     _write_csv(os.path.join(out_dir, "bounds.csv"),
@@ -243,10 +234,7 @@ def _run_wegner(config, out_dir, threads):
                        min_exponent=float(p.get("min_exponent", 0.5)),
                        volume_ratio_cap=float(p.get("volume_ratio_cap", 2.5)),
                        threads=threads)
-    _write_csv(os.path.join(out_dir, "checks.csv"), CHECKS_HEADER, _check_rows([rep]))
-    _write_json(os.path.join(out_dir, "checks.json"), config,
-                {"report": {**asdict(rep)}})
-    return ["checks.csv", "checks.json"], []
+    return _write_check(config, out_dir, rep)
 
 
 def _run_ile(config, out_dir, threads):
@@ -256,27 +244,19 @@ def _run_ile(config, out_dir, threads):
                     alpha=float(p.get("alpha", 1.2)), p=float(p.get("p", 2.0)),
                     n_trials=int(p.get("n_trials", 100)), theta=p.get("theta"),
                     seed=config.seed, threads=threads)
-    _write_csv(os.path.join(out_dir, "checks.csv"), CHECKS_HEADER, _check_rows([rep]))
-    _write_json(os.path.join(out_dir, "checks.json"), config,
-                {"report": {**asdict(rep)}})
-    return ["checks.csv", "checks.json"], []
+    return _write_check(config, out_dir, rep)
 
 
 def _run_decay(config, out_dir, threads):
     p = config.params
-    model = p.get("model", "lattice")
-    if model == "anderson":
-        dis = build_disorder(config)
-        inst = sample_anderson(dis, d=int(config.geometry.get("d", 1)), k=int(p["k"]),
-                               nu=float(p["nu"]), E_plus=float(p.get("E_plus", 0.0)),
-                               seed=config.seed, index=int(p.get("index", 0)))
-        op = inst
-    elif model == "lattice":
+    if p.get("model", "lattice") == "anderson":
+        op = sample_anderson(build_disorder(config), d=int(config.geometry.get("d", 1)), k=int(p["k"]),
+                             nu=float(p["nu"]), E_plus=float(p.get("E_plus", 0.0)),
+                             seed=config.seed, index=int(p.get("index", 0)))
+    else:  # lattice; validate() admits only DECAY_MODELS
         op = operator_sampler(build_background(config), build_profile(config),
                               build_disorder(config), build_box(config),
                               config.seed)(int(p.get("index", 0)))
-    else:
-        raise ValueError(f"unknown decay model {model!r}")
     if "window" in p:
         lo, hi = float(p["window"][0]), float(p["window"][1])
     else:
@@ -301,10 +281,7 @@ def _run_sandwich(config, out_dir, threads):
                          n_theta=config.n_theta, k_big=p.get("k_big"),
                          eta0=float(p.get("eta0", 1.5)), seed=config.seed,
                          threads=threads)
-    _write_csv(os.path.join(out_dir, "checks.csv"), CHECKS_HEADER, _check_rows([rep]))
-    _write_json(os.path.join(out_dir, "checks.json"), config,
-                {"report": {**asdict(rep)}})
-    return ["checks.csv", "checks.json"], []
+    return _write_check(config, out_dir, rep)
 
 
 _DRIVERS = {

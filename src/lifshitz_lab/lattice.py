@@ -12,7 +12,8 @@ the cell); off-diagonal entries couple gradient components averaged to the
 cell center.  For rho = identity this reduces exactly to the graph Laplacian
 stencil divided by h^2.  Boundary conditions: dirichlet (boundary nodes
 dropped), periodic, or quasiperiodic with seam phase exp(i * theta_j * L)
-per axis.
+per axis, theta being `BoxSpec.theta` (zero when unset) or the override
+passed to `assemble_operator`.
 
 Assembly is element by element: cell c adds the 2^d x 2^d form
 sum_ij rho_ij(c) B_ij over its corners a in {0,1}^d.  With sigma_a =
@@ -26,7 +27,7 @@ shift s_b - s_a of a coupling is its Floquet shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,7 +36,6 @@ from .disorder import ValidationError, lattice_cube, sample_realization
 
 __all__ = [
     "BoxSpec",
-    "Grid",
     "PeriodicBackground",
     "SingleSiteProfile",
     "CoefficientField",
@@ -50,7 +50,6 @@ __all__ = [
     "background_field",
     "identity_field",
     "assemble_operator",
-    "assemble_grid",
     "lattice_correlate",
     "wrap_sites",
 ]
@@ -108,76 +107,20 @@ class BoxSpec:
     def volume(self) -> float:
         return float(self.side**self.d)
 
-    def grid(self, theta=None) -> "Grid":
-        if self.bc == "quasiperiodic":
-            th = theta if theta is not None else (self.theta or (0.0,) * self.d)
-            phases = tuple(complex(np.exp(1j * t * self.side)) for t in th)
-            return Grid(shape=(self.cells_per_axis,) * self.d, h=self.h,
-                        bc="periodic", phases=phases,
-                        origin=(-self.side / 2.0,) * self.d)
-        if theta is not None:
-            raise ValidationError("theta override requires quasiperiodic bc")
-        return Grid(shape=(self.cells_per_axis,) * self.d, h=self.h,
-                    bc=self.bc, phases=(1.0 + 0.0j,) * self.d,
-                    origin=(-self.side / 2.0,) * self.d)
-
-
-@dataclass(frozen=True)
-class Grid:
-    """Low-level mesh: cells per axis, spacing, bc, and seam phases."""
-
-    shape: tuple
-    h: float
-    bc: str  # "dirichlet" | "periodic"
-    phases: tuple = None
-    origin: tuple = None
-
-    def __post_init__(self):
-        shape = tuple(int(n) for n in self.shape)
-        object.__setattr__(self, "shape", shape)
-        if any(n < 2 for n in shape):
-            raise ValidationError("need at least two cells per axis")
-        if self.h <= 0:
-            raise ValidationError("mesh width must be positive")
-        if self.bc not in ("dirichlet", "periodic"):
-            raise ValidationError("grid bc must be dirichlet or periodic")
-        if self.phases is None:
-            object.__setattr__(self, "phases", (1.0 + 0.0j,) * len(shape))
-        else:
-            object.__setattr__(self, "phases", tuple(complex(p) for p in self.phases))
-        if self.origin is None:
-            object.__setattr__(self, "origin", (0.0,) * len(shape))
-
-    @property
-    def d(self) -> int:
-        return len(self.shape)
-
     @property
     def node_shape(self) -> tuple:
-        if self.bc == "dirichlet":
-            return tuple(n - 1 for n in self.shape)
-        return self.shape
+        """Nodes per axis: a Dirichlet box drops its boundary nodes, one per axis."""
+        return (self.cells_per_axis - (self.bc == "dirichlet"),) * self.d
 
     @property
     def n_nodes(self) -> int:
-        return int(np.prod(self.node_shape))
-
-    @property
-    def n_cells(self) -> int:
-        return int(np.prod(self.shape))
-
-    @property
-    def is_complex(self) -> bool:
-        return any(p != 1.0 for p in self.phases)
+        return math.prod(self.node_shape)
 
     def node_positions(self) -> np.ndarray:
-        axes = []
-        for j in range(self.d):
-            if self.bc == "dirichlet":
-                axes.append(self.origin[j] + (np.arange(1, self.shape[j])) * self.h)
-            else:
-                axes.append(self.origin[j] + np.arange(self.shape[j]) * self.h)
-        grids = np.meshgrid(*axes, indexing="ij")
+        """Node coordinates (n_nodes, d), C order; the first Dirichlet node sits at h."""
+        first = 1 if self.bc == "dirichlet" else 0
+        axis = -self.side / 2.0 + np.arange(first, self.cells_per_axis) * self.h
+        grids = np.meshgrid(*([axis] * self.d), indexing="ij")
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
@@ -451,61 +394,41 @@ def identity_field(box: BoxSpec) -> CoefficientField:
 
 @dataclass
 class AssembledOperator:
-    """Sparse Hermitian finite-volume matrix plus the mesh that built it."""
+    """Sparse Hermitian finite-volume matrix plus the box (with its theta) it was built on."""
 
     matrix: sp.csr_matrix
-    grid: Grid
+    box: BoxSpec
 
     @property
     def h(self) -> float:
-        return self.grid.h
+        return self.box.h
 
     def node_positions(self) -> np.ndarray:
-        return self.grid.node_positions()
+        return self.box.node_positions()
 
 
-def _cell_scatter(cells: np.ndarray, grid: Grid):
+def _cell_scatter(cells: np.ndarray, box: BoxSpec):
     """(form, node, seams) over cells c and corners a in {0,1}^d (C order).
 
     form[c] = sum_ij rho_ij(c) B_ij (module docstring); node[c, a] is -1 for a
     Dirichlet boundary corner; seams[j, c, a] counts the seams of axis j it lies across.
     """
-    d = grid.d
+    d, n = box.d, box.cells_per_axis
     cells = np.asarray(cells, dtype=float)
-    if cells.shape != (grid.n_cells, d, d):
-        raise ValidationError(f"cells must have shape {(grid.n_cells, d, d)}")
+    if cells.shape != (box.n_cells, d, d):
+        raise ValidationError(f"cells must have shape {(box.n_cells, d, d)}")
     corners = np.array(list(np.ndindex(*(2,) * d)))
-    sigma = (2.0 * corners - 1.0) / grid.h
+    sigma = (2.0 * corners - 1.0) / box.h
     B = np.einsum("ai,bj->ijab", sigma, sigma) / 4.0 ** (d - 1)
     for j in range(d):
         agree = np.all(np.delete(corners[:, None, :] == corners[None, :, :], j, axis=2), axis=2)
         B[j, j] = np.outer(sigma[:, j], sigma[:, j]) * agree / 2.0 ** (d - 1)
     form = np.einsum("cij,ijab->cab", cells, B)
-    pos = np.indices(grid.shape).reshape(d, -1, 1) + corners.T[:, None, :]  # pos[j, c, a]
-    n = np.reshape(grid.shape, (d, 1, 1))
-    if grid.bc == "periodic":
-        return form, np.ravel_multi_index(tuple(pos), grid.shape, mode="wrap"), pos // n
-    node = np.ravel_multi_index(tuple(pos - 1), grid.node_shape, mode="clip")
+    pos = np.indices((n,) * d).reshape(d, -1, 1) + corners.T[:, None, :]  # pos[j, c, a]
+    if box.bc != "dirichlet":
+        return form, np.ravel_multi_index(tuple(pos), (n,) * d, mode="wrap"), pos // n
+    node = np.ravel_multi_index(tuple(pos - 1), box.node_shape, mode="clip")
     return form, np.where(np.all((pos > 0) & (pos < n), axis=0), node, -1), np.zeros_like(pos)
-
-
-def assemble_grid(cells: np.ndarray, grid: Grid) -> sp.csr_matrix:
-    """Assemble the finite-volume matrix for cell coefficients on a grid.
-
-    Entry (node_a, node_b) of cell c gets conj(phi_a) phi_b form[c, a, b], with
-    phi_a the product of the seam phases corner a lies across.
-    """
-    form, node, seams = _cell_scatter(cells, grid)
-    phi = np.prod(np.where(seams > 0, np.reshape(grid.phases, (-1, 1, 1)), 1.0), axis=0)
-    if grid.is_complex:
-        form = phi.conj()[:, :, None] * form * phi[:, None, :]
-    keep = (node[:, :, None] >= 0) & (node[:, None, :] >= 0)
-    rows = np.broadcast_to(node[:, :, None], form.shape)[keep]
-    cols = np.broadcast_to(node[:, None, :], form.shape)[keep]
-    acc = sp.csr_matrix((form[keep], (rows, cols)), shape=(grid.n_nodes,) * 2)
-    acc = (acc + acc.getH()) * 0.5  # exact Hermitian symmetry of stored entries
-    acc.sort_indices()
-    return acc
 
 
 def _bloch_family(field: CoefficientField):
@@ -519,9 +442,8 @@ def _bloch_family(field: CoefficientField):
     s_b - s_a = t.  Rows are symmetrized as (C_t + C_-t^T) / 2, and node pairs
     that are zero at every shift are dropped.
     """
-    grid = field.box.grid()
-    d, n_nodes = grid.d, grid.n_nodes
-    form, node, seams = _cell_scatter(field.cells, grid)
+    d, n_nodes = field.box.d, field.box.n_nodes
+    form, node, seams = _cell_scatter(field.cells, field.box)
     shift = np.ravel_multi_index(tuple(seams[:, :, None, :] - seams[:, :, :, None] + 1), (3,) * d)
     pairs, where = np.unique(node[:, :, None] * n_nodes + node[:, None, :], return_inverse=True)
     coeffs = np.bincount(shift.ravel() * len(pairs) + where.ravel(), form.ravel(),
@@ -534,13 +456,22 @@ def _bloch_family(field: CoefficientField):
 
 
 def assemble_operator(field: CoefficientField, theta=None) -> AssembledOperator:
-    """Finite-volume operator for a coefficient field under the box's bc."""
-    box = field.box
-    if theta is not None:
-        if box.bc != "quasiperiodic":
-            raise ValidationError("theta override requires quasiperiodic bc")
-        theta = tuple(float(t) for t in theta)
-        if len(theta) != box.d:
-            raise ValidationError("theta must have one component per axis")
-    grid = box.grid(theta=theta)
-    return AssembledOperator(matrix=assemble_grid(field.cells, grid), grid=grid)
+    """Finite-volume operator for a coefficient field under the box's bc.
+
+    A theta override stands in for the box's own theta.  Entry (node_a, node_b)
+    of cell c gets conj(phi_a) phi_b form[c, a, b], with phi_a the product of
+    the seam phases exp(1j * theta_j * side) corner a lies across.
+    """
+    box = field.box if theta is None else replace(field.box, theta=tuple(theta))
+    form, node, seams = _cell_scatter(field.cells, box)
+    phases = [np.exp(1j * t * box.side) for t in box.theta or (0.0,) * box.d]
+    if any(p != 1.0 for p in phases):
+        phi = np.prod(np.where(seams > 0, np.reshape(phases, (-1, 1, 1)), 1.0), axis=0)
+        form = phi.conj()[:, :, None] * form * phi[:, None, :]
+    keep = (node[:, :, None] >= 0) & (node[:, None, :] >= 0)
+    rows = np.broadcast_to(node[:, :, None], form.shape)[keep]
+    cols = np.broadcast_to(node[:, None, :], form.shape)[keep]
+    matrix = sp.csr_matrix((form[keep], (rows, cols)), shape=(box.n_nodes,) * 2)
+    matrix = (matrix + matrix.getH()) * 0.5  # exact Hermitian symmetry of stored entries
+    matrix.sort_indices()
+    return AssembledOperator(matrix=matrix, box=box)

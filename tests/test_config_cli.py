@@ -54,6 +54,16 @@ ENSEMBLE_DOCS = {
 }
 
 
+DECAY_DOC = {"kind": "decay", "geometry": {"d": 1, "k": 2, "m": 2, "bc": "dirichlet"},
+             "profile": _COMPACT, "disorder": {"law": "uniform01"}, "ensemble": {"seed": 2},
+             "params": {"n_states": 3}}
+BOUNDS_DOC = {"kind": "bounds", "disorder": {"law": "uniform01"},
+              "params": {"nu": 4.0, "evaluations": [
+                  {"type": "chernoff", "k": 2, "delta": 0.3},
+                  {"type": "product1", "eps": 0.3, "alpha": 0.5, "nu": 2.5},
+                  {"type": "product2", "eps": 0.3, "alpha": 0.25, "nu": 2.5, "C": 3.5}]}}
+
+
 def write_config(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -223,7 +233,8 @@ def test_run_seed_override_changes_hash_and_data(tmp_path):
 
 
 def test_run_rejects_invalid_config_before_compute(tmp_path):
-    for kind, doc in ENSEMBLE_DOCS.items():
+    docs = {**ENSEMBLE_DOCS, "decay": DECAY_DOC, "bounds": BOUNDS_DOC}
+    for kind, doc in docs.items():
         assert validate(parse_config(doc)) == [], kind
     unsorted = {"energies": {"values": [0.5, 0.1]}}
     cases = [
@@ -236,9 +247,19 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
                         ("lifshitz", {"eps_values": [-0.1, 0.1, 0.2]}),
                         ("lifshitz", {"eps_values": [0.1, 0.3, 0.2]}),
                         ("ile", {"theta": [7.0]}), ("wegner", {"theta": [0.5, 0.5]}),
-                        ("ile", {"theta": 0.5})]:
-        doc = ENSEMBLE_DOCS[kind]
+                        ("ile", {"theta": 0.5}),
+                        ("decay", {"model": "anderson", "nu": 4.0}),
+                        ("decay", {"model": "nonsense"}),
+                        ("decay", {"window": [1.0, 0.5]}), ("decay", {"n_states": 0}),
+                        ("bounds", {"evaluations": [{"type": "chernof", "k": 2, "delta": 0.3}]}),
+                        ("bounds", {"evaluations": [{"type": "product1", "eps": 0.3, "nu": 2.5}]}),
+                        ("bounds", {"evaluations": ["chernoff"]})]:
+        doc = docs[kind]
         cases.append({**doc, "params": {**doc["params"], **patch}})
+    for kind, key in [("anderson", "nu"), ("lifshitz", "k"), ("wegner", "E"),
+                      ("sandwich", "eps"), ("ile", "k"), ("ile", "E_plus")]:
+        doc = docs[kind]
+        cases.append({**doc, "params": {p: v for p, v in doc["params"].items() if p != key}})
     for i, doc in enumerate(cases):
         result = run(parse_config(doc), out_dir=str(tmp_path / f"never{i}"))
         assert result.exit_code == 2, doc

@@ -45,6 +45,34 @@ def test_box_geometry():
     assert box.volume == 49.0
     assert box.n_cells == 28**2
     assert box.h == 0.25
+    # a Dirichlet box drops one node per axis; its first node sits at -side/2 + h
+    assert box.node_shape == (27, 27)
+    assert box.n_nodes == 729
+    assert box.node_positions()[[0, 1, 27, -1]].tolist() == [[-3.25, -3.25], [-3.25, -3.0],
+                                                             [-3.0, -3.25], [3.25, 3.25]]
+    line = BoxSpec(d=1, k=0, m=4)
+    assert (line.node_shape, line.n_nodes) == ((3,), 3)
+    assert line.node_positions().tolist() == [[-0.25], [0.0], [0.25]]
+    torus = BoxSpec(d=2, k=0, m=2, bc="periodic")
+    assert (torus.node_shape, torus.n_nodes) == ((2, 2), 4)
+    assert torus.node_positions().tolist() == [[-0.5, -0.5], [-0.5, 0.0], [0.0, -0.5], [0.0, 0.0]]
+    twisted = BoxSpec(d=1, k=1, m=2, bc="quasiperiodic", theta=(0.4,))
+    assert (twisted.node_shape, twisted.n_nodes) == ((6,), 6)
+    assert twisted.node_positions().ravel().tolist() == [-1.5, -1.0, -0.5, 0.0, 0.5, 1.0]
+
+
+def test_theta_override_is_validated_by_the_box():
+    field = identity_field(BoxSpec(d=2, k=1, m=2, bc="quasiperiodic"))
+    for theta in [(7.0, 0.1), (-0.1, 0.0), (2 * math.pi, 0.0), (0.3,), (0.1, 0.2, 0.3)]:
+        with pytest.raises(ValidationError):
+            assemble_operator(field, theta=theta)
+    for bc in ("dirichlet", "periodic"):
+        with pytest.raises(ValidationError):
+            assemble_operator(identity_field(BoxSpec(d=2, k=1, m=2, bc=bc)), theta=(0.3, 0.3))
+    op = assemble_operator(field, theta=[0.3, 1.2])
+    assert op.box.theta == (0.3, 1.2)
+    own = free_op(2, 1, 2, bc="quasiperiodic", theta=(0.3, 1.2)).matrix
+    assert (op.matrix != own).nnz == 0
 
 
 def test_background_requires_ellipticity():
