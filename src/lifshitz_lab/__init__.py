@@ -13,9 +13,8 @@ from .anderson import (AndersonInstance, BoundEvaluation, LatticeWindow,
 from .config import (Diagnostic, ExperimentConfig, config_hash, load_config,
                      parse_config, validate)
 from .curves import IDSCurve, InsufficientDataError, ensemble_curve
-from .disorder import (CoverageError, DisorderSpec, Realization,
-                       TruncatedRealization, ValidationError, lattice_cube,
-                       sample_realization, site_uniforms)
+from .disorder import (CoverageError, DisorderSpec, Realization, ValidationError,
+                       lattice_cube, sample_realization, site_uniforms)
 from .experiments import RunManifest, RunResult, run
 from .ids import (CheckReport, ExponentFit, decay_diagnostic, empirical_ids,
                   event_E_check, expected_periodic_ids, ile_check,
@@ -27,7 +26,8 @@ from .lattice import (AssembledOperator, BoxSpec, CoefficientField,
                       long_range_profile, operator_sampler,
                       periodized_coefficient_field, required_window,
                       sample_coefficient_field, short_range_profile)
-from .runner import TaskFailure, ensemble, indexed_map, resolve_threads, trials
+from .runner import (TaskFailure, ensemble, frequency, indexed_map, resolve_threads,
+                     trials)
 from .spectral import (BandStructure, SolverError, count_eigenvalues_below,
                        count_sorted_leq, counts_below, distance_to_spectrum,
                        floquet_bands, periodic_ids_curve, spectral_gaps)

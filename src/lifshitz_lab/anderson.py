@@ -28,9 +28,8 @@ from .curves import IDSCurve, ensemble_curve
 from .disorder import (DisorderSpec, Realization, ValidationError, lattice_cube,
                        law_cdf, law_quantile, sample_realization, site_uniforms)
 from .lattice import lattice_correlate
-from .runner import trials
+from .runner import frequency
 from .spectral import count_sorted_leq
-from .stats import clopper_pearson
 
 __all__ = [
     "AndersonInstance",
@@ -51,6 +50,10 @@ __all__ = [
     "mc_product_event_1",
     "mc_product_event_2",
 ]
+
+
+T_BRACKET = (1e-6, 1e12)  # range of t that chernoff_bound_P1 searches
+PAD_RADIUS = 200  # extra radius of the window mc_product_event_1 samples
 
 
 class OptimizerWarning(UserWarning):
@@ -188,9 +191,7 @@ def eigenvalue_below_probability(disorder: DisorderSpec, d: int, k: int, nu: flo
         inst = sample_anderson(disorder, d, k, nu, E_plus, seed, i, tol)
         return scipy.linalg.eigvalsh(inst.matrix.toarray(), subset_by_index=[0, 0])[0] <= E
 
-    successes = int(np.count_nonzero(trials(below, n_trials, threads)))
-    lo, hi = clopper_pearson(successes, n_trials)
-    return successes / n_trials, lo, hi, successes
+    return frequency(below, n_trials, threads)
 
 
 # -- analytic bounds ------------------------------------------------------------
@@ -291,12 +292,11 @@ def _golden_minimize(fn, lo: float, hi: float, iters: int = 200):
 
 
 def chernoff_bound_P1(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
-                      C: float = 1.0, d: int = 1, truncation: float = None,
-                      t_lo: float = 1e-6, t_hi: float = 1e12) -> BoundEvaluation:
+                      C: float = 1.0, d: int = 1, truncation: float = None) -> BoundEvaluation:
     """Upper bound on P{ (1/(C N)) sum of truncated couplings <= delta/K }.
 
     N = (2k+1)^d sites; the exponent t*delta/K + N log E[exp(-t w/(C N))] is
-    minimized by golden-section search over log t in [t_lo, t_hi].  The bound
+    minimized by golden-section search over log t in T_BRACKET.  The bound
     is clipped at probability 1.  A minimizer pinned at the bracket edge or a
     flat objective triggers OptimizerWarning.
     """
@@ -314,7 +314,7 @@ def chernoff_bound_P1(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
             raise ValidationError("non-finite bound objective")
         return val
 
-    log_lo, log_hi = math.log(t_lo), math.log(t_hi)
+    log_lo, log_hi = (math.log(t) for t in T_BRACKET)
     x, fx = _golden_minimize(objective_log, log_lo, log_hi)
     t_star = math.exp(x)
     edge = x - log_lo < 1e-6 or log_hi - x < 1e-6
@@ -413,43 +413,40 @@ def mc_chernoff_event(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
                       seed: int = 0, truncation: float = None):
     """Frequency of the small-empirical-mean event the Chernoff bound majorizes."""
     sites = lattice_cube(d, k)
-    n_sites = sites.shape[0]
+    scale = C * sites.shape[0]
     trunc = delta if truncation is None else truncation
     thr = delta / K
-    successes = 0
-    for i in range(n_trials):
+
+    def small_mean(i):
         omega = law_quantile(spec, site_uniforms(seed, i, sites))
-        if np.minimum(omega, trunc).sum() / (C * n_sites) <= thr:
-            successes += 1
-    lo, hi = clopper_pearson(successes, n_trials)
-    return successes / n_trials, lo, hi, successes
+        return np.minimum(omega, trunc).sum() / scale <= thr
+
+    return frequency(small_mean, n_trials)
 
 
 def mc_product_event_1(spec: DisorderSpec, eps: float, alpha: float, nu: float,
-                       d: int, n_trials: int = 10000, seed: int = 0,
-                       pad_radius: int = 200):
+                       d: int, n_trials: int = 10000, seed: int = 0):
     """Certified-from-below frequency of the uniform small-field event.
 
     Event: for every |beta| <= eps^(-(1+alpha)/2), the weighted coupling sum
     sum_gamma omega_gamma (1+|beta-gamma|)^(-nu) stays below eps^(1+alpha).
-    Couplings outside a window of extra radius pad_radius are budgeted at
+    Couplings outside a window of extra radius PAD_RADIUS are budgeted at
     their worst case (omega = 1), so a counted hit implies the true event.
     """
     beta_half = int(math.floor(eps ** (-(1.0 + alpha) / 2.0)))
     betas = lattice_cube(d, beta_half)
-    window = lattice_cube(d, beta_half + pad_radius)
+    window = lattice_cube(d, beta_half + PAD_RADIUS)
     # worst-case contribution of all sites beyond the sampled window
-    far = _tail_bound(d, nu, pad_radius)
+    far = _tail_bound(d, nu, PAD_RADIUS)
     diff = betas[:, None, :] - window[None, :, :]
     weights = (1.0 + np.max(np.abs(diff), axis=2).astype(float)) ** (-nu)
     threshold = eps ** (1.0 + alpha)
-    successes = 0
-    for i in range(n_trials):
+
+    def small_field(i):
         omega = law_quantile(spec, site_uniforms(seed, i, window))
-        if np.max(weights @ omega) + far <= threshold:
-            successes += 1
-    lo, hi = clopper_pearson(successes, n_trials)
-    return successes / n_trials, lo, hi, successes
+        return np.max(weights @ omega) + far <= threshold
+
+    return frequency(small_field, n_trials)
 
 
 def mc_product_event_2(spec: DisorderSpec, eps: float, alpha: float, nu: float,
@@ -460,10 +457,9 @@ def mc_product_event_2(spec: DisorderSpec, eps: float, alpha: float, nu: float,
     sites = window.sites(d)
     weights = (1.0 + np.max(np.abs(sites), axis=1).astype(float)) ** (-nu)
     threshold = eps ** (1.0 + alpha) / 2.0
-    successes = 0
-    for i in range(n_trials):
+
+    def small_sum(i):
         omega = law_quantile(spec, site_uniforms(seed, i, sites))
-        if float(weights @ omega) <= threshold:
-            successes += 1
-    lo, hi = clopper_pearson(successes, n_trials)
-    return successes / n_trials, lo, hi, successes
+        return float(weights @ omega) <= threshold
+
+    return frequency(small_sum, n_trials)

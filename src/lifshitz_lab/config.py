@@ -36,8 +36,8 @@ EXPERIMENT_KINDS = ("bands", "ids", "lifshitz", "anderson", "bounds",
                     "wegner", "ile", "decay", "sandwich")
 # params keys each kind reads without a default; then the choices `bounds`
 # (evaluations[*].type) and `decay` (model) dispatch on, with the keys each reads
-REQUIRED_PARAMS = {"anderson": ("k", "nu"), "lifshitz": ("k", "nu"), "bounds": ("nu",),
-                   "wegner": ("E",), "ile": ("E_plus", "k"), "sandwich": ("E", "eps", "k")}
+REQUIRED_PARAMS = {"anderson": ("k", "nu"), "lifshitz": ("k", "nu"), "wegner": ("E",),
+                   "ile": ("E_plus", "k"), "sandwich": ("E", "eps", "k")}
 BOUND_EVALUATIONS = {"chernoff": ("k", "delta"), "product1": ("eps", "alpha", "nu"),
                      "product2": ("eps", "alpha", "nu")}
 DECAY_MODELS = {"lattice": (), "anderson": ("k", "nu")}
@@ -228,14 +228,22 @@ def _check_choice(block: dict, key: str, default, table: dict):
     _require(block, table[choice], f"{key} {choice!r}")
 
 
-def _check_decay(p: dict):
+def _check_decay(config: ExperimentConfig, box_ok: bool):
+    p = config.params
     _check_choice(p, "model", "lattice", DECAY_MODELS)
     if "window" in p:
         lo, hi = (float(v) for v in p["window"])
         if not lo < hi:
             raise ValidationError("window must be [lo, hi] with lo < hi")
-    elif int(p.get("n_states", 5)) < 1:
-        raise ValidationError("n_states must be >= 1")
+        return
+    if p.get("model", "lattice") == "anderson":
+        dim = (2 * int(p["k"]) + 1) ** int(config.geometry.get("d", 1))
+    elif box_ok:
+        dim = build_box(config).n_nodes
+    else:  # the geometry diagnostic already names the fault
+        return
+    if not 1 <= int(p.get("n_states", 5)) <= dim:
+        raise ValidationError(f"n_states must lie in [1, {dim}], the operator's dimension")
 
 
 def _try(diags: list, severity: str, fn, label: str):
@@ -272,9 +280,8 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         diags.append(Diagnostic("error", "ensemble.n_realizations must be >= 1"))
     if config.n_theta < 1:
         diags.append(Diagnostic("error", "n_theta must be >= 1"))
-    needs_box = config.kind in ("ids", "decay")
-    if needs_box:
-        _try(diags, "error", lambda: build_box(config), "geometry")
+    box_ok = config.kind in ("ids", "decay") and _try(
+        diags, "error", lambda: build_box(config), "geometry")
     if config.kind in ("ids", "anderson"):
         _try(diags, "error", lambda: _increasing(energy_grid(config)), "energies")
     if config.kind in ("lifshitz", "wegner"):
@@ -290,7 +297,7 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
             _try(diags, "error", lambda: _check_choice(spec, "type", None, BOUND_EVALUATIONS),
                  f"params.evaluations[{i}]")
     if config.kind == "decay":
-        _try(diags, "error", lambda: _check_decay(config.params), "params")
+        _try(diags, "error", lambda: _check_decay(config, box_ok), "params")
     if int(config.params.get("n_trials", 1)) < 1:
         diags.append(Diagnostic("error", "params.n_trials must be >= 1"))
 

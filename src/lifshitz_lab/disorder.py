@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "DisorderSpec",
     "Realization",
-    "TruncatedRealization",
     "CoverageError",
     "ValidationError",
     "law_cdf",
@@ -27,7 +26,6 @@ __all__ = [
     "site_uniforms",
     "encode_sites",
     "sample_realization",
-    "truncate",
     "lattice_cube",
 ]
 
@@ -232,37 +230,6 @@ class Realization:
     def values_at(self, sites: np.ndarray) -> np.ndarray:
         """Couplings on the given sites; CoverageError if any lie outside."""
         return self.values[self._index_of(sites)]
-
-
-@dataclass
-class TruncatedRealization:
-    """Pointwise cap omega~ = min(omega, delta) over the base window."""
-
-    base: Realization
-    delta: float
-
-    def __post_init__(self):
-        if not self.delta >= 0.0:
-            raise ValidationError("truncation level must be >= 0")
-
-    @property
-    def spec(self) -> DisorderSpec:
-        return self.base.spec
-
-    @property
-    def window(self) -> np.ndarray:
-        return self.base.window
-
-    @property
-    def values(self) -> np.ndarray:
-        return np.minimum(self.base.values, self.delta)
-
-    def values_at(self, sites: np.ndarray) -> np.ndarray:
-        return np.minimum(self.base.values_at(sites), self.delta)
-
-
-def truncate(realization: Realization, delta: float) -> TruncatedRealization:
-    return TruncatedRealization(realization, float(delta))
 
 
 def lattice_cube(d: int, radius: int) -> np.ndarray:

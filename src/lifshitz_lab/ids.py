@@ -20,7 +20,7 @@ from .disorder import DisorderSpec, ValidationError, lattice_cube, sample_realiz
 from .lattice import (BoxSpec, PeriodicBackground, SingleSiteProfile, TAIL_TOL,
                       assemble_operator, background_field, identity_field,
                       operator_sampler, periodized_coefficient_field)
-from .runner import trials
+from .runner import frequency, trials
 from .spectral import counts_below, distance_to_spectrum, floquet_bands, periodic_ids_curve
 from .stats import bootstrap_slope_interval, clopper_pearson, fit_line, mean_stderr
 
@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 DECAY_DENSE_LIMIT = 6000  # largest operator `decay_diagnostic` diagonalizes densely
+MIN_SHELL_MASS = 1e-12  # lightest shell `shell_decay_rate` fits
+FORM_EVENT_MIN_PROBABILITY = 0.5  # p_lo `event_E_check` needs to pass
 
 
 @dataclass
@@ -277,10 +279,8 @@ def ile_check(background: PeriodicBackground, profile: SingleSiteProfile,
                   theta=tuple(theta) if theta is not None else None)
     operator = operator_sampler(background, profile, disorder, box, seed, tol)
     threshold = 1.0 / k
-    hits = trials(lambda i: distance_to_spectrum(operator(i), E_plus) <= threshold,
-                  n_trials, threads)
-    successes = int(np.count_nonzero(hits))
-    p_lo, p_hi = clopper_pearson(successes, n_trials)
+    _, p_lo, p_hi, successes = frequency(
+        lambda i: distance_to_spectrum(operator(i), E_plus) <= threshold, n_trials, threads)
     bound = float(k) ** (-p)
     verdict = "pass" if (successes == 0 or p_hi <= bound) else "fail"
     return CheckReport(name="initial_scale", trials=n_trials, successes=successes,
@@ -341,13 +341,12 @@ def wegner_check(background: PeriodicBackground, profile: SingleSiteProfile,
                                 "E": E, "k_top": k_top})
 
 
-def shell_decay_rate(vector: np.ndarray, positions: np.ndarray,
-                     min_mass: float = 1e-12) -> tuple[float, float, np.ndarray]:
+def shell_decay_rate(vector: np.ndarray, positions: np.ndarray) -> tuple[float, float, np.ndarray]:
     """Exponential decay rate of |vector| away from its largest entry.
 
     Shell r collects nodes at max-norm distance in [r, r+1) from the peak
     node; the rate is minus the least-squares slope of log shell mass
-    against r over shells with mass above min_mass.
+    against r over shells with mass above MIN_SHELL_MASS.
     """
     v = np.asarray(vector)
     positions = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -358,7 +357,7 @@ def shell_decay_rate(vector: np.ndarray, positions: np.ndarray,
     for r in range(n_shells):
         sel = (dist >= r) & (dist < r + 1)
         masses[r] = np.linalg.norm(v[sel]) if np.any(sel) else 0.0
-    keep = masses > min_mass
+    keep = masses > MIN_SHELL_MASS
     if keep.sum() < 2:
         return float("nan"), float("nan"), masses
     rs = np.arange(n_shells, dtype=float)[keep]
@@ -386,8 +385,7 @@ def decay_diagnostic(operator, window: tuple) -> list[dict]:
 
 def event_E_check(background: PeriodicBackground, profile: SingleSiteProfile,
                   disorder: DisorderSpec, k: int, eps: float, n_trials: int,
-                  seed: int = 0, tol: float = TAIL_TOL,
-                  min_probability: float = 0.5, threads: int = 1) -> CheckReport:
+                  seed: int = 0, tol: float = TAIL_TOL, threads: int = 1) -> CheckReport:
     """Frequency of the operator inequality (A(omega) - A0) + eps*L >= 0.
 
     A0 is the disorder-free periodized operator and L the free Laplacian on
@@ -414,10 +412,10 @@ def event_E_check(background: PeriodicBackground, profile: SingleSiteProfile,
         A = assemble_operator(fld).matrix.toarray().real
         return scipy.linalg.eigvalsh(A - A0 + eps * L, subset_by_index=[0, 0])[0] >= -1e-10
 
-    successes = int(np.count_nonzero(trials(holds, n_trials, threads)))
-    p_lo, p_hi = clopper_pearson(successes, n_trials)
-    verdict = "pass" if p_lo >= min_probability or successes == n_trials else "fail"
+    _, p_lo, p_hi, successes = frequency(holds, n_trials, threads)
+    verdict = ("pass" if p_lo >= FORM_EVENT_MIN_PROBABILITY or successes == n_trials
+               else "fail")
     return CheckReport(name="form_event", trials=n_trials, successes=successes,
                        p_lo=p_lo, p_hi=p_hi, bound=float("nan"), verdict=verdict,
                        details={"k": k, "eps": eps, "premise_ok": premise_ok,
-                                "min_probability": min_probability})
+                                "min_probability": FORM_EVENT_MIN_PROBABILITY})

@@ -4,7 +4,8 @@ Results are collected into task order no matter how many workers run, so
 outputs are identical across parallelism degrees.  Tasks should be pure
 functions of their index (plus closed-over config).  `ensemble` is the
 Monte Carlo loop of every IDS estimator and check, in the library and in
-the drivers; only the `mc_*` bound companions keep their own loops.
+the drivers; `frequency` is the one reduction of every Monte Carlo
+frequency, the `mc_*` bound companions included.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .disorder import ValidationError
+from .stats import clopper_pearson
 
-__all__ = ["resolve_threads", "indexed_map", "ensemble", "trials", "TaskFailure"]
+__all__ = ["resolve_threads", "indexed_map", "ensemble", "trials", "frequency",
+           "TaskFailure"]
 
 THREADS_ENV = "LIFSHITZ_LAB_THREADS"
 
@@ -98,3 +101,11 @@ def trials(task, n: int, threads: int = 1) -> np.ndarray:
     if failures:
         raise failures[0]
     return samples
+
+
+def frequency(event, n: int, threads: int = 1):
+    """Frequency of event(i) over trials i < n with its 95% Clopper-Pearson
+    interval, as (freq, lo, hi, successes); a failed trial raises."""
+    successes = int(np.count_nonzero(trials(event, n, threads)))
+    lo, hi = clopper_pearson(successes, n)
+    return successes / n, lo, hi, successes

@@ -9,6 +9,11 @@ from scipy.stats import beta
 
 __all__ = ["mean_stderr", "clopper_pearson", "fit_line", "bootstrap_slope_interval"]
 
+# Level of every interval this module reports.  Both use alpha = 1 - CONFIDENCE,
+# which rounds to 0.050000000000000044: a literal 0.05 picks different
+# bootstrap quantiles and moves the reported slope intervals.
+CONFIDENCE = 0.95
+
 
 def mean_stderr(samples: np.ndarray):
     """Ensemble mean along axis 0 and its standard error (zero for one sample)."""
@@ -18,13 +23,13 @@ def mean_stderr(samples: np.ndarray):
     return mean, stderr
 
 
-def clopper_pearson(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Exact two-sided binomial confidence interval for a frequency."""
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
+    """Exact two-sided 95% binomial confidence interval for a frequency."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
-    alpha = 1.0 - confidence
+    alpha = 1.0 - CONFIDENCE
     lo = 0.0 if successes == 0 else float(beta.ppf(alpha / 2.0, successes, trials - successes + 1))
     hi = 1.0 if successes == trials else float(beta.ppf(1.0 - alpha / 2.0, successes + 1, trials - successes))
     return lo, hi
@@ -45,8 +50,8 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 
 
 def bootstrap_slope_interval(x: np.ndarray, y: np.ndarray, n_boot: int = 1000,
-                             confidence: float = 0.95, seed: int = 715517) -> tuple[float, float]:
-    """Residual-bootstrap percentile interval for the line-fit slope."""
+                             seed: int = 715517) -> tuple[float, float]:
+    """Residual-bootstrap 95% percentile interval for the line-fit slope."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     slope, intercept, _ = fit_line(x, y)
@@ -61,6 +66,6 @@ def bootstrap_slope_interval(x: np.ndarray, y: np.ndarray, n_boot: int = 1000,
     for b in range(n_boot):
         yb = base + resid[idx[b]]
         slopes[b] = float(np.sum(xc * (yb - yb.mean())) / denom)
-    alpha = 1.0 - confidence
+    alpha = 1.0 - CONFIDENCE
     lo, hi = np.quantile(slopes, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)

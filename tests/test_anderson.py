@@ -10,12 +10,14 @@ from lifshitz_lab.anderson import (AndersonInstance, LatticeWindow,
                                    OptimizerWarning, anderson_ids,
                                    assemble_anderson, chernoff_bound_P1,
                                    eigenvalue_below_probability, log_mgf_truncated,
-                                   mc_chernoff_event, mc_product_event_2,
+                                   mc_chernoff_event, mc_product_event_1,
+                                   mc_product_event_2,
                                    potential_on_box, product_bound_P_eps_alpha_1,
                                    product_bound_P_eps_alpha_2, sample_anderson,
                                    truncation_radius_for, _tail_bound)
 from lifshitz_lab.disorder import (DisorderSpec, Realization, ValidationError,
-                                   lattice_cube, sample_realization)
+                                   lattice_cube, law_quantile, sample_realization,
+                                   site_uniforms)
 from lifshitz_lab.runner import TaskFailure
 
 UNIFORM = DisorderSpec()
@@ -247,6 +249,58 @@ def test_chernoff_bound_dominates_mc_frequency():
     se = math.sqrt(max(freq * (1.0 - freq), 1e-12) / 4000)
     assert freq <= be.bound + 3.0 * se
     assert lo <= freq <= hi
+
+
+# Trial i of every mc_* companion draws its couplings from the stream
+# site_uniforms(seed, i, sites).  The oracles below loop over that stream
+# directly (d = 1, explicit sums); the successes of every prefix n <= N then
+# pin the whole hit sequence, so moving any trial's stream breaks the test.
+BERN_HALF = DisorderSpec(law="bernoulli", p=0.5, a=1.0)
+BERN_03 = DisorderSpec(law="bernoulli", p=0.3, a=1.0)
+
+
+def chernoff_oracle(i):
+    # k=1, delta=0.4, truncation=1.0, K=C=1: mean of 3 capped couplings <= 0.4
+    omega = law_quantile(BERN_HALF, site_uniforms(11, i, lattice_cube(1, 1)))
+    return sum(min(w, 1.0) for w in omega) / 3.0 <= 0.4
+
+
+def product1_oracle(i):
+    # eps=0.5, alpha=0.5, nu=2.5: betas |b| <= 1, window padded by 200 sites
+    window = lattice_cube(1, 201)
+    omega = law_quantile(BERN_03, site_uniforms(42, i, window))
+    far = _tail_bound(1, 2.5, 200)
+    sums = [sum(w * (1.0 + abs(b - g)) ** -2.5 for w, (g,) in zip(omega, window))
+            for b in (-1, 0, 1)]
+    return max(sums) + far <= 0.5 ** 1.5
+
+
+def product2_oracle(i):
+    # eps=0.9, alpha=0.1, s=1: window half-side floor(0.9^-0.6) = 1
+    omega = law_quantile(UNIFORM, site_uniforms(43, i, lattice_cube(1, 1)))
+    return omega[0] * 2.0 ** -2.5 + omega[1] + omega[2] * 2.0 ** -2.5 <= 0.9 ** 1.1 / 2.0
+
+
+MC_ORACLES = [
+    (lambda n: mc_chernoff_event(BERN_HALF, k=1, delta=0.4, truncation=1.0,
+                                 n_trials=n, seed=11), chernoff_oracle),
+    (lambda n: mc_product_event_1(BERN_03, eps=0.5, alpha=0.5, nu=2.5, d=1,
+                                  n_trials=n, seed=42), product1_oracle),
+    (lambda n: mc_product_event_2(UNIFORM, eps=0.9, alpha=0.1, nu=2.5, d=1,
+                                  n_trials=n, seed=43), product2_oracle),
+]
+
+
+@pytest.mark.parametrize("companion,oracle", MC_ORACLES,
+                         ids=["chernoff", "product1", "product2"])
+def test_mc_companion_trial_i_draws_stream_i(companion, oracle):
+    n = 24
+    hits = np.cumsum([oracle(i) for i in range(n)])
+    assert 0 < hits[-1] < n
+    for m in range(1, n + 1):
+        freq, lo, hi, successes = companion(m)
+        assert successes == hits[m - 1]
+        assert freq == successes / m and lo <= freq <= hi
 
 
 # -- product bounds -------------------------------------------------------------------

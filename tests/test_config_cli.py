@@ -16,8 +16,8 @@ from lifshitz_lab.disorder import ValidationError
 from lifshitz_lab.experiments import _DRIVERS, run
 from lifshitz_lab.lattice import PeriodicBackground
 from lifshitz_lab.spectral import floquet_bands
-from lifshitz_lab.runner import (THREADS_ENV, TaskFailure, ensemble, indexed_map,
-                                 resolve_threads, trials)
+from lifshitz_lab.runner import (THREADS_ENV, TaskFailure, ensemble, frequency,
+                                 indexed_map, resolve_threads, trials)
 
 IDS_DOC = {
     "kind": "ids",
@@ -111,6 +111,29 @@ def test_ensemble_drops_failures_and_keeps_order():
     assert info.value.index == 0
     with pytest.raises(ValidationError):
         ensemble(lambda i: i, 0)
+
+
+def test_frequency_is_thread_independent_and_exact():
+    def event(i):
+        return (i * 7919) % 5 < 2
+
+    result = frequency(event, 50, threads=1)
+    assert frequency(event, 50, threads=4) == result
+    assert result[3] == sum(event(i) for i in range(50)) == 20
+    assert result[0] == 0.4 and result[1] <= 0.4 <= result[2]
+
+
+def test_frequency_raises_on_a_failed_trial_and_needs_a_trial():
+    def flaky(i):
+        if i == 3:
+            raise RuntimeError("boom")
+        return True
+
+    with pytest.raises(TaskFailure) as info:
+        frequency(flaky, 5, threads=2)
+    assert info.value.index == 3
+    with pytest.raises(ValidationError):
+        frequency(lambda i: True, 0)
 
 
 def test_resolve_threads_env(monkeypatch):
@@ -251,6 +274,8 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
                         ("decay", {"model": "anderson", "nu": 4.0}),
                         ("decay", {"model": "nonsense"}),
                         ("decay", {"window": [1.0, 0.5]}), ("decay", {"n_states": 0}),
+                        ("decay", {"n_states": 50}),
+                        ("decay", {"model": "anderson", "k": 2, "nu": 4.0, "n_states": 6}),
                         ("bounds", {"evaluations": [{"type": "chernof", "k": 2, "delta": 0.3}]}),
                         ("bounds", {"evaluations": [{"type": "product1", "eps": 0.3, "nu": 2.5}]}),
                         ("bounds", {"evaluations": ["chernoff"]})]:
@@ -264,6 +289,28 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
         result = run(parse_config(doc), out_dir=str(tmp_path / f"never{i}"))
         assert result.exit_code == 2, doc
         assert not (tmp_path / f"never{i}").exists()
+
+
+@pytest.mark.filterwarnings("ignore::lifshitz_lab.anderson.OptimizerWarning")
+def test_bounds_runs_without_params_nu(tmp_path):
+    # each evaluation carries its own nu; the driver reads no params.nu (the
+    # chernoff evaluation is vacuous and warns, which is beside the point here)
+    doc = {**BOUNDS_DOC, "params": {k: v for k, v in BOUNDS_DOC["params"].items() if k != "nu"}}
+    assert validate(parse_config(doc)) == []
+    assert run(parse_config(doc), out_dir=str(tmp_path / "b")).exit_code == 0
+
+
+def test_decay_runs_up_to_the_operator_dimension(tmp_path):
+    # DECAY_DOC's d=1, k=2, m=2 Dirichlet box has 9 nodes
+    doc = {**DECAY_DOC, "params": {"n_states": 9}}
+    assert validate(parse_config(doc)) == []
+    assert run(parse_config(doc), out_dir=str(tmp_path / "d")).exit_code == 0
+    entries = json.loads((tmp_path / "d" / "decay.json").read_text())["results"]["entries"]
+    assert len(entries) == 9
+    # a box that does not build is reported once, under geometry
+    bad = {**DECAY_DOC, "geometry": {**DECAY_DOC["geometry"], "m": 1}}
+    assert [str(d) for d in validate(parse_config(bad))] == [
+        "error: geometry: mesh resolution m must be >= 2"]
 
 
 @pytest.mark.parametrize("kind,module", [("ids", lattice_mod), ("anderson", anderson_mod)],
