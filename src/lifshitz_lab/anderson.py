@@ -25,8 +25,8 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from .curves import IDSCurve, ensemble_curve
-from .disorder import (DisorderSpec, Realization, ValidationError, lattice_cube,
-                       law_cdf, law_quantile, sample_realization, site_uniforms)
+from .disorder import (DisorderSpec, Realization, ValidationError, cube_codes, draw_couplings,
+                       lattice_cube, law_cdf, sample_realization, site_hash)
 from .lattice import lattice_correlate
 from .runner import frequency
 from .spectral import count_sorted_leq
@@ -34,6 +34,7 @@ from .spectral import count_sorted_leq
 __all__ = [
     "AndersonInstance",
     "BoundEvaluation",
+    "check_bound_args",
     "LatticeWindow",
     "OptimizerWarning",
     "truncation_radius_for",
@@ -54,6 +55,13 @@ __all__ = [
 
 T_BRACKET = (1e-6, 1e12)  # range of t that chernoff_bound_P1 searches
 PAD_RADIUS = 200  # extra radius of the window mc_product_event_1 samples
+# bounds-config type -> {argument: (upper end, upper end included, default)}; each
+# argument lies above 0, and a product bound's nu in (d, d+2] besides
+BOUND_DOMAINS = {"chernoff": {"delta": (1.0, True, None), "K": (math.inf, False, 1.0),
+                              "C": (math.inf, False, 1.0)},
+                 "product1": {"eps": (1.0, False, None), "alpha": (1.0, False, None)},
+                 "product2": {"eps": (1.0, True, None), "alpha": (1.0, False, None),
+                              "s": (1.0, True, 1.0), "C": (math.inf, False, 1.0)}}
 
 
 class OptimizerWarning(UserWarning):
@@ -141,7 +149,8 @@ def potential_on_box(realization: Realization, d: int, k: int, nu: float,
                      tol: float = 1e-8) -> np.ndarray:
     """Potential on every site of {-k..k}^d, same truncation certificate."""
     radius = truncation_radius_for(d, nu, tol)
-    values = realization.values_at(lattice_cube(d, k + radius))
+    cube = lattice_cube(d, k + radius)  # a realization drawn on it is read in place
+    values = realization.values if np.array_equal(realization.window, cube) else realization.values_at(cube)
     offsets = lattice_cube(d, radius)
     weights = (1.0 + np.max(np.abs(offsets), axis=1)) ** (-nu)
     return lattice_correlate(values.reshape((2 * (k + radius) + 1,) * d),
@@ -152,10 +161,8 @@ def sample_anderson(disorder: DisorderSpec, d: int, k: int, nu: float,
                     E_plus: float, seed: int, index: int,
                     tol: float = 1e-8) -> AndersonInstance:
     """Draw one realization and assemble the instance."""
-    radius = truncation_radius_for(d, nu, tol)
-    window = lattice_cube(d, k + radius)
-    omega = sample_realization(disorder, window, seed, index)
-    v = potential_on_box(omega, d, k, nu, tol)
+    window = lattice_cube(d, k + truncation_radius_for(d, nu, tol))
+    v = potential_on_box(sample_realization(disorder, window, seed, index), d, k, nu, tol)
     return assemble_anderson(d, k, E_plus, v)
 
 
@@ -291,6 +298,18 @@ def _golden_minimize(fn, lo: float, hi: float, iters: int = 200):
     return x, min(fc, fd)
 
 
+def check_bound_args(kind: str, args: dict):
+    """Raise ValidationError unless `args` (argument name -> value; omitted optional
+    ones take their defaults) lie in the domain of bound `kind`, a bounds-config type."""
+    for key, (hi, closed, default) in BOUND_DOMAINS[kind].items():
+        value = float(args[key] if default is None else args.get(key, default))
+        if not (0 < value < hi or (closed and value == hi)):
+            raise ValidationError(f"{key} must lie in (0, {hi:g}{']' if closed else ')'}")
+    d = int(args.get("d", 1))
+    if kind != "chernoff" and not d < float(args["nu"]) <= d + 2:
+        raise ValidationError("need nu in (d, d+2]")
+
+
 def chernoff_bound_P1(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
                       C: float = 1.0, d: int = 1, truncation: float = None) -> BoundEvaluation:
     """Upper bound on P{ (1/(C N)) sum of truncated couplings <= delta/K }.
@@ -300,10 +319,7 @@ def chernoff_bound_P1(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
     is clipped at probability 1.  A minimizer pinned at the bracket edge or a
     flat objective triggers OptimizerWarning.
     """
-    if not 0 < delta <= 1:
-        raise ValidationError("delta must lie in (0, 1]")
-    if K <= 0 or C <= 0:
-        raise ValidationError("K and C must be positive")
+    check_bound_args("chernoff", {"delta": delta, "K": K, "C": C})
     n_sites = (2 * k + 1) ** d
     trunc = delta if truncation is None else truncation
 
@@ -346,12 +362,7 @@ def product_bound_P_eps_alpha_1(spec: DisorderSpec, eps: float, alpha: float,
     the max-norm distance to the integer core cube.  Exact lattice
     enumeration; CDF arguments clipped at 1.
     """
-    if not 0 < eps < 1:
-        raise ValidationError("eps must lie in (0,1)")
-    if not 0 < alpha < 1:
-        raise ValidationError("alpha must lie in (0,1)")
-    if not d < nu <= d + 2:
-        raise ValidationError("need nu in (d, d+2]")
+    check_bound_args("product1", {"eps": eps, "alpha": alpha, "nu": nu, "d": d})
     core_r = eps ** (-(1.0 - alpha) / 2.0)
     outer_r = eps ** (-(1.0 + 2.0 * alpha) / (nu - d))
     core_half = int(math.floor(core_r))
@@ -385,14 +396,7 @@ def product_bound_P_eps_alpha_2(spec: DisorderSpec, eps: float, alpha: float,
                                 nu: float, d: int, s: float = 1.0,
                                 C: float = 1.0) -> BoundEvaluation:
     """Product lower bound over the window of half-side (eps^s)^(-(1/2+alpha))."""
-    if not 0 < eps <= 1:
-        raise ValidationError("eps must lie in (0,1]")
-    if not 0 < s <= 1:
-        raise ValidationError("s must lie in (0,1]")
-    if C <= 0:
-        raise ValidationError("C must be positive")
-    if not d < nu <= d + 2:
-        raise ValidationError("need nu in (d, d+2]")
+    check_bound_args("product2", {"eps": eps, "alpha": alpha, "nu": nu, "d": d, "s": s, "C": C})
     window = LatticeWindow(alpha=alpha, zeta=eps ** s)
     n_sites = window.cardinality(d)
     arg = eps ** (1.0 + alpha) / C
@@ -412,13 +416,13 @@ def mc_chernoff_event(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
                       C: float = 1.0, d: int = 1, n_trials: int = 10000,
                       seed: int = 0, truncation: float = None):
     """Frequency of the small-empirical-mean event the Chernoff bound majorizes."""
-    sites = lattice_cube(d, k)
-    scale = C * sites.shape[0]
+    hashes = site_hash(cube_codes(d, k))
+    scale = C * len(hashes)
     trunc = delta if truncation is None else truncation
     thr = delta / K
 
     def small_mean(i):
-        omega = law_quantile(spec, site_uniforms(seed, i, sites))
+        omega = draw_couplings(spec, hashes, seed, i)
         return np.minimum(omega, trunc).sum() / scale <= thr
 
     return frequency(small_mean, n_trials)
@@ -436,6 +440,7 @@ def mc_product_event_1(spec: DisorderSpec, eps: float, alpha: float, nu: float,
     beta_half = int(math.floor(eps ** (-(1.0 + alpha) / 2.0)))
     betas = lattice_cube(d, beta_half)
     window = lattice_cube(d, beta_half + PAD_RADIUS)
+    hashes = site_hash(cube_codes(d, beta_half + PAD_RADIUS))
     # worst-case contribution of all sites beyond the sampled window
     far = _tail_bound(d, nu, PAD_RADIUS)
     diff = betas[:, None, :] - window[None, :, :]
@@ -443,7 +448,7 @@ def mc_product_event_1(spec: DisorderSpec, eps: float, alpha: float, nu: float,
     threshold = eps ** (1.0 + alpha)
 
     def small_field(i):
-        omega = law_quantile(spec, site_uniforms(seed, i, window))
+        omega = draw_couplings(spec, hashes, seed, i)
         return np.max(weights @ omega) + far <= threshold
 
     return frequency(small_field, n_trials)
@@ -455,11 +460,12 @@ def mc_product_event_2(spec: DisorderSpec, eps: float, alpha: float, nu: float,
     """Frequency of {sum over the window of omega*(1+|gamma|)^(-nu) <= eps^(1+alpha)/2}."""
     window = LatticeWindow(alpha=alpha, zeta=eps ** s)
     sites = window.sites(d)
+    hashes = site_hash(cube_codes(d, window.half_side))
     weights = (1.0 + np.max(np.abs(sites), axis=1).astype(float)) ** (-nu)
     threshold = eps ** (1.0 + alpha) / 2.0
 
     def small_sum(i):
-        omega = law_quantile(spec, site_uniforms(seed, i, sites))
+        omega = draw_couplings(spec, hashes, seed, i)
         return float(weights @ omega) <= threshold
 
     return frequency(small_sum, n_trials)

@@ -13,7 +13,9 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .anderson import check_bound_args
 from .disorder import DisorderSpec, ValidationError
+from .ids import DECAY_DENSE_LIMIT
 from .lattice import (BoxSpec, PeriodicBackground, SingleSiteProfile, compact_profile,
                       long_range_profile, short_range_profile)
 
@@ -226,23 +228,23 @@ def _check_choice(block: dict, key: str, default, table: dict):
     if choice not in table:
         raise ValidationError(f"unknown {key} {choice!r}; expected one of {sorted(table)}")
     _require(block, table[choice], f"{key} {choice!r}")
+    return choice
 
 
 def _check_decay(config: ExperimentConfig, box_ok: bool):
     p = config.params
     _check_choice(p, "model", "lattice", DECAY_MODELS)
+    if p.get("model", "lattice") == "anderson":
+        dim = (2 * int(p["k"]) + 1) ** int(config.geometry.get("d", 1))
+    else:  # None: the geometry diagnostic already names the fault
+        dim = build_box(config).n_nodes if box_ok else None
+    if dim is not None and dim > DECAY_DENSE_LIMIT:
+        raise ValidationError(f"the operator's dimension {dim} exceeds the dense limit {DECAY_DENSE_LIMIT}")
     if "window" in p:
         lo, hi = (float(v) for v in p["window"])
         if not lo < hi:
             raise ValidationError("window must be [lo, hi] with lo < hi")
-        return
-    if p.get("model", "lattice") == "anderson":
-        dim = (2 * int(p["k"]) + 1) ** int(config.geometry.get("d", 1))
-    elif box_ok:
-        dim = build_box(config).n_nodes
-    else:  # the geometry diagnostic already names the fault
-        return
-    if not 1 <= int(p.get("n_states", 5)) <= dim:
+    elif dim is not None and not 1 <= int(p.get("n_states", 5)) <= dim:
         raise ValidationError(f"n_states must lie in [1, {dim}], the operator's dimension")
 
 
@@ -294,27 +296,18 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                                           f"kind {config.kind!r}"), "params")
     if config.kind == "bounds":
         for i, spec in enumerate(config.params.get("evaluations", [])):
-            _try(diags, "error", lambda: _check_choice(spec, "type", None, BOUND_EVALUATIONS),
-                 f"params.evaluations[{i}]")
+            _try(diags, "error", lambda: check_bound_args(_check_choice(
+                spec, "type", None, BOUND_EVALUATIONS), spec), f"params.evaluations[{i}]")
     if config.kind == "decay":
         _try(diags, "error", lambda: _check_decay(config, box_ok), "params")
     if int(config.params.get("n_trials", 1)) < 1:
         diags.append(Diagnostic("error", "params.n_trials must be >= 1"))
 
-    if profile_ok:
-        prof = build_profile(config)
-        d = prof.d
-        if prof.kind == "long_range" and not d < prof.nu <= d + 2:
-            diags.append(Diagnostic("error",
-                         f"long_range decay nu={prof.nu} outside ({d}, {d+2}]"))
-        if prof.kind == "short_range" and not prof.nu > d + 2:
-            diags.append(Diagnostic("error",
-                         f"short_range decay nu={prof.nu} must exceed d+2={d+2}"))
-        if config.kind == "wegner" and prof.kind != "compact":
-            diags.append(Diagnostic("warning",
-                         "level-repulsion probe assumes a compactly supported "
-                         "profile; results with unbounded range are not covered "
-                         "by the estimate being tested"))
+    if profile_ok and config.kind == "wegner" and build_profile(config).kind != "compact":
+        diags.append(Diagnostic("warning",
+                     "level-repulsion probe assumes a compactly supported "
+                     "profile; results with unbounded range are not covered "
+                     "by the estimate being tested"))
 
     if config.kind == "ile" and geo_ok and "E_plus" in config.params:
         _validate_gap(config, diags)

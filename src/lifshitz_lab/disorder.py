@@ -6,7 +6,10 @@ of (seed, realization index, packed site coordinates) is pushed through the
 SplitMix64 finalizer and mapped to a uniform variate, which is then sent
 through the inverse CDF of the configured law.  The same (seed, index, site)
 triple therefore yields bit-identical values on every platform, independent
-of evaluation order or parallelism.
+of evaluation order or parallelism.  The hash splits in two: a per-site hash
+mix64(code + GOLDEN) of the Morton code (`site_hash`) and a per-draw key
+mix64(mix64(seed + GOLDEN) ^ mix64(index + GOLDEN)) meet in mix64(key ^ site
+hash), so a window is hashed once for all its draws (`draw_couplings`).
 """
 
 from __future__ import annotations
@@ -25,6 +28,9 @@ __all__ = [
     "law_quantile",
     "site_uniforms",
     "encode_sites",
+    "cube_codes",
+    "site_hash",
+    "draw_couplings",
     "sample_realization",
     "lattice_cube",
 ]
@@ -100,22 +106,25 @@ def encode_sites(sites: np.ndarray) -> np.ndarray:
     return code
 
 
+def cube_codes(d: int, radius: int) -> np.ndarray:
+    """encode_sites(lattice_cube(d, radius)): each axis's bits, masked out of the
+    packed diagonal sites (c, ..., c), are ORed together under broadcasting."""
+    diagonal = encode_sites(np.repeat(np.arange(-radius, radius + 1)[:, None], d, axis=1))
+    lanes = [diagonal & _U64(sum(1 << bit for bit in range(a, d * (63 // d), d))) for a in range(d)]
+    return functools.reduce(np.bitwise_or.outer, lanes).ravel()
+
+
+def site_hash(codes: np.ndarray) -> np.ndarray:
+    """Per-site half of the counter hash, mix64(code + GOLDEN) of each Morton code."""
+    return _mix64(np.asarray(codes, dtype=np.uint64) + _GOLDEN)
+
+
 def site_uniforms(seed: int, index: int, sites: np.ndarray) -> np.ndarray:
     """Uniform(0,1) variates attached to (seed, index, site) triples.
 
     Pure function of its arguments; returns float64 strictly inside (0,1).
     """
-    if not 0 <= int(seed) < 2**64:
-        raise ValidationError("seed must be a uint64")
-    if not 0 <= int(index) < 2**64:
-        raise ValidationError("index must be a uint64")
-    code = encode_sites(sites)
-    h_seed = _mix64(np.array([np.uint64(seed) + _GOLDEN], dtype=np.uint64))
-    h_index = _mix64(np.array([np.uint64(index) + _GOLDEN], dtype=np.uint64))
-    h = _mix64(h_seed ^ h_index)
-    h = _mix64(h ^ _mix64(code + _GOLDEN))
-    # 53-bit mantissa, offset by half a step: never exactly 0 or 1.
-    return ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return draw_couplings(DisorderSpec(), site_hash(encode_sites(sites)), seed, index)  # quantile = identity
 
 
 @dataclass(frozen=True)
@@ -206,7 +215,8 @@ class Realization:
     def d(self) -> int:
         return self.window.shape[1]
 
-    def _index_of(self, sites: np.ndarray) -> np.ndarray:
+    def values_at(self, sites: np.ndarray) -> np.ndarray:
+        """Couplings on the given sites; CoverageError if any lie outside."""
         # window positions by binary search over the sorted Morton codes; a
         # site listed twice resolves to its last position
         sites = np.atleast_2d(np.asarray(sites, dtype=np.int64))
@@ -225,11 +235,7 @@ class Realization:
         found[found] = keys[pos[found]] == codes[found]
         if not found.all():
             raise CoverageError(sites[~found])
-        return order[pos]
-
-    def values_at(self, sites: np.ndarray) -> np.ndarray:
-        """Couplings on the given sites; CoverageError if any lie outside."""
-        return self.values[self._index_of(sites)]
+        return self.values[order[pos]]
 
 
 def lattice_cube(d: int, radius: int) -> np.ndarray:
@@ -241,6 +247,19 @@ def lattice_cube(d: int, radius: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def draw_couplings(spec: DisorderSpec, hashes: np.ndarray, seed: int, index: int) -> np.ndarray:
+    """Couplings of realization (seed, index) on the sites with these `site_hash` values."""
+    for name, value in (("seed", seed), ("index", index)):
+        if not 0 <= int(value) < 2**64:
+            raise ValidationError(f"{name} must be a uint64")
+    h_seed = _mix64(np.array([np.uint64(seed) + _GOLDEN], dtype=np.uint64))
+    h_index = _mix64(np.array([np.uint64(index) + _GOLDEN], dtype=np.uint64))
+    h = _mix64(_mix64(h_seed ^ h_index) ^ hashes)
+    # 53-bit mantissa, offset by half a step: never exactly 0 or 1.
+    u = ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.asarray(law_quantile(spec, u), dtype=float)
+
+
 def sample_realization(spec: DisorderSpec, window: np.ndarray, seed: int, index: int) -> Realization:
     """Draw the coupling field on a window of lattice sites.
 
@@ -248,6 +267,5 @@ def sample_realization(spec: DisorderSpec, window: np.ndarray, seed: int, index:
     grown or reordered later without changing values on shared sites.
     """
     window = np.atleast_2d(np.asarray(window, dtype=np.int64))
-    u = site_uniforms(seed, index, window)
-    values = np.asarray(law_quantile(spec, u), dtype=float)
+    values = draw_couplings(spec, site_hash(encode_sites(window)), seed, index)
     return Realization(spec=spec, window=window, values=values, seed=int(seed), index=int(index))

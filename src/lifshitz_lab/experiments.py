@@ -192,30 +192,20 @@ def _run_lifshitz(config, out_dir, threads):
 
 def _run_bounds(config, out_dir, threads):
     dis = build_disorder(config)
-    p = config.params
     rows, details = [], []
-    for spec in p.get("evaluations", []):
-        kind = spec["type"]
+    for spec in config.params.get("evaluations", []):
+        kind, d = spec["type"], int(spec.get("d", 1))
         if kind == "chernoff":
             be = chernoff_bound_P1(dis, k=int(spec["k"]), delta=float(spec["delta"]),
                                    K=float(spec.get("K", 1.0)), C=float(spec.get("C", 1.0)),
-                                   d=int(spec.get("d", 1)),
-                                   truncation=spec.get("truncation"))
-            rows.append((be.name, "", "", "", be.params["d"], be.log_bound, be.t_star))
-        elif kind == "product1":
-            be = product_bound_P_eps_alpha_1(dis, eps=float(spec["eps"]),
-                                             alpha=float(spec["alpha"]),
-                                             nu=float(spec["nu"]), d=int(spec.get("d", 1)))
-            rows.append((be.name, be.params["eps"], be.params["alpha"],
-                         be.params["nu"], be.params["d"], be.log_bound, ""))
-        else:  # product2; validate() admits only BOUND_EVALUATIONS types
-            be = product_bound_P_eps_alpha_2(dis, eps=float(spec["eps"]),
-                                             alpha=float(spec["alpha"]),
-                                             nu=float(spec["nu"]), d=int(spec.get("d", 1)),
-                                             s=float(spec.get("s", 1.0)),
-                                             C=float(spec.get("C", 1.0)))
-            rows.append((be.name, be.params["eps"], be.params["alpha"],
-                         be.params["nu"], be.params["d"], be.log_bound, ""))
+                                   d=d, truncation=spec.get("truncation"))
+        else:  # product1 or product2; validate() admits only BOUND_EVALUATIONS types
+            args = {key: float(spec[key]) for key in ("eps", "alpha", "nu")}
+            be = (product_bound_P_eps_alpha_1(dis, **args, d=d) if kind == "product1" else
+                  product_bound_P_eps_alpha_2(dis, **args, d=d, s=float(spec.get("s", 1.0)),
+                                              C=float(spec.get("C", 1.0))))
+        rows.append((be.name, *(be.params.get(key, "") for key in ("eps", "alpha", "nu")),
+                     be.params["d"], be.log_bound, be.t_star if kind == "chernoff" else ""))
         details.append({"name": be.name, "params": be.params, "details": be.details,
                         "log_bound": be.log_bound, "t_star": be.t_star})
     _write_csv(os.path.join(out_dir, "bounds.csv"),

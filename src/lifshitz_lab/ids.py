@@ -17,11 +17,11 @@ import scipy.linalg
 
 from .curves import IDSCurve, InsufficientDataError, ensemble_curve
 from .disorder import DisorderSpec, ValidationError, lattice_cube, sample_realization
-from .lattice import (BoxSpec, PeriodicBackground, SingleSiteProfile, TAIL_TOL,
-                      assemble_operator, background_field, identity_field,
-                      operator_sampler, periodized_coefficient_field)
+from .lattice import (BoxSpec, PeriodicBackground, SingleSiteProfile, TAIL_TOL, _periodized_plan,
+                      assemble_operator, background_field, identity_field, operator_sampler)
 from .runner import frequency, trials
-from .spectral import counts_below, distance_to_spectrum, floquet_bands, periodic_ids_curve
+from .spectral import (_field_bands, counts_below, distance_to_spectrum, floquet_bands,
+                       periodic_ids_curve)
 from .stats import bootstrap_slope_interval, clopper_pearson, fit_line, mean_stderr
 
 __all__ = [
@@ -96,6 +96,12 @@ def periodic_approx_ids(background: PeriodicBackground, profile: SingleSiteProfi
     return periodic_ids_curve(bands, energies)
 
 
+def _periodic_counts(background, profile, k: int, n_theta: int, energies, tol: float):
+    """Pattern on lattice_cube(d, k) -> `periodic_approx_ids` values, one field plan for all."""
+    field = _periodized_plan(background, profile, k, background.m, tol)
+    return lambda pattern: periodic_ids_curve(_field_bands(field(pattern.values), n_theta), energies).values
+
+
 def expected_periodic_ids(background: PeriodicBackground, profile: SingleSiteProfile,
                           disorder: DisorderSpec, k: int, n_realizations: int,
                           n_theta: int, energies, seed: int = 0,
@@ -106,13 +112,10 @@ def expected_periodic_ids(background: PeriodicBackground, profile: SingleSitePro
     """
     energies = np.asarray(energies, dtype=float)
     sites = lattice_cube(background.d, k)
-
-    def one(i):
-        pattern = sample_realization(disorder, sites, seed, i)
-        return periodic_approx_ids(background, profile, pattern, k, n_theta, energies, tol).values
-
-    return ensemble_curve(one, n_realizations, energies, float((2 * k + 1)**background.d),
-                          "floquet", threads, seed=seed, n_theta=n_theta)
+    counts = _periodic_counts(background, profile, k, n_theta, energies, tol)
+    return ensemble_curve(lambda i: counts(sample_realization(disorder, sites, seed, i)), n_realizations,
+                          energies, float((2 * k + 1)**background.d), "floquet", threads, seed=seed,
+                          n_theta=n_theta)
 
 
 def sandwich_check(background: PeriodicBackground, profile: SingleSiteProfile,
@@ -140,10 +143,10 @@ def sandwich_check(background: PeriodicBackground, profile: SingleSiteProfile,
     err = math.exp(-eps ** (-eta0))
     inner_E = np.array([E - 2 * eps, E - eps / 2.0, E + eps / 2.0, E + 2 * eps])
     sites = lattice_cube(d, k)
+    counts = _periodic_counts(background, profile, k, n_theta, inner_E, tol)
 
     def increments(i):
-        pattern = sample_realization(disorder, sites, seed, i)
-        v = periodic_approx_ids(background, profile, pattern, k, n_theta, inner_E, tol).values
+        v = counts(sample_realization(disorder, sites, seed, i))
         return np.array([v[2] - v[1], v[3] - v[0]])
 
     incr = trials(increments, n_realizations, threads)
@@ -402,14 +405,13 @@ def event_E_check(background: PeriodicBackground, profile: SingleSiteProfile,
     A0 = assemble_operator(background_field(background, box)).matrix.toarray().real
     L = assemble_operator(identity_field(box)).matrix.toarray().real
     sites = lattice_cube(d, k)
+    fld = _periodized_plan(background, profile, k, background.m, tol)
     premise_ok = True
     if profile.kind == "long_range" and 0.0 < eps < 1.0 and k >= 2:
         premise_ok = math.log(k) / math.log(1.0 / eps) > 1.0 / (profile.nu - d)
 
     def holds(i):
-        pattern = sample_realization(disorder, sites, seed, i)
-        fld = periodized_coefficient_field(background, profile, pattern, k, background.m, tol)
-        A = assemble_operator(fld).matrix.toarray().real
+        A = assemble_operator(fld(sample_realization(disorder, sites, seed, i).values)).matrix.toarray().real
         return scipy.linalg.eigvalsh(A - A0 + eps * L, subset_by_index=[0, 0])[0] >= -1e-10
 
     _, p_lo, p_hi, successes = frequency(holds, n_trials, threads)

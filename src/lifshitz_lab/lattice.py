@@ -22,17 +22,23 @@ averages the edges along axis j, and B_ij[a, b] = sigma_ai sigma_bj / 4^(d-1)
 (i != j) is the product of two edge means.  A Dirichlet boundary corner is
 dropped and a corner across a periodic seam carries its phase, so the seam
 shift s_b - s_a of a coupling is its Floquet shift.
+
+Random fields come from a plan built once per ensemble (`_FieldPlan`): each
+window site's truncation bound, the m^d sub-lattice envelope kernels (built
+axis by axis, as envelopes on product grids) and the background tile, so a
+realization costs a mask, a reversal, m^d correlations and the tile sum.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
 
-from .disorder import ValidationError, lattice_cube, sample_realization
+from .disorder import ValidationError, cube_codes, draw_couplings, lattice_cube, site_hash
 
 __all__ = [
     "BoxSpec",
@@ -51,7 +57,6 @@ __all__ = [
     "identity_field",
     "assemble_operator",
     "lattice_correlate",
-    "wrap_sites",
 ]
 
 BCS = ("dirichlet", "periodic", "quasiperiodic")
@@ -160,7 +165,6 @@ class PeriodicBackground:
             raise ValidationError("two-phase values must be positive")
         centers = -0.5 + (np.arange(m) + 0.5) / m
         scalar_axis = np.where(centers < 0.0, low, high)
-        shape = (m,) * d
         grids = np.meshgrid(*([np.arange(m)] * d), indexing="ij")
         scalars = scalar_axis[grids[axis].ravel()]
         samples = scalars[:, None, None] * np.eye(d)[None, :, :]
@@ -170,13 +174,8 @@ class PeriodicBackground:
         """Background matrices at every cell center of the box, C-order."""
         if box.d != self.d or box.m != self.m:
             raise ValidationError("background sampled at different (d, m) than the box")
-        n_ax = box.cells_per_axis
-        idx_axis = np.arange(n_ax) % self.m
-        grids = np.meshgrid(*([idx_axis] * self.d), indexing="ij")
-        flat = np.zeros(box.n_cells, dtype=np.int64)
-        for g in grids:
-            flat = flat * self.m + g.ravel()
-        return self.samples[flat]
+        idx_axis = np.arange(box.cells_per_axis) % self.m
+        return self.samples[np.ravel_multi_index(np.ix_(*[idx_axis] * self.d), (self.m,) * self.d).ravel()]
 
 
 # -- single-site profiles ----------------------------------------------------
@@ -237,10 +236,14 @@ class SingleSiteProfile:
     def envelope(self, points: np.ndarray) -> np.ndarray:
         """Scalar envelope at displacements from the site center, shape (n,)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        compact = self.kind == "compact"
+        return self._radial(np.max(np.abs(pts), axis=1) if compact else np.sum(pts * pts, axis=1))
+
+    def _radial(self, dist: np.ndarray) -> np.ndarray:
+        """The one distance -> envelope formula; dist is the max-norm (compact) or squared 2-norm."""
         if self.kind == "compact":
-            return self.g_plus * (np.max(np.abs(pts), axis=1) <= self.radius + 1e-15).astype(float)
-        r = np.sqrt(np.sum(pts * pts, axis=1))
-        return self.g_plus * (1.0 + r) ** (-self.nu)
+            return self.g_plus * (dist <= self.radius + 1e-15).astype(float)
+        return self.g_plus * (1.0 + np.sqrt(dist)) ** (-self.nu)
 
     def norm_bound(self, dist) -> np.ndarray:
         """Upper bound on ||rho0(x)||_2 over |x| >= dist (any norm), elementwise."""
@@ -291,10 +294,13 @@ class CoefficientField:
             raise ValidationError(f"cells must have shape {expected}")
 
 
+def _window_radius(profile: SingleSiteProfile, box: BoxSpec, tol: float) -> int:
+    return int(math.ceil(box.side / 2.0 + profile.truncation_radius(tol)))
+
+
 def required_window(profile: SingleSiteProfile, box: BoxSpec, tol: float = TAIL_TOL) -> np.ndarray:
     """Lattice sites whose bump can touch the box above the tail tolerance."""
-    reach = box.side / 2.0 + profile.truncation_radius(tol)
-    return lattice_cube(box.d, int(math.ceil(reach)))
+    return lattice_cube(box.d, _window_radius(profile, box, tol))
 
 
 def lattice_correlate(big: np.ndarray, small: np.ndarray) -> np.ndarray:
@@ -307,35 +313,47 @@ def lattice_correlate(big: np.ndarray, small: np.ndarray) -> np.ndarray:
     return np.einsum(view, axes, small, axes[small.ndim:], axes[:small.ndim])
 
 
+class _FieldPlan:
+    """What every field of an ensemble on one box shares, over the window lattice_cube(d, R)."""
+
+    def __init__(self, background: PeriodicBackground, profile: SingleSiteProfile, box, tol):
+        # Mesh sub-lattice r has its cell centres at x + o_r, x in {-k..k}^d and
+        # o_r = (r + 1/2)/m - 1/2, so its scalar field sum_gamma w_gamma env(x - gamma
+        # + o_r) is one lattice correlation of the couplings with a shifted envelope.
+        d, m, k = box.d, box.m, box.k
+        self.R = R = _window_radius(profile, box, tol)
+        reach = functools.reduce(np.maximum.outer, [np.abs(np.arange(-R, R + 1))] * d).ravel()
+        self.bound = profile.norm_bound(reach - box.side / 2.0)
+        outer, part = (np.maximum.outer, np.abs) if profile.kind == "compact" else (np.add.outer, np.square)
+        disp = np.arange(-(k + R), k + R + 1, dtype=float)
+        axis = [part(disp + ((a + 0.5) / m - 0.5)) for a in range(m)]
+        self.kernels = [profile._radial(functools.reduce(outer, [axis[a] for a in r]))
+                        for r in np.ndindex(*(m,) * d)]
+        self.tile = background.tile(box)
+        self.profile, self.box, self.tol = profile, box, tol
+
+    def field(self, couplings: np.ndarray) -> CoefficientField:
+        """The field of couplings listed in window order."""
+        if np.any(couplings < 0):
+            raise ValidationError("couplings must be nonnegative")
+        d, m, side = self.box.d, self.box.m, self.box.side
+        # site-level truncation: a site whose whole contribution stays below tol gets weight zero
+        weights = np.where(couplings * self.bound > self.tol, couplings, 0.0)
+        # the mirrored cube (index j holds gamma = R - j) is the window reversed;
+        # contiguous, since the correlation's summation order follows the strides
+        grid = np.ascontiguousarray(weights[::-1]).reshape((2 * self.R + 1,) * d)
+        scalar = np.stack([lattice_correlate(kernel, grid) for kernel in self.kernels])
+        scalar = scalar.reshape((m,) * d + (side,) * d)
+        # interleave (r_1..r_d, x_1..x_d) into C-ordered cells (x_1, r_1, ..., x_d, r_d)
+        scalar = scalar.transpose([a + s for a in range(d) for s in (d, 0)]).reshape(-1)
+        cells = self.tile + scalar[:, None, None] * self.profile.template[None, :, :]
+        return CoefficientField(box=self.box, cells=cells)
+
+
 def _accumulate(background: PeriodicBackground, profile: SingleSiteProfile,
                 sites: np.ndarray, couplings: np.ndarray, box: BoxSpec,
                 tol: float) -> CoefficientField:
-    # Mesh sub-lattice r has its cell centres at x + o_r, x in {-k..k}^d and
-    # o_r = (r + 1/2)/m - 1/2, so its scalar field sum_gamma w_gamma env(x - gamma
-    # + o_r) is one lattice correlation of the couplings with a shifted envelope.
-    if np.any(couplings < 0):
-        raise ValidationError("couplings must be nonnegative")
-    d, m, k = box.d, box.m, box.k
-    # site-level truncation: a site whose whole contribution stays below tol
-    # gets weight zero
-    reach = np.max(np.abs(sites), axis=1, initial=0)
-    bound = profile.norm_bound(reach - box.side / 2.0)
-    weights = np.where(couplings * bound > tol, couplings, 0.0)
-    # couplings on the cube of radius R, mirrored: index j holds gamma = R - j
-    R = int(np.max(reach, initial=0))
-    shape = (2 * R + 1,) * d
-    flat = np.ravel_multi_index(tuple((R - np.asarray(sites, dtype=np.int64)).T), shape)
-    grid = np.bincount(flat, weights, minlength=math.prod(shape)).reshape(shape)
-    del reach, bound, weights, flat  # release the per-site arrays before the kernel loop
-    disp = lattice_cube(d, k + R).astype(float)
-    scalar = np.empty((m,) * d + (box.side,) * d)
-    for r in np.ndindex(*(m,) * d):
-        kernel = profile.envelope(disp + ((np.array(r) + 0.5) / m - 0.5))
-        scalar[r] = lattice_correlate(kernel.reshape((2 * (k + R) + 1,) * d), grid)
-    # interleave (r_1..r_d, x_1..x_d) into C-ordered cells (x_1, r_1, ..., x_d, r_d)
-    scalar = scalar.transpose([a + s for a in range(d) for s in (d, 0)]).reshape(-1)
-    cells = background.tile(box) + scalar[:, None, None] * profile.template[None, :, :]
-    return CoefficientField(box=box, cells=cells)
+    return _FieldPlan(background, profile, box, tol).field(couplings)
 
 
 def sample_coefficient_field(background: PeriodicBackground, profile: SingleSiteProfile,
@@ -353,31 +371,26 @@ def operator_sampler(background: PeriodicBackground, profile: SingleSiteProfile,
                      disorder, box: BoxSpec, seed: int, tol: float = TAIL_TOL):
     """Function index -> assembled operator of that realization on the box.
 
-    The realization window is computed here, once for the whole ensemble, and
-    each realization is drawn on it, so its values are already in site order.
+    The plan and its window's site hash are built once; a draw needs only its key.
     """
-    window = required_window(profile, box, tol)
-
-    def operator(index: int) -> AssembledOperator:
-        omega = sample_realization(disorder, window, seed, index)
-        return assemble_operator(_accumulate(background, profile, window, omega.values, box, tol))
-
-    return operator
-
-
-def wrap_sites(sites: np.ndarray, k: int) -> np.ndarray:
-    """Fold sites into the centered cube {-k..k}^d coordinatewise."""
-    period = 2 * k + 1
-    return ((np.asarray(sites, dtype=np.int64) + k) % period) - k
+    plan = _FieldPlan(background, profile, box, tol)
+    hashes = site_hash(cube_codes(box.d, plan.R))
+    return lambda index: assemble_operator(plan.field(draw_couplings(disorder, hashes, seed, index)))
 
 
 def periodized_coefficient_field(background: PeriodicBackground, profile: SingleSiteProfile,
                                  pattern, k: int, m: int, tol: float = TAIL_TOL) -> CoefficientField:
     """Field with the disorder pattern on {-k..k}^d repeated (2k+1)-periodically."""
-    box = BoxSpec(d=background.d, k=k, m=m, bc="quasiperiodic")
-    sites = required_window(profile, box, tol)
-    couplings = pattern.values_at(wrap_sites(sites, k))
-    return _accumulate(background, profile, sites, couplings, box, tol)
+    return _periodized_plan(background, profile, k, m, tol)(pattern.values_at(lattice_cube(background.d, k)))
+
+
+def _periodized_plan(background: PeriodicBackground, profile: SingleSiteProfile, k, m, tol):
+    """Pattern values on lattice_cube(d, k) -> `periodized_coefficient_field`, planned once."""
+    d, period = background.d, 2 * k + 1
+    plan = _FieldPlan(background, profile, BoxSpec(d=d, k=k, m=m, bc="quasiperiodic"), tol)
+    wrapped = (np.arange(-plan.R, plan.R + 1) + k) % period  # folded into {-k..k}, plus k
+    take = np.ravel_multi_index(np.ix_(*[wrapped] * d), (period,) * d).ravel()
+    return lambda values: plan.field(values[take])
 
 
 def background_field(background: PeriodicBackground, box: BoxSpec) -> CoefficientField:

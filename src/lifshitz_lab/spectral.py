@@ -151,17 +151,20 @@ def floquet_bands(background: PeriodicBackground, n_theta: int = 64, profile=Non
     (-j) mod n_theta share their eigenvalues: each pair is solved once, and the
     self-conjugate points phi in {0, pi}^d are solved on their own.
     """
-    d, m = background.d, background.m
+    if pattern is None:
+        box = BoxSpec(d=background.d, k=0, m=background.m, bc="quasiperiodic")
+        return _field_bands(background_field(background, box), n_theta)
+    if profile is None:
+        raise ValidationError("a disorder pattern needs a single-site profile")
+    return _field_bands(periodized_coefficient_field(background, profile, pattern, k, background.m, tol),
+                        n_theta)
+
+
+def _field_bands(field, n_theta: int) -> BandStructure:
+    """`floquet_bands` of the medium that repeats the field's quasiperiodic box."""
+    d, m, period = field.box.d, field.box.m, field.box.side
     if n_theta < 1:
         raise ValidationError("need at least one quasimomentum per axis")
-    if pattern is not None:
-        if profile is None:
-            raise ValidationError("a disorder pattern needs a single-site profile")
-        field = periodized_coefficient_field(background, profile, pattern, k=k, m=m, tol=tol)
-        period = 2 * k + 1
-    else:
-        field = background_field(background, BoxSpec(d=d, k=0, m=m, bc="quasiperiodic"))
-        period = 1
     rows, cols, shifts, coeffs = _bloch_family(field)
     n = field.box.n_cells
     grids = np.meshgrid(*([np.arange(n_theta)] * d), indexing="ij")

@@ -111,6 +111,31 @@ def test_potential_on_box_matches_pointwise_evaluation():
         assert v[i] == pytest.approx(long_range_potential(omega, sites[i], nu, tol), abs=1e-12)
 
 
+@given(st.integers(1, 2), st.integers(0, 4), st.integers(0, 2**32), st.integers(0, 9))
+@settings(max_examples=15, deadline=None)
+def test_anderson_ids_potential_is_bitwise_the_looked_up_potential(d, k, seed, index):
+    nu, tol = d + 2.0, 1e-3
+    radius = truncation_radius_for(d, nu, tol)
+    # one site wider than the cube, so potential_on_box has to look the cube up
+    wider = sample_realization(UNIFORM, lattice_cube(d, k + radius + 1), seed, index)
+    want = potential_on_box(wider, d, k, nu, tol)
+    drawn = {}
+
+    def record(d_, k_, E_plus, v):
+        drawn[len(drawn)] = v
+        return assemble_anderson(d_, k_, E_plus, v)
+
+    def no_lookup(self, sites):
+        raise AssertionError("the Anderson ensemble looked up the window it drew on")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(anderson_mod, "assemble_anderson", record)
+        patch.setattr(Realization, "values_at", no_lookup)
+        curve = anderson_ids(UNIFORM, d, k, nu, [0.5], index + 1, seed=seed, tol=tol)
+    assert curve.meta["failures"] == [] and len(drawn) == index + 1
+    assert np.array_equal(drawn[index], want)
+
+
 def test_truncation_radius_certifies_tail():
     for d, nu, tol in [(1, 2.5, 1e-6), (1, 4.0, 1e-8), (2, 3.5, 1e-3)]:
         r = truncation_radius_for(d, nu, tol)

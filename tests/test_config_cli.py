@@ -278,9 +278,17 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
                         ("decay", {"model": "anderson", "k": 2, "nu": 4.0, "n_states": 6}),
                         ("bounds", {"evaluations": [{"type": "chernof", "k": 2, "delta": 0.3}]}),
                         ("bounds", {"evaluations": [{"type": "product1", "eps": 0.3, "nu": 2.5}]}),
-                        ("bounds", {"evaluations": ["chernoff"]})]:
+                        ("bounds", {"evaluations": ["chernoff"]}),
+                        ("bounds", {"evaluations": [{"type": "chernoff", "k": 2, "delta": 2.0}]}),
+                        ("bounds", {"evaluations": [{"type": "product1", "eps": 0.3,
+                                                     "alpha": 1.5, "nu": 2.5}]})]:
         doc = docs[kind]
         cases.append({**doc, "params": {**doc["params"], **patch}})
+    # decay operators above ids.DECAY_DENSE_LIMIT: 81^2 = 6,561 nodes, and (2k+1)^d sites
+    cases.append({**DECAY_DOC, "geometry": {"d": 2, "k": 20, "m": 2, "bc": "dirichlet"},
+                  "params": {"window": [0.0, 1.0]}})
+    cases.append({**DECAY_DOC, "geometry": {"d": 2},
+                  "params": {"model": "anderson", "k": 40, "nu": 4.0, "window": [0.0, 1.0]}})
     for kind, key in [("anderson", "nu"), ("lifshitz", "k"), ("wegner", "E"),
                       ("sandwich", "eps"), ("ile", "k"), ("ile", "E_plus")]:
         doc = docs[kind]
@@ -316,15 +324,17 @@ def test_decay_runs_up_to_the_operator_dimension(tmp_path):
 @pytest.mark.parametrize("kind,module", [("ids", lattice_mod), ("anderson", anderson_mod)],
                          ids=["ids", "anderson"])
 def test_run_records_task_failures(tmp_path, monkeypatch, kind, module):
-    # the realization is drawn where the library's realization function draws it
-    real = module.sample_realization
+    # the realization is drawn where the library's realization function draws it:
+    # the lattice plan through draw_couplings, sample_anderson through sample_realization
+    name = "draw_couplings" if module is lattice_mod else "sample_realization"
+    real = getattr(module, name)
 
-    def flaky(spec, window, seed, index):
+    def flaky(spec, sites, seed, index):
         if index == 2:
             raise RuntimeError("synthetic loss")
-        return real(spec, window, seed, index)
+        return real(spec, sites, seed, index)
 
-    monkeypatch.setattr(module, "sample_realization", flaky)
+    monkeypatch.setattr(module, name, flaky)
     doc = ENSEMBLE_DOCS[kind]
     result = run(parse_config(dict(doc)), out_dir=str(tmp_path / "o"))
     assert result.exit_code == 3

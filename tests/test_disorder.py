@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifshitz_lab.disorder import (CoverageError, DisorderSpec, Realization,
-                                   ValidationError, encode_sites, lattice_cube, law_cdf,
-                                   law_quantile, sample_realization,
-                                   site_uniforms)
+                                   ValidationError, cube_codes, draw_couplings, encode_sites,
+                                   lattice_cube, law_cdf, law_quantile, sample_realization,
+                                   site_hash, site_uniforms)
 
 
 def cube(d, r):
@@ -88,6 +88,48 @@ def test_encode_sites_rejects_unpackable_coordinates():
     with pytest.raises(ValidationError):
         encode_sites(np.array([[2**30, 0]]))
     assert encode_sites(np.array([[-(2**30), 0]]))[0] == bit_loop_codes([[-(2**30), 0]])[0]
+
+
+@given(st.integers(1, 4), st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_cube_codes_match_encode_sites(d, radius):
+    # packed axis by axis, in lattice_cube's row-major order
+    assert np.array_equal(cube_codes(d, radius), encode_sites(lattice_cube(d, radius)))
+
+
+def test_cube_codes_span_every_byte():
+    # folded coordinates up to 2**18 fill the low three bytes of each lane
+    for d, radius in [(1, 2**17), (2, 300)]:
+        assert np.array_equal(cube_codes(d, radius), bit_loop_codes(lattice_cube(d, radius)))
+
+
+_MASK, _GOLDEN = 2**64 - 1, 0x9E3779B97F4A7C15
+
+
+def _mix64(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def one_piece_uniform(seed, index, code):
+    """The counter hash in one piece, in Python integers: the oracle for the split."""
+    key = _mix64(_mix64((seed + _GOLDEN) & _MASK) ^ _mix64((index + _GOLDEN) & _MASK))
+    return ((_mix64(key ^ _mix64((code + _GOLDEN) & _MASK)) >> 11) + 0.5) * 2.0**-53
+
+
+@given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+@settings(max_examples=40, deadline=None)
+def test_split_hash_equals_the_one_piece_hash(d, radius, seed, index):
+    sites = lattice_cube(d, radius)
+    want = np.array([one_piece_uniform(seed, index, int(c)) for c in bit_loop_codes(sites)])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(site_uniforms(seed, index, sites), want)
+        hashes = site_hash(cube_codes(d, radius))  # once per window, then one key per draw
+        for spec in (DisorderSpec(), DisorderSpec(law="kappa_tail", kappa=1.5)):
+            assert np.array_equal(draw_couplings(spec, hashes, seed, index), law_quantile(spec, want))
+            assert np.array_equal(sample_realization(spec, sites, seed, index).values,
+                                  law_quantile(spec, want))
 
 
 # -- laws ---------------------------------------------------------------------

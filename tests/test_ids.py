@@ -192,14 +192,17 @@ def test_theoretical_exponent_long_range_is_min_of_mechanisms(d, kappa, excess):
 
 
 def _lose_realizations(monkeypatch, module, lost):
-    real = module.sample_realization
+    # the lattice plan draws through draw_couplings(spec, hashes, seed, index);
+    # the periodized drivers draw each pattern through sample_realization
+    name = "draw_couplings" if module is lattice_mod else "sample_realization"
+    real = getattr(module, name)
 
-    def flaky(spec, window, seed, index):
+    def flaky(spec, sites, seed, index):
         if index in lost:
             raise RuntimeError("synthetic loss")
-        return real(spec, window, seed, index)
+        return real(spec, sites, seed, index)
 
-    monkeypatch.setattr(module, "sample_realization", flaky)
+    monkeypatch.setattr(module, name, flaky)
 
 
 def test_empirical_ids_drops_a_failed_realization(monkeypatch):

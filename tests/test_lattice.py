@@ -7,17 +7,19 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lifshitz_lab.disorder as disorder_mod
 from lifshitz_lab.config import parse_config
 from lifshitz_lab.disorder import (CoverageError, DisorderSpec, Realization, ValidationError,
                                    lattice_cube, sample_realization)
 from lifshitz_lab.experiments import run
 from lifshitz_lab.ids import empirical_ids
 from lifshitz_lab.lattice import (BoxSpec, CoefficientField, PeriodicBackground, _bloch_family,
+                                  _periodized_plan,
                                   assemble_operator, background_field, compact_profile, identity_field,
                                   lattice_correlate, long_range_profile,
                                   operator_sampler, periodized_coefficient_field,
                                   required_window, sample_coefficient_field,
-                                  short_range_profile, wrap_sites)
+                                  short_range_profile)
 
 
 def free_op(d, k, m, bc="dirichlet", theta=None):
@@ -250,16 +252,27 @@ def test_field_on_its_own_window_skips_the_lookup(monkeypatch, prof, tol):
 
 def test_ids_drivers_never_look_up_sites(monkeypatch, tmp_path):
     monkeypatch.setattr(Realization, "values_at", _no_lookup)
+    # the window is packed once per ensemble, not once per realization
+    packed = []
+    encode = disorder_mod.encode_sites
+
+    def counted(sites):
+        packed.append(len(sites))
+        return encode(sites)
+
+    monkeypatch.setattr(disorder_mod, "encode_sites", counted)
     prof = long_range_profile(d=1, nu=2.5)
     curve = empirical_ids(PeriodicBackground.identity(1, 2), prof, DisorderSpec(),
                           BoxSpec(d=1, k=2, m=2), 2, [1.0, 4.0], seed=1, tol=1e-6)
     assert np.all(curve.values > 0)
+    assert len(packed) == 1
     doc = {"kind": "ids", "geometry": {"d": 1, "k": 2, "m": 2, "bc": "dirichlet"},
            "profile": {"kind": "long_range", "nu": 2.5},
            "disorder": {"law": "uniform01"},
            "energies": {"min": 0.5, "max": 10.0, "count": 4},
            "ensemble": {"n_realizations": 2, "seed": 3}}
     assert run(parse_config(doc), out_dir=str(tmp_path / "ids")).exit_code == 0
+    assert len(packed) == 2
 
 
 def test_field_on_a_permuted_window_looks_sites_up(monkeypatch):
@@ -362,12 +375,72 @@ def test_field_matches_direct_sum(d, prof, tol, m):
          direct_sum_cells(bg, prof, sites, capped.values_at(sites), box, tol)),
         (periodized_coefficient_field(bg, prof, pattern, k, m, tol),
          direct_sum_cells(bg, prof, periodic_sites,
-                          pattern.values_at(wrap_sites(periodic_sites, k)), periodic, tol)),
+                          pattern.values_at((periodic_sites + k) % (2 * k + 1) - k), periodic, tol)),
     ]
     for fld, want in pairs:
         scale = np.max(np.abs(want - bg.tile(fld.box)))
         assert scale > 0.0
         assert np.max(np.abs(fld.cells - want)) <= 1e-12 * scale
+
+
+def displacement_field(background, profile, sites, couplings, box, tol):
+    """The field as first assembled, the bitwise reference for the plan: an (n, d)
+    displacement cube per sub-lattice and a bincount mirror of the couplings."""
+    d, m, k = box.d, box.m, box.k
+    reach = np.max(np.abs(sites), axis=1, initial=0)
+    weights = np.where(couplings * profile.norm_bound(reach - box.side / 2.0) > tol, couplings, 0.0)
+    R = int(np.max(reach, initial=0))
+    shape = (2 * R + 1,) * d
+    flat = np.ravel_multi_index(tuple((R - sites).T), shape)
+    grid = np.bincount(flat, weights, minlength=math.prod(shape)).reshape(shape)
+    disp = lattice_cube(d, k + R).astype(float)
+    scalar = np.empty((m,) * d + (box.side,) * d)
+    for r in np.ndindex(*(m,) * d):
+        kernel = profile.envelope(disp + ((np.array(r) + 0.5) / m - 0.5))
+        scalar[r] = lattice_correlate(kernel.reshape((2 * (k + R) + 1,) * d), grid)
+    scalar = scalar.transpose([a + s for a in range(d) for s in (d, 0)]).reshape(-1)
+    return background.tile(box) + scalar[:, None, None] * profile.template[None, :, :]
+
+
+PLAN_PROFILES = {"compact": lambda d: compact_profile(d=d, radius=0.7),
+                 "short_range": lambda d: short_range_profile(d=d, nu=d + 2.5),
+                 "long_range": lambda d: long_range_profile(d=d, nu=d + 1.0)}
+
+
+def _plan_case(kind, d, m):
+    bg = PeriodicBackground.two_phase(m=m, low=1.0, high=3.0, d=d)
+    return bg, PLAN_PROFILES[kind](d), (1e-2 if d == 3 else 1e-5), (1 if d == 3 else 2)
+
+
+@given(st.sampled_from(sorted(PLAN_PROFILES)), st.integers(1, 3), st.sampled_from([2, 3]),
+       st.sampled_from(["dirichlet", "periodic"]), st.integers(0, 2**32), st.integers(0, 9))
+@settings(max_examples=30, deadline=None)
+def test_operator_sampler_is_bitwise_the_lookup_path(kind, d, m, bc, seed, index):
+    bg, prof, tol, k = _plan_case(kind, d, m)
+    box = BoxSpec(d=d, k=k, m=m, bc=bc)
+    sites = required_window(prof, box, tol)
+    omega = sample_realization(DisorderSpec(), sites[::-1], seed, index)  # looked up, not in order
+    lookup = sample_coefficient_field(bg, prof, omega, box, tol)
+    assert np.array_equal(lookup.cells,
+                          displacement_field(bg, prof, sites, omega.values_at(sites), box, tol))
+    got = operator_sampler(bg, prof, DisorderSpec(), box, seed, tol)(index).matrix
+    want = assemble_operator(lookup).matrix
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+@given(st.sampled_from(sorted(PLAN_PROFILES)), st.integers(1, 3), st.sampled_from([2, 3]),
+       st.integers(0, 2**32))
+@settings(max_examples=20, deadline=None)
+def test_periodized_plan_is_bitwise_the_wrapped_lookup(kind, d, m, seed):
+    bg, prof, tol, k = _plan_case(kind, d, m)
+    pattern = sample_realization(DisorderSpec(), lattice_cube(d, k), seed, 0)
+    periodic = BoxSpec(d=d, k=k, m=m, bc="quasiperiodic")
+    sites = required_window(prof, periodic, tol)
+    wrapped = pattern.values_at((sites + k) % (2 * k + 1) - k)
+    want = displacement_field(bg, prof, sites, wrapped, periodic, tol)
+    assert np.array_equal(periodized_coefficient_field(bg, prof, pattern, k, m, tol).cells, want)
+    assert np.array_equal(_periodized_plan(bg, prof, k, m, tol)(pattern.values).cells, want)
 
 
 @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 4), st.integers(0, 2**16))
