@@ -26,7 +26,8 @@ import scipy.sparse as sp
 
 from .curves import IDSCurve, ensemble_curve
 from .disorder import (DisorderSpec, Realization, ValidationError, cube_codes, draw_couplings,
-                       lattice_cube, law_cdf, sample_realization, site_hash)
+                       lattice_cube, law_cdf, site_hash)
+from .disorder import sample_realization  # noqa: F401  (perfbench/tracing.py patches this name)
 from .lattice import lattice_correlate
 from .runner import frequency
 from .spectral import count_sorted_leq
@@ -145,25 +146,79 @@ def _tail_bound(d: int, nu: float, radius: int) -> float:
     return lead * (1.0 + radius) ** (d - nu) / (nu - d)
 
 
+class _AndersonPlan:
+    """What every realization of an Anderson ensemble on {-k..k}^d shares.
+
+    The site hashes of the window lattice_cube(d, k + R), R the truncation
+    radius; the potential kernel (1 + |r|)^(-nu) over lattice_cube(d, R); and
+    the box operator at v = 0.  For d = 1 that operator is symmetric
+    tridiagonal and is kept as its diagonal, degree + E_plus, and its
+    off-diagonal -1, so its spectrum is taken by bisection; for d >= 2 it is
+    kept sparse and made dense per realization.
+    """
+
+    def __init__(self, d: int, k: int, nu: float, E_plus: float, tol: float):
+        radius = truncation_radius_for(d, nu, tol)
+        self.hashes = site_hash(cube_codes(d, k + radius))
+        self.window_shape = (2 * (k + radius) + 1,) * d
+        offsets = lattice_cube(d, radius)
+        self.kernel = ((1.0 + np.max(np.abs(offsets), axis=1)) ** (-nu)).reshape((2 * radius + 1,) * d)
+        self.free = assemble_anderson(d, k, E_plus, np.zeros((2 * k + 1) ** d)).matrix
+        self.diagonal, self.off = self.free.diagonal(), self.free.diagonal(1)  # read when d = 1
+        self.d = d
+
+    def potential(self, couplings: np.ndarray) -> np.ndarray:
+        """The potential on the box of couplings listed in window order; it must be nonnegative."""
+        v = lattice_correlate(couplings.reshape(self.window_shape), self.kernel).ravel()
+        if np.any(v < 0):
+            raise ValidationError("potential values must be nonnegative")
+        return v
+
+    def draw(self, disorder: DisorderSpec, seed: int, index: int) -> np.ndarray:
+        """The potential of realization (seed, index)."""
+        return self.potential(draw_couplings(disorder, self.hashes, seed, index))
+
+    def _dense(self, v: np.ndarray) -> np.ndarray:
+        # bitwise assemble_anderson(d, k, E_plus, v).matrix.toarray()
+        dense = self.free.toarray()
+        dense[np.diag_indices_from(dense)] += v
+        return dense
+
+    def _bisect(self, v: np.ndarray, select: str, select_range) -> np.ndarray:
+        # eigenvalues of the d = 1 box operator by bisection (LAPACK stebz)
+        return scipy.linalg.eigvalsh_tridiagonal(self.diagonal + v, self.off, select=select,
+                                                 select_range=select_range)
+
+    def counts(self, v: np.ndarray, energies: np.ndarray):
+        """count_sorted_leq of the box spectrum at the energies; the slack scale is max|lambda|."""
+        if self.d > 1:
+            return count_sorted_leq(np.linalg.eigvalsh(self._dense(v)), energies)
+        scale = max(abs(self._bisect(v, "i", (j, j))[0]) for j in (0, len(v) - 1))
+        # eigenvalues up to twice the slack above the top energy, so that the
+        # strict count of count_sorted_leq decides each energy, not stebz's bound
+        vals = self._bisect(v, "v", (-np.inf, float(np.max(energies)) + 2e-12 * scale))
+        return count_sorted_leq(vals, energies, scale)
+
+    def lowest(self, v: np.ndarray) -> float:
+        """The smallest eigenvalue of the box operator."""
+        if self.d > 1:
+            return scipy.linalg.eigvalsh(self._dense(v), subset_by_index=[0, 0])[0]
+        return self._bisect(v, "i", (0, 0))[0]
+
+
 def potential_on_box(realization: Realization, d: int, k: int, nu: float,
                      tol: float = 1e-8) -> np.ndarray:
     """Potential on every site of {-k..k}^d, same truncation certificate."""
-    radius = truncation_radius_for(d, nu, tol)
-    cube = lattice_cube(d, k + radius)  # a realization drawn on it is read in place
+    cube = lattice_cube(d, k + truncation_radius_for(d, nu, tol))  # a realization drawn on it is read in place
     values = realization.values if np.array_equal(realization.window, cube) else realization.values_at(cube)
-    offsets = lattice_cube(d, radius)
-    weights = (1.0 + np.max(np.abs(offsets), axis=1)) ** (-nu)
-    return lattice_correlate(values.reshape((2 * (k + radius) + 1,) * d),
-                             weights.reshape((2 * radius + 1,) * d)).ravel()
+    return _AndersonPlan(d, k, nu, 0.0, tol).potential(values)
 
 
 def sample_anderson(disorder: DisorderSpec, d: int, k: int, nu: float,
                     E_plus: float, seed: int, index: int,
                     tol: float = 1e-8) -> AndersonInstance:
     """Draw one realization and assemble the instance."""
-    window = lattice_cube(d, k + truncation_radius_for(d, nu, tol))
-    v = potential_on_box(sample_realization(disorder, window, seed, index), d, k, nu, tol)
-    return assemble_anderson(d, k, E_plus, v)
+    return assemble_anderson(d, k, E_plus, _AndersonPlan(d, k, nu, E_plus, tol).draw(disorder, seed, index))
 
 
 # -- Monte Carlo spectral statistics -------------------------------------------
@@ -178,10 +233,10 @@ def anderson_ids(disorder: DisorderSpec, d: int, k: int, nu: float, energies,
     """
     energies = np.asarray(energies, dtype=float)
     vol = float((2 * k + 1) ** d)
+    plan = _AndersonPlan(d, k, nu, E_plus, tol)
 
     def one(i):
-        inst = sample_anderson(disorder, d, k, nu, E_plus, seed, i, tol)
-        return count_sorted_leq(np.linalg.eigvalsh(inst.matrix.toarray()), energies) / vol
+        return plan.counts(plan.draw(disorder, seed, i), energies) / vol
 
     return ensemble_curve(one, n_realizations, energies, vol, "box", threads,
                           model="anderson", seed=seed, nu=nu, E_plus=E_plus)
@@ -194,11 +249,8 @@ def eigenvalue_below_probability(disorder: DisorderSpec, d: int, k: int, nu: flo
 
     A failed trial raises.
     """
-    def below(i):
-        inst = sample_anderson(disorder, d, k, nu, E_plus, seed, i, tol)
-        return scipy.linalg.eigvalsh(inst.matrix.toarray(), subset_by_index=[0, 0])[0] <= E
-
-    return frequency(below, n_trials, threads)
+    plan = _AndersonPlan(d, k, nu, E_plus, tol)
+    return frequency(lambda i: plan.lowest(plan.draw(disorder, seed, i)) <= E, n_trials, threads)
 
 
 # -- analytic bounds ------------------------------------------------------------

@@ -252,8 +252,8 @@ def draw_couplings(spec: DisorderSpec, hashes: np.ndarray, seed: int, index: int
     for name, value in (("seed", seed), ("index", index)):
         if not 0 <= int(value) < 2**64:
             raise ValidationError(f"{name} must be a uint64")
-    h_seed = _mix64(np.array([np.uint64(seed) + _GOLDEN], dtype=np.uint64))
-    h_index = _mix64(np.array([np.uint64(index) + _GOLDEN], dtype=np.uint64))
+    # a uint64 column (seed, index): array arithmetic wraps silently where scalar arithmetic warns
+    h_seed, h_index = _mix64(np.array([[seed], [index]], dtype=np.uint64) + _GOLDEN)
     h = _mix64(_mix64(h_seed ^ h_index) ^ hashes)
     # 53-bit mantissa, offset by half a step: never exactly 0 or 1.
     u = ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53

@@ -2,9 +2,9 @@
 
 Counting "<= E" means "strictly below E + eta", eta = 1e-12 * scale.
 `counts_below` and `count_eigenvalues_below` take scale = ||A||_1 (1 for
-A = 0); `anderson.anderson_ids` counts with `count_sorted_leq`'s default,
-max|lambda| of each spectrum, and `periodic_ids_curve` with max|E| over its
-band table.  `counts_below` counts a whole energy grid from one dense
+A = 0); `anderson.anderson_ids` counts with max|lambda| of each spectrum,
+taken from its two ends (for d = 1 by bisection, which also counts), and
+`periodic_ids_curve` with max|E| over its band table.  `counts_below` counts a whole energy grid from one dense
 `eigvalsh`; `count_eigenvalues_below` counts one energy by the inertia of the
 Bunch-Kaufman LDL^T of A - (E + eta) I, retrying with eta doubled (up to
 MAX_RETRIES times) when a pivot block is numerically zero.

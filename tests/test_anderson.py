@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from lifshitz_lab.disorder import (DisorderSpec, Realization, ValidationError,
                                    lattice_cube, law_quantile, sample_realization,
                                    site_uniforms)
 from lifshitz_lab.runner import TaskFailure
+from lifshitz_lab.spectral import count_sorted_leq
 
 UNIFORM = DisorderSpec()
 
@@ -120,16 +122,17 @@ def test_anderson_ids_potential_is_bitwise_the_looked_up_potential(d, k, seed, i
     wider = sample_realization(UNIFORM, lattice_cube(d, k + radius + 1), seed, index)
     want = potential_on_box(wider, d, k, nu, tol)
     drawn = {}
+    real = anderson_mod._AndersonPlan.potential
 
-    def record(d_, k_, E_plus, v):
-        drawn[len(drawn)] = v
-        return assemble_anderson(d_, k_, E_plus, v)
+    def record(plan, couplings):
+        v = drawn[len(drawn)] = real(plan, couplings)
+        return v
 
     def no_lookup(self, sites):
         raise AssertionError("the Anderson ensemble looked up the window it drew on")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(anderson_mod, "assemble_anderson", record)
+        patch.setattr(anderson_mod._AndersonPlan, "potential", record)
         patch.setattr(Realization, "values_at", no_lookup)
         curve = anderson_ids(UNIFORM, d, k, nu, [0.5], index + 1, seed=seed, tol=tol)
     assert curve.meta["failures"] == [] and len(drawn) == index + 1
@@ -157,6 +160,39 @@ def test_truncation_radius_monotone_in_tolerance(tol, nu):
     assert r_tight >= r_loose
 
 
+LAWS = [UNIFORM, DisorderSpec(law="kappa_tail", kappa=1.5), DisorderSpec(law="bernoulli", p=0.3, a=1.0)]
+
+
+@given(st.sampled_from(LAWS), st.integers(0, 12), st.sampled_from([2.5, 4.0]),
+       st.sampled_from([0.0, -0.2]), st.integers(0, 2**32), st.integers(0, 9))
+@settings(max_examples=40, deadline=None)
+def test_plan_bisection_counts_equal_dense_counts(law, k, nu, E_plus, seed, index):
+    # d=1: the tridiagonal skeleton is the dense operator's, and the bisection
+    # counts equal the dense counts at grid energies and, inclusively, at the
+    # dense eigenvalues themselves
+    plan = anderson_mod._AndersonPlan(1, k, nu, E_plus, 1e-4)
+    v = plan.draw(law, seed, index)
+    dense = assemble_anderson(1, k, E_plus, v).matrix.toarray()
+    assert np.array_equal(plan.diagonal + v, np.diag(dense))
+    assert np.array_equal(plan.off, np.diag(dense, 1))
+    vals = np.linalg.eigvalsh(dense)
+    for energies in (E_plus + np.linspace(-0.5, 5.5, 61), vals):
+        assert np.array_equal(plan.counts(v, energies), count_sorted_leq(vals, energies))
+    lowest = scipy.linalg.eigvalsh(dense, subset_by_index=[0, 0])[0]
+    assert abs(plan.lowest(v) - lowest) <= 1e-13 * max(np.abs(vals).max(), 1.0)
+
+
+@given(st.sampled_from(LAWS), st.integers(0, 3), st.sampled_from([0.0, -0.2]),
+       st.integers(0, 2**32), st.integers(0, 9))
+@settings(max_examples=15, deadline=None)
+def test_plan_dense_operator_is_bitwise_the_assembled_one(law, k, E_plus, seed, index):
+    plan = anderson_mod._AndersonPlan(2, k, 4.0, E_plus, 1e-3)
+    v = plan.draw(law, seed, index)
+    dense = assemble_anderson(2, k, E_plus, v).matrix.toarray()
+    assert np.array_equal(plan._dense(v), dense)
+    assert plan.lowest(v) == scipy.linalg.eigvalsh(dense, subset_by_index=[0, 0])[0]
+
+
 def test_sample_anderson_deterministic():
     a = sample_anderson(UNIFORM, 1, 5, 4.0, 0.0, seed=3, index=2)
     b = sample_anderson(UNIFORM, 1, 5, 4.0, 0.0, seed=3, index=2)
@@ -174,15 +210,15 @@ def test_anderson_ids_monotone():
 
 def test_anderson_ids_drops_a_failed_realization(monkeypatch):
     energies = np.linspace(0.0, 1.0, 6)
-    real = anderson_mod.sample_realization
+    real = anderson_mod.draw_couplings
     lost = {1}
 
-    def flaky(spec, window, seed, index):
+    def flaky(spec, hashes, seed, index):
         if index in lost:
             raise RuntimeError("synthetic loss")
-        return real(spec, window, seed, index)
+        return real(spec, hashes, seed, index)
 
-    monkeypatch.setattr(anderson_mod, "sample_realization", flaky)
+    monkeypatch.setattr(anderson_mod, "draw_couplings", flaky)
     curve = anderson_ids(UNIFORM, 1, 8, 4.0, energies, n_realizations=4, seed=1, threads=2)
     assert curve.n_realizations == 3
     assert [f.index for f in curve.meta["failures"]] == [1]

@@ -324,17 +324,15 @@ def test_decay_runs_up_to_the_operator_dimension(tmp_path):
 @pytest.mark.parametrize("kind,module", [("ids", lattice_mod), ("anderson", anderson_mod)],
                          ids=["ids", "anderson"])
 def test_run_records_task_failures(tmp_path, monkeypatch, kind, module):
-    # the realization is drawn where the library's realization function draws it:
-    # the lattice plan through draw_couplings, sample_anderson through sample_realization
-    name = "draw_couplings" if module is lattice_mod else "sample_realization"
-    real = getattr(module, name)
+    # the realization is drawn where the library's plan draws it, through draw_couplings
+    real = module.draw_couplings
 
-    def flaky(spec, sites, seed, index):
+    def flaky(spec, hashes, seed, index):
         if index == 2:
             raise RuntimeError("synthetic loss")
-        return real(spec, sites, seed, index)
+        return real(spec, hashes, seed, index)
 
-    monkeypatch.setattr(module, name, flaky)
+    monkeypatch.setattr(module, "draw_couplings", flaky)
     doc = ENSEMBLE_DOCS[kind]
     result = run(parse_config(dict(doc)), out_dir=str(tmp_path / "o"))
     assert result.exit_code == 3

@@ -1,9 +1,10 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lifshitz_lab.disorder import (CoverageError, DisorderSpec, Realization,
@@ -119,11 +120,14 @@ def one_piece_uniform(seed, index, code):
 
 
 @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
+@example(1, 3, 2**64 - 1, 2**63)  # seed + GOLDEN wraps
+@example(2, 1, 2**64 - _GOLDEN, 2**64 - 1)  # seed + GOLDEN wraps to 0, index + GOLDEN wraps
 @settings(max_examples=40, deadline=None)
 def test_split_hash_equals_the_one_piece_hash(d, radius, seed, index):
     sites = lattice_cube(d, radius)
     want = np.array([one_piece_uniform(seed, index, int(c)) for c in bit_loop_codes(sites)])
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the wrapping adds are silent, not overflow warnings
         assert np.array_equal(site_uniforms(seed, index, sites), want)
         hashes = site_hash(cube_codes(d, radius))  # once per window, then one key per draw
         for spec in (DisorderSpec(), DisorderSpec(law="kappa_tail", kappa=1.5)):
