@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .anderson import check_bound_args
+from .anderson import check_bound_args, truncation_radius_for
 from .disorder import DisorderSpec, ValidationError
 from .ids import DECAY_DENSE_LIMIT
 from .lattice import (BoxSpec, PeriodicBackground, SingleSiteProfile, compact_profile,
@@ -231,10 +231,18 @@ def _check_choice(block: dict, key: str, default, table: dict):
     return choice
 
 
+def _check_truncation(config: ExperimentConfig):
+    # the Anderson potential's truncation cube; decay draws at the default tolerance
+    p = config.params
+    tol = 1e-8 if config.kind == "decay" else float(p.get("potential_tol", 1e-8))
+    truncation_radius_for(int(config.geometry.get("d", 1)), float(p["nu"]), tol)
+
+
 def _check_decay(config: ExperimentConfig, box_ok: bool):
     p = config.params
     _check_choice(p, "model", "lattice", DECAY_MODELS)
     if p.get("model", "lattice") == "anderson":
+        _check_truncation(config)
         dim = (2 * int(p["k"]) + 1) ** int(config.geometry.get("d", 1))
     else:  # None: the geometry diagnostic already names the fault
         dim = build_box(config).n_nodes if box_ok else None
@@ -294,6 +302,8 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                                              theta=tuple(config.params["theta"])), "params.theta")
     _try(diags, "error", lambda: _require(config.params, REQUIRED_PARAMS.get(config.kind, ()),
                                           f"kind {config.kind!r}"), "params")
+    if config.kind in ("anderson", "lifshitz") and "nu" in config.params:
+        _try(diags, "error", lambda: _check_truncation(config), "params")
     if config.kind == "bounds":
         for i, spec in enumerate(config.params.get("evaluations", [])):
             _try(diags, "error", lambda: check_bound_args(_check_choice(

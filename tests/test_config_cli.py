@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +58,7 @@ ENSEMBLE_DOCS = {
 DECAY_DOC = {"kind": "decay", "geometry": {"d": 1, "k": 2, "m": 2, "bc": "dirichlet"},
              "profile": _COMPACT, "disorder": {"law": "uniform01"}, "ensemble": {"seed": 2},
              "params": {"n_states": 3}}
+SHIPPED_IDS = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "ids_uniform_box.json"
 BOUNDS_DOC = {"kind": "bounds", "disorder": {"law": "uniform01"},
               "params": {"nu": 4.0, "evaluations": [
                   {"type": "chernoff", "k": 2, "delta": 0.3},
@@ -289,6 +291,16 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
                   "params": {"window": [0.0, 1.0]}})
     cases.append({**DECAY_DOC, "geometry": {"d": 2},
                   "params": {"model": "anderson", "k": 40, "nu": 4.0, "window": [0.0, 1.0]}})
+    # Anderson potentials whose truncation cube truncation_radius_for refuses
+    # (d=2, nu=4.5: radius 2,968 at the default potential_tol)
+    too_wide = {"k": 3, "nu": 4.5}
+    wide = [{**ENSEMBLE_DOCS[kind], "geometry": {"d": 2},
+             "params": {**ENSEMBLE_DOCS[kind]["params"], **too_wide}} for kind in ("anderson", "lifshitz")]
+    wide.append({**DECAY_DOC, "geometry": {"d": 2},
+                 "params": {"model": "anderson", **too_wide, "window": [0.0, 1.0]}})
+    for doc in wide:
+        assert any("truncation cube" in str(diag) for diag in validate(parse_config(doc))), doc
+    cases.extend(wide)
     for kind, key in [("anderson", "nu"), ("lifshitz", "k"), ("wegner", "E"),
                       ("sandwich", "eps"), ("ile", "k"), ("ile", "E_plus")]:
         doc = docs[kind]
@@ -344,15 +356,18 @@ def test_run_records_task_failures(tmp_path, monkeypatch, kind, module):
 
 @pytest.mark.parametrize("kind", sorted(ENSEMBLE_DOCS))
 def test_identical_bytes_across_thread_counts(tmp_path, kind):
-    blobs = {}
-    for threads in (1, 4, 16):
-        out = tmp_path / f"t{threads}"
-        result = run(parse_config(dict(ENSEMBLE_DOCS[kind])), out_dir=str(out), threads=threads)
-        assert result.exit_code == 0
-        blobs[threads] = {name: (out / name).read_bytes()
-                          for name in result.manifest.files}
-    assert len(blobs[1]) == 2
-    assert blobs[1] == blobs[4] == blobs[16]
+    # IDS_DOC's 9-node box is counted densely; the shipped 33-node box from its band
+    docs = [ENSEMBLE_DOCS[kind]] + ([json.loads(SHIPPED_IDS.read_text())] if kind == "ids" else [])
+    for j, doc in enumerate(docs):
+        blobs = {}
+        for threads in (1, 4, 16):
+            out = tmp_path / f"{j}t{threads}"
+            result = run(parse_config(dict(doc)), out_dir=str(out), threads=threads)
+            assert result.exit_code == 0
+            blobs[threads] = {name: (out / name).read_bytes()
+                              for name in result.manifest.files}
+        assert len(blobs[1]) == 2
+        assert blobs[1] == blobs[4] == blobs[16]
 
 
 # -- command line ------------------------------------------------------------------------

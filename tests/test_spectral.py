@@ -1,3 +1,5 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -11,7 +13,7 @@ from lifshitz_lab.curves import IDSCurve
 from lifshitz_lab.disorder import DisorderSpec, lattice_cube, sample_realization
 from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _bloch_family, assemble_operator,
                                   background_field, compact_profile, long_range_profile,
-                                  periodized_coefficient_field, required_window,
+                                  operator_sampler, periodized_coefficient_field, required_window,
                                   sample_coefficient_field)
 from lifshitz_lab.spectral import (SolverError, _block_diag_eigs, count_eigenvalues_below,
                                    count_sorted_leq, counts_below, distance_to_spectrum,
@@ -73,7 +75,7 @@ IDS_PROFILES = {
 MAX_K = {1: 8, 2: 3, 3: 1}
 
 
-def ids_operator(d, long_range, floquet, k, seed):
+def ids_operator(d, long_range, floquet, k, seed, bc="dirichlet"):
     compact, long_range_prof, tol = IDS_PROFILES[d]
     prof = long_range_prof if long_range else compact
     bg = PeriodicBackground.two_phase(m=2, low=1.0, high=3.0, d=d)
@@ -81,7 +83,7 @@ def ids_operator(d, long_range, floquet, k, seed):
         pattern = sample_realization(DisorderSpec(), lattice_cube(d, k), seed=seed, index=d)
         fld = periodized_coefficient_field(bg, prof, pattern, k=k, m=2, tol=tol)
         return assemble_operator(fld, theta=(0.7,) * d)
-    box = BoxSpec(d=d, k=k, m=2)
+    box = BoxSpec(d=d, k=k, m=2, bc=bc)
     omega = sample_realization(DisorderSpec(), required_window(prof, box, tol), seed=seed, index=d)
     return assemble_operator(sample_coefficient_field(bg, prof, omega, box, tol))
 
@@ -139,6 +141,122 @@ def test_counts_below_leaves_input_array_unchanged():
     counts_below(H, [0.0])
     assert np.array_equal(A, kept)
     assert np.array_equal(H, kept_h)
+
+
+# -- counting from the band -----------------------------------------------------------
+
+BAND_K = {1: (8, 16), 2: (5, 6), 3: (1, 2)}  # the d = 3 boxes here are too wide for the band rule
+
+
+def half_bandwidth(mat):
+    low = sp.tril(mat, format="coo")
+    return int((low.row - low.col).max(initial=0))
+
+
+def narrow(mat):
+    return spectral.BAND_RATIO * (half_bandwidth(mat) + 1) <= mat.shape[0]
+
+
+def ids_compact_d2_box():
+    # the ids_compact_d2 benchmark box: d=2, k=6, m=2 Dirichlet, 625 nodes, kd = 25
+    return operator_sampler(PeriodicBackground.identity(d=2, m=2), compact_profile(d=2), DisorderSpec(),
+                            BoxSpec(d=2, k=6, m=2), seed=0)(0)
+
+
+def dense_counts(mat, energies):
+    dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
+    return count_sorted_leq(np.linalg.eigvalsh(dense), energies, spectral._norm1(mat) or 1.0)
+
+
+def raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("no convergence")
+
+
+@given(st.sampled_from([1, 2, 3]), st.booleans(), st.sampled_from(["dirichlet", "periodic"]),
+       st.integers(0, 8), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_banded_counts_equal_inertia_and_dense_counts(d, long_range, bc, j, seed):
+    lo, hi = BAND_K[d]
+    op = ids_operator(d, long_range, False, lo + j % (hi - lo + 1), seed, bc)
+    # at these k the d = 1, 2 Dirichlet boxes are narrow; d = 3 boxes and periodic wraps are wide
+    assert narrow(op.matrix) == (bc == "dirichlet" and d < 3)
+    dense_vals = scipy.linalg.eigvalsh(op.matrix.toarray())
+    band_vals = spectral._spectrum(op.matrix)
+    scale = spectral._norm1(op.matrix)
+    picks = np.linspace(0, len(dense_vals) - 1, 3).astype(int)
+    grid = np.linspace(dense_vals[0] - 1.0, dense_vals[-1] + 1.0, 5)
+    for energies in (grid, dense_vals[picks], band_vals[picks]):
+        got = counts_below(op, energies)
+        assert got.tolist() == count_sorted_leq(dense_vals, energies, scale).tolist()
+        assert got.tolist() == [count_eigenvalues_below(op, E) for E in energies]
+        if energies is not grid:  # an energy placed on a computed eigenvalue counts it
+            assert np.all(got >= picks + 1)
+    if bc == "dirichlet":  # the band solve itself, also on the d = 3 boxes the rule sends dense
+        with patch.object(spectral, "BAND_RATIO", 1):
+            forced = spectral._spectrum(op.matrix)
+            assert counts_below(op, dense_vals[picks]).tolist() == \
+                count_sorted_leq(dense_vals, dense_vals[picks], scale).tolist()
+        assert np.max(np.abs(forced - dense_vals)) <= 1e-12 * scale
+
+
+def test_narrow_box_counts_without_dense_eigvalsh(monkeypatch):
+    op = ids_compact_d2_box()
+    assert half_bandwidth(op.matrix) == 25 and narrow(op.matrix)
+    energies = np.linspace(0.0, 12.0, 25)
+    want = dense_counts(op.matrix, energies)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", raise_linalg_error)
+    assert counts_below(op, energies).tolist() == want.tolist()
+
+
+def test_wide_complex_and_dense_inputs_count_without_band_solver(monkeypatch):
+    box = ids_compact_d2_box().matrix
+    phase = sp.diags(np.exp(1j * np.arange(box.shape[0])))
+    mats = {"periodic": ids_operator(2, False, False, 3, 5, "periodic").matrix,
+            "quasiperiodic fiber": ids_operator(2, False, True, 3, seed=5).matrix,
+            "narrow complex": (phase @ box @ phase.conj()).tocsr(),  # same spectrum as box
+            "dense": box.toarray()}
+    assert not narrow(mats["periodic"]) and narrow(mats["narrow complex"])
+    energies = np.linspace(0.0, 12.0, 25)
+    want = {name: dense_counts(mat, energies).tolist() for name, mat in mats.items()}
+    assert want["narrow complex"] == want["dense"]
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", raise_linalg_error)
+    assert {name: counts_below(mat, energies).tolist() for name, mat in mats.items()} == want
+
+
+def test_band_solver_failure_is_a_solver_error(monkeypatch):
+    op = ids_compact_d2_box()
+    monkeypatch.setattr(scipy.linalg, "eigvals_banded", raise_linalg_error)
+    with pytest.raises(SolverError):
+        counts_below(op, [1.0])
+
+
+def test_narrow_operator_with_nan_is_a_solver_error():
+    A = sp.diags([np.full(39, -1.0), np.full(40, 2.0), np.full(39, -1.0)], [-1, 0, 1]).tocsr()
+    A[5, 4] = A[4, 5] = np.nan
+    assert narrow(A)
+    with pytest.raises(SolverError):
+        counts_below(A, [0.0, 1.0])
+
+
+def test_band_path_leaves_the_sparse_input_unchanged():
+    mat = ids_compact_d2_box().matrix
+    kept = (mat.data.copy(), mat.indices.copy(), mat.indptr.copy())
+    # the same operator as COO with entry (3, 3) split in two halves, which sum
+    coo = mat.tocoo()
+    at = np.flatnonzero((coo.row == 3) & (coo.col == 3))
+    data = coo.data.copy()
+    data[at] /= 2.0
+    split = sp.coo_matrix((np.append(data, data[at]), (np.append(coo.row, 3), np.append(coo.col, 3))),
+                          shape=mat.shape)
+    kept_split = split.toarray()
+    energies = np.linspace(0.0, 12.0, 25)
+    assert counts_below(mat, energies).tolist() == dense_counts(mat, energies).tolist()
+    assert counts_below(split, energies).tolist() == dense_counts(mat, energies).tolist()
+    dense_vals = np.linalg.eigvalsh(mat.toarray())
+    assert np.max(np.abs(spectral._spectrum(split) - dense_vals)) <= 1e-12 * spectral._norm1(mat)
+    assert all(np.array_equal(a, b) for a, b in zip((mat.data, mat.indices, mat.indptr), kept))
+    # scipy's abs (in the 1-norm) sums a COO matrix's duplicates in place: same operator
+    assert np.array_equal(split.toarray(), kept_split)
 
 
 def block_diag_eigs_loop(d):
