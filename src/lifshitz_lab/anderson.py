@@ -150,11 +150,12 @@ class _AndersonPlan:
     """What every realization of an Anderson ensemble on {-k..k}^d shares.
 
     The site hashes of the window lattice_cube(d, k + R), R the truncation
-    radius; the potential kernel (1 + |r|)^(-nu) over lattice_cube(d, R); and
-    the box operator at v = 0.  For d = 1 that operator is symmetric
-    tridiagonal and is kept as its diagonal, degree + E_plus, and its
-    off-diagonal -1, so its spectrum is taken by bisection; for d >= 2 it is
-    kept sparse and made dense per realization.
+    radius; the potential kernel (1 + |r|)^(-nu) over lattice_cube(d, R); the
+    box operator at v = 0; and its |off-diagonal| column sums, so that the
+    scale of a realization's counting slack, ||A||_1, costs O(n).  For d = 1
+    the operator is symmetric tridiagonal, kept as its diagonal, degree +
+    E_plus, and off-diagonal -1, and counted by one bisection; for d >= 2 it
+    is made dense per realization.
     """
 
     def __init__(self, d: int, k: int, nu: float, E_plus: float, tol: float):
@@ -164,7 +165,8 @@ class _AndersonPlan:
         offsets = lattice_cube(d, radius)
         self.kernel = ((1.0 + np.max(np.abs(offsets), axis=1)) ** (-nu)).reshape((2 * radius + 1,) * d)
         self.free = assemble_anderson(d, k, E_plus, np.zeros((2 * k + 1) ** d)).matrix
-        self.diagonal, self.off = self.free.diagonal(), self.free.diagonal(1)  # read when d = 1
+        self.diagonal, self.off = self.free.diagonal(), self.free.diagonal(1)  # off read when d = 1
+        self.hops = np.asarray(abs(self.free - sp.diags(self.diagonal)).sum(axis=0)).ravel()
         self.d = d
 
     def potential(self, couplings: np.ndarray) -> np.ndarray:
@@ -189,11 +191,15 @@ class _AndersonPlan:
         return scipy.linalg.eigvalsh_tridiagonal(self.diagonal + v, self.off, select=select,
                                                  select_range=select_range)
 
+    def norm1(self, v: np.ndarray) -> float:
+        """||A||_1 of the box operator with potential v."""
+        return float(np.max(np.abs(self.diagonal + v) + self.hops))
+
     def counts(self, v: np.ndarray, energies: np.ndarray):
-        """count_sorted_leq of the box spectrum at the energies; the slack scale is max|lambda|."""
+        """count_sorted_leq of the box spectrum at the energies, slack scale ||A||_1 (1 for A = 0)."""
+        scale = self.norm1(v) or 1.0
         if self.d > 1:
-            return count_sorted_leq(np.linalg.eigvalsh(self._dense(v)), energies)
-        scale = max(abs(self._bisect(v, "i", (j, j))[0]) for j in (0, len(v) - 1))
+            return count_sorted_leq(np.linalg.eigvalsh(self._dense(v)), energies, scale)
         # eigenvalues up to twice the slack above the top energy, so that the
         # strict count of count_sorted_leq decides each energy, not stebz's bound
         vals = self._bisect(v, "v", (-np.inf, float(np.max(energies)) + 2e-12 * scale))

@@ -1,11 +1,10 @@
 """Eigenvalue counting, Bloch band structure, and spectral gaps.
 
-Counting "<= E" means "strictly below E + eta", eta = 1e-12 * scale.
-`counts_below` and `count_eigenvalues_below` take scale = ||A||_1 (1 for
-A = 0); `anderson.anderson_ids` counts with max|lambda| of each spectrum,
-taken from its two ends (for d = 1 by bisection, which also counts), and
-`periodic_ids_curve` with max|E| over its band table.  `counts_below` counts a
-whole energy grid from one spectrum: a real sparse operator whose lower band
+Counting "<= E" means "strictly below E + eta", eta = 1e-12 * ||A||_1 of the
+operator counted (1e-12 for A = 0), on every path: `counts_below`,
+`count_eigenvalues_below`, `anderson.anderson_ids` (each box) and
+`periodic_ids_curve` (each fiber H(phi)).  `counts_below` counts a whole
+energy grid from one spectrum: a real sparse operator whose lower band
 (half-bandwidth kd) is narrow, BAND_RATIO * (kd + 1) <= n, is solved from that
 band by `eigvals_banded` (LAPACK sbevd, an O(n^2 kd) band reduction), and any
 other operator by one dense `eigvalsh`.  `count_eigenvalues_below` counts one
@@ -63,6 +62,8 @@ def _as_matrix(A):
 
 def _norm1(mat) -> float:
     if sp.issparse(mat):
+        if not (mat.format == "csr" and mat.has_canonical_format):
+            mat = mat.tocsr(copy=True)  # abs() would merge duplicate entries of the input in place
         return float(abs(mat).sum(axis=0).max()) if mat.nnz else 0.0
     return float(np.abs(mat).sum(axis=0).max()) if mat.size else 0.0
 
@@ -150,6 +151,7 @@ class BandStructure:
 
     thetas: np.ndarray  # (T, d) physical quasimomenta
     bands: np.ndarray   # (T, n_bands), each row sorted ascending
+    norms: np.ndarray   # (T,) ||H(phi)||_1 of each fiber, the scale of its counting slack
     period: int
     m: int
     d: int
@@ -194,14 +196,15 @@ def _field_bands(field, n_theta: int) -> BandStructure:
     phase_pts = 2.0 * np.pi * index / n_theta
     mirror = np.ravel_multi_index(tuple((-index % n_theta).T), (n_theta,) * d)
     phases = np.exp(1j * (phase_pts @ shifts.T))
-    bands = np.empty((len(index), n))
+    bands, norms = np.empty((len(index), n)), np.empty(len(index))
     for t in np.flatnonzero(np.arange(len(index)) <= mirror):
         dense = np.zeros((n, n), dtype=complex)
         # a broadcast sum, not a BLAS product: a small threaded BLAS call between
         # eigensolves more than doubled their time with two BLAS threads
         dense[rows, cols] = (phases[t][:, None] * coeffs).sum(axis=0)
+        norms[t] = norms[mirror[t]] = _norm1(dense)  # |conj z| = |z|
         bands[t] = bands[mirror[t]] = scipy.linalg.eigvalsh(dense, overwrite_a=True)
-    return BandStructure(thetas=phase_pts / period, bands=bands, period=period, m=m, d=d)
+    return BandStructure(thetas=phase_pts / period, bands=bands, norms=norms, period=period, m=m, d=d)
 
 
 def spectral_gaps(bands: BandStructure) -> list:
@@ -245,8 +248,8 @@ def distance_to_spectrum(A, E: float, dense_threshold: int = DENSE_THRESHOLD) ->
 def periodic_ids_curve(bands: BandStructure, energies) -> IDSCurve:
     """Quasimomentum-averaged counting function per unit volume."""
     energies = np.asarray(energies, dtype=float)
-    scale = float(np.max(np.abs(bands.bands), initial=0.0))
-    counts = np.array([count_sorted_leq(row, energies, scale) for row in bands.bands])
+    counts = np.array([count_sorted_leq(row, energies, norm or 1.0)
+                       for row, norm in zip(bands.bands, bands.norms)])
     vol = float(bands.period**bands.d)
     values = counts.mean(axis=0) / vol
     return IDSCurve(energies=energies, values=values, volume=vol, n_realizations=1,

@@ -49,23 +49,20 @@ def fit_line(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), r2
 
 
+def _bootstrap_slopes(x: np.ndarray, y: np.ndarray, n_boot: int, seed: int) -> np.ndarray:
+    """Line-fit slopes of n_boot residual resamples about the fitted line, one per row."""
+    slope, intercept, _ = fit_line(x, y)
+    base = slope * x + intercept
+    idx = np.random.default_rng(seed).integers(0, len(x), size=(n_boot, len(x)))
+    yb = base + (y - base)[idx]
+    xc = x - x.mean()
+    return np.sum(xc * (yb - yb.mean(axis=1, keepdims=True)), axis=1) / float(np.sum(xc * xc))
+
+
 def bootstrap_slope_interval(x: np.ndarray, y: np.ndarray, n_boot: int = 1000,
                              seed: int = 715517) -> tuple[float, float]:
     """Residual-bootstrap 95% percentile interval for the line-fit slope."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    slope, intercept, _ = fit_line(x, y)
-    resid = y - (slope * x + intercept)
-    rng = np.random.default_rng(seed)
-    n = len(x)
-    idx = rng.integers(0, n, size=(n_boot, n))
-    slopes = np.empty(n_boot)
-    xc = x - x.mean()
-    denom = float(np.sum(xc * xc))
-    base = slope * x + intercept
-    for b in range(n_boot):
-        yb = base + resid[idx[b]]
-        slopes[b] = float(np.sum(xc * (yb - yb.mean())) / denom)
+    slopes = _bootstrap_slopes(np.asarray(x, dtype=float), np.asarray(y, dtype=float), n_boot, seed)
     alpha = 1.0 - CONFIDENCE
     lo, hi = np.quantile(slopes, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)

@@ -20,7 +20,7 @@ from lifshitz_lab.disorder import (DisorderSpec, Realization, ValidationError,
                                    lattice_cube, law_quantile, sample_realization,
                                    site_uniforms)
 from lifshitz_lab.runner import TaskFailure
-from lifshitz_lab.spectral import count_sorted_leq
+from lifshitz_lab.spectral import _norm1, count_sorted_leq
 
 UNIFORM = DisorderSpec()
 
@@ -168,16 +168,17 @@ LAWS = [UNIFORM, DisorderSpec(law="kappa_tail", kappa=1.5), DisorderSpec(law="be
 @settings(max_examples=40, deadline=None)
 def test_plan_bisection_counts_equal_dense_counts(law, k, nu, E_plus, seed, index):
     # d=1: the tridiagonal skeleton is the dense operator's, and the bisection
-    # counts equal the dense counts at grid energies and, inclusively, at the
-    # dense eigenvalues themselves
+    # counts equal the dense counts, slack scale ||A||_1, at grid energies and,
+    # inclusively, at the dense eigenvalues themselves
     plan = anderson_mod._AndersonPlan(1, k, nu, E_plus, 1e-4)
     v = plan.draw(law, seed, index)
     dense = assemble_anderson(1, k, E_plus, v).matrix.toarray()
     assert np.array_equal(plan.diagonal + v, np.diag(dense))
     assert np.array_equal(plan.off, np.diag(dense, 1))
     vals = np.linalg.eigvalsh(dense)
+    scale = _norm1(dense) or 1.0
     for energies in (E_plus + np.linspace(-0.5, 5.5, 61), vals):
-        assert np.array_equal(plan.counts(v, energies), count_sorted_leq(vals, energies))
+        assert np.array_equal(plan.counts(v, energies), count_sorted_leq(vals, energies, scale))
     lowest = scipy.linalg.eigvalsh(dense, subset_by_index=[0, 0])[0]
     assert abs(plan.lowest(v) - lowest) <= 1e-13 * max(np.abs(vals).max(), 1.0)
 

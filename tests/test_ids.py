@@ -23,7 +23,7 @@ from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, assemble_operator
                                   required_window, sample_coefficient_field)
 from lifshitz_lab.runner import TaskFailure
 from lifshitz_lab.spectral import counts_below, periodic_ids_curve, floquet_bands
-from lifshitz_lab.stats import fit_line
+from lifshitz_lab.stats import _bootstrap_slopes, fit_line
 
 UNIFORM = DisorderSpec()
 ZERO = DisorderSpec(law="bernoulli", p=1.0, a=0.0)
@@ -131,6 +131,25 @@ def test_log_factor_tail_needs_corrected_fit(a):
     miss = fit.slope - (-a)
     assert (-1.0 / np.log(1.0 / fit.eps_used.max()) <= miss
             <= -1.0 / np.log(1.0 / fit.eps_used.min()))
+
+
+@given(st.integers(4, 40), st.integers(1, 300), st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_bootstrap_slopes_equal_the_per_resample_loop(n, n_boot, seed):
+    rng = np.random.default_rng(seed)
+    x = np.sort(rng.uniform(-5.0, 0.0, n))
+    y = rng.uniform(-2.0, 2.0) * x + rng.standard_normal(n)
+    # the loop the vectorized resampling replaced: one fit per resample
+    slope, intercept, _ = fit_line(x, y)
+    resid = y - (slope * x + intercept)
+    idx = np.random.default_rng(seed).integers(0, n, size=(n_boot, n))
+    xc = x - x.mean()
+    denom = float(np.sum(xc * xc))
+    want = np.empty(n_boot)
+    for b in range(n_boot):
+        yb = slope * x + intercept + resid[idx[b]]
+        want[b] = float(np.sum(xc * (yb - yb.mean())) / denom)
+    assert np.array_equal(_bootstrap_slopes(x, y, n_boot, seed), want)
 
 
 def test_exponent_requires_enough_admissible_points():

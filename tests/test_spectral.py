@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lifshitz_lab.spectral as spectral
+from lifshitz_lab.anderson import _AndersonPlan, assemble_anderson
 from lifshitz_lab.curves import IDSCurve
 from lifshitz_lab.disorder import DisorderSpec, lattice_cube, sample_realization
 from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _bloch_family, assemble_operator,
@@ -248,15 +249,15 @@ def test_band_path_leaves_the_sparse_input_unchanged():
     data[at] /= 2.0
     split = sp.coo_matrix((np.append(data, data[at]), (np.append(coo.row, 3), np.append(coo.col, 3))),
                           shape=mat.shape)
-    kept_split = split.toarray()
+    kept_split = (split.data.copy(), split.row.copy(), split.col.copy())
     energies = np.linspace(0.0, 12.0, 25)
     assert counts_below(mat, energies).tolist() == dense_counts(mat, energies).tolist()
     assert counts_below(split, energies).tolist() == dense_counts(mat, energies).tolist()
     dense_vals = np.linalg.eigvalsh(mat.toarray())
     assert np.max(np.abs(spectral._spectrum(split) - dense_vals)) <= 1e-12 * spectral._norm1(mat)
+    assert spectral._norm1(split) == spectral._norm1(mat)
     assert all(np.array_equal(a, b) for a, b in zip((mat.data, mat.indices, mat.indptr), kept))
-    # scipy's abs (in the 1-norm) sums a COO matrix's duplicates in place: same operator
-    assert np.array_equal(split.toarray(), kept_split)
+    assert all(np.array_equal(a, b) for a, b in zip((split.data, split.row, split.col), kept_split))
 
 
 def block_diag_eigs_loop(d):
@@ -345,6 +346,39 @@ def test_distance_to_spectrum_reads_singular_shift_as_eigenvalue(monkeypatch):
     A = sp.diags([0.0, 1.0, 5.0]).tocsr()
     monkeypatch.setattr(spla, "eigsh", _failing_eigsh(RuntimeError("Factor is exactly singular")))
     assert distance_to_spectrum(A, 1.0, dense_threshold=0) == 0.0
+
+
+@given(st.sampled_from([DisorderSpec(), DisorderSpec(law="kappa_tail", kappa=1.5),
+                        DisorderSpec(law="bernoulli", p=0.3, a=1.0)]),
+       st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(0, 9))
+@settings(max_examples=15, deadline=None)
+def test_every_count_takes_the_slack_of_the_operator_norm(law, k, seed, index):
+    # at E = lambda_j - 1e-12 (max|lambda| + ||A||_1) / 2 a slack scaled by
+    # max|lambda| misses lambda_j and one scaled by ||A||_1 counts it; every
+    # counting path must take the latter
+    def between(vals, norm):
+        return vals - 1e-12 * (np.abs(vals).max() + norm) / 2.0
+
+    for d, box_k in ((1, 2 * k), (2, k)):
+        plan = _AndersonPlan(d, box_k, 4.0, 0.0, 1e-3)
+        v = plan.draw(law, seed, index)
+        mat = assemble_anderson(d, box_k, 0.0, v).matrix
+        norm = spectral._norm1(mat)
+        assert abs(plan.norm1(v) - norm) <= 1e-15 * norm
+        vals = np.linalg.eigvalsh(mat.toarray())
+        energies = between(vals, norm)
+        want = counts_below(mat, energies)
+        assert np.all(count_sorted_leq(vals, energies) < want)
+        assert plan.counts(v, energies).tolist() == want.tolist()
+        assert [count_eigenvalues_below(mat, E) for E in energies] == want.tolist()
+    for d in (1, 2):
+        bg, kw, field = floquet_medium(d, True, seed)
+        bands = floquet_bands(bg, n_theta=3, **kw)
+        fibers = [assemble_operator(field, theta=tuple(th)).matrix.toarray() for th in bands.thetas]
+        j = index % bands.bands.shape[1]
+        energies = np.unique([between(row, spectral._norm1(f))[j] for row, f in zip(bands.bands, fibers)])
+        want = np.mean([counts_below(f, energies) for f in fibers], axis=0)
+        assert np.array_equal(periodic_ids_curve(bands, energies).values, want / bands.period**d)
 
 
 # -- Floquet bands ---------------------------------------------------------------------
