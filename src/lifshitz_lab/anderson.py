@@ -30,7 +30,7 @@ from .disorder import (DisorderSpec, Realization, ValidationError, cube_codes, d
 from .disorder import sample_realization  # noqa: F401  (perfbench/tracing.py patches this name)
 from .lattice import lattice_correlate
 from .runner import frequency
-from .spectral import count_sorted_leq
+from .spectral import SolverError, count_sorted_leq
 
 __all__ = [
     "AndersonInstance",
@@ -154,8 +154,9 @@ class _AndersonPlan:
     box operator at v = 0; and its |off-diagonal| column sums, so that the
     scale of a realization's counting slack, ||A||_1, costs O(n).  For d = 1
     the operator is symmetric tridiagonal, kept as its diagonal, degree +
-    E_plus, and off-diagonal -1, and counted by one bisection; for d >= 2 it
-    is made dense per realization.
+    E_plus, and off-diagonal -1, and counted by one direct LAPACK stebz
+    bisection; for d >= 2 it is made dense per realization.  The potential
+    is one `lattice_correlate` of the couplings with the kernel.
     """
 
     def __init__(self, d: int, k: int, nu: float, E_plus: float, tol: float):
@@ -172,7 +173,7 @@ class _AndersonPlan:
     def potential(self, couplings: np.ndarray) -> np.ndarray:
         """The potential on the box of couplings listed in window order; it must be nonnegative."""
         v = lattice_correlate(couplings.reshape(self.window_shape), self.kernel).ravel()
-        if np.any(v < 0):
+        if not np.all(v >= 0):  # NaN fails too
             raise ValidationError("potential values must be nonnegative")
         return v
 
@@ -187,9 +188,17 @@ class _AndersonPlan:
         return dense
 
     def _bisect(self, v: np.ndarray, select: str, select_range) -> np.ndarray:
-        # eigenvalues of the d = 1 box operator by bisection (LAPACK stebz)
-        return scipy.linalg.eigvalsh_tridiagonal(self.diagonal + v, self.off, select=select,
-                                                 select_range=select_range)
+        # eigenvalues of the d = 1 box operator in (lo, hi] ("v") or with indices lo..hi
+        # ("i"), by Sturm bisection: LAPACK stebz with the arguments of scipy's
+        # eigvalsh_tridiagonal (tol 0, order "E"), so bitwise its eigenvalues
+        diagonal, (lo, hi) = self.diagonal + v, select_range
+        if diagonal.size == 1:  # stebz takes no empty off-diagonal
+            return diagonal if select == "i" or lo < diagonal[0] <= hi else diagonal[:0]
+        bounds = (1, lo, hi, 1, 1) if select == "v" else (2, 0.0, 1.0, lo + 1, hi + 1)
+        m, w, _, _, info = scipy.linalg.lapack.dstebz(diagonal, self.off, *bounds, 0.0, "E")
+        if info:
+            raise SolverError(f"stebz failed with info={info} on a box of {diagonal.size} sites")
+        return w[:m]
 
     def norm1(self, v: np.ndarray) -> float:
         """||A||_1 of the box operator with potential v."""

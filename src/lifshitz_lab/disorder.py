@@ -38,9 +38,10 @@ __all__ = [
 LAWS = ("uniform01", "kappa_tail", "bernoulli")
 
 _U64 = np.uint64
-_GOLDEN = _U64(0x9E3779B97F4A7C15)
-_MIX1 = _U64(0xBF58476D1CE4E5B9)
-_MIX2 = _U64(0x94D049BB133111EB)
+_MASK = 2**64 - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 class ValidationError(ValueError):
@@ -59,9 +60,16 @@ class CoverageError(ValueError):
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     # SplitMix64 finalizer; z is a uint64 ndarray, arithmetic wraps mod 2^64.
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
+    z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
+    z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
     return z ^ (z >> _U64(31))
+
+
+def _mix64_int(z: int) -> int:
+    # _mix64 of one integer in [0, 2^64), in Python integers masked to 64 bits
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
+    return z ^ (z >> 31)
 
 
 def _fold_signed(coords: np.ndarray) -> np.ndarray:
@@ -116,7 +124,7 @@ def cube_codes(d: int, radius: int) -> np.ndarray:
 
 def site_hash(codes: np.ndarray) -> np.ndarray:
     """Per-site half of the counter hash, mix64(code + GOLDEN) of each Morton code."""
-    return _mix64(np.asarray(codes, dtype=np.uint64) + _GOLDEN)
+    return _mix64(np.asarray(codes, dtype=np.uint64) + _U64(_GOLDEN))
 
 
 def site_uniforms(seed: int, index: int, sites: np.ndarray) -> np.ndarray:
@@ -189,7 +197,7 @@ def law_cdf(spec: DisorderSpec, eps) -> np.ndarray | float:
 def law_quantile(spec: DisorderSpec, u) -> np.ndarray | float:
     """Inverse CDF on (0,1); maps uniforms to couplings in [0,1]."""
     uu = np.asarray(u, dtype=float)
-    if np.any(uu <= 0.0) or np.any(uu >= 1.0):
+    if not np.all((uu > 0.0) & (uu < 1.0)):  # NaN fails too
         raise ValidationError("quantile argument must lie strictly inside (0,1)")
     if spec.law == "uniform01":
         out = uu.copy()
@@ -249,12 +257,12 @@ def lattice_cube(d: int, radius: int) -> np.ndarray:
 
 def draw_couplings(spec: DisorderSpec, hashes: np.ndarray, seed: int, index: int) -> np.ndarray:
     """Couplings of realization (seed, index) on the sites with these `site_hash` values."""
+    seed, index = int(seed), int(index)
     for name, value in (("seed", seed), ("index", index)):
-        if not 0 <= int(value) < 2**64:
+        if not 0 <= value <= _MASK:
             raise ValidationError(f"{name} must be a uint64")
-    # a uint64 column (seed, index): array arithmetic wraps silently where scalar arithmetic warns
-    h_seed, h_index = _mix64(np.array([[seed], [index]], dtype=np.uint64) + _GOLDEN)
-    h = _mix64(_mix64(h_seed ^ h_index) ^ hashes)
+    key = _mix64_int(_mix64_int((seed + _GOLDEN) & _MASK) ^ _mix64_int((index + _GOLDEN) & _MASK))
+    h = _mix64(_U64(key) ^ hashes)
     # 53-bit mantissa, offset by half a step: never exactly 0 or 1.
     u = ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return np.asarray(law_quantile(spec, u), dtype=float)

@@ -306,8 +306,14 @@ def required_window(profile: SingleSiteProfile, box: BoxSpec, tol: float = TAIL_
 def lattice_correlate(big: np.ndarray, small: np.ndarray) -> np.ndarray:
     """Valid-mode correlation out[x] = sum_j big[x + j] * small[j], any dimension.
 
-    Summed directly over a strided window view of `big`, with no copy.
+    `big` must be at least as long as `small` on every axis.  In one dimension
+    this is `np.correlate`, one BLAS dot per lag; in more it is summed directly
+    over a strided window view of `big`, with no copy.
     """
+    if small.ndim == 1:
+        if big.size < small.size:  # np.correlate would swap the operands
+            raise ValueError("big must be at least as long as small")
+        return np.correlate(big, small, "valid")
     axes = list(range(2 * small.ndim))
     view = np.lib.stride_tricks.sliding_window_view(big, small.shape)
     return np.einsum(view, axes, small, axes[small.ndim:], axes[:small.ndim])
@@ -323,18 +329,27 @@ class _FieldPlan:
         d, m, k = box.d, box.m, box.k
         self.R = R = _window_radius(profile, box, tol)
         reach = functools.reduce(np.maximum.outer, [np.abs(np.arange(-R, R + 1))] * d).ravel()
-        self.bound = profile.norm_bound(reach - box.side / 2.0)
+        self.bound = profile.norm_bound(np.arange(R + 1) - box.side / 2.0)[reach]
         outer, part = (np.maximum.outer, np.abs) if profile.kind == "compact" else (np.add.outer, np.square)
         disp = np.arange(-(k + R), k + R + 1, dtype=float)
         axis = [part(disp + ((a + 0.5) / m - 0.5)) for a in range(m)]
-        self.kernels = [profile._radial(functools.reduce(outer, [axis[a] for a in r]))
-                        for r in np.ndindex(*(m,) * d)]
+        # where axis m-1-a is exactly axis a reversed (o_{m-1-a} = -o_a in floating
+        # point), the kernel of sub-lattice m-1-r is the kernel of r flipped
+        mirrored = [np.array_equal(axis[a][::-1], axis[m - 1 - a]) for a in range(m)]
+        kernels = {}
+        for r in np.ndindex(*(m,) * d):
+            flip = tuple(m - 1 - a for a in r)
+            if flip in kernels and all(mirrored[a] for a in r):
+                kernels[r] = np.ascontiguousarray(np.flip(kernels[flip]))
+            else:
+                kernels[r] = profile._radial(functools.reduce(outer, [axis[a] for a in r]))
+        self.kernels = list(kernels.values())
         self.tile = background.tile(box)
         self.profile, self.box, self.tol = profile, box, tol
 
     def field(self, couplings: np.ndarray) -> CoefficientField:
         """The field of couplings listed in window order."""
-        if np.any(couplings < 0):
+        if not np.all(couplings >= 0):  # NaN fails too
             raise ValidationError("couplings must be nonnegative")
         d, m, side = self.box.d, self.box.m, self.box.side
         # site-level truncation: a site whose whole contribution stays below tol gets weight zero

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lifshitz_lab.anderson as anderson_mod
@@ -20,7 +20,7 @@ from lifshitz_lab.disorder import (DisorderSpec, Realization, ValidationError,
                                    lattice_cube, law_quantile, sample_realization,
                                    site_uniforms)
 from lifshitz_lab.runner import TaskFailure
-from lifshitz_lab.spectral import _norm1, count_sorted_leq
+from lifshitz_lab.spectral import SolverError, _norm1, count_sorted_leq
 
 UNIFORM = DisorderSpec()
 
@@ -181,6 +181,50 @@ def test_plan_bisection_counts_equal_dense_counts(law, k, nu, E_plus, seed, inde
         assert np.array_equal(plan.counts(v, energies), count_sorted_leq(vals, energies, scale))
     lowest = scipy.linalg.eigvalsh(dense, subset_by_index=[0, 0])[0]
     assert abs(plan.lowest(v) - lowest) <= 1e-13 * max(np.abs(vals).max(), 1.0)
+
+
+@given(st.sampled_from(LAWS), st.integers(0, 12), st.sampled_from([2.5, 4.0]),
+       st.sampled_from([0.0, -0.2]), st.integers(0, 2**32), st.integers(0, 9), st.integers(0, 2**16))
+@example(UNIFORM, 0, 4.0, 0.0, 0, 0, 0)  # one site: no off-diagonal for stebz
+@settings(max_examples=40, deadline=None)
+def test_bisection_is_bitwise_scipys_tridiagonal_eigensolver(law, k, nu, E_plus, seed, index, pick):
+    # the direct stebz call against the scipy wrapper it replaced
+    plan = anderson_mod._AndersonPlan(1, k, nu, E_plus, 1e-4)
+    v = plan.draw(law, seed, index)
+    vals = np.linalg.eigvalsh(assemble_anderson(1, k, E_plus, v).matrix.toarray())
+    rng = np.random.default_rng(pick)
+    lo, hi = np.sort(rng.integers(0, 2 * k + 1, size=2))
+    # value ranges with ends below, inside, on and above the spectrum
+    ends = [-np.inf, vals[0] - 1.0, vals[lo], vals[hi], (vals[lo] + vals[hi]) / 2, vals[-1] + 1.0]
+    ranges = [tuple(rng.choice(ends, size=2)) for _ in range(4)]
+    cases = [("i", (lo, hi)), ("i", (0, 0))] + [("v", (a, b)) for a, b in ranges if a < b]  # stebz needs vl < vu
+    for select, select_range in cases:
+        want = scipy.linalg.eigvalsh_tridiagonal(plan.diagonal + v, plan.off, select=select,
+                                                 select_range=select_range)
+        assert np.array_equal(plan._bisect(v, select, select_range), want)
+
+
+def test_bisection_raises_when_stebz_fails(monkeypatch):
+    plan = anderson_mod._AndersonPlan(1, 4, 4.0, 0.0, 1e-4)
+    v = plan.draw(UNIFORM, 0, 0)
+
+    def failing(d, e, *args):
+        return 0, np.zeros_like(d), np.zeros(d.size, int), np.zeros(d.size, int), 2
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing)
+    with pytest.raises(SolverError):
+        plan.counts(v, np.array([0.5]))
+    with pytest.raises(SolverError):
+        plan.lowest(v)
+
+
+def test_plan_rejects_a_nan_potential():
+    plan = anderson_mod._AndersonPlan(1, 3, 4.0, 0.0, 1e-3)
+    couplings = np.full(plan.hashes.size, 0.5)
+    plan.potential(couplings)
+    couplings[couplings.size // 2] = np.nan
+    with pytest.raises(ValidationError):
+        plan.potential(couplings)
 
 
 @given(st.sampled_from(LAWS), st.integers(0, 3), st.sampled_from([0.0, -0.2]),

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lifshitz_lab.disorder import (CoverageError, DisorderSpec, Realization,
+from lifshitz_lab.disorder import (LAWS, CoverageError, DisorderSpec, Realization,
                                    ValidationError, cube_codes, draw_couplings, encode_sites,
                                    lattice_cube, law_cdf, law_quantile, sample_realization,
                                    site_hash, site_uniforms)
@@ -174,6 +174,13 @@ def test_bernoulli_quantile_mass():
     spec = DisorderSpec(law="bernoulli", p=0.25, a=0.8)
     assert law_quantile(spec, 0.7) == 0.0
     assert law_quantile(spec, 0.8) == 0.8
+
+
+@pytest.mark.parametrize("u", [np.nan, 0.0, 1.0, [0.5, np.nan]])
+def test_quantile_rejects_arguments_outside_the_open_interval(u):
+    for law in LAWS:
+        with pytest.raises(ValidationError):
+            law_quantile(DisorderSpec(law=law), u)
 
 
 def test_law_validation():

@@ -14,7 +14,7 @@ from lifshitz_lab.disorder import (CoverageError, DisorderSpec, Realization, Val
 from lifshitz_lab.experiments import run
 from lifshitz_lab.ids import empirical_ids
 from lifshitz_lab.lattice import (BoxSpec, CoefficientField, PeriodicBackground, _bloch_family,
-                                  _periodized_plan,
+                                  _FieldPlan, _periodized_plan,
                                   assemble_operator, background_field, compact_profile, identity_field,
                                   lattice_correlate, long_range_profile,
                                   operator_sampler, periodized_coefficient_field,
@@ -454,6 +454,48 @@ def test_lattice_correlate_matches_loop(d, big_extra, small_side, seed):
         for j in np.ndindex(*small.shape):
             want[x] += big[tuple(a + b for a, b in zip(x, j))] * small[j]
     assert np.allclose(lattice_correlate(big, small), want, rtol=1e-13, atol=1e-13)
+
+
+def test_lattice_correlate_refuses_a_short_big_operand():
+    # in 1-d, np.correlate would swap the operands instead
+    with pytest.raises(ValueError):
+        lattice_correlate(np.ones(3), np.ones(4))
+    with pytest.raises(ValueError):
+        lattice_correlate(np.ones((3, 5)), np.ones((4, 4)))
+
+
+def test_lattice_correlate_1d_matches_loop_at_the_tail_size():
+    # the d=1 Anderson potential of the tail workload: k=128, nu=4, radius 405
+    rng = np.random.default_rng(5)
+    big, small = rng.uniform(size=1067), (1.0 + np.abs(np.arange(-405, 406))) ** -4.0
+    want = [math.fsum(big[x + j] * small[j] for j in range(small.size)) for x in range(257)]
+    assert np.allclose(lattice_correlate(big, small), want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", sorted(PLAN_PROFILES))
+def test_field_plan_kernels_are_the_envelope_at_each_offset(kind, d, m):
+    # a kernel flipped from its mirror sub-lattice must still be bitwise the envelope;
+    # for m = 5 and 6 some offsets o_{m-1-a} are not exactly -o_a
+    bg, prof, tol, k = _plan_case(kind, d, m)
+    plan = _FieldPlan(bg, prof, BoxSpec(d=d, k=k, m=m), tol)
+    disp = lattice_cube(d, k + plan.R).astype(float)
+    for r, kernel in zip(np.ndindex(*(m,) * d), plan.kernels):
+        want = prof.envelope(disp + ((np.array(r) + 0.5) / m - 0.5)).reshape(kernel.shape)
+        assert kernel.flags.c_contiguous and np.array_equal(kernel, want)
+
+
+def test_field_plan_rejects_a_nan_coupling():
+    # the site-level truncation (coupling * bound > tol) would give NaN weight 0
+    bg, prof, tol, k = _plan_case("long_range", 1, 2)
+    box = BoxSpec(d=1, k=k, m=2)
+    plan = _FieldPlan(bg, prof, box, tol)
+    couplings = np.full(2 * plan.R + 1, 0.5)
+    plan.field(couplings)
+    couplings[plan.R] = np.nan
+    with pytest.raises(ValidationError):
+        plan.field(couplings)
 
 
 # -- structural invariants (property-based) ------------------------------------------
