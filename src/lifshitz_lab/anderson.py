@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.integrate
-import scipy.linalg
 import scipy.sparse as sp
 
 from .curves import IDSCurve, ensemble_curve
@@ -30,7 +29,7 @@ from .disorder import (DisorderSpec, Realization, ValidationError, cube_codes, d
 from .disorder import sample_realization  # noqa: F401  (perfbench/tracing.py patches this name)
 from .lattice import lattice_correlate
 from .runner import frequency
-from .spectral import SolverError, count_sorted_leq
+from .spectral import _tridiagonal_counts, counts_below
 
 __all__ = [
     "AndersonInstance",
@@ -150,13 +149,12 @@ class _AndersonPlan:
     """What every realization of an Anderson ensemble on {-k..k}^d shares.
 
     The site hashes of the window lattice_cube(d, k + R), R the truncation
-    radius; the potential kernel (1 + |r|)^(-nu) over lattice_cube(d, R); the
-    box operator at v = 0; and its |off-diagonal| column sums, so that the
-    scale of a realization's counting slack, ||A||_1, costs O(n).  For d = 1
-    the operator is symmetric tridiagonal, kept as its diagonal, degree +
-    E_plus, and off-diagonal -1, and counted by one direct LAPACK stebz
-    bisection; for d >= 2 it is made dense per realization.  The potential
-    is one `lattice_correlate` of the couplings with the kernel.
+    radius; the potential kernel (1 + |r|)^(-nu) over lattice_cube(d, R); and
+    the box operator at v = 0.  The potential is one `lattice_correlate` of
+    the couplings with the kernel.  `spectral` counts the box: for d = 1 the
+    operator is symmetric tridiagonal, its diagonal degree + E_plus + v and
+    its off-diagonal -1, and `_tridiagonal_counts` bisects it; for d >= 2
+    `counts_below` counts the sparse operator.
     """
 
     def __init__(self, d: int, k: int, nu: float, E_plus: float, tol: float):
@@ -167,7 +165,6 @@ class _AndersonPlan:
         self.kernel = ((1.0 + np.max(np.abs(offsets), axis=1)) ** (-nu)).reshape((2 * radius + 1,) * d)
         self.free = assemble_anderson(d, k, E_plus, np.zeros((2 * k + 1) ** d)).matrix
         self.diagonal, self.off = self.free.diagonal(), self.free.diagonal(1)  # off read when d = 1
-        self.hops = np.asarray(abs(self.free - sp.diags(self.diagonal)).sum(axis=0)).ravel()
         self.d = d
 
     def potential(self, couplings: np.ndarray) -> np.ndarray:
@@ -181,44 +178,15 @@ class _AndersonPlan:
         """The potential of realization (seed, index)."""
         return self.potential(draw_couplings(disorder, self.hashes, seed, index))
 
-    def _dense(self, v: np.ndarray) -> np.ndarray:
-        # bitwise assemble_anderson(d, k, E_plus, v).matrix.toarray()
-        dense = self.free.toarray()
-        dense[np.diag_indices_from(dense)] += v
-        return dense
+    def operator(self, v: np.ndarray) -> sp.csr_matrix:
+        """The box operator with potential v, entry for entry assemble_anderson(d, k, E_plus, v).matrix."""
+        return self.free + sp.diags(v)
 
-    def _bisect(self, v: np.ndarray, select: str, select_range) -> np.ndarray:
-        # eigenvalues of the d = 1 box operator in (lo, hi] ("v") or with indices lo..hi
-        # ("i"), by Sturm bisection: LAPACK stebz with the arguments of scipy's
-        # eigvalsh_tridiagonal (tol 0, order "E"), so bitwise its eigenvalues
-        diagonal, (lo, hi) = self.diagonal + v, select_range
-        if diagonal.size == 1:  # stebz takes no empty off-diagonal
-            return diagonal if select == "i" or lo < diagonal[0] <= hi else diagonal[:0]
-        bounds = (1, lo, hi, 1, 1) if select == "v" else (2, 0.0, 1.0, lo + 1, hi + 1)
-        m, w, _, _, info = scipy.linalg.lapack.dstebz(diagonal, self.off, *bounds, 0.0, "E")
-        if info:
-            raise SolverError(f"stebz failed with info={info} on a box of {diagonal.size} sites")
-        return w[:m]
-
-    def norm1(self, v: np.ndarray) -> float:
-        """||A||_1 of the box operator with potential v."""
-        return float(np.max(np.abs(self.diagonal + v) + self.hops))
-
-    def counts(self, v: np.ndarray, energies: np.ndarray):
-        """count_sorted_leq of the box spectrum at the energies, slack scale ||A||_1 (1 for A = 0)."""
-        scale = self.norm1(v) or 1.0
-        if self.d > 1:
-            return count_sorted_leq(np.linalg.eigvalsh(self._dense(v)), energies, scale)
-        # eigenvalues up to twice the slack above the top energy, so that the
-        # strict count of count_sorted_leq decides each energy, not stebz's bound
-        vals = self._bisect(v, "v", (-np.inf, float(np.max(energies)) + 2e-12 * scale))
-        return count_sorted_leq(vals, energies, scale)
-
-    def lowest(self, v: np.ndarray) -> float:
-        """The smallest eigenvalue of the box operator."""
-        if self.d > 1:
-            return scipy.linalg.eigvalsh(self._dense(v), subset_by_index=[0, 0])[0]
-        return self._bisect(v, "i", (0, 0))[0]
+    def counts(self, v: np.ndarray, energies):
+        """#{eigenvalues of the box operator with potential v <= E} per energy (an int for a scalar E)."""
+        if self.d == 1:
+            return _tridiagonal_counts(self.diagonal + v, self.off, energies)
+        return counts_below(self.operator(v), energies)
 
 
 def potential_on_box(realization: Realization, d: int, k: int, nu: float,
@@ -262,10 +230,11 @@ def eigenvalue_below_probability(disorder: DisorderSpec, d: int, k: int, nu: flo
                                  seed: int = 0, tol: float = 1e-8, threads: int = 1):
     """Frequency of {lambda_min <= E} with a 95% Clopper-Pearson interval.
 
+    The event is a count, #{lambda <= E} > 0, with the slack of every count.
     A failed trial raises.
     """
     plan = _AndersonPlan(d, k, nu, E_plus, tol)
-    return frequency(lambda i: plan.lowest(plan.draw(disorder, seed, i)) <= E, n_trials, threads)
+    return frequency(lambda i: plan.counts(plan.draw(disorder, seed, i), E) > 0, n_trials, threads)
 
 
 # -- analytic bounds ------------------------------------------------------------

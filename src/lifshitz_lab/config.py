@@ -231,6 +231,12 @@ def _check_choice(block: dict, key: str, default, table: dict):
     return choice
 
 
+def _check_count(value, low: int, label: str):
+    # experiments read counts by int(); a value that int() would change (2.5, "3") is refused
+    if int(value) != value or value < low:
+        raise ValidationError(f"{label} must be an integer >= {low}, got {value!r}")
+
+
 def _check_truncation(config: ExperimentConfig):
     # the Anderson potential's truncation cube; decay draws at the default tolerance
     p = config.params
@@ -242,6 +248,7 @@ def _check_decay(config: ExperimentConfig, box_ok: bool):
     p = config.params
     _check_choice(p, "model", "lattice", DECAY_MODELS)
     if p.get("model", "lattice") == "anderson":
+        _check_count(p["k"], 0, "params.k")
         _check_truncation(config)
         dim = (2 * int(p["k"]) + 1) ** int(config.geometry.get("d", 1))
     else:  # None: the geometry diagnostic already names the fault
@@ -260,7 +267,7 @@ def _try(diags: list, severity: str, fn, label: str):
     try:
         fn()
         return True
-    except (ValidationError, KeyError, TypeError, ValueError) as exc:
+    except (ValidationError, KeyError, TypeError, ValueError, OverflowError) as exc:
         diags.append(Diagnostic(severity, f"{label}: {exc}"))
         return False
 
@@ -286,10 +293,9 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     if _try(diags, "error", lambda: build_disorder(config), "disorder"):
         diags.extend(Diagnostic("warning", f"disorder: {note}")
                      for note in build_disorder(config).diagnostics())
-    if config.n_realizations < 1:
-        diags.append(Diagnostic("error", "ensemble.n_realizations must be >= 1"))
-    if config.n_theta < 1:
-        diags.append(Diagnostic("error", "n_theta must be >= 1"))
+    _try(diags, "error", lambda: _check_count(config.ensemble.get("n_realizations", 1), 1,
+                                              "ensemble.n_realizations"), "ensemble")
+    _try(diags, "error", lambda: _check_count(config.n_theta, 1, "n_theta"), "n_theta")
     box_ok = config.kind in ("ids", "decay") and _try(
         diags, "error", lambda: build_box(config), "geometry")
     if config.kind in ("ids", "anderson"):
@@ -302,6 +308,8 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                                              theta=tuple(config.params["theta"])), "params.theta")
     _try(diags, "error", lambda: _require(config.params, REQUIRED_PARAMS.get(config.kind, ()),
                                           f"kind {config.kind!r}"), "params")
+    if config.kind in ("anderson", "lifshitz") and "k" in config.params:
+        _try(diags, "error", lambda: _check_count(config.params["k"], 0, "params.k"), "params")
     if config.kind in ("anderson", "lifshitz") and "nu" in config.params:
         _try(diags, "error", lambda: _check_truncation(config), "params")
     if config.kind == "bounds":
@@ -310,8 +318,8 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                 spec, "type", None, BOUND_EVALUATIONS), spec), f"params.evaluations[{i}]")
     if config.kind == "decay":
         _try(diags, "error", lambda: _check_decay(config, box_ok), "params")
-    if int(config.params.get("n_trials", 1)) < 1:
-        diags.append(Diagnostic("error", "params.n_trials must be >= 1"))
+    _try(diags, "error", lambda: _check_count(config.params.get("n_trials", 1), 1, "params.n_trials"),
+         "params")
 
     if profile_ok and config.kind == "wegner" and build_profile(config).kind != "compact":
         diags.append(Diagnostic("warning",

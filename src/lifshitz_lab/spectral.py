@@ -2,15 +2,17 @@
 
 Counting "<= E" means "strictly below E + eta", eta = 1e-12 * ||A||_1 of the
 operator counted (1e-12 for A = 0), on every path: `counts_below`,
-`count_eigenvalues_below`, `anderson.anderson_ids` (each box) and
-`periodic_ids_curve` (each fiber H(phi)).  `counts_below` counts a whole
-energy grid from one spectrum: a real sparse operator whose lower band
+`count_eigenvalues_below`, `_tridiagonal_counts` and `periodic_ids_curve`
+(each fiber H(phi)).  This module is the only one that solves for eigenvalues
+in order to count them.  `counts_below` counts a whole energy grid from one
+spectrum (`_spectrum`): a real sparse operator whose lower band
 (half-bandwidth kd) is narrow, BAND_RATIO * (kd + 1) <= n, is solved from that
 band by `eigvals_banded` (LAPACK sbevd, an O(n^2 kd) band reduction), and any
-other operator by one dense `eigvalsh`.  `count_eigenvalues_below` counts one
-energy by the inertia of the Bunch-Kaufman LDL^T of A - (E + eta) I, retrying
-with eta doubled (up to MAX_RETRIES times) when a pivot block is numerically
-zero.
+other operator by one dense `eigvalsh`.  `_tridiagonal_counts` bisects a
+symmetric tridiagonal matrix (the d = 1 Anderson box) up to the top energy.
+`count_eigenvalues_below` counts one energy by the inertia of the
+Bunch-Kaufman LDL^T of A - (E + eta) I, retrying with eta doubled (up to
+MAX_RETRIES times) when a pivot block is numerically zero.
 """
 
 from __future__ import annotations
@@ -109,27 +111,48 @@ def count_eigenvalues_below(A, E: float) -> int:
 
 def _spectrum(mat) -> np.ndarray:
     """Ascending eigenvalues of the symmetric matrix whose lower triangle `mat` holds."""
-    if sp.issparse(mat) and not np.iscomplexobj(mat):
-        coo = mat.tocoo()  # read only: for a COO input these are the caller's arrays
-        offset = coo.row - coo.col
-        low = offset >= 0
-        kd = int(offset[low].max(initial=0))
-        if BAND_RATIO * (kd + 1) <= mat.shape[0]:
-            band = np.zeros((kd + 1, mat.shape[0]))
-            np.add.at(band, (offset[low], coo.col[low]), coo.data[low])  # duplicate entries sum
-            return scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
-    dense = mat.toarray() if sp.issparse(mat) else np.array(mat)  # a copy to overwrite
-    return scipy.linalg.eigvalsh(dense, overwrite_a=True)
+    try:
+        if sp.issparse(mat) and not np.iscomplexobj(mat):
+            coo = mat.tocoo()  # read only: for a COO input these are the caller's arrays
+            offset = coo.row - coo.col
+            low = offset >= 0
+            kd = int(offset[low].max(initial=0))
+            if BAND_RATIO * (kd + 1) <= mat.shape[0]:
+                band = np.zeros((kd + 1, mat.shape[0]))
+                np.add.at(band, (offset[low], coo.col[low]), coo.data[low])  # duplicate entries sum
+                return scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
+        dense = mat.toarray() if sp.issparse(mat) else np.array(mat)  # a copy to overwrite
+        return scipy.linalg.eigvalsh(dense, overwrite_a=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SolverError(f"eigensolve failed on a {mat.shape} operator: {exc}") from exc
 
 
 def counts_below(A, energies) -> np.ndarray:
     """#{eigenvalues of A <= E} for each energy of a grid, from one banded or dense spectrum."""
     mat = _as_matrix(A)
-    try:
-        vals = _spectrum(mat)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SolverError(f"eigensolve failed on a {mat.shape} operator: {exc}") from exc
-    return count_sorted_leq(vals, energies, scale=_norm1(mat) or 1.0)
+    return count_sorted_leq(_spectrum(mat), energies, scale=_norm1(mat) or 1.0)
+
+
+def _tridiagonal_counts(diagonal: np.ndarray, off: np.ndarray, energies):
+    """`counts_below` of the symmetric tridiagonal matrix with this diagonal and off-diagonal.
+
+    ||A||_1 costs O(n).  Sturm bisection (LAPACK stebz with the arguments of
+    scipy's eigvalsh_tridiagonal: tol 0, order "E", so bitwise its
+    eigenvalues) finds the eigenvalues up to twice the slack above the top
+    energy, so that the strict count of count_sorted_leq decides each energy,
+    not stebz's bound.
+    """
+    hops, weights = np.zeros(diagonal.size), np.abs(off)  # hops: the |off-diagonal| column sums
+    hops[:-1] = weights
+    hops[1:] += weights
+    scale = float(np.max(np.abs(diagonal) + hops)) or 1.0
+    top = float(np.max(energies)) + 2e-12 * scale
+    if diagonal.size == 1:  # stebz takes no empty off-diagonal
+        return count_sorted_leq(diagonal[diagonal <= top], energies, scale)
+    m, vals, _, _, info = scipy.linalg.lapack.dstebz(diagonal, off, 1, -np.inf, top, 1, 1, 0.0, "E")
+    if info:
+        raise SolverError(f"stebz failed with info={info} on a tridiagonal matrix of order {diagonal.size}")
+    return count_sorted_leq(vals[:m], energies, scale)
 
 
 def count_sorted_leq(sorted_vals: np.ndarray, energies, scale: float = None):
@@ -228,16 +251,12 @@ def spectral_gaps(bands: BandStructure) -> list:
 
 
 def distance_to_spectrum(A, E: float, dense_threshold: int = DENSE_THRESHOLD) -> float:
-    """min |lambda - E| over the spectrum of A."""
+    """min |lambda - E| over the spectrum of A: all of it up to dense_threshold, else ARPACK shift-invert."""
     mat = _as_matrix(A)
-    n = mat.shape[0]
-    if n <= dense_threshold:
-        dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
-        w = scipy.linalg.eigvalsh(dense)
-        return float(np.min(np.abs(w - E)))
-    smat = sp.csc_matrix(mat)
+    if mat.shape[0] <= dense_threshold:
+        return float(np.min(np.abs(_spectrum(mat) - E)))
     try:
-        w = spla.eigsh(smat, k=1, sigma=E, which="LM", return_eigenvectors=False)
+        w = spla.eigsh(sp.csc_matrix(mat), k=1, sigma=E, which="LM", return_eigenvectors=False)
         return float(np.min(np.abs(w - E)))
     except spla.ArpackNoConvergence as exc:  # a RuntimeError too, so caught first
         raise SolverError(f"distance_to_spectrum failed to converge at E={E}") from exc

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lifshitz_lab.anderson as anderson_mod
+import lifshitz_lab.spectral as spectral_mod
 from lifshitz_lab.anderson import (AndersonInstance, LatticeWindow,
                                    OptimizerWarning, anderson_ids,
                                    assemble_anderson, chernoff_bound_P1,
@@ -20,7 +21,7 @@ from lifshitz_lab.disorder import (DisorderSpec, Realization, ValidationError,
                                    lattice_cube, law_quantile, sample_realization,
                                    site_uniforms)
 from lifshitz_lab.runner import TaskFailure
-from lifshitz_lab.spectral import SolverError, _norm1, count_sorted_leq
+from lifshitz_lab.spectral import SolverError, _norm1, count_sorted_leq, counts_below
 
 UNIFORM = DisorderSpec()
 
@@ -179,8 +180,6 @@ def test_plan_bisection_counts_equal_dense_counts(law, k, nu, E_plus, seed, inde
     scale = _norm1(dense) or 1.0
     for energies in (E_plus + np.linspace(-0.5, 5.5, 61), vals):
         assert np.array_equal(plan.counts(v, energies), count_sorted_leq(vals, energies, scale))
-    lowest = scipy.linalg.eigvalsh(dense, subset_by_index=[0, 0])[0]
-    assert abs(plan.lowest(v) - lowest) <= 1e-13 * max(np.abs(vals).max(), 1.0)
 
 
 @given(st.sampled_from(LAWS), st.integers(0, 12), st.sampled_from([2.5, 4.0]),
@@ -188,20 +187,33 @@ def test_plan_bisection_counts_equal_dense_counts(law, k, nu, E_plus, seed, inde
 @example(UNIFORM, 0, 4.0, 0.0, 0, 0, 0)  # one site: no off-diagonal for stebz
 @settings(max_examples=40, deadline=None)
 def test_bisection_is_bitwise_scipys_tridiagonal_eigensolver(law, k, nu, E_plus, seed, index, pick):
-    # the direct stebz call against the scipy wrapper it replaced
+    # the direct stebz call against the scipy wrapper it replaced: the eigenvalues
+    # that _tridiagonal_counts hands to count_sorted_leq are eigvalsh_tridiagonal's
+    # in (-inf, top], top = max E + 2e-12 ||A||_1, and its O(n) scale is ||A||_1
     plan = anderson_mod._AndersonPlan(1, k, nu, E_plus, 1e-4)
     v = plan.draw(law, seed, index)
-    vals = np.linalg.eigvalsh(assemble_anderson(1, k, E_plus, v).matrix.toarray())
+    mat = assemble_anderson(1, k, E_plus, v).matrix
+    vals = np.linalg.eigvalsh(mat.toarray())
     rng = np.random.default_rng(pick)
     lo, hi = np.sort(rng.integers(0, 2 * k + 1, size=2))
-    # value ranges with ends below, inside, on and above the spectrum
-    ends = [-np.inf, vals[0] - 1.0, vals[lo], vals[hi], (vals[lo] + vals[hi]) / 2, vals[-1] + 1.0]
-    ranges = [tuple(rng.choice(ends, size=2)) for _ in range(4)]
-    cases = [("i", (lo, hi)), ("i", (0, 0))] + [("v", (a, b)) for a, b in ranges if a < b]  # stebz needs vl < vu
-    for select, select_range in cases:
-        want = scipy.linalg.eigvalsh_tridiagonal(plan.diagonal + v, plan.off, select=select,
-                                                 select_range=select_range)
-        assert np.array_equal(plan._bisect(v, select, select_range), want)
+    # top energies below, inside, on and above the spectrum
+    tops = [vals[0] - 1.0, vals[lo], vals[hi], (vals[lo] + vals[hi]) / 2, vals[-1] + 1.0]
+    seen = []
+
+    def record(sorted_vals, energies, scale):
+        seen.append((sorted_vals, scale))
+        return count_sorted_leq(sorted_vals, energies, scale)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectral_mod, "count_sorted_leq", record)
+        for top in tops:
+            plan.counts(v, np.array([vals[0] - 2.0, top]))
+    norm = _norm1(mat)
+    for top, (got, scale) in zip(tops, seen, strict=True):
+        assert abs(scale - norm) <= 1e-15 * norm
+        want = scipy.linalg.eigvalsh_tridiagonal(plan.diagonal + v, plan.off, select="v",
+                                                 select_range=(-np.inf, top + 2e-12 * scale))
+        assert np.array_equal(got, want)
 
 
 def test_bisection_raises_when_stebz_fails(monkeypatch):
@@ -214,8 +226,8 @@ def test_bisection_raises_when_stebz_fails(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing)
     with pytest.raises(SolverError):
         plan.counts(v, np.array([0.5]))
-    with pytest.raises(SolverError):
-        plan.lowest(v)
+    with pytest.raises(TaskFailure):  # the lambda_min event is a count too
+        eigenvalue_below_probability(UNIFORM, 1, 4, 4.0, 0.5, n_trials=1, tol=1e-4)
 
 
 def test_plan_rejects_a_nan_potential():
@@ -230,12 +242,13 @@ def test_plan_rejects_a_nan_potential():
 @given(st.sampled_from(LAWS), st.integers(0, 3), st.sampled_from([0.0, -0.2]),
        st.integers(0, 2**32), st.integers(0, 9))
 @settings(max_examples=15, deadline=None)
-def test_plan_dense_operator_is_bitwise_the_assembled_one(law, k, E_plus, seed, index):
+def test_plan_operator_is_bitwise_the_assembled_one(law, k, E_plus, seed, index):
     plan = anderson_mod._AndersonPlan(2, k, 4.0, E_plus, 1e-3)
     v = plan.draw(law, seed, index)
-    dense = assemble_anderson(2, k, E_plus, v).matrix.toarray()
-    assert np.array_equal(plan._dense(v), dense)
-    assert plan.lowest(v) == scipy.linalg.eigvalsh(dense, subset_by_index=[0, 0])[0]
+    mat = assemble_anderson(2, k, E_plus, v).matrix
+    assert np.array_equal(plan.operator(v).toarray(), mat.toarray())
+    energies = E_plus + np.linspace(-0.5, 8.5, 19)
+    assert np.array_equal(plan.counts(v, energies), counts_below(mat, energies))
 
 
 def test_sample_anderson_deterministic():

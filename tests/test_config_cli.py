@@ -283,9 +283,16 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
                         ("bounds", {"evaluations": ["chernoff"]}),
                         ("bounds", {"evaluations": [{"type": "chernoff", "k": 2, "delta": 2.0}]}),
                         ("bounds", {"evaluations": [{"type": "product1", "eps": 0.3,
-                                                     "alpha": 1.5, "nu": 2.5}]})]:
+                                                     "alpha": 1.5, "nu": 2.5}]}),
+                        ("anderson", {"k": -3}), ("anderson", {"k": "x"}), ("anderson", {"k": 2.5}),
+                        ("lifshitz", {"k": -3}), ("lifshitz", {"k": "x"}),
+                        ("decay", {"model": "anderson", "k": -3, "nu": 4.0, "window": [0.0, 1.0]}),
+                        ("ile", {"n_trials": "x"}), ("wegner", {"n_trials": 2.5})]:
         doc = docs[kind]
         cases.append({**doc, "params": {**doc["params"], **patch}})
+    # malformed scalars outside params
+    cases.append({**ENSEMBLE_DOCS["anderson"], "ensemble": {"n_realizations": "x", "seed": 5}})
+    cases.append({**ENSEMBLE_DOCS["sandwich"], "n_theta": "4"})
     # decay operators above ids.DECAY_DENSE_LIMIT: 81^2 = 6,561 nodes, and (2k+1)^d sites
     cases.append({**DECAY_DOC, "geometry": {"d": 2, "k": 20, "m": 2, "bc": "dirichlet"},
                   "params": {"window": [0.0, 1.0]}})

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lifshitz_lab.spectral as spectral
-from lifshitz_lab.anderson import _AndersonPlan, assemble_anderson
+from lifshitz_lab.anderson import _AndersonPlan, assemble_anderson, eigenvalue_below_probability
 from lifshitz_lab.curves import IDSCurve
 from lifshitz_lab.disorder import DisorderSpec, lattice_cube, sample_realization
 from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _bloch_family, assemble_operator,
@@ -348,6 +348,15 @@ def test_distance_to_spectrum_reads_singular_shift_as_eigenvalue(monkeypatch):
     assert distance_to_spectrum(A, 1.0, dense_threshold=0) == 0.0
 
 
+def test_distance_to_spectrum_raises_when_the_dense_eigensolve_fails(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", failing)
+    with pytest.raises(SolverError):
+        distance_to_spectrum(np.diag([0.0, 1.0, 5.0]), 1.2)
+
+
 @given(st.sampled_from([DisorderSpec(), DisorderSpec(law="kappa_tail", kappa=1.5),
                         DisorderSpec(law="bernoulli", p=0.3, a=1.0)]),
        st.integers(1, 3), st.integers(0, 2**32 - 1), st.integers(0, 9))
@@ -355,22 +364,26 @@ def test_distance_to_spectrum_reads_singular_shift_as_eigenvalue(monkeypatch):
 def test_every_count_takes_the_slack_of_the_operator_norm(law, k, seed, index):
     # at E = lambda_j - 1e-12 (max|lambda| + ||A||_1) / 2 a slack scaled by
     # max|lambda| misses lambda_j and one scaled by ||A||_1 counts it; every
-    # counting path must take the latter
+    # counting path must take the latter, the lambda_min event included, which
+    # must count lambda_min at E = lambda_min - 1e-12 ||A||_1 / 2
     def between(vals, norm):
         return vals - 1e-12 * (np.abs(vals).max() + norm) / 2.0
 
     for d, box_k in ((1, 2 * k), (2, k)):
         plan = _AndersonPlan(d, box_k, 4.0, 0.0, 1e-3)
-        v = plan.draw(law, seed, index)
-        mat = assemble_anderson(d, box_k, 0.0, v).matrix
-        norm = spectral._norm1(mat)
-        assert abs(plan.norm1(v) - norm) <= 1e-15 * norm
-        vals = np.linalg.eigvalsh(mat.toarray())
-        energies = between(vals, norm)
-        want = counts_below(mat, energies)
-        assert np.all(count_sorted_leq(vals, energies) < want)
-        assert plan.counts(v, energies).tolist() == want.tolist()
-        assert [count_eigenvalues_below(mat, E) for E in energies] == want.tolist()
+        for i in sorted({0, index}):  # the event's one trial draws realization 0
+            v = plan.draw(law, seed, i)
+            mat = assemble_anderson(d, box_k, 0.0, v).matrix
+            norm = spectral._norm1(mat)
+            vals = np.linalg.eigvalsh(mat.toarray())
+            energies = between(vals, norm)
+            want = counts_below(mat, energies)
+            assert np.all(count_sorted_leq(vals, energies) < want)
+            assert plan.counts(v, energies).tolist() == want.tolist()
+            assert [count_eigenvalues_below(mat, E) for E in energies] == want.tolist()
+            if i == 0:  # a hit inside the slack, a miss below it
+                for E, hits in ((vals[0] - 1e-12 * norm / 2.0, 1), (vals[0] - 2e-12 * norm, 0)):
+                    assert eigenvalue_below_probability(law, d, box_k, 4.0, E, 1, seed=seed, tol=1e-3)[3] == hits
     for d in (1, 2):
         bg, kw, field = floquet_medium(d, True, seed)
         bands = floquet_bands(bg, n_theta=3, **kw)
