@@ -55,6 +55,9 @@ __all__ = [
 
 T_BRACKET = (1e-6, 1e12)  # range of t that chernoff_bound_P1 searches
 PAD_RADIUS = 200  # extra radius of the window mc_product_event_1 samples
+# couplings one block draw of an ensemble holds at most (256 kB per array), whatever
+# the thread count; 2^14-2^16 drew the 1,067-site d=1 tail window fastest per row
+BLOCK_COUPLINGS = 2**15
 # bounds-config type -> {argument: (upper end, upper end included, default)}; each
 # argument lies above 0, and a product bound's nu in (d, d+2] besides
 BOUND_DOMAINS = {"chernoff": {"delta": (1.0, True, None), "K": (math.inf, False, 1.0),
@@ -145,16 +148,22 @@ def _tail_bound(d: int, nu: float, radius: int) -> float:
     return lead * (1.0 + radius) ** (d - nu) / (nu - d)
 
 
+def _block(hashes: np.ndarray) -> int:
+    """Realizations per block of an ensemble that draws on these sites."""
+    return max(1, BLOCK_COUPLINGS // hashes.size)
+
+
 class _AndersonPlan:
     """What every realization of an Anderson ensemble on {-k..k}^d shares.
 
     The site hashes of the window lattice_cube(d, k + R), R the truncation
-    radius; the potential kernel (1 + |r|)^(-nu) over lattice_cube(d, R); and
-    the box operator at v = 0.  The potential is one `lattice_correlate` of
-    the couplings with the kernel.  `spectral` counts the box: for d = 1 the
-    operator is symmetric tridiagonal, its diagonal degree + E_plus + v and
-    its off-diagonal -1, and `_tridiagonal_counts` bisects it; for d >= 2
-    `counts_below` counts the sparse operator.
+    radius, and the realizations per block draw (`draws`); the potential
+    kernel (1 + |r|)^(-nu) over lattice_cube(d, R); and the box operator at
+    v = 0.  The potential is one `lattice_correlate` of the couplings with
+    the kernel.  `spectral` counts the box: for d = 1 the operator is
+    symmetric tridiagonal, its diagonal degree + E_plus + v and its
+    off-diagonal -1, and `_tridiagonal_counts` screens and bisects it; for
+    d >= 2 `counts_below` counts the sparse operator.
     """
 
     def __init__(self, d: int, k: int, nu: float, E_plus: float, tol: float):
@@ -165,7 +174,7 @@ class _AndersonPlan:
         self.kernel = ((1.0 + np.max(np.abs(offsets), axis=1)) ** (-nu)).reshape((2 * radius + 1,) * d)
         self.free = assemble_anderson(d, k, E_plus, np.zeros((2 * k + 1) ** d)).matrix
         self.diagonal, self.off = self.free.diagonal(), self.free.diagonal(1)  # off read when d = 1
-        self.d = d
+        self.d, self.block = d, _block(self.hashes)
 
     def potential(self, couplings: np.ndarray) -> np.ndarray:
         """The potential on the box of couplings listed in window order; it must be nonnegative."""
@@ -177,6 +186,10 @@ class _AndersonPlan:
     def draw(self, disorder: DisorderSpec, seed: int, index: int) -> np.ndarray:
         """The potential of realization (seed, index)."""
         return self.potential(draw_couplings(disorder, self.hashes, seed, index))
+
+    def draws(self, disorder: DisorderSpec, seed: int, indices: range) -> list:
+        """The potential of each realization (seed, i), i in indices, from one block draw."""
+        return [self.potential(row) for row in draw_couplings(disorder, self.hashes, seed, indices)]
 
     def operator(self, v: np.ndarray) -> sp.csr_matrix:
         """The box operator with potential v, entry for entry assemble_anderson(d, k, E_plus, v).matrix."""
@@ -212,16 +225,17 @@ def anderson_ids(disorder: DisorderSpec, d: int, k: int, nu: float, energies,
                  tol: float = 1e-8, threads: int = 1) -> IDSCurve:
     """Mean normalized eigenvalue counts of the box model.
 
-    Failed realizations are dropped as in `curves.ensemble_curve`.
+    Realizations are drawn in blocks; failed realizations are dropped as in
+    `curves.ensemble_curve`.
     """
     energies = np.asarray(energies, dtype=float)
     vol = float((2 * k + 1) ** d)
     plan = _AndersonPlan(d, k, nu, E_plus, tol)
 
-    def one(i):
-        return plan.counts(plan.draw(disorder, seed, i), energies) / vol
+    def block(indices):
+        return [plan.counts(v, energies) / vol for v in plan.draws(disorder, seed, indices)]
 
-    return ensemble_curve(one, n_realizations, energies, vol, "box", threads,
+    return ensemble_curve(block, n_realizations, energies, vol, "box", threads, plan.block,
                           model="anderson", seed=seed, nu=nu, E_plus=E_plus)
 
 
@@ -234,7 +248,8 @@ def eigenvalue_below_probability(disorder: DisorderSpec, d: int, k: int, nu: flo
     A failed trial raises.
     """
     plan = _AndersonPlan(d, k, nu, E_plus, tol)
-    return frequency(lambda i: plan.counts(plan.draw(disorder, seed, i), E) > 0, n_trials, threads)
+    return frequency(lambda indices: [plan.counts(v, E) > 0 for v in plan.draws(disorder, seed, indices)],
+                     n_trials, threads, plan.block)
 
 
 # -- analytic bounds ------------------------------------------------------------
@@ -457,11 +472,11 @@ def mc_chernoff_event(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
     trunc = delta if truncation is None else truncation
     thr = delta / K
 
-    def small_mean(i):
-        omega = draw_couplings(spec, hashes, seed, i)
-        return np.minimum(omega, trunc).sum() / scale <= thr
+    def small_mean(indices):
+        return [np.minimum(omega, trunc).sum() / scale <= thr
+                for omega in draw_couplings(spec, hashes, seed, indices)]
 
-    return frequency(small_mean, n_trials)
+    return frequency(small_mean, n_trials, block=_block(hashes))
 
 
 def mc_product_event_1(spec: DisorderSpec, eps: float, alpha: float, nu: float,
@@ -483,11 +498,11 @@ def mc_product_event_1(spec: DisorderSpec, eps: float, alpha: float, nu: float,
     weights = (1.0 + np.max(np.abs(diff), axis=2).astype(float)) ** (-nu)
     threshold = eps ** (1.0 + alpha)
 
-    def small_field(i):
-        omega = draw_couplings(spec, hashes, seed, i)
-        return np.max(weights @ omega) + far <= threshold
+    def small_field(indices):
+        return [np.max(weights @ omega) + far <= threshold
+                for omega in draw_couplings(spec, hashes, seed, indices)]
 
-    return frequency(small_field, n_trials)
+    return frequency(small_field, n_trials, block=_block(hashes))
 
 
 def mc_product_event_2(spec: DisorderSpec, eps: float, alpha: float, nu: float,
@@ -500,8 +515,7 @@ def mc_product_event_2(spec: DisorderSpec, eps: float, alpha: float, nu: float,
     weights = (1.0 + np.max(np.abs(sites), axis=1).astype(float)) ** (-nu)
     threshold = eps ** (1.0 + alpha) / 2.0
 
-    def small_sum(i):
-        omega = draw_couplings(spec, hashes, seed, i)
-        return float(weights @ omega) <= threshold
+    def small_sum(indices):
+        return [float(weights @ omega) <= threshold for omega in draw_couplings(spec, hashes, seed, indices)]
 
-    return frequency(small_sum, n_trials)
+    return frequency(small_sum, n_trials, block=_block(hashes))

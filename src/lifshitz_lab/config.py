@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -231,10 +232,17 @@ def _check_choice(block: dict, key: str, default, table: dict):
     return choice
 
 
-def _check_count(value, low: int, label: str):
+def _check_count(value, low: int, label: str, high=math.inf):
     # experiments read counts by int(); a value that int() would change (2.5, "3") is refused
-    if int(value) != value or value < low:
-        raise ValidationError(f"{label} must be an integer >= {low}, got {value!r}")
+    if int(value) != value or not low <= value < high:
+        bound = f">= {low}" if high == math.inf else f"in [{low}, {high})"
+        raise ValidationError(f"{label} must be an integer {bound}, got {value!r}")
+
+
+def _check_number(value, label: str):
+    # experiments read numbers by float(); a value that float() would change ("0.5") is refused
+    if float(value) != value or not math.isfinite(value):
+        raise ValidationError(f"{label} must be a finite number, got {value!r}")
 
 
 def _check_truncation(config: ExperimentConfig):
@@ -295,6 +303,8 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                      for note in build_disorder(config).diagnostics())
     _try(diags, "error", lambda: _check_count(config.ensemble.get("n_realizations", 1), 1,
                                               "ensemble.n_realizations"), "ensemble")
+    _try(diags, "error", lambda: _check_count(config.ensemble.get("seed", 0), 0, "ensemble.seed", 2**64),
+         "ensemble")
     _try(diags, "error", lambda: _check_count(config.n_theta, 1, "n_theta"), "n_theta")
     box_ok = config.kind in ("ids", "decay") and _try(
         diags, "error", lambda: build_box(config), "geometry")
@@ -312,6 +322,12 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         _try(diags, "error", lambda: _check_count(config.params["k"], 0, "params.k"), "params")
     if config.kind in ("anderson", "lifshitz") and "nu" in config.params:
         _try(diags, "error", lambda: _check_truncation(config), "params")
+    if config.kind in ("anderson", "lifshitz") and "E_plus" in config.params:
+        _try(diags, "error", lambda: _check_number(config.params["E_plus"], "params.E_plus"), "params")
+    if config.kind == "lifshitz":
+        for key, low in (("n_boot", 1), ("fit_seed", 0)):
+            if key in config.params:
+                _try(diags, "error", lambda: _check_count(config.params[key], low, f"params.{key}"), "params")
     if config.kind == "bounds":
         for i, spec in enumerate(config.params.get("evaluations", [])):
             _try(diags, "error", lambda: check_bound_args(_check_choice(

@@ -63,14 +63,15 @@ class IDSCurve:
 
 
 def ensemble_curve(task, n: int, energies, volume: float, bc: str, threads: int = 1,
-                   **meta) -> IDSCurve:
-    """Ensemble mean of the counting functions task(i) on the grid, i < n.
+                   block: int = None, **meta) -> IDSCurve:
+    """Ensemble mean of the counting functions task(i) on the grid, i < n
+    (with `block`, task takes blocks of indices as in `runner.ensemble`).
 
     A failed realization is dropped, listed in meta["failures"] and left out
     of n_realizations; when every realization fails the first failure is
     raised.
     """
-    samples, failures = ensemble(task, n, threads)
+    samples, failures = ensemble(task, n, threads, block)
     mean, stderr = mean_stderr(samples)
     return IDSCurve(energies=energies, values=mean, volume=volume,
                     n_realizations=samples.shape[0], stderr=stderr, bc=bc,

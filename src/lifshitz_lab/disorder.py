@@ -255,17 +255,25 @@ def lattice_cube(d: int, radius: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def draw_couplings(spec: DisorderSpec, hashes: np.ndarray, seed: int, index: int) -> np.ndarray:
-    """Couplings of realization (seed, index) on the sites with these `site_hash` values."""
-    seed, index = int(seed), int(index)
-    for name, value in (("seed", seed), ("index", index)):
+def draw_couplings(spec: DisorderSpec, hashes: np.ndarray, seed: int, index) -> np.ndarray:
+    """Couplings of realization (seed, index) on the sites with these `site_hash` values.
+
+    For a sequence of indices the result has one row per index, each bitwise
+    the draw of that index alone: the keys are built per index in Python
+    integers, and one `_mix64` pass covers the whole (block, window) array.
+    """
+    block = np.ndim(index) == 1
+    seed, indices = int(seed), [int(i) for i in index] if block else [int(index)]
+    for name, value in (("seed", seed), *(("index", i) for i in indices)):
         if not 0 <= value <= _MASK:
             raise ValidationError(f"{name} must be a uint64")
-    key = _mix64_int(_mix64_int((seed + _GOLDEN) & _MASK) ^ _mix64_int((index + _GOLDEN) & _MASK))
-    h = _mix64(_U64(key) ^ hashes)
+    seed_key = _mix64_int((seed + _GOLDEN) & _MASK)
+    keys = [_mix64_int(seed_key ^ _mix64_int((i + _GOLDEN) & _MASK)) for i in indices]
+    h = _mix64(np.array(keys, dtype=np.uint64)[:, None] ^ hashes)
     # 53-bit mantissa, offset by half a step: never exactly 0 or 1.
     u = ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return np.asarray(law_quantile(spec, u), dtype=float)
+    couplings = np.asarray(law_quantile(spec, u), dtype=float)
+    return couplings if block else couplings[0]
 
 
 def sample_realization(spec: DisorderSpec, window: np.ndarray, seed: int, index: int) -> Realization:

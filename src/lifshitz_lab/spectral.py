@@ -8,8 +8,9 @@ in order to count them.  `counts_below` counts a whole energy grid from one
 spectrum (`_spectrum`): a real sparse operator whose lower band
 (half-bandwidth kd) is narrow, BAND_RATIO * (kd + 1) <= n, is solved from that
 band by `eigvals_banded` (LAPACK sbevd, an O(n^2 kd) band reduction), and any
-other operator by one dense `eigvalsh`.  `_tridiagonal_counts` bisects a
-symmetric tridiagonal matrix (the d = 1 Anderson box) up to the top energy.
+other operator by one dense `eigvalsh`.  `_tridiagonal_counts` counts a
+symmetric tridiagonal matrix (the d = 1 Anderson box) by a positive-definite
+screen at the top energy, then a coarse Sturm bisection up to it.
 `count_eigenvalues_below` counts one energy by the inertia of the
 Bunch-Kaufman LDL^T of A - (E + eta) I, retrying with eta doubled (up to
 MAX_RETRIES times) when a pivot block is numerically zero.
@@ -17,6 +18,7 @@ MAX_RETRIES times) when a pivot block is numerically zero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +50,7 @@ MAX_RETRIES = 10  # eta doublings before an inertia count gives up
 # was faster on d = 2 boxes from n / (kd + 1) = 12 (2x at 32) but 15-30% slower
 # on d = 3 boxes up to 17, so 16 keeps d = 3 boxes up to k = 3 (m = 2) dense
 BAND_RATIO = 16
+COARSE_TOL = 1e-6  # relative to ||A||_1: the first bisection of a tridiagonal count
 
 
 class SolverError(RuntimeError):
@@ -136,23 +139,46 @@ def counts_below(A, energies) -> np.ndarray:
 def _tridiagonal_counts(diagonal: np.ndarray, off: np.ndarray, energies):
     """`counts_below` of the symmetric tridiagonal matrix with this diagonal and off-diagonal.
 
-    ||A||_1 costs O(n).  Sturm bisection (LAPACK stebz with the arguments of
-    scipy's eigvalsh_tridiagonal: tol 0, order "E", so bitwise its
-    eigenvalues) finds the eigenvalues up to twice the slack above the top
-    energy, so that the strict count of count_sorted_leq decides each energy,
-    not stebz's bound.
+    ||A||_1 costs O(n).  The counts are those of Sturm bisection (LAPACK stebz
+    with the arguments of scipy's eigvalsh_tridiagonal: tol 0, order "E") for
+    the eigenvalues up to twice the slack above the top energy, so that the
+    strict count of count_sorted_leq decides each energy, not stebz's bound.
+    Two cheaper steps come first:
+    1. A screen: when the LDL^T of A - top I (LAPACK pttrf, whose pivots are
+       stebz's Sturm sequence at top) has only positive pivots, no eigenvalue
+       lies <= top and every count is 0.
+    2. Bisection to abstol = COARSE_TOL * ||A||_1.  Each eigenvalue lies within
+       abstol / 2 of its coarse value, so the coarse values count every energy
+       exactly unless one lies within 2 abstol of some E + eta; only then is
+       the bisection run again at tol 0.
+    A non-finite entry or energy raises SolverError: pttrf passes NaN pivots.
     """
     hops, weights = np.zeros(diagonal.size), np.abs(off)  # hops: the |off-diagonal| column sums
     hops[:-1] = weights
     hops[1:] += weights
     scale = float(np.max(np.abs(diagonal) + hops)) or 1.0
     top = float(np.max(energies)) + 2e-12 * scale
+    if not math.isfinite(top):  # NaN in any entry or energy propagates to top
+        raise SolverError(f"non-finite entry or energy in a tridiagonal count of order {diagonal.size}")
     if diagonal.size == 1:  # stebz takes no empty off-diagonal
         return count_sorted_leq(diagonal[diagonal <= top], energies, scale)
-    m, vals, _, _, info = scipy.linalg.lapack.dstebz(diagonal, off, 1, -np.inf, top, 1, 1, 0.0, "E")
+    if scipy.linalg.lapack.dpttrf(diagonal - top, off, overwrite_d=1)[2] == 0:
+        return count_sorted_leq(diagonal[:0], energies, scale)
+    abstol = COARSE_TOL * scale
+    vals = _bisect(diagonal, off, top, abstol)
+    shifted = np.asarray(energies, dtype=float) + 1e-12 * scale  # E + eta
+    near = np.searchsorted(vals, shifted - 2 * abstol) != np.searchsorted(vals, shifted + 2 * abstol, "right")
+    if np.any(near):
+        vals = _bisect(diagonal, off, top, 0.0)
+    return count_sorted_leq(vals, energies, scale)
+
+
+def _bisect(diagonal: np.ndarray, off: np.ndarray, top: float, abstol: float) -> np.ndarray:
+    """Ascending eigenvalues <= top of the tridiagonal matrix, each to abstol (0: full precision)."""
+    m, vals, _, _, info = scipy.linalg.lapack.dstebz(diagonal, off, 1, -np.inf, top, 1, 1, abstol, "E")
     if info:
         raise SolverError(f"stebz failed with info={info} on a tridiagonal matrix of order {diagonal.size}")
-    return count_sorted_leq(vals[:m], energies, scale)
+    return vals[:m]
 
 
 def count_sorted_leq(sorted_vals: np.ndarray, energies, scale: float = None):

@@ -182,14 +182,27 @@ def test_plan_bisection_counts_equal_dense_counts(law, k, nu, E_plus, seed, inde
         assert np.array_equal(plan.counts(v, energies), count_sorted_leq(vals, energies, scale))
 
 
+def _stebz_tolerances(patch, tols):
+    # dstebz as before, appending the abstol of every call to tols
+    real = scipy.linalg.lapack.dstebz
+
+    def stebz(d, e, kind, vl, vu, il, iu, tol, order):
+        tols.append(tol)
+        return real(d, e, kind, vl, vu, il, iu, tol, order)
+
+    patch.setattr(scipy.linalg.lapack, "dstebz", stebz)
+
+
 @given(st.sampled_from(LAWS), st.integers(0, 12), st.sampled_from([2.5, 4.0]),
        st.sampled_from([0.0, -0.2]), st.integers(0, 2**32), st.integers(0, 9), st.integers(0, 2**16))
 @example(UNIFORM, 0, 4.0, 0.0, 0, 0, 0)  # one site: no off-diagonal for stebz
 @settings(max_examples=40, deadline=None)
 def test_bisection_is_bitwise_scipys_tridiagonal_eigensolver(law, k, nu, E_plus, seed, index, pick):
-    # the direct stebz call against the scipy wrapper it replaced: the eigenvalues
-    # that _tridiagonal_counts hands to count_sorted_leq are eigvalsh_tridiagonal's
-    # in (-inf, top], top = max E + 2e-12 ||A||_1, and its O(n) scale is ||A||_1
+    # the direct stebz calls against the scipy wrapper they replaced: at top energies
+    # below, inside, on and above the spectrum the counts are those of
+    # eigvalsh_tridiagonal's eigenvalues in (-inf, top], top = max E + 2e-12 ||A||_1;
+    # the O(n) scale is ||A||_1; and whenever the tol-0 bisection runs, the eigenvalues
+    # handed to count_sorted_leq are bitwise eigvalsh_tridiagonal's
     plan = anderson_mod._AndersonPlan(1, k, nu, E_plus, 1e-4)
     v = plan.draw(law, seed, index)
     mat = assemble_anderson(1, k, E_plus, v).matrix
@@ -198,36 +211,92 @@ def test_bisection_is_bitwise_scipys_tridiagonal_eigensolver(law, k, nu, E_plus,
     lo, hi = np.sort(rng.integers(0, 2 * k + 1, size=2))
     # top energies below, inside, on and above the spectrum
     tops = [vals[0] - 1.0, vals[lo], vals[hi], (vals[lo] + vals[hi]) / 2, vals[-1] + 1.0]
-    seen = []
-
-    def record(sorted_vals, energies, scale):
-        seen.append((sorted_vals, scale))
-        return count_sorted_leq(sorted_vals, energies, scale)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectral_mod, "count_sorted_leq", record)
-        for top in tops:
-            plan.counts(v, np.array([vals[0] - 2.0, top]))
     norm = _norm1(mat)
-    for top, (got, scale) in zip(tops, seen, strict=True):
+    for j, top in enumerate(tops):
+        seen, tols = [], []
+
+        def record(sorted_vals, energies, scale):
+            seen.append((sorted_vals, scale))
+            return count_sorted_leq(sorted_vals, energies, scale)
+
+        energies = np.array([vals[0] - 2.0, top])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral_mod, "count_sorted_leq", record)
+            _stebz_tolerances(patch, tols)
+            counts = plan.counts(v, energies)
+        (got, scale), = seen
         assert abs(scale - norm) <= 1e-15 * norm
         want = scipy.linalg.eigvalsh_tridiagonal(plan.diagonal + v, plan.off, select="v",
                                                  select_range=(-np.inf, top + 2e-12 * scale))
-        assert np.array_equal(got, want)
+        assert np.array_equal(counts, count_sorted_leq(want, energies, scale))
+        if 0.0 in tols:
+            assert np.array_equal(got, want)
+        if k > 0 and j == 0:  # below the spectrum the screen decides alone
+            assert tols == []
+        elif k > 0:  # otherwise stebz runs, and at an eigenvalue the tol-0 refine too
+            assert tols and (j not in (1, 2) or tols[-1] == 0.0)
+
+
+@given(st.sampled_from(LAWS), st.integers(1, 12), st.sampled_from([2.5, 4.0]),
+       st.sampled_from([0.0, -0.2]), st.integers(0, 2**32), st.integers(0, 9))
+@settings(max_examples=40, deadline=None)
+def test_screened_and_coarse_counts_equal_full_precision_counts(law, k, nu, E_plus, seed, index):
+    # the tol-0 eigvalsh_tridiagonal counts, at grid energies (low grids end in the
+    # screen, wider ones in the coarse bisection) and, inclusively, at the computed
+    # eigenvalues, which force the tol-0 refine
+    plan = anderson_mod._AndersonPlan(1, k, nu, E_plus, 1e-4)
+    diagonal = plan.diagonal + plan.draw(law, seed, index)
+    scale = _norm1(assemble_anderson(1, k, E_plus, diagonal - plan.diagonal).matrix)
+    full = scipy.linalg.eigvalsh_tridiagonal(diagonal, plan.off)
+    grids = [E_plus + np.linspace(-0.5, hi, 41) for hi in (0.0, 0.3, 1.0, 5.5)]
+    for energies in grids + [full]:
+        tols = []
+        with pytest.MonkeyPatch.context() as patch:
+            _stebz_tolerances(patch, tols)
+            counts = spectral_mod._tridiagonal_counts(diagonal, plan.off, energies)
+        want = scipy.linalg.eigvalsh_tridiagonal(diagonal, plan.off, select="v",
+                                                 select_range=(-np.inf, energies.max() + 2e-12 * scale))
+        assert np.array_equal(counts, count_sorted_leq(want, energies, scale))
+        if want.size == 0:
+            assert tols == []
+        if energies is full:
+            assert tols[-1] == 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_tridiagonal_count_refuses_non_finite_entries(value):
+    # pttrf passes a NaN pivot, so a NaN matrix would screen as "no eigenvalue <= top"
+    for entry in (0, 1):
+        tridiagonal = [np.full(6, 2.0), np.full(5, -1.0)]
+        tridiagonal[entry][2] = value
+        with pytest.raises(SolverError):
+            spectral_mod._tridiagonal_counts(*tridiagonal, np.array([0.5, 1.0]))
+    with pytest.raises(SolverError):  # a one-site box, which skips the screen
+        spectral_mod._tridiagonal_counts(np.array([value]), np.zeros(0), 0.5)
+    with pytest.raises(SolverError):  # finite entries whose ||A||_1 overflows
+        spectral_mod._tridiagonal_counts(np.full(6, 1e308), np.full(5, 1e308), np.array([0.5]))
 
 
 def test_bisection_raises_when_stebz_fails(monkeypatch):
+    # both bisections map a stebz failure to SolverError: the coarse one, which an
+    # energy above the lowest eigenvalue reaches past the screen, and the tol-0 one,
+    # which an energy at an eigenvalue forces
     plan = anderson_mod._AndersonPlan(1, 4, 4.0, 0.0, 1e-4)
     v = plan.draw(UNIFORM, 0, 0)
+    real = scipy.linalg.lapack.dstebz
+    at_eigenvalue = np.linalg.eigvalsh(plan.operator(v).toarray())[:1]
+    for energies, failing_tol in ((np.array([5.0]), None), (at_eigenvalue, 0.0)):
 
-    def failing(d, e, *args):
-        return 0, np.zeros_like(d), np.zeros(d.size, int), np.zeros(d.size, int), 2
+        def failing(d, e, kind, vl, vu, il, iu, tol, order):
+            if failing_tol is None or tol == failing_tol:
+                return 0, np.zeros_like(d), np.zeros(d.size, int), np.zeros(d.size, int), 2
+            return real(d, e, kind, vl, vu, il, iu, tol, order)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing)
-    with pytest.raises(SolverError):
-        plan.counts(v, np.array([0.5]))
-    with pytest.raises(TaskFailure):  # the lambda_min event is a count too
-        eigenvalue_below_probability(UNIFORM, 1, 4, 4.0, 0.5, n_trials=1, tol=1e-4)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstebz", failing)
+        with pytest.raises(SolverError):
+            plan.counts(v, energies)
+        with pytest.raises(TaskFailure):  # the lambda_min event is a count too
+            eigenvalue_below_probability(UNIFORM, 1, 4, 4.0, energies[0], n_trials=1, tol=1e-4)
 
 
 def test_plan_rejects_a_nan_potential():
@@ -271,8 +340,8 @@ def test_anderson_ids_drops_a_failed_realization(monkeypatch):
     real = anderson_mod.draw_couplings
     lost = {1}
 
-    def flaky(spec, hashes, seed, index):
-        if index in lost:
+    def flaky(spec, hashes, seed, index):  # index: a range of indices, one block draw
+        if lost.intersection(index):
             raise RuntimeError("synthetic loss")
         return real(spec, hashes, seed, index)
 

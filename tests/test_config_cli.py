@@ -115,6 +115,30 @@ def test_ensemble_drops_failures_and_keeps_order():
         ensemble(lambda i: i, 0)
 
 
+def test_ensemble_blocks_rerun_a_failed_block_one_index_at_a_time():
+    # blocks range(0, 3), range(3, 6), range(6, 7); the block holding index 4
+    # fails as a whole, and only index 4 is dropped, under its own index
+    calls = []
+
+    def block_task(indices):
+        calls.append(indices)
+        if 4 in indices:
+            raise RuntimeError("boom")
+        return [np.array([i, 2.0 * i]) for i in indices]
+
+    for threads in (1, 2):
+        calls.clear()
+        samples, failures = ensemble(block_task, 7, threads=threads, block=3)
+        assert np.array_equal(samples, [[i, 2.0 * i] for i in (0, 1, 2, 3, 5, 6)])
+        assert [f.index for f in failures] == [4]
+        assert sorted(calls, key=lambda r: (r.start, -len(r))) == [
+            range(0, 3), range(3, 6), range(3, 4), range(4, 5), range(5, 6), range(6, 7)]
+    assert frequency(lambda indices: [i % 2 == 0 for i in indices], 7, block=3)[3] == 4
+    with pytest.raises(TaskFailure) as info:
+        frequency(block_task, 7, block=3)
+    assert info.value.index == 4
+
+
 def test_frequency_is_thread_independent_and_exact():
     def event(i):
         return (i * 7919) % 5 < 2
@@ -287,11 +311,16 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
                         ("anderson", {"k": -3}), ("anderson", {"k": "x"}), ("anderson", {"k": 2.5}),
                         ("lifshitz", {"k": -3}), ("lifshitz", {"k": "x"}),
                         ("decay", {"model": "anderson", "k": -3, "nu": 4.0, "window": [0.0, 1.0]}),
-                        ("ile", {"n_trials": "x"}), ("wegner", {"n_trials": 2.5})]:
+                        ("ile", {"n_trials": "x"}), ("wegner", {"n_trials": 2.5}),
+                        ("lifshitz", {"n_boot": "x"}), ("lifshitz", {"fit_seed": "x"}),
+                        ("lifshitz", {"E_plus": "x"}), ("lifshitz", {"E_plus": float("nan")}),
+                        ("anderson", {"E_plus": float("inf")})]:
         doc = docs[kind]
         cases.append({**doc, "params": {**doc["params"], **patch}})
     # malformed scalars outside params
     cases.append({**ENSEMBLE_DOCS["anderson"], "ensemble": {"n_realizations": "x", "seed": 5}})
+    for seed in ("x", -1, 2**64, 2.5):
+        cases.append({**ENSEMBLE_DOCS["lifshitz"], "ensemble": {"n_realizations": 8, "seed": seed}})
     cases.append({**ENSEMBLE_DOCS["sandwich"], "n_theta": "4"})
     # decay operators above ids.DECAY_DENSE_LIMIT: 81^2 = 6,561 nodes, and (2k+1)^d sites
     cases.append({**DECAY_DOC, "geometry": {"d": 2, "k": 20, "m": 2, "bc": "dirichlet"},
@@ -346,8 +375,8 @@ def test_run_records_task_failures(tmp_path, monkeypatch, kind, module):
     # the realization is drawn where the library's plan draws it, through draw_couplings
     real = module.draw_couplings
 
-    def flaky(spec, hashes, seed, index):
-        if index == 2:
+    def flaky(spec, hashes, seed, index):  # the Anderson plan draws a range of indices at once
+        if 2 in np.atleast_1d(index):
             raise RuntimeError("synthetic loss")
         return real(spec, hashes, seed, index)
 
@@ -359,6 +388,24 @@ def test_run_records_task_failures(tmp_path, monkeypatch, kind, module):
     assert "task 2 failed" in result.manifest.failures[0]
     out = json.loads((tmp_path / "o" / "ids.json").read_text())
     assert out["results"]["n_realizations"] == doc["ensemble"]["n_realizations"] - 1
+
+
+def test_lifshitz_blocks_write_the_per_realization_bytes(tmp_path, monkeypatch):
+    # 100 realizations in blocks of 38, 38 and 24 at k=16, nu=4 (a window of 843
+    # sites): threads 1 and 2 and one realization per block write the same bytes
+    doc = {**ENSEMBLE_DOCS["lifshitz"], "ensemble": {"n_realizations": 100, "seed": 11},
+           "params": {**ENSEMBLE_DOCS["lifshitz"]["params"], "eps_min": 0.3, "eps_max": 1.5}}
+    assert anderson_mod._AndersonPlan(1, 16, 4.0, 0.0, 1e-8).block == 38
+    blobs = []
+    for threads, block_couplings in ((1, None), (2, None), (2, 1)):
+        if block_couplings:
+            monkeypatch.setattr(anderson_mod, "BLOCK_COUPLINGS", block_couplings)
+        out = tmp_path / f"t{threads}b{block_couplings}"
+        result = run(parse_config(doc), out_dir=str(out), threads=threads)
+        assert result.exit_code == 0
+        blobs.append({name: (out / name).read_bytes() for name in result.manifest.files})
+    assert blobs[0] == blobs[1] == blobs[2]
+    assert json.loads(blobs[0]["expfit.json"])["results"]["n_points"] == 8
 
 
 @pytest.mark.parametrize("kind", sorted(ENSEMBLE_DOCS))

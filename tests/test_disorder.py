@@ -136,6 +136,23 @@ def test_split_hash_equals_the_one_piece_hash(d, radius, seed, index):
                                   law_quantile(spec, want))
 
 
+@given(st.integers(1, 2), st.integers(0, 40), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 40),
+       st.integers(0, 39), st.sampled_from(LAWS))
+@settings(max_examples=40, deadline=None)
+def test_block_draw_rows_are_the_per_index_draws(d, radius, seed, start, length, law):
+    # one row per index, bitwise the draw of that index alone, at any start and
+    # length, so across every boundary of the fixed blocks an ensemble draws
+    spec = DisorderSpec(law=law, kappa=1.5, p=0.3)
+    hashes = site_hash(cube_codes(d, radius))
+    indices = range(start, start + length)
+    rows = draw_couplings(spec, hashes, seed, indices)
+    assert rows.shape == (length, hashes.size)
+    for i, row in zip(indices, rows, strict=True):
+        assert np.array_equal(row, draw_couplings(spec, hashes, seed, i))
+    with pytest.raises(ValidationError):
+        draw_couplings(spec, hashes, seed, [start, -1])
+
+
 # -- laws ---------------------------------------------------------------------
 
 
