@@ -44,6 +44,14 @@ REQUIRED_PARAMS = {"anderson": ("k", "nu"), "lifshitz": ("k", "nu"), "wegner": (
 BOUND_EVALUATIONS = {"chernoff": ("k", "delta"), "product1": ("eps", "alpha", "nu"),
                      "product2": ("eps", "alpha", "nu")}
 DECAY_MODELS = {"lattice": (), "anderson": ("k", "nu")}
+# params each kind reads by int(), with their least value, and by float(), with
+# the open lower bound its estimator enforces; a null k_big is sandwich_check's 2k
+COUNT_PARAMS = {"anderson": {"k": 0}, "lifshitz": {"k": 0, "n_boot": 1, "fit_seed": 0},
+                "sandwich": {"k": 0, "k_big": 0}, "ile": {"k": 2, "gap_scan_n_theta": 1}}
+NUMBER_PARAMS = {"anderson": {"E_plus": -math.inf}, "lifshitz": {"E_plus": -math.inf},
+                 "wegner": {"E": -math.inf, "min_exponent": -math.inf, "volume_ratio_cap": -math.inf},
+                 "sandwich": {"E": -math.inf, "eps": 0.0, "eta0": 1.0},
+                 "ile": {"E_plus": -math.inf, "alpha": 1.0, "p": 0.0}}
 
 
 @dataclass(frozen=True)
@@ -239,10 +247,20 @@ def _check_count(value, low: int, label: str, high=math.inf):
         raise ValidationError(f"{label} must be an integer {bound}, got {value!r}")
 
 
-def _check_number(value, label: str):
+def _check_number(value, above: float, label: str):
     # experiments read numbers by float(); a value that float() would change ("0.5") is refused
-    if float(value) != value or not math.isfinite(value):
-        raise ValidationError(f"{label} must be a finite number, got {value!r}")
+    if float(value) != value or not math.isfinite(value) or not value > above:
+        bound = "" if above == -math.inf else f" > {above}"
+        raise ValidationError(f"{label} must be a finite number{bound}, got {value!r}")
+
+
+def _check_ks(ks):
+    # wegner_check takes one box half-side or a list of them
+    ks = ks if isinstance(ks, list) else [ks]
+    if not ks:
+        raise ValidationError("params.ks must list at least one box half-side")
+    for i, k in enumerate(ks):
+        _check_count(k, 0, f"params.ks[{i}]")
 
 
 def _check_truncation(config: ExperimentConfig):
@@ -255,6 +273,7 @@ def _check_truncation(config: ExperimentConfig):
 def _check_decay(config: ExperimentConfig, box_ok: bool):
     p = config.params
     _check_choice(p, "model", "lattice", DECAY_MODELS)
+    _check_count(p.get("index", 0), 0, "params.index", 2**64)  # the realization drawn
     if p.get("model", "lattice") == "anderson":
         _check_count(p["k"], 0, "params.k")
         _check_truncation(config)
@@ -318,16 +337,16 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                                              theta=tuple(config.params["theta"])), "params.theta")
     _try(diags, "error", lambda: _require(config.params, REQUIRED_PARAMS.get(config.kind, ()),
                                           f"kind {config.kind!r}"), "params")
-    if config.kind in ("anderson", "lifshitz") and "k" in config.params:
-        _try(diags, "error", lambda: _check_count(config.params["k"], 0, "params.k"), "params")
+    params, refused = config.params, set()
+    for table, check in ((COUNT_PARAMS, _check_count), (NUMBER_PARAMS, _check_number)):
+        for key, low in table.get(config.kind, {}).items():
+            if key in params and not (key == "k_big" and params[key] is None):
+                if not _try(diags, "error", lambda: check(params[key], low, f"params.{key}"), "params"):
+                    refused.add(key)
+    if config.kind == "wegner":
+        _try(diags, "error", lambda: _check_ks(params.get("ks", [8, 16])), "params")
     if config.kind in ("anderson", "lifshitz") and "nu" in config.params:
         _try(diags, "error", lambda: _check_truncation(config), "params")
-    if config.kind in ("anderson", "lifshitz") and "E_plus" in config.params:
-        _try(diags, "error", lambda: _check_number(config.params["E_plus"], "params.E_plus"), "params")
-    if config.kind == "lifshitz":
-        for key, low in (("n_boot", 1), ("fit_seed", 0)):
-            if key in config.params:
-                _try(diags, "error", lambda: _check_count(config.params[key], low, f"params.{key}"), "params")
     if config.kind == "bounds":
         for i, spec in enumerate(config.params.get("evaluations", [])):
             _try(diags, "error", lambda: check_bound_args(_check_choice(
@@ -343,7 +362,7 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                      "profile; results with unbounded range are not covered "
                      "by the estimate being tested"))
 
-    if config.kind == "ile" and geo_ok and "E_plus" in config.params:
+    if config.kind == "ile" and geo_ok and "E_plus" in params and not refused & {"E_plus", "gap_scan_n_theta"}:
         _validate_gap(config, diags)
     return diags
 

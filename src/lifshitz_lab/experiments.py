@@ -64,12 +64,19 @@ class RunResult:
 # -- serialization helpers -------------------------------------------------------
 
 
-def _write_csv(path: str, header: list, rows: list):
-    """Rows hold str, int and float only: csv writes floats by repr, but a bool as True."""
+def _write_csv(path: str, header: list, rows):
+    """Rows hold str, int and float only: csv writes floats by repr, but a bool as True.
+
+    `rows` may also be one str of rows already rendered as csv renders them,
+    each ending in "\\r\\n".
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows(rows)
+        if isinstance(rows, str):
+            fh.write(rows)
+        else:
+            w.writerows(rows)
 
 
 def _jsonable(obj):
@@ -131,9 +138,13 @@ def _run_bands(config, out_dir, threads):
     bands = floquet_bands(bg, n_theta=config.n_theta)
     d = bg.d
     header = [f"theta_{j+1}" for j in range(d)] + ["band_index", "energy"]
-    rows = [(*th, n, e) for th, row in zip(bands.thetas.tolist(), bands.bands.tolist())
-            for n, e in enumerate(row)]
-    _write_csv(os.path.join(out_dir, "bands.csv"), header, rows)
+    # csv.writer's rendering (floats by repr, "\r\n" endings), each fiber's thetas formatted once
+    middles = [f",{n}," for n in range(bands.bands.shape[1])]
+    rows = []
+    for th, row in zip(bands.thetas.tolist(), bands.bands.tolist()):
+        fiber = ",".join(map(repr, th))
+        rows.extend(f"{fiber}{mid}{e!r}\r\n" for mid, e in zip(middles, row))
+    _write_csv(os.path.join(out_dir, "bands.csv"), header, "".join(rows))
     results = {"band_ranges": bands.band_ranges(), "gaps": spectral_gaps(bands),
                "n_theta": config.n_theta, "period": bands.period}
     _write_json(os.path.join(out_dir, "bands.json"), config, results)

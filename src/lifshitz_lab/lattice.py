@@ -483,6 +483,43 @@ def _bloch_family(field: CoefficientField):
     return rows[nonzero], cols[nonzero], np.array(list(np.ndindex(*(3,) * d))) - 1, coeffs[:, nonzero]
 
 
+def _point_symmetries(field: CoefficientField) -> list:
+    """Point symmetries of the field's cells on the torus of its quasiperiodic box.
+
+    Each is a signed axis permutation G, an int (d, d) matrix, for which a map g
+    of the cell torus has rho(g x) = G rho(x) G^T in every cell x.  The cell
+    forms then map onto each other corner by corner, so the operator commutes
+    with the node map of g, and its fiber at phi is unitarily equivalent to the
+    fiber at G phi.  Two kinds are searched, with exact equality:
+    - a mirror of axis j, G = I with -1 at (j, j) (rho_jl, l != j, negated),
+      about any centre of the torus: x_j -> c - x_j for some c mod n;
+    - the exchange of axes a and a+1 (rho's indices swapped), the reflection in
+      the diagonal x_a = x_(a+1), which fixes each of its points.
+    A mirror's candidate centres are those whose slice across axis j equals
+    the image of slice 0, so a field with no mirror is refused after one
+    O(n_cells) comparison per candidate, and there is one for distinct slices.
+    """
+    d, n = field.box.d, field.box.cells_per_axis
+    cells = field.cells.reshape((n,) * d + (d, d))
+    t = np.arange(n)
+    found = []
+    for j in range(d):
+        G = np.eye(d, dtype=int)
+        G[j, j] = -1
+        image = cells * np.outer(G.diagonal(), G.diagonal())  # G rho G^T
+        own, image = (np.moveaxis(a, j, 0).reshape(n, -1) for a in (cells, image))
+        # centre c: the slice at c - t is the image of the slice at t, for every t
+        centres = np.flatnonzero(np.all(own == image[0], axis=1))
+        if any(np.array_equal(own[(c - t) % n], image) for c in centres):
+            found.append(G)
+    for a in range(d - 1):
+        perm = np.arange(d)
+        perm[[a, a + 1]] = a + 1, a
+        if np.array_equal(np.swapaxes(cells, a, a + 1), cells[..., perm, :][..., perm]):
+            found.append(np.eye(d, dtype=int)[perm])
+    return found
+
+
 def assemble_operator(field: CoefficientField, theta=None) -> AssembledOperator:
     """Finite-volume operator for a coefficient field under the box's bc.
 

@@ -29,7 +29,7 @@ import scipy.sparse.linalg as spla
 from .curves import IDSCurve
 from .disorder import ValidationError
 from .lattice import (AssembledOperator, BoxSpec, PeriodicBackground, TAIL_TOL, _bloch_family,
-                      background_field, periodized_coefficient_field)
+                      _point_symmetries, background_field, periodized_coefficient_field)
 from .lattice import assemble_operator  # noqa: F401  (perfbench/tracing.py patches this name)
 
 __all__ = [
@@ -219,10 +219,13 @@ def floquet_bands(background: PeriodicBackground, n_theta: int = 64, profile=Non
 
     The medium is assembled once, as a family sum_t C_t exp(i t.phi) over seam
     shifts t in {-1,0,1}^d with real C_t; a fiber is one evaluation of that
-    sum on a fixed pattern, diagonalized densely.  Real coefficients give time
-    reversal, H(-phi) = conj H(phi), so the fibers at grid indices j and
-    (-j) mod n_theta share their eigenvalues: each pair is solved once, and the
-    self-conjugate points phi in {0, pi}^d are solved on their own.
+    sum on a fixed pattern, diagonalized densely.  Fibers that a symmetry maps
+    onto each other share their eigenvalues, and one fiber per orbit of the
+    grid is solved: real coefficients give time reversal, H(-phi) = conj H(phi),
+    and each point symmetry G of the medium's cells (`lattice._point_symmetries`:
+    axis mirrors about any centre, exchanges of adjacent axes) maps phi to G phi.
+    Without a point symmetry the fibers at grid indices j and (-j) mod n_theta
+    are solved once, and the self-conjugate points phi in {0, pi}^d alone.
     """
     if pattern is None:
         box = BoxSpec(d=background.d, k=0, m=background.m, bc="quasiperiodic")
@@ -234,7 +237,14 @@ def floquet_bands(background: PeriodicBackground, n_theta: int = 64, profile=Non
 
 
 def _field_bands(field, n_theta: int) -> BandStructure:
-    """`floquet_bands` of the medium that repeats the field's quasiperiodic box."""
+    """`floquet_bands` of the medium that repeats the field's quasiperiodic box.
+
+    Each generator, time reversal -I and the point symmetries (none searched in
+    d = 1, where a mirror is time reversal), maps grid index j to G j mod
+    n_theta; `rep` is the least index of each orbit, by rep = min(rep, rep[g])
+    to a fixpoint.  Only the fibers with rep[t] == t are solved, and every row
+    is copied from its orbit's representative.
+    """
     d, m, period = field.box.d, field.box.m, field.box.side
     if n_theta < 1:
         raise ValidationError("need at least one quasimomentum per axis")
@@ -243,17 +253,24 @@ def _field_bands(field, n_theta: int) -> BandStructure:
     grids = np.meshgrid(*([np.arange(n_theta)] * d), indexing="ij")
     index = np.stack([g.ravel() for g in grids], axis=1)
     phase_pts = 2.0 * np.pi * index / n_theta
-    mirror = np.ravel_multi_index(tuple((-index % n_theta).T), (n_theta,) * d)
+    generators = [-np.eye(d, dtype=int)] + (_point_symmetries(field) if d > 1 else [])
+    maps = [np.ravel_multi_index(tuple((index @ G.T % n_theta).T), (n_theta,) * d) for G in generators]
+    rep, previous = np.arange(len(index)), None
+    while not np.array_equal(rep, previous):
+        previous = rep
+        for g in maps:
+            rep = np.minimum(rep, rep[g])
     phases = np.exp(1j * (phase_pts @ shifts.T))
     bands, norms = np.empty((len(index), n)), np.empty(len(index))
-    for t in np.flatnonzero(np.arange(len(index)) <= mirror):
+    for t in np.flatnonzero(rep == np.arange(len(index))):
         dense = np.zeros((n, n), dtype=complex)
         # a broadcast sum, not a BLAS product: a small threaded BLAS call between
         # eigensolves more than doubled their time with two BLAS threads
         dense[rows, cols] = (phases[t][:, None] * coeffs).sum(axis=0)
-        norms[t] = norms[mirror[t]] = _norm1(dense)  # |conj z| = |z|
-        bands[t] = bands[mirror[t]] = scipy.linalg.eigvalsh(dense, overwrite_a=True)
-    return BandStructure(thetas=phase_pts / period, bands=bands, norms=norms, period=period, m=m, d=d)
+        norms[t] = _norm1(dense)
+        bands[t] = scipy.linalg.eigvalsh(dense, overwrite_a=True)
+    return BandStructure(thetas=phase_pts / period, bands=bands[rep], norms=norms[rep], period=period,
+                         m=m, d=d)
 
 
 def spectral_gaps(bands: BandStructure) -> list:

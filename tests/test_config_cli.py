@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 from pathlib import Path
@@ -314,7 +315,15 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
                         ("ile", {"n_trials": "x"}), ("wegner", {"n_trials": 2.5}),
                         ("lifshitz", {"n_boot": "x"}), ("lifshitz", {"fit_seed": "x"}),
                         ("lifshitz", {"E_plus": "x"}), ("lifshitz", {"E_plus": float("nan")}),
-                        ("anderson", {"E_plus": float("inf")})]:
+                        ("anderson", {"E_plus": float("inf")}),
+                        ("wegner", {"ks": ["x"]}), ("wegner", {"ks": [-2]}), ("wegner", {"ks": []}),
+                        ("wegner", {"E": "x"}), ("wegner", {"min_exponent": "x"}),
+                        ("sandwich", {"k": -1}), ("sandwich", {"k_big": "x"}), ("sandwich", {"eps": "x"}),
+                        ("sandwich", {"eta0": "x"}), ("sandwich", {"eps": 0.0}), ("sandwich", {"eta0": 1.0}),
+                        ("ile", {"alpha": "x"}), ("ile", {"p": "x"}), ("ile", {"E_plus": "x"}),
+                        ("ile", {"alpha": 1.0}), ("ile", {"p": 0.0}), ("ile", {"k": 1}),
+                        ("ile", {"gap_scan_n_theta": "x"}), ("decay", {"index": "x"}),
+                        ("decay", {"index": -1})]:
         doc = docs[kind]
         cases.append({**doc, "params": {**doc["params"], **patch}})
     # malformed scalars outside params
@@ -439,17 +448,19 @@ def test_cli_roundtrip(tmp_path, capsys):
 
 
 def test_bands_csv_rows_keep_their_bytes(tmp_path, monkeypatch):
-    # _run_bands rows against the per-element loop that built them before
-    bands = floquet_bands(PeriodicBackground.two_phase(m=4, low=1.0, high=4.0, d=2), n_theta=3)
-    monkeypatch.setattr(experiments_mod, "floquet_bands", lambda *a, **kw: bands)
-    doc = {"kind": "bands", "geometry": {"d": 2, "m": 4}, "n_theta": 3,
-           "background": {"type": "two_phase", "low": 1.0, "high": 4.0}}
-    assert run(parse_config(doc), out_dir=str(tmp_path / "run")).exit_code == 0
-    rows = [tuple(float(t) for t in bands.thetas[i]) + (n, float(bands.bands[i, n]))
-            for i in range(bands.thetas.shape[0]) for n in range(bands.bands.shape[1])]
-    experiments_mod._write_csv(str(tmp_path / "loop.csv"),
-                               ["theta_1", "theta_2", "band_index", "energy"], rows)
-    assert (tmp_path / "run" / "bands.csv").read_bytes() == (tmp_path / "loop.csv").read_bytes()
+    # _run_bands renders its rows itself; they must be csv.writer's bytes for the same rows
+    for d in (1, 2):
+        bands = floquet_bands(PeriodicBackground.two_phase(m=4, low=1.0, high=4.0, d=d), n_theta=3)
+        monkeypatch.setattr(experiments_mod, "floquet_bands", lambda *a, **kw: bands)
+        doc = {"kind": "bands", "geometry": {"d": d, "m": 4}, "n_theta": 3,
+               "background": {"type": "two_phase", "low": 1.0, "high": 4.0}}
+        assert run(parse_config(doc), out_dir=str(tmp_path / f"run{d}")).exit_code == 0
+        rows = [tuple(float(t) for t in bands.thetas[i]) + (n, float(bands.bands[i, n]))
+                for i in range(bands.thetas.shape[0]) for n in range(bands.bands.shape[1])]
+        header = [f"theta_{j + 1}" for j in range(d)] + ["band_index", "energy"]
+        with open(tmp_path / f"writer{d}.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        assert (tmp_path / f"run{d}" / "bands.csv").read_bytes() == (tmp_path / f"writer{d}.csv").read_bytes()
 
 
 def test_cli_dry_run_skips_compute(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 from unittest.mock import patch
 
 import numpy as np
@@ -12,8 +13,8 @@ import lifshitz_lab.spectral as spectral
 from lifshitz_lab.anderson import _AndersonPlan, assemble_anderson, eigenvalue_below_probability
 from lifshitz_lab.curves import IDSCurve
 from lifshitz_lab.disorder import DisorderSpec, lattice_cube, sample_realization
-from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _bloch_family, assemble_operator,
-                                  background_field, compact_profile, long_range_profile,
+from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _bloch_family, _point_symmetries,
+                                  assemble_operator, background_field, compact_profile, long_range_profile,
                                   operator_sampler, periodized_coefficient_field, required_window,
                                   sample_coefficient_field)
 from lifshitz_lab.spectral import (SolverError, _block_diag_eigs, count_eigenvalues_below,
@@ -418,10 +419,37 @@ def test_band_grid_is_half_open():
     assert len(np.unique(th)) == 8
 
 
-def floquet_medium(d, periodized, seed=0):
-    """A two-phase background, or a k=1 pattern on it: (background, floquet_bands keywords, field)."""
+def diagonal_background(*stripes, off=0.0):
+    """d = 2, rho = [[s0(x_0), off], [off, s1(x_1)]] over the m x m cells of the unit cell."""
+    s0, s1 = (np.asarray(s, dtype=float) for s in stripes)
+    x0, x1 = np.indices((len(s0),) * 2).reshape(2, -1)
+    samples = np.empty((len(x0), 2, 2))
+    samples[:, 0, 0], samples[:, 1, 1] = s0[x0], s1[x1]
+    samples[:, 0, 1] = samples[:, 1, 0] = off
+    return PeriodicBackground(d=2, m=len(s0), samples=samples)
+
+
+# d = 2 backgrounds with a known symmetry group, beside the two-phase one:
+# "anisotropic" has a constant rho_01 = 0.3 and a stripe, so each single-axis
+# mirror maps rho_01 to -0.3 and is no symmetry, although |rho| has both;
+# "offcentre" has a stripe mirrored about the centre of cell 1 of 5 across
+# axis 0 and one with no mirror across axis 1
+BACKGROUNDS = {"identity": PeriodicBackground.identity(2, 2),
+               "anisotropic": diagonal_background([1.0, 3.0], [1.0, 1.0], off=0.3),
+               "offcentre": diagonal_background([1.0, 3.0, 1.0, 2.0, 2.0], [1.0, 2.0, 4.0, 8.0, 16.0])}
+
+
+def floquet_medium(d, medium, seed=0):
+    """(background, floquet_bands keywords, field) of a medium.
+
+    medium: False for a two-phase background, True for a k = 1 pattern on it,
+    or a name in BACKGROUNDS (d = 2).
+    """
+    if medium in BACKGROUNDS:
+        bg = BACKGROUNDS[medium]
+        return bg, {}, background_field(bg, BoxSpec(d=2, k=0, m=bg.m, bc="quasiperiodic"))
     bg = PeriodicBackground.two_phase(m=3 if d == 1 else 2, low=1.0, high=3.0, d=d)
-    if not periodized:
+    if not medium:
         return bg, {}, background_field(bg, BoxSpec(d=d, k=0, m=bg.m, bc="quasiperiodic"))
     kw = {"profile": IDS_PROFILES[d][0], "k": 1,
           "pattern": sample_realization(DisorderSpec(), lattice_cube(d, 1), seed=seed, index=0)}
@@ -441,28 +469,87 @@ def test_bloch_family_fiber_equals_assembled_operator(d, periodized, seed, phi):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+MIRROR_0, MIRROR_1, EXCHANGE = np.diag([-1, 1]), np.diag([1, -1]), np.array([[0, 1], [1, 0]])
+
+
+@pytest.mark.parametrize("medium,symmetries", [
+    (False, [MIRROR_0, MIRROR_1]), (True, []), ("identity", [MIRROR_0, MIRROR_1, EXCHANGE]),
+    ("anisotropic", []), ("offcentre", [MIRROR_0])],
+    ids=["two_phase", "periodized", "identity", "anisotropic", "offcentre"])
+def test_point_symmetries_are_exact(medium, symmetries):
+    _, _, field = floquet_medium(2, medium, seed=5)
+    found = _point_symmetries(field)
+    assert len(found) == len(symmetries)
+    assert all(np.array_equal(G, want) for G, want in zip(found, symmetries))
+
+
+def test_a_mirror_must_negate_the_off_diagonal():
+    # the anisotropic medium's rows at grid indices j and j with one component
+    # negated differ by 5.6% of max|E|: a mirror check blind to rho_01's sign
+    # would copy wrong bands (each row is checked against its own fiber below)
+    bg, _, _ = floquet_medium(2, "anisotropic")
+    bands = floquet_bands(bg, n_theta=6).bands.reshape(6, 6, -1)
+    negated = -np.arange(6) % 6
+    for mirrored in (bands[negated], bands[:, negated]):
+        assert np.max(np.abs(bands - mirrored)) > 0.05 * np.max(np.abs(bands))
+
+
 @pytest.mark.parametrize("n_theta", [1, 2, 5, 6])
-@pytest.mark.parametrize("d,periodized", [(1, False), (1, True), (2, False), (2, True)])
-def test_every_band_row_is_its_own_fiber(d, periodized, n_theta):
-    # rows filled from the time-reversed fiber (-j) mod n_theta included
-    bg, kw, field = floquet_medium(d, periodized, seed=5)
+@pytest.mark.parametrize("d,medium", [(1, False), (1, True), (2, False), (2, True),
+                                      (2, "identity"), (2, "anisotropic"), (2, "offcentre")])
+def test_every_band_row_is_its_own_fiber(d, medium, n_theta):
+    # rows copied from a fiber of the same orbit (time reversal, mirrors, exchange) included
+    bg, kw, field = floquet_medium(d, medium, seed=5)
     bands = floquet_bands(bg, n_theta=n_theta, **kw)
     direct = np.array([np.linalg.eigvalsh(assemble_operator(field, theta=tuple(th)).matrix.toarray())
                        for th in bands.thetas])
     assert np.max(np.abs(bands.bands - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-@pytest.mark.parametrize("d,n_theta,solves", [(1, 1, 1), (1, 5, 3), (1, 6, 4),
-                                              (2, 2, 4), (2, 5, 13), (2, 6, 20)])
-def test_floquet_bands_solves_half_the_grid(monkeypatch, d, n_theta, solves):
-    # (n^d + c) / 2 eigensolves, c = 2^d self-conjugate points for even n, 1 for odd n
+def count_solves(monkeypatch, bg, n_theta, **medium):
     calls = []
     eigvalsh = spectral.scipy.linalg.eigvalsh
     monkeypatch.setattr(spectral.scipy.linalg, "eigvalsh",
                         lambda *a, **kw: calls.append(1) or eigvalsh(*a, **kw))
-    bands = floquet_bands(PeriodicBackground.two_phase(m=4, low=1.0, high=3.0, d=d), n_theta=n_theta)
-    assert len(calls) == solves == (n_theta**d + (2**d if n_theta % 2 == 0 else 1)) // 2
-    assert bands.bands.shape == (n_theta**d, 4**d)
+    assert floquet_bands(bg, n_theta=n_theta, **medium).bands.shape[0] == n_theta**bg.d
+    return len(calls)
+
+
+def grid_orbits(d, n_theta, group):
+    """Number of orbits of the grid {0..n_theta-1}^d under index j -> G j mod n_theta, G in group."""
+    return len({frozenset(tuple(np.asarray(G) @ j % n_theta) for G in group)
+                for j in itertools.product(range(n_theta), repeat=d)})
+
+
+def signed_permutations(d, permute):
+    """Every diagonal sign matrix, times every axis permutation when permute is set."""
+    perms = list(itertools.permutations(range(d))) if permute else [tuple(range(d))]
+    return [np.diag(signs) @ np.eye(d, dtype=int)[list(p)]
+            for signs in itertools.product([1, -1], repeat=d) for p in perms]
+
+
+@pytest.mark.parametrize("d,n_theta,solves", [(1, 1, 1), (1, 5, 3), (1, 6, 4),
+                                              (2, 2, 4), (2, 5, 13), (2, 6, 20)])
+def test_floquet_bands_solves_half_the_grid(monkeypatch, d, n_theta, solves):
+    # a periodized random pattern has time reversal alone: (n^d + c) / 2 eigensolves,
+    # c = 2^d self-conjugate points for even n, 1 for odd n
+    bg, kw, _ = floquet_medium(d, True, seed=5)
+    time_reversal = [np.eye(d, dtype=int), -np.eye(d, dtype=int)]
+    assert count_solves(monkeypatch, bg, n_theta, **kw) == solves == grid_orbits(d, n_theta, time_reversal)
+    assert solves == (n_theta**d + (2**d if n_theta % 2 == 0 else 1)) // 2
+
+
+@pytest.mark.parametrize("d,n_theta,medium,solves", [
+    (1, 1, "two_phase", 1), (1, 5, "two_phase", 3), (1, 6, "two_phase", 4), (2, 2, "two_phase", 4),
+    (2, 5, "two_phase", 9), (2, 6, "two_phase", 16), (2, 5, "identity", 6), (2, 6, "identity", 10),
+    (3, 4, "identity", 10)])
+def test_floquet_bands_solves_one_fiber_per_orbit(monkeypatch, d, n_theta, medium, solves):
+    # two-phase stripes along axis 0 have both axis mirrors; the identity has
+    # every signed axis permutation (8-fold in d = 2, 48-fold in d = 3)
+    bg = (PeriodicBackground.two_phase(m=4, low=1.0, high=3.0, d=d) if medium == "two_phase"
+          else PeriodicBackground.identity(d, 2))
+    group = signed_permutations(d, permute=medium == "identity")
+    assert count_solves(monkeypatch, bg, n_theta) == solves == grid_orbits(d, n_theta, group)
 
 
 def test_two_phase_gap_values_frozen():
