@@ -58,6 +58,7 @@ PAD_RADIUS = 200  # extra radius of the window mc_product_event_1 samples
 # couplings one block draw of an ensemble holds at most (256 kB per array), whatever
 # the thread count; 2^14-2^16 drew the 1,067-site d=1 tail window fastest per row
 BLOCK_COUPLINGS = 2**15
+POTENTIAL_TOL = 1e-8  # default neglected tail of the truncated potential
 # bounds-config type -> {argument: (upper end, upper end included, default)}; each
 # argument lies above 0, and a product bound's nu in (d, d+2] besides
 BOUND_DOMAINS = {"chernoff": {"delta": (1.0, True, None), "K": (math.inf, False, 1.0),
@@ -203,7 +204,7 @@ class _AndersonPlan:
 
 
 def potential_on_box(realization: Realization, d: int, k: int, nu: float,
-                     tol: float = 1e-8) -> np.ndarray:
+                     tol: float = POTENTIAL_TOL) -> np.ndarray:
     """Potential on every site of {-k..k}^d, same truncation certificate."""
     cube = lattice_cube(d, k + truncation_radius_for(d, nu, tol))  # a realization drawn on it is read in place
     values = realization.values if np.array_equal(realization.window, cube) else realization.values_at(cube)
@@ -212,7 +213,7 @@ def potential_on_box(realization: Realization, d: int, k: int, nu: float,
 
 def sample_anderson(disorder: DisorderSpec, d: int, k: int, nu: float,
                     E_plus: float, seed: int, index: int,
-                    tol: float = 1e-8) -> AndersonInstance:
+                    tol: float = POTENTIAL_TOL) -> AndersonInstance:
     """Draw one realization and assemble the instance."""
     return assemble_anderson(d, k, E_plus, _AndersonPlan(d, k, nu, E_plus, tol).draw(disorder, seed, index))
 
@@ -222,7 +223,7 @@ def sample_anderson(disorder: DisorderSpec, d: int, k: int, nu: float,
 
 def anderson_ids(disorder: DisorderSpec, d: int, k: int, nu: float, energies,
                  n_realizations: int, E_plus: float = 0.0, seed: int = 0,
-                 tol: float = 1e-8, threads: int = 1) -> IDSCurve:
+                 tol: float = POTENTIAL_TOL, threads: int = 1) -> IDSCurve:
     """Mean normalized eigenvalue counts of the box model.
 
     Realizations are drawn in blocks; failed realizations are dropped as in
@@ -241,7 +242,7 @@ def anderson_ids(disorder: DisorderSpec, d: int, k: int, nu: float, energies,
 
 def eigenvalue_below_probability(disorder: DisorderSpec, d: int, k: int, nu: float,
                                  E: float, n_trials: int, E_plus: float = 0.0,
-                                 seed: int = 0, tol: float = 1e-8, threads: int = 1):
+                                 seed: int = 0, tol: float = POTENTIAL_TOL, threads: int = 1):
     """Frequency of {lambda_min <= E} with a 95% Clopper-Pearson interval.
 
     The event is a count, #{lambda <= E} > 0, with the slack of every count.

@@ -1,27 +1,33 @@
 """Declarative experiment descriptions: JSON schema, validation, hashing.
 
-A config is one JSON document.  validate() returns diagnostics instead of
-raising so a caller can list every problem at once; run pipelines refuse to
-start when any diagnostic has severity "error".
+A config is one JSON document.  Each block is read in one place (`build_box`
+reads geometry; `build_params` reads the params keys `PARAMS` lists for the
+kind) by readers that refuse any value their cast would change; the drivers
+take every value from these functions.  validate() runs them and returns
+diagnostics instead of raising, one per bad key, so a caller can list every
+problem at once; run pipelines refuse to start on any "error" diagnostic.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .anderson import check_bound_args, truncation_radius_for
-from .disorder import DisorderSpec, ValidationError
+from .anderson import POTENTIAL_TOL, check_bound_args, truncation_radius_for
+from .disorder import LAWS, DisorderSpec, ValidationError
 from .ids import DECAY_DENSE_LIMIT
-from .lattice import (BoxSpec, PeriodicBackground, SingleSiteProfile, compact_profile,
+from .lattice import (BCS, BoxSpec, PeriodicBackground, SingleSiteProfile, compact_profile,
                       long_range_profile, short_range_profile)
 
 __all__ = [
     "EXPERIMENT_KINDS",
+    "PARAMS",
     "Diagnostic",
     "ExperimentConfig",
     "load_config",
@@ -32,26 +38,177 @@ __all__ = [
     "build_background",
     "build_profile",
     "build_disorder",
+    "build_params",
     "energy_grid",
 ]
 
-EXPERIMENT_KINDS = ("bands", "ids", "lifshitz", "anderson", "bounds",
-                    "wegner", "ile", "decay", "sandwich")
-# params keys each kind reads without a default; then the choices `bounds`
-# (evaluations[*].type) and `decay` (model) dispatch on, with the keys each reads
-REQUIRED_PARAMS = {"anderson": ("k", "nu"), "lifshitz": ("k", "nu"), "wegner": ("E",),
-                   "ile": ("E_plus", "k"), "sandwich": ("E", "eps", "k")}
-BOUND_EVALUATIONS = {"chernoff": ("k", "delta"), "product1": ("eps", "alpha", "nu"),
-                     "product2": ("eps", "alpha", "nu")}
-DECAY_MODELS = {"lattice": (), "anderson": ("k", "nu")}
-# params each kind reads by int(), with their least value, and by float(), with
-# the open lower bound its estimator enforces; a null k_big is sandwich_check's 2k
-COUNT_PARAMS = {"anderson": {"k": 0}, "lifshitz": {"k": 0, "n_boot": 1, "fit_seed": 0},
-                "sandwich": {"k": 0, "k_big": 0}, "ile": {"k": 2, "gap_scan_n_theta": 1}}
-NUMBER_PARAMS = {"anderson": {"E_plus": -math.inf}, "lifshitz": {"E_plus": -math.inf},
-                 "wegner": {"E": -math.inf, "min_exponent": -math.inf, "volume_ratio_cap": -math.inf},
-                 "sandwich": {"E": -math.inf, "eps": 0.0, "eta0": 1.0},
-                 "ile": {"E_plus": -math.inf, "alpha": 1.0, "p": 0.0}}
+# -- readers --------------------------------------------------------------------
+# A reader takes (value, label) and returns the value as the library receives
+# it, or raises ValidationError.  A table maps each key to (reader, default); a
+# key whose default is _REQUIRED must be given, and a null value stands for a
+# null default.
+
+_REQUIRED = object()
+
+
+def _count(low: int = 0, high=math.inf):
+    """Reader of an integer in [low, high): a JSON integer, or a float equal to one."""
+    bound = f">= {low}" if high == math.inf else f"in [{low}, {high})"
+
+    def read(value, label):
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < high:
+            raise ValidationError(f"{label} must be an integer {bound}, got {value!r}")
+        return int(value)
+    return read
+
+
+def _number(above: float = -math.inf, cast=float):
+    """Reader of a finite number > above, passed on as cast(value)."""
+    def read(value, label):
+        try:
+            ok = (not isinstance(value, bool) and isinstance(value, numbers.Real)
+                  and math.isfinite(value) and float(value) == value and value > above)
+        except OverflowError:  # an integer beyond float range
+            ok = False
+        if not ok:
+            bound = "" if above == -math.inf else f" > {above}"
+            raise ValidationError(f"{label} must be a finite number{bound}, got {value!r}")
+        return cast(value)
+    return read
+
+
+def _flag(value, label):
+    if not isinstance(value, bool):
+        raise ValidationError(f"{label} must be true or false, got {value!r}")
+    return value
+
+
+def _listed(reader, least: int = 1):
+    """Reader of a list of at least `least` items, each read by `reader`."""
+    def read(value, label):
+        if not isinstance(value, (list, tuple)) or len(value) < least:
+            raise ValidationError(f"{label} must be a list of at least {least} items, got {value!r}")
+        return [reader(item, f"{label}[{i}]") for i, item in enumerate(value)]
+    return read
+
+
+class _Choice(dict):
+    """Reader of one of this dict's keys; each maps to the table of keys that choice reads."""
+
+    def __call__(self, value, label):
+        if not isinstance(value, str) or value not in self:
+            raise ValidationError(f"{label} must be one of {sorted(self)}, got {value!r}")
+        return value
+
+
+_COUNT, _NUMBER, _NUMBERS = _count(), _number(), _listed(_number())
+_COUNTS = _listed(_COUNT)
+
+
+def _box_sides(value, label):
+    # wegner_check takes one box half-side or a list of them
+    return _COUNTS(value if isinstance(value, (list, tuple)) else [value], label)
+
+
+def _window(value, label):
+    window = _NUMBERS(value, label)
+    if len(window) != 2 or not window[0] < window[1]:
+        raise ValidationError(f"{label} must be [lo, hi] with lo < hi, got {value!r}")
+    return tuple(window)
+
+
+def _read(block, table: dict, label: str, closed: bool = False, errors: list = None) -> dict:
+    """The values of `table`'s keys in `block`; a choice's own table of keys follows it.
+
+    The first error raises; with an `errors` list each key that does not read
+    appends its error there instead and is left out.  A closed block refuses
+    keys that no table read lists.
+    """
+    values, found, tables = {}, [], [table]
+    if not isinstance(block, dict):
+        found, block, tables = [ValidationError(f"{label} must be an object, got {block!r}")], {}, []
+    for table in tables:  # grows as choices are read
+        for key, (reader, default) in table.items():
+            value = block.get(key, default)
+            try:
+                if value is _REQUIRED:
+                    raise ValidationError(f"{label} requires {key!r}")
+                values[key] = value if value is None and default is None else reader(value, f"{label}.{key}")
+                if isinstance(reader, _Choice):
+                    tables.append(reader[values[key]])
+            except ValidationError as exc:
+                found.append(exc)
+    unknown = set(block).difference(*tables)
+    if closed and unknown and not found:
+        found.append(ValidationError(f"unknown {label} keys {sorted(unknown)}; "
+                                     f"allowed: {sorted(set().union(*tables))}"))
+    if found:
+        if errors is None:
+            raise found[0]
+        errors.extend(found)
+    return values
+
+
+# -- tables ---------------------------------------------------------------------
+
+GEOMETRY = {"d": (_COUNT, 1), "k": (_COUNT, 1), "m": (_COUNT, 2),
+            "bc": (_Choice.fromkeys(BCS, {}), "dirichlet"), "theta": (_NUMBERS, None)}
+ENSEMBLE = {"n_realizations": (_count(1), 1), "seed": (_count(0, 2**64), 0)}
+BACKGROUNDS = _Choice(identity={}, two_phase={"low": (_NUMBER, 1.0), "high": (_NUMBER, 4.0),
+                                              "axis": (_COUNT, 0)})
+PROFILES = _Choice(compact={"radius": (_NUMBER, 0.5), "amplitude": (_NUMBER, 1.0)},
+                   short_range={"nu": (_NUMBER, _REQUIRED), "g_plus": (_NUMBER, 1.0)},
+                   long_range={"nu": (_NUMBER, _REQUIRED), "g_plus": (_NUMBER, 1.0),
+                               "g_minus": (_NUMBER, None)})
+ENERGIES = {"values": (_NUMBERS, None), "min": (_NUMBER, None), "max": (_NUMBER, None),
+            "count": (_count(1), None)}
+
+# a `bounds` evaluation: its type, then the arguments of that bound function;
+# chernoff's truncation reaches the library (and bounds.json) as given
+BOUND_EVALUATIONS = _Choice(
+    chernoff={"k": (_COUNT, _REQUIRED), "delta": (_NUMBER, _REQUIRED), "K": (_NUMBER, 1.0),
+              "C": (_NUMBER, 1.0), "d": (_count(1), 1),
+              "truncation": (_number(0.0, cast=lambda v: v), None)},
+    product1={"eps": (_NUMBER, _REQUIRED), "alpha": (_NUMBER, _REQUIRED), "nu": (_NUMBER, _REQUIRED),
+              "d": (_count(1), 1)},
+    product2={"eps": (_NUMBER, _REQUIRED), "alpha": (_NUMBER, _REQUIRED), "nu": (_NUMBER, _REQUIRED),
+              "d": (_count(1), 1), "s": (_NUMBER, 1.0), "C": (_NUMBER, 1.0)})
+
+
+def _evaluation(spec, label):
+    """The type and arguments of one bound evaluation, its arguments in the bound's domain."""
+    args = _read(spec, {"type": (BOUND_EVALUATIONS, _REQUIRED)}, label)
+    check_bound_args(args["type"], args)
+    return args
+
+
+_ANDERSON = {"k": (_COUNT, _REQUIRED), "nu": (_NUMBER, _REQUIRED), "E_plus": (_NUMBER, 0.0)}
+_ANDERSON_TOL = {**_ANDERSON, "potential_tol": (_number(0.0), POTENTIAL_TOL)}
+_EPS = {"eps_values": (_listed(_number(0.0)), None), "eps_min": (_number(0.0), None),
+        "eps_max": (_number(0.0), None), "eps_count": (_count(1), None)}
+# kind -> {params key its driver reads: (reader, default)}; the least values are
+# those its estimator enforces, and a null k_big is sandwich_check's 2k
+PARAMS = {
+    "bands": {},
+    "ids": {},
+    "lifshitz": {**_ANDERSON_TOL, **_EPS, "n_boot": (_count(1), 1000), "fit_seed": (_COUNT, 715517),
+                 "nondegenerate": (_flag, True)},
+    "anderson": _ANDERSON_TOL,
+    "bounds": {"evaluations": (_listed(_evaluation, 0), [])},
+    "wegner": {"E": (_NUMBER, _REQUIRED), **_EPS, "ks": (_box_sides, [8, 16]),
+               "n_trials": (_count(1), 100), "theta": (_NUMBERS, None),
+               "min_exponent": (_NUMBER, 0.5), "volume_ratio_cap": (_NUMBER, 2.5)},
+    "ile": {"E_plus": (_NUMBER, _REQUIRED), "k": (_count(2), _REQUIRED), "alpha": (_number(1.0), 1.2),
+            "p": (_number(0.0), 2.0), "n_trials": (_count(1), 100), "theta": (_NUMBERS, None),
+            "gap_scan_n_theta": (_count(1), 32)},
+    "decay": {"model": (_Choice(lattice={}, anderson=_ANDERSON), "lattice"),
+              "index": (_count(0, 2**64), 0), "window": (_window, None), "n_states": (_count(1), 5)},
+    "sandwich": {"E": (_NUMBER, _REQUIRED), "eps": (_number(0.0), _REQUIRED), "k": (_COUNT, _REQUIRED),
+                 "k_big": (_COUNT, None), "eta0": (_number(1.0), 1.5)},
+}
+EXPERIMENT_KINDS = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
@@ -79,21 +236,22 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.ensemble.get("seed", 0))
+        return _read(self.ensemble, ENSEMBLE, "ensemble")["seed"]
 
     @property
     def n_realizations(self) -> int:
-        return int(self.ensemble.get("n_realizations", 1))
+        return _read(self.ensemble, ENSEMBLE, "ensemble")["n_realizations"]
 
-
-_KNOWN_TOP_KEYS = {"kind", "geometry", "background", "profile", "disorder",
-                   "energies", "ensemble", "n_theta", "params", "solver", "out"}
+    @property
+    def theta_points(self) -> int:
+        """n_theta, the quasimomenta per axis, as the drivers pass it on."""
+        return _count(1)(self.n_theta, "n_theta")
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ValidationError("config document must be a JSON object")
-    unknown = set(doc) - _KNOWN_TOP_KEYS
+    unknown = set(doc) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
     if "kind" not in doc:
@@ -125,90 +283,66 @@ def config_hash(config: ExperimentConfig) -> str:
 # -- builders -------------------------------------------------------------------
 
 
-def _reject_unknown(block: dict, allowed: set, label: str):
-    # typos in nested blocks would otherwise fall back to defaults silently
-    unknown = set(block) - allowed
-    if unknown:
-        raise ValidationError(f"unknown {label} keys {sorted(unknown)}; "
-                              f"allowed: {sorted(allowed)}")
-
-
-_BACKGROUND_KEYS = {"identity": {"type"},
-                    "two_phase": {"type", "low", "high", "axis"}}
-_PROFILE_KEYS = {"compact": {"kind", "radius", "amplitude"},
-                 "short_range": {"kind", "nu", "g_plus"},
-                 "long_range": {"kind", "nu", "g_plus", "g_minus"}}
-GEOMETRY_KEYS = {"d", "k", "m", "bc", "theta"}
-ENSEMBLE_KEYS = {"n_realizations", "seed"}
+def build_box(config: ExperimentConfig) -> BoxSpec:
+    """The geometry block; its d and m are those of every medium the config builds."""
+    return BoxSpec(**_read(config.geometry, GEOMETRY, "geometry", closed=True))
 
 
 def build_background(config: ExperimentConfig) -> PeriodicBackground:
-    geo = config.geometry
-    d, m = int(geo.get("d", 1)), int(geo.get("m", 2))
-    bg = config.background
-    kind = bg.get("type", "identity")
-    if kind not in _BACKGROUND_KEYS:
-        raise ValidationError(f"unknown background type {kind!r}")
-    _reject_unknown(bg, _BACKGROUND_KEYS[kind], "background")
-    if kind == "identity":
-        return PeriodicBackground.identity(d=d, m=m)
-    return PeriodicBackground.two_phase(m=m, low=float(bg.get("low", 1.0)),
-                                        high=float(bg.get("high", 4.0)), d=d,
-                                        axis=int(bg.get("axis", 0)))
+    box = build_box(config)
+    bg = _read(config.background, {"type": (BACKGROUNDS, "identity")}, "background", closed=True)
+    if bg.pop("type") == "identity":
+        return PeriodicBackground.identity(d=box.d, m=box.m)
+    if not bg["axis"] < box.d:
+        raise ValidationError(f"background.axis must be below d = {box.d}, got {bg['axis']}")
+    return PeriodicBackground.two_phase(m=box.m, d=box.d, **bg)
+
+
+_PROFILE_BUILDERS = {"compact": compact_profile, "short_range": short_range_profile,
+                     "long_range": long_range_profile}
 
 
 def build_profile(config: ExperimentConfig) -> SingleSiteProfile:
-    d = int(config.geometry.get("d", 1))
-    p = config.profile
-    kind = p.get("kind", "compact")
-    if kind not in _PROFILE_KEYS:
-        raise ValidationError(f"unknown profile kind {kind!r}")
-    _reject_unknown(p, _PROFILE_KEYS[kind], "profile")
-    if kind == "compact":
-        return compact_profile(d=d, radius=float(p.get("radius", 0.5)),
-                               amplitude=float(p.get("amplitude", 1.0)))
-    if kind == "short_range":
-        return short_range_profile(d=d, nu=float(p["nu"]),
-                                   g_plus=float(p.get("g_plus", 1.0)))
-    return long_range_profile(d=d, nu=float(p["nu"]),
-                              g_plus=float(p.get("g_plus", 1.0)),
-                              g_minus=p.get("g_minus"))
+    p = _read(config.profile, {"kind": (PROFILES, "compact")}, "profile", closed=True)
+    return _PROFILE_BUILDERS[p.pop("kind")](d=build_box(config).d, **p)
 
 
 def build_disorder(config: ExperimentConfig) -> DisorderSpec:
-    d = dict(config.disorder)
-    law = d.pop("law", "uniform01")
-    return DisorderSpec(law=law, **{k: float(v) for k, v in d.items()})
+    law = _read(config.disorder, {"law": (_Choice.fromkeys(LAWS, {}), "uniform01")}, "disorder")["law"]
+    return DisorderSpec(law=law, **{k: _NUMBER(v, f"disorder.{k}")
+                                    for k, v in config.disorder.items() if k != "law"})
 
 
-def build_box(config: ExperimentConfig) -> BoxSpec:
-    geo = config.geometry
-    theta = geo.get("theta")
-    return BoxSpec(d=int(geo.get("d", 1)), k=int(geo.get("k", 1)),
-                   m=int(geo.get("m", 2)), bc=geo.get("bc", "dirichlet"),
-                   theta=tuple(theta) if theta is not None else None)
+def build_params(config: ExperimentConfig) -> dict:
+    """The value of every params key the kind's driver reads, defaults filled in.
+
+    `params` is open: a key `PARAMS` does not list for the kind is not read.
+    """
+    return _read(config.params, PARAMS[config.kind], "params")
+
+
+def _grid(values, lo, hi, count, spacing, need: str) -> np.ndarray:
+    if values is not None:
+        return np.asarray(values)
+    if None not in (lo, hi, count):
+        return spacing(lo, hi, count)
+    raise ValidationError(need)
 
 
 def energy_grid(config: ExperimentConfig) -> np.ndarray:
-    e = config.energies
-    if "values" in e:
-        return np.asarray(e["values"], dtype=float)
-    if {"min", "max", "count"} <= set(e):
-        return np.linspace(float(e["min"]), float(e["max"]), int(e["count"]))
-    raise ValidationError("energies need either 'values' or min/max/count")
+    e = _read(config.energies, ENERGIES, "energies")
+    return _grid(e["values"], e["min"], e["max"], e["count"], np.linspace,
+                 "energies need either 'values' or min/max/count")
 
 
 def eps_grid(config: ExperimentConfig) -> np.ndarray:
-    p = config.params
-    if "eps_values" in p:
-        return np.asarray(p["eps_values"], dtype=float)
-    if {"eps_min", "eps_max", "eps_count"} <= set(p):
-        return np.geomspace(float(p["eps_min"]), float(p["eps_max"]),
-                            int(p["eps_count"]))
-    raise ValidationError("params need either 'eps_values' or eps_min/eps_max/eps_count")
+    p = build_params(config)
+    return _grid(p["eps_values"], p["eps_min"], p["eps_max"], p["eps_count"], np.geomspace,
+                 "params need either 'eps_values' or eps_min/eps_max/eps_count")
 
 
 # -- validation -------------------------------------------------------------------
+# The readers refuse single values; these checks span keys and read built values.
 
 
 def _increasing(grid: np.ndarray):
@@ -218,84 +352,34 @@ def _increasing(grid: np.ndarray):
 
 def _check_eps(config: ExperimentConfig):
     eps = eps_grid(config)
-    if not np.all(eps > 0):
-        raise ValidationError("eps values must be positive")
     if config.kind == "lifshitz":  # its energies are E_plus + eps
         _increasing(eps)
 
 
-def _require(block: dict, keys, label: str):
-    missing = [key for key in keys if key not in block]
-    if missing:
-        raise ValidationError(f"{label} requires {missing}")
+def _check_truncation(d: int, params: dict):
+    # the Anderson potential's truncation cube; decay draws at the library's tolerance
+    truncation_radius_for(d, params["nu"], params.get("potential_tol", POTENTIAL_TOL))
 
 
-def _check_choice(block: dict, key: str, default, table: dict):
-    if not isinstance(block, dict):
-        raise ValidationError(f"expected an object with a {key!r}, got {block!r}")
-    choice = block.get(key, default)
-    if choice not in table:
-        raise ValidationError(f"unknown {key} {choice!r}; expected one of {sorted(table)}")
-    _require(block, table[choice], f"{key} {choice!r}")
-    return choice
-
-
-def _check_count(value, low: int, label: str, high=math.inf):
-    # experiments read counts by int(); a value that int() would change (2.5, "3") is refused
-    if int(value) != value or not low <= value < high:
-        bound = f">= {low}" if high == math.inf else f"in [{low}, {high})"
-        raise ValidationError(f"{label} must be an integer {bound}, got {value!r}")
-
-
-def _check_number(value, above: float, label: str):
-    # experiments read numbers by float(); a value that float() would change ("0.5") is refused
-    if float(value) != value or not math.isfinite(value) or not value > above:
-        bound = "" if above == -math.inf else f" > {above}"
-        raise ValidationError(f"{label} must be a finite number{bound}, got {value!r}")
-
-
-def _check_ks(ks):
-    # wegner_check takes one box half-side or a list of them
-    ks = ks if isinstance(ks, list) else [ks]
-    if not ks:
-        raise ValidationError("params.ks must list at least one box half-side")
-    for i, k in enumerate(ks):
-        _check_count(k, 0, f"params.ks[{i}]")
-
-
-def _check_truncation(config: ExperimentConfig):
-    # the Anderson potential's truncation cube; decay draws at the default tolerance
-    p = config.params
-    tol = 1e-8 if config.kind == "decay" else float(p.get("potential_tol", 1e-8))
-    truncation_radius_for(int(config.geometry.get("d", 1)), float(p["nu"]), tol)
-
-
-def _check_decay(config: ExperimentConfig, box_ok: bool):
-    p = config.params
-    _check_choice(p, "model", "lattice", DECAY_MODELS)
-    _check_count(p.get("index", 0), 0, "params.index", 2**64)  # the realization drawn
-    if p.get("model", "lattice") == "anderson":
-        _check_count(p["k"], 0, "params.k")
-        _check_truncation(config)
-        dim = (2 * int(p["k"]) + 1) ** int(config.geometry.get("d", 1))
-    else:  # None: the geometry diagnostic already names the fault
-        dim = build_box(config).n_nodes if box_ok else None
-    if dim is not None and dim > DECAY_DENSE_LIMIT:
+def _check_decay(box: BoxSpec, params: dict):
+    if params["model"] == "anderson":
+        _check_truncation(box.d, params)
+        dim = (2 * params["k"] + 1) ** box.d
+    else:
+        dim = box.n_nodes
+    if dim > DECAY_DENSE_LIMIT:
         raise ValidationError(f"the operator's dimension {dim} exceeds the dense limit {DECAY_DENSE_LIMIT}")
-    if "window" in p:
-        lo, hi = (float(v) for v in p["window"])
-        if not lo < hi:
-            raise ValidationError("window must be [lo, hi] with lo < hi")
-    elif dim is not None and not 1 <= int(p.get("n_states", 5)) <= dim:
+    if params["window"] is None and not params["n_states"] <= dim:
         raise ValidationError(f"n_states must lie in [1, {dim}], the operator's dimension")
 
 
-def _try(diags: list, severity: str, fn, label: str):
+def _try(diags: list, fn, label: str):
     try:
         fn()
         return True
     except (ValidationError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        diags.append(Diagnostic(severity, f"{label}: {exc}"))
+        message = str(exc)  # a reader's message starts with the key's path
+        diags.append(Diagnostic("error", message if message.startswith(f"{label}.") else f"{label}: {message}"))
         return False
 
 
@@ -306,76 +390,46 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         diags.append(Diagnostic("error",
                      f"unknown kind {config.kind!r}; expected one of {EXPERIMENT_KINDS}"))
         return diags
-    _try(diags, "error",
-         lambda: _reject_unknown(config.geometry, GEOMETRY_KEYS, "geometry"),
-         "geometry")
-    _try(diags, "error",
-         lambda: _reject_unknown(config.ensemble, ENSEMBLE_KEYS, "ensemble"),
-         "ensemble")
     if config.solver:
         diags.append(Diagnostic("error", f"solver: no solver options are supported; "
-                                f"remove {sorted(config.solver)}"))
-    geo_ok = _try(diags, "error", lambda: build_background(config), "background")
-    profile_ok = _try(diags, "error", lambda: build_profile(config), "profile")
-    if _try(diags, "error", lambda: build_disorder(config), "disorder"):
+                                f"remove {config.solver!r}"))
+    if not isinstance(config.out, str):
+        diags.append(Diagnostic("error", f"out must be a path, got {config.out!r}"))
+    box_ok = _try(diags, lambda: build_box(config), "geometry")
+    geo_ok = box_ok and _try(diags, lambda: build_background(config), "background")
+    profile_ok = box_ok and _try(diags, lambda: build_profile(config), "profile")
+    if _try(diags, lambda: build_disorder(config), "disorder"):
         diags.extend(Diagnostic("warning", f"disorder: {note}")
                      for note in build_disorder(config).diagnostics())
-    _try(diags, "error", lambda: _check_count(config.ensemble.get("n_realizations", 1), 1,
-                                              "ensemble.n_realizations"), "ensemble")
-    _try(diags, "error", lambda: _check_count(config.ensemble.get("seed", 0), 0, "ensemble.seed", 2**64),
-         "ensemble")
-    _try(diags, "error", lambda: _check_count(config.n_theta, 1, "n_theta"), "n_theta")
-    box_ok = config.kind in ("ids", "decay") and _try(
-        diags, "error", lambda: build_box(config), "geometry")
+    _try(diags, lambda: config.theta_points, "n_theta")
     if config.kind in ("ids", "anderson"):
-        _try(diags, "error", lambda: _increasing(energy_grid(config)), "energies")
-    if config.kind in ("lifshitz", "wegner"):
-        _try(diags, "error", lambda: _check_eps(config), "eps grid")
-    if config.kind in ("ile", "wegner") and geo_ok and "theta" in config.params:
-        bg = build_background(config)  # the boxes these kinds build are quasiperiodic
-        _try(diags, "error", lambda: BoxSpec(d=bg.d, k=0, m=bg.m, bc="quasiperiodic",
-                                             theta=tuple(config.params["theta"])), "params.theta")
-    _try(diags, "error", lambda: _require(config.params, REQUIRED_PARAMS.get(config.kind, ()),
-                                          f"kind {config.kind!r}"), "params")
-    params, refused = config.params, set()
-    for table, check in ((COUNT_PARAMS, _check_count), (NUMBER_PARAMS, _check_number)):
-        for key, low in table.get(config.kind, {}).items():
-            if key in params and not (key == "k_big" and params[key] is None):
-                if not _try(diags, "error", lambda: check(params[key], low, f"params.{key}"), "params"):
-                    refused.add(key)
-    if config.kind == "wegner":
-        _try(diags, "error", lambda: _check_ks(params.get("ks", [8, 16])), "params")
-    if config.kind in ("anderson", "lifshitz") and "nu" in config.params:
-        _try(diags, "error", lambda: _check_truncation(config), "params")
-    if config.kind == "bounds":
-        for i, spec in enumerate(config.params.get("evaluations", [])):
-            _try(diags, "error", lambda: check_bound_args(_check_choice(
-                spec, "type", None, BOUND_EVALUATIONS), spec), f"params.evaluations[{i}]")
-    if config.kind == "decay":
-        _try(diags, "error", lambda: _check_decay(config, box_ok), "params")
-    _try(diags, "error", lambda: _check_count(config.params.get("n_trials", 1), 1, "params.n_trials"),
-         "params")
-
+        _try(diags, lambda: _increasing(energy_grid(config)), "energies")
+    errors = []  # one per key of the ensemble and params blocks that does not read
+    _read(config.ensemble, ENSEMBLE, "ensemble", closed=True, errors=errors)
+    params = _read(config.params, PARAMS[config.kind], "params", errors=errors)
+    diags.extend(Diagnostic("error", str(exc)) for exc in errors)
+    if not errors:
+        if config.kind in ("lifshitz", "wegner"):
+            _try(diags, lambda: _check_eps(config), "eps grid")
+        if box_ok and params.get("theta") is not None:  # the boxes ile and wegner build are quasiperiodic
+            _try(diags, lambda: dataclasses.replace(
+                build_box(config), bc="quasiperiodic", theta=params["theta"]), "params.theta")
+        if config.kind in ("anderson", "lifshitz") and box_ok:
+            _try(diags, lambda: _check_truncation(build_box(config).d, params), "params")
+        if config.kind == "decay" and box_ok:
+            _try(diags, lambda: _check_decay(build_box(config), params), "params")
+        if config.kind == "ile" and geo_ok:
+            _try(diags, lambda: _check_gap(config, params), "params")
     if profile_ok and config.kind == "wegner" and build_profile(config).kind != "compact":
-        diags.append(Diagnostic("warning",
-                     "level-repulsion probe assumes a compactly supported "
-                     "profile; results with unbounded range are not covered "
-                     "by the estimate being tested"))
-
-    if config.kind == "ile" and geo_ok and "E_plus" in params and not refused & {"E_plus", "gap_scan_n_theta"}:
-        _validate_gap(config, diags)
+        diags.append(Diagnostic("error", "profile: the level-repulsion probe (wegner_check) "
+                                "needs a compactly supported profile"))
     return diags
 
 
-def _validate_gap(config: ExperimentConfig, diags: list[Diagnostic]):
+def _check_gap(config: ExperimentConfig, params: dict):
     """Numeric scan: the probe energy must sit inside a spectral gap."""
     from .spectral import floquet_bands, spectral_gaps
-    E_probe = config.params["E_plus"]
-    bg = build_background(config)
-    bands = floquet_bands(bg, n_theta=int(config.params.get("gap_scan_n_theta", 32)))
-    gaps = spectral_gaps(bands)
-    inside = any(lo < float(E_probe) < hi for lo, hi, _, _ in gaps)
-    if not inside:
-        diags.append(Diagnostic("error",
-                     f"probe energy {E_probe} is not inside any spectral gap of the "
-                     f"reference medium (gaps: {[(round(a, 4), round(b, 4)) for a, b, _, _ in gaps]})"))
+    gaps = spectral_gaps(floquet_bands(build_background(config), n_theta=params["gap_scan_n_theta"]))
+    if not any(lo < params["E_plus"] < hi for lo, hi, _, _ in gaps):
+        raise ValidationError(f"probe energy {params['E_plus']} is not inside any spectral gap of the "
+                              f"reference medium (gaps: {[(round(a, 4), round(b, 4)) for a, b, _, _ in gaps]})")

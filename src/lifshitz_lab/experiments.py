@@ -23,8 +23,8 @@ from . import version
 from .anderson import (anderson_ids, chernoff_bound_P1, product_bound_P_eps_alpha_1,
                        product_bound_P_eps_alpha_2, sample_anderson)
 from .config import (ExperimentConfig, build_background, build_box, build_disorder,
-                     build_profile, config_hash, energy_grid, eps_grid, resolved_dict,
-                     validate)
+                     build_params, build_profile, config_hash, energy_grid, eps_grid,
+                     resolved_dict, validate)
 from .curves import InsufficientDataError
 from .ids import (decay_diagnostic, empirical_ids, ile_check, lifshitz_exponent,
                   sandwich_check, theoretical_exponent, wegner_check)
@@ -134,8 +134,8 @@ def _write_ids(config, out_dir, curve, **extra) -> tuple[list, list]:
 
 
 def _run_bands(config, out_dir, threads):
-    bg = build_background(config)
-    bands = floquet_bands(bg, n_theta=config.n_theta)
+    bg, n_theta = build_background(config), config.theta_points
+    bands = floquet_bands(bg, n_theta=n_theta)
     d = bg.d
     header = [f"theta_{j+1}" for j in range(d)] + ["band_index", "energy"]
     # csv.writer's rendering (floats by repr, "\r\n" endings), each fiber's thetas formatted once
@@ -146,7 +146,7 @@ def _run_bands(config, out_dir, threads):
         rows.extend(f"{fiber}{mid}{e!r}\r\n" for mid, e in zip(middles, row))
     _write_csv(os.path.join(out_dir, "bands.csv"), header, "".join(rows))
     results = {"band_ranges": bands.band_ranges(), "gaps": spectral_gaps(bands),
-               "n_theta": config.n_theta, "period": bands.period}
+               "n_theta": n_theta, "period": bands.period}
     _write_json(os.path.join(out_dir, "bands.json"), config, results)
     return ["bands.csv", "bands.json"], []
 
@@ -159,35 +159,31 @@ def _run_ids(config, out_dir, threads):
     return _write_ids(config, out_dir, curve, bc=box.bc)
 
 
-def _anderson_curve(config, energies, threads):
-    p = config.params
-    return anderson_ids(build_disorder(config), int(config.geometry.get("d", 1)), int(p["k"]),
-                        float(p["nu"]), energies, config.n_realizations,
-                        E_plus=float(p.get("E_plus", 0.0)), seed=config.seed,
-                        tol=float(p.get("potential_tol", 1e-8)), threads=threads)
+def _anderson_curve(config, p, energies, threads):
+    return anderson_ids(build_disorder(config), build_box(config).d, p["k"], p["nu"], energies,
+                        config.n_realizations, E_plus=p["E_plus"], seed=config.seed,
+                        tol=p["potential_tol"], threads=threads)
 
 
 def _run_anderson(config, out_dir, threads):
-    return _write_ids(config, out_dir, _anderson_curve(config, energy_grid(config), threads))
+    curve = _anderson_curve(config, build_params(config), energy_grid(config), threads)
+    return _write_ids(config, out_dir, curve)
 
 
 def _run_lifshitz(config, out_dir, threads):
-    p = config.params
-    eps = eps_grid(config)
-    E_plus = float(p.get("E_plus", 0.0))
-    curve = _anderson_curve(config, np.concatenate([[E_plus], E_plus + eps]), threads)
-    d = int(config.geometry.get("d", 1))
-    nu = float(p["nu"])
+    p = build_params(config)
+    eps, E_plus, nu = eps_grid(config), p["E_plus"], p["nu"]
+    curve = _anderson_curve(config, p, np.concatenate([[E_plus], E_plus + eps]), threads)
+    d = build_box(config).d
     dis = build_disorder(config)
     kappa = dis.tail_index if dis.law != "bernoulli" else 0.0
     range_kind = "short_range" if nu > d + 2 else "long_range"
     target = theoretical_exponent(d, kappa, range_kind, nu=None if range_kind == "short_range" else nu,
-                                  nondegenerate=bool(p.get("nondegenerate", True)))
+                                  nondegenerate=p["nondegenerate"])
     results = {"E_plus": E_plus, "target": target, "nu": nu, "kappa": kappa}
     rows = []
     try:
-        fit = lifshitz_exponent(curve, E_plus, eps, n_boot=int(p.get("n_boot", 1000)),
-                                seed=int(p.get("fit_seed", 715517)))
+        fit = lifshitz_exponent(curve, E_plus, eps, n_boot=p["n_boot"], seed=p["fit_seed"])
         rows = [(float(e), float(dn), float(np.log(np.abs(np.log(dn)))))
                 for e, dn in zip(fit.eps_used, fit.dN_used)]
         results.update({"slope": fit.slope, "intercept": fit.intercept,
@@ -201,20 +197,17 @@ def _run_lifshitz(config, out_dir, threads):
     return ["expfit.csv", "expfit.json"], [str(f) for f in curve.meta["failures"]]
 
 
+# bounds-evaluation type (config.BOUND_EVALUATIONS) -> the bound it evaluates
+_BOUNDS = {"chernoff": chernoff_bound_P1, "product1": product_bound_P_eps_alpha_1,
+           "product2": product_bound_P_eps_alpha_2}
+
+
 def _run_bounds(config, out_dir, threads):
     dis = build_disorder(config)
     rows, details = [], []
-    for spec in config.params.get("evaluations", []):
-        kind, d = spec["type"], int(spec.get("d", 1))
-        if kind == "chernoff":
-            be = chernoff_bound_P1(dis, k=int(spec["k"]), delta=float(spec["delta"]),
-                                   K=float(spec.get("K", 1.0)), C=float(spec.get("C", 1.0)),
-                                   d=d, truncation=spec.get("truncation"))
-        else:  # product1 or product2; validate() admits only BOUND_EVALUATIONS types
-            args = {key: float(spec[key]) for key in ("eps", "alpha", "nu")}
-            be = (product_bound_P_eps_alpha_1(dis, **args, d=d) if kind == "product1" else
-                  product_bound_P_eps_alpha_2(dis, **args, d=d, s=float(spec.get("s", 1.0)),
-                                              C=float(spec.get("C", 1.0))))
+    for args in build_params(config)["evaluations"]:
+        kind = args.pop("type")
+        be = _BOUNDS[kind](dis, **args)
         rows.append((be.name, *(be.params.get(key, "") for key in ("eps", "alpha", "nu")),
                      be.params["d"], be.log_bound, be.t_star if kind == "chernoff" else ""))
         details.append({"name": be.name, "params": be.params, "details": be.details,
@@ -227,43 +220,34 @@ def _run_bounds(config, out_dir, threads):
 
 def _run_wegner(config, out_dir, threads):
     bg, prof, dis = build_background(config), build_profile(config), build_disorder(config)
-    p = config.params
-    theta = p.get("theta")
-    rep = wegner_check(bg, prof, dis, E=float(p["E"]), ks=p.get("ks", [8, 16]),
-                       eps_list=eps_grid(config), n_trials=int(p.get("n_trials", 100)),
-                       theta=theta, seed=config.seed,
-                       min_exponent=float(p.get("min_exponent", 0.5)),
-                       volume_ratio_cap=float(p.get("volume_ratio_cap", 2.5)),
+    p = build_params(config)
+    rep = wegner_check(bg, prof, dis, E=p["E"], ks=p["ks"], eps_list=eps_grid(config),
+                       n_trials=p["n_trials"], theta=p["theta"], seed=config.seed,
+                       min_exponent=p["min_exponent"], volume_ratio_cap=p["volume_ratio_cap"],
                        threads=threads)
     return _write_check(config, out_dir, rep)
 
 
 def _run_ile(config, out_dir, threads):
     bg, prof, dis = build_background(config), build_profile(config), build_disorder(config)
-    p = config.params
-    rep = ile_check(bg, prof, dis, E_plus=float(p["E_plus"]), k=int(p["k"]),
-                    alpha=float(p.get("alpha", 1.2)), p=float(p.get("p", 2.0)),
-                    n_trials=int(p.get("n_trials", 100)), theta=p.get("theta"),
-                    seed=config.seed, threads=threads)
+    p = build_params(config)
+    rep = ile_check(bg, prof, dis, E_plus=p["E_plus"], k=p["k"], alpha=p["alpha"], p=p["p"],
+                    n_trials=p["n_trials"], theta=p["theta"], seed=config.seed, threads=threads)
     return _write_check(config, out_dir, rep)
 
 
 def _run_decay(config, out_dir, threads):
-    p = config.params
-    if p.get("model", "lattice") == "anderson":
-        op = sample_anderson(build_disorder(config), d=int(config.geometry.get("d", 1)), k=int(p["k"]),
-                             nu=float(p["nu"]), E_plus=float(p.get("E_plus", 0.0)),
-                             seed=config.seed, index=int(p.get("index", 0)))
-    else:  # lattice; validate() admits only DECAY_MODELS
+    p = build_params(config)
+    if p["model"] == "anderson":
+        op = sample_anderson(build_disorder(config), d=build_box(config).d, k=p["k"], nu=p["nu"],
+                             E_plus=p["E_plus"], seed=config.seed, index=p["index"])
+    else:  # lattice
         op = operator_sampler(build_background(config), build_profile(config),
-                              build_disorder(config), build_box(config),
-                              config.seed)(int(p.get("index", 0)))
-    if "window" in p:
-        lo, hi = float(p["window"][0]), float(p["window"][1])
+                              build_disorder(config), build_box(config), config.seed)(p["index"])
+    if p["window"] is not None:
+        lo, hi = p["window"]
     else:
-        n_states = int(p.get("n_states", 5))
-        vals = scipy.linalg.eigvalsh(op.matrix.toarray(),
-                                     subset_by_index=[0, n_states - 1])
+        vals = scipy.linalg.eigvalsh(op.matrix.toarray(), subset_by_index=[0, p["n_states"] - 1])
         lo, hi = float(vals[0]) - 1e-9, float(vals[-1]) + 1e-9
     entries = decay_diagnostic(op, (lo, hi))
     rows = [(e["eigenvalue"], e["decay_rate"], e["fit_r2"]) for e in entries]
@@ -276,12 +260,10 @@ def _run_decay(config, out_dir, threads):
 
 def _run_sandwich(config, out_dir, threads):
     bg, prof, dis = build_background(config), build_profile(config), build_disorder(config)
-    p = config.params
-    rep = sandwich_check(bg, prof, dis, E=float(p["E"]), eps=float(p["eps"]),
-                         k=int(p["k"]), n_realizations=config.n_realizations,
-                         n_theta=config.n_theta, k_big=p.get("k_big"),
-                         eta0=float(p.get("eta0", 1.5)), seed=config.seed,
-                         threads=threads)
+    p = build_params(config)
+    rep = sandwich_check(bg, prof, dis, E=p["E"], eps=p["eps"], k=p["k"],
+                         n_realizations=config.n_realizations, n_theta=config.theta_points,
+                         k_big=p["k_big"], eta0=p["eta0"], seed=config.seed, threads=threads)
     return _write_check(config, out_dir, rep)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .curves import IDSCurve, InsufficientDataError, ensemble_curve
-from .disorder import DisorderSpec, ValidationError, lattice_cube, sample_realization
+from .disorder import DisorderSpec, ValidationError, cube_codes, draw_couplings, site_hash
 from .lattice import (BoxSpec, PeriodicBackground, SingleSiteProfile, TAIL_TOL, _periodized_plan,
                       assemble_operator, background_field, identity_field, operator_sampler)
 from .runner import frequency, trials
@@ -96,10 +96,13 @@ def periodic_approx_ids(background: PeriodicBackground, profile: SingleSiteProfi
     return periodic_ids_curve(bands, energies)
 
 
-def _periodic_counts(background, profile, k: int, n_theta: int, energies, tol: float):
-    """Pattern on lattice_cube(d, k) -> `periodic_approx_ids` values, one field plan for all."""
+def _periodic_counts(background, profile, disorder, k: int, n_theta: int, energies, tol: float, seed: int):
+    """Index i -> `periodic_approx_ids` values of pattern (seed, i) on lattice_cube(d, k),
+    from one field plan and one hash of the pattern cube for all."""
     field = _periodized_plan(background, profile, k, background.m, tol)
-    return lambda pattern: periodic_ids_curve(_field_bands(field(pattern.values), n_theta), energies).values
+    hashes = site_hash(cube_codes(background.d, k))
+    return lambda i: periodic_ids_curve(_field_bands(field(draw_couplings(disorder, hashes, seed, i)), n_theta),
+                                        energies).values
 
 
 def expected_periodic_ids(background: PeriodicBackground, profile: SingleSiteProfile,
@@ -111,11 +114,9 @@ def expected_periodic_ids(background: PeriodicBackground, profile: SingleSitePro
     Failed realizations are dropped as in `curves.ensemble_curve`.
     """
     energies = np.asarray(energies, dtype=float)
-    sites = lattice_cube(background.d, k)
-    counts = _periodic_counts(background, profile, k, n_theta, energies, tol)
-    return ensemble_curve(lambda i: counts(sample_realization(disorder, sites, seed, i)), n_realizations,
-                          energies, float((2 * k + 1)**background.d), "floquet", threads, seed=seed,
-                          n_theta=n_theta)
+    counts = _periodic_counts(background, profile, disorder, k, n_theta, energies, tol, seed)
+    return ensemble_curve(counts, n_realizations, energies, float((2 * k + 1)**background.d), "floquet",
+                          threads, seed=seed, n_theta=n_theta)
 
 
 def sandwich_check(background: PeriodicBackground, profile: SingleSiteProfile,
@@ -142,11 +143,10 @@ def sandwich_check(background: PeriodicBackground, profile: SingleSiteProfile,
     d = background.d
     err = math.exp(-eps ** (-eta0))
     inner_E = np.array([E - 2 * eps, E - eps / 2.0, E + eps / 2.0, E + 2 * eps])
-    sites = lattice_cube(d, k)
-    counts = _periodic_counts(background, profile, k, n_theta, inner_E, tol)
+    counts = _periodic_counts(background, profile, disorder, k, n_theta, inner_E, tol, seed)
 
     def increments(i):
-        v = counts(sample_realization(disorder, sites, seed, i))
+        v = counts(i)
         return np.array([v[2] - v[1], v[3] - v[0]])
 
     incr = trials(increments, n_realizations, threads)
@@ -404,14 +404,14 @@ def event_E_check(background: PeriodicBackground, profile: SingleSiteProfile,
     box = BoxSpec(d=d, k=k, m=background.m, bc="quasiperiodic")
     A0 = assemble_operator(background_field(background, box)).matrix.toarray().real
     L = assemble_operator(identity_field(box)).matrix.toarray().real
-    sites = lattice_cube(d, k)
+    hashes = site_hash(cube_codes(d, k))
     fld = _periodized_plan(background, profile, k, background.m, tol)
     premise_ok = True
     if profile.kind == "long_range" and 0.0 < eps < 1.0 and k >= 2:
         premise_ok = math.log(k) / math.log(1.0 / eps) > 1.0 / (profile.nu - d)
 
     def holds(i):
-        A = assemble_operator(fld(sample_realization(disorder, sites, seed, i).values)).matrix.toarray().real
+        A = assemble_operator(fld(draw_couplings(disorder, hashes, seed, i))).matrix.toarray().real
         return scipy.linalg.eigvalsh(A - A0 + eps * L, subset_by_index=[0, 0])[0] >= -1e-10
 
     _, p_lo, p_hi, successes = frequency(holds, n_trials, threads)

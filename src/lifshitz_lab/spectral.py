@@ -293,10 +293,10 @@ def spectral_gaps(bands: BandStructure) -> list:
     return gaps
 
 
-def distance_to_spectrum(A, E: float, dense_threshold: int = DENSE_THRESHOLD) -> float:
-    """min |lambda - E| over the spectrum of A: all of it up to dense_threshold, else ARPACK shift-invert."""
+def distance_to_spectrum(A, E: float) -> float:
+    """min |lambda - E| over the spectrum of A: all of it up to DENSE_THRESHOLD, else ARPACK shift-invert."""
     mat = _as_matrix(A)
-    if mat.shape[0] <= dense_threshold:
+    if mat.shape[0] <= DENSE_THRESHOLD:
         return float(np.min(np.abs(_spectrum(mat) - E)))
     try:
         w = spla.eigsh(sp.csc_matrix(mat), k=1, sigma=E, which="LM", return_eigenvectors=False)

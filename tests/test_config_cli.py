@@ -1,11 +1,15 @@
 import argparse
+import copy
 import csv
 import json
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lifshitz_lab.anderson as anderson_mod
 import lifshitz_lab.experiments as experiments_mod
@@ -350,10 +354,94 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
                       ("sandwich", "eps"), ("ile", "k"), ("ile", "E_plus")]:
         doc = docs[kind]
         cases.append({**doc, "params": {p: v for p, v in doc["params"].items() if p != key}})
+    # each reader refuses what its cast would change, and a value the library would refuse
+    chernoff, product1 = {"type": "chernoff", "k": 2, "delta": 0.3}, {"type": "product1", "eps": 0.3, "alpha": 0.5}
+    for evaluation in [{**chernoff, "k": -1}, {**chernoff, "k": "x"}, {**chernoff, "truncation": "x"},
+                       {**chernoff, "truncation": -1}, {**chernoff, "k": 2.5}, {**chernoff, "d": 0},
+                       {**product1, "nu": 3.5, "d": 2.5}]:
+        cases.append({**BOUNDS_DOC, "params": {"evaluations": [evaluation]}})
+    cases.append({**BOUNDS_DOC, "params": {"evaluations": 3}})
+    cases.append({**DECAY_DOC, "params": {"model": "anderson", "k": 2, "nu": 4.0, "E_plus": "x",
+                                          "window": [0.0, 1.0]}})
+    cases.append({**DECAY_DOC, "params": {"n_states": 2.5}})
+    bands = {"kind": "bands", "geometry": {"d": 1, "m": 4}, "n_theta": 3}
+    cases.append({**bands, "background": {"type": "two_phase", "axis": 3}})
+    cases.append({**bands, "geometry": {"d": 1, "m": 2.5}})
+    cases.append({**IDS_DOC, "geometry": {**IDS_DOC["geometry"], "k": 2.5}})
+    cases.append({**IDS_DOC, "energies": {"min": 0.5, "max": 10.0, "count": 2.5}})
+    for kind, patch in [("lifshitz", {"nondegenerate": "x"}), ("anderson", {"k": True}),
+                        ("anderson", {"E_plus": True}), ("wegner", {"ks": True})]:
+        cases.append({**docs[kind], "params": {**docs[kind]["params"], **patch}})
+    cases.append({**ENSEMBLE_DOCS["anderson"], "ensemble": {"n_realizations": True, "seed": 5}})
     for i, doc in enumerate(cases):
         result = run(parse_config(doc), out_dir=str(tmp_path / f"never{i}"))
         assert result.exit_code == 2, doc
         assert not (tmp_path / f"never{i}").exists()
+
+
+# every key of the closed blocks, and every params key a driver reads (kind -> paths)
+_BLOCK_PATHS = [("n_theta",), ("ensemble", "n_realizations"), ("ensemble", "seed"),
+                *(("geometry", key) for key in ("d", "k", "m", "bc", "theta")),
+                *(("background", key) for key in ("type", "low", "high", "axis")),
+                *(("profile", key) for key in ("kind", "radius", "amplitude", "nu")),
+                *(("disorder", key) for key in ("law", "p", "a", "kappa")),
+                *(("energies", key) for key in ("values", "min", "max", "count"))]
+_EPS_KEYS = ("eps_values", "eps_min", "eps_max", "eps_count")
+_PARAM_KEYS = {
+    "bands": (), "ids": (),
+    "anderson": ("k", "nu", "E_plus", "potential_tol"),
+    "lifshitz": ("k", "nu", "E_plus", "potential_tol", "n_boot", "fit_seed", "nondegenerate", *_EPS_KEYS),
+    "wegner": ("E", "ks", "n_trials", "theta", "min_exponent", "volume_ratio_cap", *_EPS_KEYS),
+    "ile": ("E_plus", "k", "alpha", "p", "n_trials", "theta", "gap_scan_n_theta"),
+    "sandwich": ("E", "eps", "k", "k_big", "eta0"),
+    "decay": ("model", "index", "window", "n_states"),
+    "decay_anderson": ("model", "index", "window", "n_states", "k", "nu", "E_plus"),
+    "bounds": ("evaluations",),
+}
+_EVALUATION_KEYS = [("type", "k", "delta", "K", "C", "d", "truncation"), ("type", "eps", "alpha", "nu", "d"),
+                    ("type", "eps", "alpha", "nu", "d", "s", "C")]  # BOUNDS_DOC's three evaluations
+_SCHEMA_DOCS = {**ENSEMBLE_DOCS, "decay": DECAY_DOC, "bounds": BOUNDS_DOC,
+                "decay_anderson": {**DECAY_DOC, "params": {"model": "anderson", "k": 2, "nu": 4.0,
+                                                           "window": [0.0, 2.0]}},
+                "bands": {"kind": "bands", "geometry": {"d": 1, "m": 4}, "n_theta": 3,
+                          "background": {"type": "two_phase", "low": 1.0, "high": 4.0}}}
+# small values only: a valid count drawn from here keeps every run tiny
+_POOL = [0, 1, 2, -1, 2.5, 0.5, 2.0, "x", "3", True, False, None, float("nan"), float("inf"),
+         float("-inf"), [], {}, [0.5], [0.0, 1.0], "dirichlet", "two_phase"]
+
+
+def _schema_paths(name):
+    return (_BLOCK_PATHS + [("params", key) for key in _PARAM_KEYS[name]]
+            + ([("params", "evaluations", i, key) for i, keys in enumerate(_EVALUATION_KEYS) for key in keys]
+               if name == "bounds" else []))
+
+
+@st.composite
+def _schema_docs(draw):
+    name = draw(st.sampled_from(sorted(_SCHEMA_DOCS)))
+    doc = copy.deepcopy(_SCHEMA_DOCS[name])
+    for path in draw(st.lists(st.sampled_from(_schema_paths(name)), min_size=1, max_size=2, unique=True)):
+        *blocks, key = path
+        owner = doc
+        for block in blocks:  # a missing block is added; one the first replacement took away ends the walk
+            owner = (owner.setdefault(block, {}) if isinstance(owner, dict) else
+                     owner[block] if isinstance(owner, list) and block < len(owner) else None)
+        if isinstance(owner, dict):
+            base = [owner[key]] if owner.get(key) is not None else []
+            owner[key] = draw(st.sampled_from(_POOL + base))
+    return doc
+
+
+@pytest.mark.filterwarnings("ignore::lifshitz_lab.anderson.OptimizerWarning")
+@given(_schema_docs())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_every_config_validate_accepts_runs(doc):
+    # a tiny doc per kind with one or two keys replaced: an accepted doc runs to
+    # exit 0 or 3 and never raises; a refused doc exits 2 before any output exists
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        result = run(parse_config(doc), out_dir=out)
+        assert result.exit_code in ((2,) if not os.path.exists(out) else (0, 3)), (doc, result.diagnostics)
 
 
 @pytest.mark.filterwarnings("ignore::lifshitz_lab.anderson.OptimizerWarning")

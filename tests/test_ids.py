@@ -211,17 +211,15 @@ def test_theoretical_exponent_long_range_is_min_of_mechanisms(d, kappa, excess):
 
 
 def _lose_realizations(monkeypatch, module, lost):
-    # the lattice plan draws through draw_couplings(spec, hashes, seed, index);
-    # the periodized drivers draw each pattern through sample_realization
-    name = "draw_couplings" if module is lattice_mod else "sample_realization"
-    real = getattr(module, name)
+    # the lattice plan and the periodized drivers draw through draw_couplings(spec, hashes, seed, index)
+    real = module.draw_couplings
 
-    def flaky(spec, sites, seed, index):
+    def flaky(spec, hashes, seed, index):
         if index in lost:
             raise RuntimeError("synthetic loss")
-        return real(spec, sites, seed, index)
+        return real(spec, hashes, seed, index)
 
-    monkeypatch.setattr(module, name, flaky)
+    monkeypatch.setattr(module, "draw_couplings", flaky)
 
 
 def test_empirical_ids_drops_a_failed_realization(monkeypatch):

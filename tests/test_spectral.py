@@ -339,14 +339,16 @@ def test_distance_to_spectrum_raises_when_arpack_does_not_converge(monkeypatch):
     A = sp.diags([0.0, 1.0, 5.0]).tocsr()
     stalled = spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
     monkeypatch.setattr(spla, "eigsh", _failing_eigsh(stalled))
+    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 0)
     with pytest.raises(SolverError):
-        distance_to_spectrum(A, 1.2, dense_threshold=0)
+        distance_to_spectrum(A, 1.2)
 
 
 def test_distance_to_spectrum_reads_singular_shift_as_eigenvalue(monkeypatch):
     A = sp.diags([0.0, 1.0, 5.0]).tocsr()
     monkeypatch.setattr(spla, "eigsh", _failing_eigsh(RuntimeError("Factor is exactly singular")))
-    assert distance_to_spectrum(A, 1.0, dense_threshold=0) == 0.0
+    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 0)
+    assert distance_to_spectrum(A, 1.0) == 0.0
 
 
 def test_distance_to_spectrum_raises_when_the_dense_eigensolve_fails(monkeypatch):
