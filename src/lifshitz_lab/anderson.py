@@ -59,13 +59,12 @@ PAD_RADIUS = 200  # extra radius of the window mc_product_event_1 samples
 # the thread count; 2^14-2^16 drew the 1,067-site d=1 tail window fastest per row
 BLOCK_COUPLINGS = 2**15
 POTENTIAL_TOL = 1e-8  # default neglected tail of the truncated potential
-# bounds-config type -> {argument: (upper end, upper end included, default)}; each
+# bounds-config type -> {argument: (upper end, upper end included)}; each
 # argument lies above 0, and a product bound's nu in (d, d+2] besides
-BOUND_DOMAINS = {"chernoff": {"delta": (1.0, True, None), "K": (math.inf, False, 1.0),
-                              "C": (math.inf, False, 1.0)},
-                 "product1": {"eps": (1.0, False, None), "alpha": (1.0, False, None)},
-                 "product2": {"eps": (1.0, True, None), "alpha": (1.0, False, None),
-                              "s": (1.0, True, 1.0), "C": (math.inf, False, 1.0)}}
+BOUND_DOMAINS = {"chernoff": {"delta": (1.0, True), "K": (math.inf, False), "C": (math.inf, False)},
+                 "product1": {"eps": (1.0, False), "alpha": (1.0, False)},
+                 "product2": {"eps": (1.0, True), "alpha": (1.0, False), "s": (1.0, True),
+                              "C": (math.inf, False)}}
 
 
 class OptimizerWarning(UserWarning):
@@ -351,13 +350,13 @@ def _golden_minimize(fn, lo: float, hi: float, iters: int = 200):
 
 
 def check_bound_args(kind: str, args: dict):
-    """Raise ValidationError unless `args` (argument name -> value; omitted optional
-    ones take their defaults) lie in the domain of bound `kind`, a bounds-config type."""
-    for key, (hi, closed, default) in BOUND_DOMAINS[kind].items():
-        value = float(args[key] if default is None else args.get(key, default))
+    """Raise ValidationError unless `args` (by name: each argument of BOUND_DOMAINS[kind],
+    d, and a product bound's nu) lie in the domain of bound `kind`, a bounds-config type."""
+    for key, (hi, closed) in BOUND_DOMAINS[kind].items():
+        value = float(args[key])
         if not (0 < value < hi or (closed and value == hi)):
             raise ValidationError(f"{key} must lie in (0, {hi:g}{']' if closed else ')'}")
-    d = int(args.get("d", 1))
+    d = int(args["d"])
     if kind != "chernoff" and not d < float(args["nu"]) <= d + 2:
         raise ValidationError("need nu in (d, d+2]")
 
@@ -371,7 +370,7 @@ def chernoff_bound_P1(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
     is clipped at probability 1.  A minimizer pinned at the bracket edge or a
     flat objective triggers OptimizerWarning.
     """
-    check_bound_args("chernoff", {"delta": delta, "K": K, "C": C})
+    check_bound_args("chernoff", {"delta": delta, "K": K, "C": C, "d": d})
     n_sites = (2 * k + 1) ** d
     trunc = delta if truncation is None else truncation
 

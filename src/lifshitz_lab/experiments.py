@@ -105,15 +105,21 @@ def _write_json(path: str, config: ExperimentConfig, results: dict):
         fh.write("\n")
 
 
+def _write(config, out_dir, stem, header, rows, results, failures=()) -> tuple[list, list]:
+    """<stem>.csv and <stem>.json of one driver's output; returns (files, failures)."""
+    _write_csv(os.path.join(out_dir, f"{stem}.csv"), header, rows)
+    _write_json(os.path.join(out_dir, f"{stem}.json"), config, results)
+    return [f"{stem}.csv", f"{stem}.json"], [str(f) for f in failures]
+
+
 CHECKS_HEADER = ["name", "trials", "successes", "p_lo", "p_hi", "bound", "verdict"]
 
 
 def _write_check(config, out_dir, r) -> tuple[list, list]:
     """checks.csv and checks.json of one check report; returns (files, failures)."""
-    _write_csv(os.path.join(out_dir, "checks.csv"), CHECKS_HEADER,
-               [(r.name, r.trials, r.successes, r.p_lo, r.p_hi, r.bound, r.verdict)])
-    _write_json(os.path.join(out_dir, "checks.json"), config, {"report": asdict(r)})
-    return ["checks.csv", "checks.json"], []
+    return _write(config, out_dir, "checks", CHECKS_HEADER,
+                  [(r.name, r.trials, r.successes, r.p_lo, r.p_hi, r.bound, r.verdict)],
+                  {"report": asdict(r)})
 
 
 IDS_HEADER = ["E", "N_mean", "N_stderr", "n_realizations"]
@@ -123,11 +129,9 @@ def _write_ids(config, out_dir, curve, **extra) -> tuple[list, list]:
     """ids.csv and ids.json of an ensemble curve; returns (files, failures)."""
     rows = [(float(E), float(m), float(s), curve.n_realizations)
             for E, m, s in zip(curve.energies, curve.values, curve.stderr)]
-    _write_csv(os.path.join(out_dir, "ids.csv"), IDS_HEADER, rows)
     results = {"energies": curve.energies, "N_mean": curve.values, "N_stderr": curve.stderr,
                "n_realizations": curve.n_realizations, "volume": curve.volume, **extra}
-    _write_json(os.path.join(out_dir, "ids.json"), config, results)
-    return ["ids.csv", "ids.json"], [str(f) for f in curve.meta["failures"]]
+    return _write(config, out_dir, "ids", IDS_HEADER, rows, results, curve.meta["failures"])
 
 
 # -- drivers ------------------------------------------------------------------------
@@ -144,11 +148,9 @@ def _run_bands(config, out_dir, threads):
     for th, row in zip(bands.thetas.tolist(), bands.bands.tolist()):
         fiber = ",".join(map(repr, th))
         rows.extend(f"{fiber}{mid}{e!r}\r\n" for mid, e in zip(middles, row))
-    _write_csv(os.path.join(out_dir, "bands.csv"), header, "".join(rows))
     results = {"band_ranges": bands.band_ranges(), "gaps": spectral_gaps(bands),
                "n_theta": n_theta, "period": bands.period}
-    _write_json(os.path.join(out_dir, "bands.json"), config, results)
-    return ["bands.csv", "bands.json"], []
+    return _write(config, out_dir, "bands", header, "".join(rows), results)
 
 
 def _run_ids(config, out_dir, threads):
@@ -191,10 +193,8 @@ def _run_lifshitz(config, out_dir, threads):
                         "n_points": fit.n_points})
     except InsufficientDataError as exc:
         results["insufficient_data"] = str(exc)
-    _write_csv(os.path.join(out_dir, "expfit.csv"),
-               ["eps", "dN", "log_abs_log_dN"], rows)
-    _write_json(os.path.join(out_dir, "expfit.json"), config, results)
-    return ["expfit.csv", "expfit.json"], [str(f) for f in curve.meta["failures"]]
+    return _write(config, out_dir, "expfit", ["eps", "dN", "log_abs_log_dN"], rows, results,
+                  curve.meta["failures"])
 
 
 # bounds-evaluation type (config.BOUND_EVALUATIONS) -> the bound it evaluates
@@ -212,10 +212,8 @@ def _run_bounds(config, out_dir, threads):
                      be.params["d"], be.log_bound, be.t_star if kind == "chernoff" else ""))
         details.append({"name": be.name, "params": be.params, "details": be.details,
                         "log_bound": be.log_bound, "t_star": be.t_star})
-    _write_csv(os.path.join(out_dir, "bounds.csv"),
-               ["name", "eps", "alpha", "nu", "d", "log_bound", "t_star"], rows)
-    _write_json(os.path.join(out_dir, "bounds.json"), config, {"evaluations": details})
-    return ["bounds.csv", "bounds.json"], []
+    return _write(config, out_dir, "bounds", ["name", "eps", "alpha", "nu", "d", "log_bound", "t_star"],
+                  rows, {"evaluations": details})
 
 
 def _run_wegner(config, out_dir, threads):
@@ -251,11 +249,8 @@ def _run_decay(config, out_dir, threads):
         lo, hi = float(vals[0]) - 1e-9, float(vals[-1]) + 1e-9
     entries = decay_diagnostic(op, (lo, hi))
     rows = [(e["eigenvalue"], e["decay_rate"], e["fit_r2"]) for e in entries]
-    _write_csv(os.path.join(out_dir, "decay.csv"),
-               ["eigenvalue", "decay_rate", "fit_r2"], rows)
-    _write_json(os.path.join(out_dir, "decay.json"), config,
-                {"window": [lo, hi], "entries": entries})
-    return ["decay.csv", "decay.json"], []
+    return _write(config, out_dir, "decay", ["eigenvalue", "decay_rate", "fit_r2"], rows,
+                  {"window": [lo, hi], "entries": entries})
 
 
 def _run_sandwich(config, out_dir, threads):

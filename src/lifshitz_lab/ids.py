@@ -17,7 +17,7 @@ import scipy.linalg
 
 from .curves import IDSCurve, InsufficientDataError, ensemble_curve
 from .disorder import DisorderSpec, ValidationError, cube_codes, draw_couplings, site_hash
-from .lattice import (BoxSpec, PeriodicBackground, SingleSiteProfile, TAIL_TOL, _periodized_plan,
+from .lattice import (BoxSpec, PeriodicBackground, SingleSiteProfile, _periodized_plan,
                       assemble_operator, background_field, identity_field, operator_sampler)
 from .runner import frequency, trials
 from .spectral import (_field_bands, counts_below, distance_to_spectrum, floquet_bands,
@@ -72,34 +72,32 @@ class CheckReport:
 
 def empirical_ids(background: PeriodicBackground, profile: SingleSiteProfile,
                   disorder: DisorderSpec, box: BoxSpec, n_realizations: int,
-                  energies, seed: int = 0, tol: float = TAIL_TOL,
-                  threads: int = 1) -> IDSCurve:
+                  energies, seed: int = 0, threads: int = 1) -> IDSCurve:
     """Ensemble mean of finite-volume counting functions on a fixed box.
 
     Failed realizations are dropped as in `curves.ensemble_curve`.
     """
     energies = np.asarray(energies, dtype=float)
-    operator = operator_sampler(background, profile, disorder, box, seed, tol)
+    operator = operator_sampler(background, profile, disorder, box, seed)
     return ensemble_curve(lambda i: counts_below(operator(i), energies) / box.volume,
                           n_realizations, energies, box.volume, box.bc, threads, seed=seed)
 
 
 def periodic_approx_ids(background: PeriodicBackground, profile: SingleSiteProfile,
-                        pattern, k: int, n_theta: int, energies,
-                        tol: float = TAIL_TOL) -> IDSCurve:
+                        pattern, k: int, n_theta: int, energies) -> IDSCurve:
     """IDS of one disorder pattern repeated (2k+1)-periodically.
 
     Counts are averaged over a uniform half-open quasimomentum grid and
     divided by the supercell volume (2k+1)^d.
     """
-    bands = floquet_bands(background, n_theta=n_theta, profile=profile, pattern=pattern, k=k, tol=tol)
+    bands = floquet_bands(background, n_theta=n_theta, profile=profile, pattern=pattern, k=k)
     return periodic_ids_curve(bands, energies)
 
 
-def _periodic_counts(background, profile, disorder, k: int, n_theta: int, energies, tol: float, seed: int):
+def _periodic_counts(background, profile, disorder, k: int, n_theta: int, energies, seed: int):
     """Index i -> `periodic_approx_ids` values of pattern (seed, i) on lattice_cube(d, k),
     from one field plan and one hash of the pattern cube for all."""
-    field = _periodized_plan(background, profile, k, background.m, tol)
+    field = _periodized_plan(background, profile, k, background.m)
     hashes = site_hash(cube_codes(background.d, k))
     return lambda i: periodic_ids_curve(_field_bands(field(draw_couplings(disorder, hashes, seed, i)), n_theta),
                                         energies).values
@@ -107,14 +105,13 @@ def _periodic_counts(background, profile, disorder, k: int, n_theta: int, energi
 
 def expected_periodic_ids(background: PeriodicBackground, profile: SingleSiteProfile,
                           disorder: DisorderSpec, k: int, n_realizations: int,
-                          n_theta: int, energies, seed: int = 0,
-                          tol: float = TAIL_TOL, threads: int = 1) -> IDSCurve:
+                          n_theta: int, energies, seed: int = 0, threads: int = 1) -> IDSCurve:
     """Monte Carlo expectation of the periodized-disorder IDS.
 
     Failed realizations are dropped as in `curves.ensemble_curve`.
     """
     energies = np.asarray(energies, dtype=float)
-    counts = _periodic_counts(background, profile, disorder, k, n_theta, energies, tol, seed)
+    counts = _periodic_counts(background, profile, disorder, k, n_theta, energies, seed)
     return ensemble_curve(counts, n_realizations, energies, float((2 * k + 1)**background.d), "floquet",
                           threads, seed=seed, n_theta=n_theta)
 
@@ -122,8 +119,7 @@ def expected_periodic_ids(background: PeriodicBackground, profile: SingleSitePro
 def sandwich_check(background: PeriodicBackground, profile: SingleSiteProfile,
                    disorder: DisorderSpec, E: float, eps: float, k: int,
                    n_realizations: int, n_theta: int = 4, k_big: int = None,
-                   eta0: float = 1.5, seed: int = 0, tol: float = TAIL_TOL,
-                   threads: int = 1) -> CheckReport:
+                   eta0: float = 1.5, seed: int = 0, threads: int = 1) -> CheckReport:
     """Two-sided comparison of periodized-disorder increments with a large box.
 
     Checks, within twice the combined standard errors,
@@ -132,7 +128,8 @@ def sandwich_check(background: PeriodicBackground, profile: SingleSiteProfile,
         N(E + eps) - N(E) <= E[N_k(E + 2 eps) - N_k(E - 2 eps)] + err
 
     with err = exp(-eps**(-eta0)) and N estimated on an independent Dirichlet
-    box of half-side k_big (default 2k).  A failed realization raises.
+    box of half-side k_big (default 2k), drawn at ensemble seed (seed + 1) mod 2**64.
+    A failed realization raises.
     """
     if eps <= 0:
         raise ValidationError("eps must be positive")
@@ -143,7 +140,7 @@ def sandwich_check(background: PeriodicBackground, profile: SingleSiteProfile,
     d = background.d
     err = math.exp(-eps ** (-eta0))
     inner_E = np.array([E - 2 * eps, E - eps / 2.0, E + eps / 2.0, E + 2 * eps])
-    counts = _periodic_counts(background, profile, disorder, k, n_theta, inner_E, tol, seed)
+    counts = _periodic_counts(background, profile, disorder, k, n_theta, inner_E, seed)
 
     def increments(i):
         v = counts(i)
@@ -155,7 +152,7 @@ def sandwich_check(background: PeriodicBackground, profile: SingleSiteProfile,
     upper, se_upper = map(float, mean_stderr(incr[:, 1]))
     big_box = BoxSpec(d=d, k=k_big, m=background.m, bc="dirichlet")
     mid_curve = empirical_ids(background, profile, disorder, big_box, n_realizations,
-                              np.array([E, E + eps]), seed=seed + 1, tol=tol, threads=threads)
+                              np.array([E, E + eps]), seed=(seed + 1) % 2**64, threads=threads)
     if mid_curve.meta["failures"]:
         raise mid_curve.meta["failures"][0]
     middle = float(mid_curve.values[1] - mid_curve.values[0])
@@ -264,7 +261,7 @@ def theoretical_exponent(d: int, kappa: float, range_kind: str, nu: float = None
 def ile_check(background: PeriodicBackground, profile: SingleSiteProfile,
               disorder: DisorderSpec, E_plus: float, k: int, alpha: float,
               p: float, n_trials: int, theta=None, seed: int = 0,
-              tol: float = TAIL_TOL, threads: int = 1) -> CheckReport:
+              threads: int = 1) -> CheckReport:
     """Initial-scale estimate: how often spectrum comes within 1/k of E_plus.
 
     Boxes have half-side round(k**alpha) with quasiperiodic bc; the observed
@@ -280,7 +277,7 @@ def ile_check(background: PeriodicBackground, profile: SingleSiteProfile,
     k_box = max(1, int(round(k**alpha)))
     box = BoxSpec(d=d, k=k_box, m=background.m, bc="quasiperiodic",
                   theta=tuple(theta) if theta is not None else None)
-    operator = operator_sampler(background, profile, disorder, box, seed, tol)
+    operator = operator_sampler(background, profile, disorder, box, seed)
     threshold = 1.0 / k
     _, p_lo, p_hi, successes = frequency(
         lambda i: distance_to_spectrum(operator(i), E_plus) <= threshold, n_trials, threads)
@@ -294,8 +291,7 @@ def ile_check(background: PeriodicBackground, profile: SingleSiteProfile,
 
 def wegner_check(background: PeriodicBackground, profile: SingleSiteProfile,
                  disorder: DisorderSpec, E: float, ks, eps_list, n_trials: int,
-                 theta=None, seed: int = 0, tol: float = TAIL_TOL,
-                 min_exponent: float = 0.5, volume_ratio_cap: float = 2.5,
+                 theta=None, seed: int = 0, min_exponent: float = 0.5, volume_ratio_cap: float = 2.5,
                  threads: int = 1) -> CheckReport:
     """Level-repulsion probe: P(dist(spectrum, E) <= eps) across eps and box sizes.
 
@@ -316,7 +312,7 @@ def wegner_check(background: PeriodicBackground, profile: SingleSiteProfile,
     for k in ks:
         box = BoxSpec(d=d, k=k, m=background.m, bc="quasiperiodic",
                       theta=tuple(theta) if theta is not None else None)
-        operator = operator_sampler(background, profile, disorder, box, seed, tol)
+        operator = operator_sampler(background, profile, disorder, box, seed)
         dists = trials(lambda i: distance_to_spectrum(operator(i), E), n_trials, threads)
         table[k] = np.array([(dists <= e).mean() for e in eps_list])
     probs_top = table[max(ks)]
@@ -388,7 +384,7 @@ def decay_diagnostic(operator, window: tuple) -> list[dict]:
 
 def event_E_check(background: PeriodicBackground, profile: SingleSiteProfile,
                   disorder: DisorderSpec, k: int, eps: float, n_trials: int,
-                  seed: int = 0, tol: float = TAIL_TOL, threads: int = 1) -> CheckReport:
+                  seed: int = 0, threads: int = 1) -> CheckReport:
     """Frequency of the operator inequality (A(omega) - A0) + eps*L >= 0.
 
     A0 is the disorder-free periodized operator and L the free Laplacian on
@@ -405,7 +401,7 @@ def event_E_check(background: PeriodicBackground, profile: SingleSiteProfile,
     A0 = assemble_operator(background_field(background, box)).matrix.toarray().real
     L = assemble_operator(identity_field(box)).matrix.toarray().real
     hashes = site_hash(cube_codes(d, k))
-    fld = _periodized_plan(background, profile, k, background.m, tol)
+    fld = _periodized_plan(background, profile, k, background.m)
     premise_ok = True
     if profile.kind == "long_range" and 0.0 < eps < 1.0 and k >= 2:
         premise_ok = math.log(k) / math.log(1.0 / eps) > 1.0 / (profile.nu - d)

@@ -399,7 +399,7 @@ def periodized_coefficient_field(background: PeriodicBackground, profile: Single
     return _periodized_plan(background, profile, k, m, tol)(pattern.values_at(lattice_cube(background.d, k)))
 
 
-def _periodized_plan(background: PeriodicBackground, profile: SingleSiteProfile, k, m, tol):
+def _periodized_plan(background: PeriodicBackground, profile: SingleSiteProfile, k, m, tol: float = TAIL_TOL):
     """Pattern values on lattice_cube(d, k) -> `periodized_coefficient_field`, planned once."""
     d, period = background.d, 2 * k + 1
     plan = _FieldPlan(background, profile, BoxSpec(d=d, k=k, m=m, bc="quasiperiodic"), tol)

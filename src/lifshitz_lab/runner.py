@@ -4,8 +4,10 @@ Results are collected into task order no matter how many workers run, so
 outputs are identical across parallelism degrees.  Tasks should be pure
 functions of their index, or of a fixed block of indices (plus closed-over
 config).  `ensemble` is the Monte Carlo loop of every IDS estimator and
-check, in the library and in the drivers; `frequency` is the one reduction
-of every Monte Carlo frequency, the `mc_*` bound companions included.
+check, in the library and in the drivers, and the one place that records a
+failed task against its index; `indexed_map` itself raises the lowest one.
+`frequency` is the one reduction of every Monte Carlo frequency, the `mc_*`
+bound companions included.
 """
 
 from __future__ import annotations
@@ -43,40 +45,22 @@ def resolve_threads(explicit: int = None) -> int:
     return n
 
 
-def indexed_map(fn, n_tasks: int, threads: int = 1, collect_errors: bool = False):
+def indexed_map(fn, n_tasks: int, threads: int = 1):
     """fn(i) for i in range(n_tasks), results returned in index order.
 
-    With collect_errors the return value is (results, failures) where failed
-    slots hold None and failures is a list of TaskFailure; otherwise the
-    first failure propagates.
+    A task that raises raises TaskFailure; with several, the lowest index's.
     """
-    results = [None] * n_tasks
-    failures = []
 
     def guarded(i):
         try:
-            return i, fn(i), None
+            return fn(i)
         except Exception as exc:  # noqa: BLE001 - reported via TaskFailure
-            return i, None, exc
+            raise TaskFailure(i, exc) from exc
 
     if threads <= 1:
-        triples = map(guarded, range(n_tasks))
-    else:
-        pool = ThreadPoolExecutor(max_workers=threads)
-        try:
-            triples = list(pool.map(guarded, range(n_tasks)))
-        finally:
-            pool.shutdown(wait=True)
-    for i, value, exc in triples:
-        if exc is not None:
-            if not collect_errors:
-                raise TaskFailure(i, exc) from exc
-            failures.append(TaskFailure(i, exc))
-        else:
-            results[i] = value
-    if collect_errors:
-        return results, failures
-    return results
+        return list(map(guarded, range(n_tasks)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(guarded, range(n_tasks)))
 
 
 def _block_rows(task, indices: range) -> list:

@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .curves import IDSCurve
 from .disorder import ValidationError
-from .lattice import (AssembledOperator, BoxSpec, PeriodicBackground, TAIL_TOL, _bloch_family,
+from .lattice import (AssembledOperator, BoxSpec, PeriodicBackground, _bloch_family,
                       _point_symmetries, background_field, periodized_coefficient_field)
 from .lattice import assemble_operator  # noqa: F401  (perfbench/tracing.py patches this name)
 
@@ -210,7 +210,7 @@ class BandStructure:
 
 
 def floquet_bands(background: PeriodicBackground, n_theta: int = 64, profile=None,
-                  pattern=None, k: int = 0, tol: float = TAIL_TOL) -> BandStructure:
+                  pattern=None, k: int = 0) -> BandStructure:
     """Bloch eigenvalue branches of the periodic medium (optionally disordered).
 
     Without a pattern this fibers the unit-periodic background operator; with
@@ -232,7 +232,7 @@ def floquet_bands(background: PeriodicBackground, n_theta: int = 64, profile=Non
         return _field_bands(background_field(background, box), n_theta)
     if profile is None:
         raise ValidationError("a disorder pattern needs a single-site profile")
-    return _field_bands(periodized_coefficient_field(background, profile, pattern, k, background.m, tol),
+    return _field_bands(periodized_coefficient_field(background, profile, pattern, k, background.m),
                         n_theta)
 
 
@@ -294,7 +294,11 @@ def spectral_gaps(bands: BandStructure) -> list:
 
 
 def distance_to_spectrum(A, E: float) -> float:
-    """min |lambda - E| over the spectrum of A: all of it up to DENSE_THRESHOLD, else ARPACK shift-invert."""
+    """min |lambda - E| over the spectrum of A: all of it up to DENSE_THRESHOLD, else ARPACK shift-invert.
+
+    A shift that SuperLU finds exactly singular is an eigenvalue (distance 0);
+    any other failure of shift-invert raises SolverError.
+    """
     mat = _as_matrix(A)
     if mat.shape[0] <= DENSE_THRESHOLD:
         return float(np.min(np.abs(_spectrum(mat) - E)))
@@ -303,8 +307,10 @@ def distance_to_spectrum(A, E: float) -> float:
         return float(np.min(np.abs(w - E)))
     except spla.ArpackNoConvergence as exc:  # a RuntimeError too, so caught first
         raise SolverError(f"distance_to_spectrum failed to converge at E={E}") from exc
-    except RuntimeError:
-        return 0.0  # singular shift factorization: E is an eigenvalue
+    except RuntimeError as exc:
+        if "Factor is exactly singular" not in str(exc):
+            raise SolverError(f"distance_to_spectrum: shift-invert failed at E={E}: {exc}") from exc
+        return 0.0  # SuperLU found the shift singular: E is an eigenvalue
 
 
 def periodic_ids_curve(bands: BandStructure, energies) -> IDSCurve:

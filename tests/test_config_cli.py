@@ -85,21 +85,17 @@ def test_indexed_map_preserves_order():
     assert out == [i * i for i in range(20)]
 
 
-def test_indexed_map_collects_failures():
+def test_indexed_map_raises_without_collection():
     def flaky(i):
-        if i % 3 == 0:
+        if i in (2, 3, 5):
             raise RuntimeError(f"boom {i}")
         return i
 
-    results, failures = indexed_map(flaky, 7, threads=2, collect_errors=True)
-    assert [r for r in results if r is not None] == [1, 2, 4, 5]
-    assert sorted(f.index for f in failures) == [0, 3, 6]
-    assert all(isinstance(f, TaskFailure) for f in failures)
-
-
-def test_indexed_map_raises_without_collection():
-    with pytest.raises(RuntimeError):
-        indexed_map(lambda i: 1 / 0, 3, threads=1)
+    for threads in (1, 2):
+        with pytest.raises(TaskFailure) as info:
+            indexed_map(flaky, 7, threads=threads)
+        assert info.value.index == 2
+        assert str(info.value.error) == "boom 2"
 
 
 def test_ensemble_drops_failures_and_keeps_order():
@@ -442,6 +438,13 @@ def test_every_config_validate_accepts_runs(doc):
         out = os.path.join(tmp, "out")
         result = run(parse_config(doc), out_dir=out)
         assert result.exit_code in ((2,) if not os.path.exists(out) else (0, 3)), (doc, result.diagnostics)
+
+
+def test_sandwich_runs_at_the_largest_seed(tmp_path):
+    # the reference box draws at seed + 1, which wraps to 0 rather than leaving the seed range
+    doc = {**ENSEMBLE_DOCS["sandwich"], "ensemble": {"n_realizations": 6, "seed": 2**64 - 1},
+           "params": {"E": 0.0, "eps": 0.2, "k": 1, "k_big": 2}}
+    assert run(parse_config(doc), out_dir=str(tmp_path / "s")).exit_code == 0
 
 
 @pytest.mark.filterwarnings("ignore::lifshitz_lab.anderson.OptimizerWarning")

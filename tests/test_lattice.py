@@ -263,7 +263,7 @@ def test_ids_drivers_never_look_up_sites(monkeypatch, tmp_path):
     monkeypatch.setattr(disorder_mod, "encode_sites", counted)
     prof = long_range_profile(d=1, nu=2.5)
     curve = empirical_ids(PeriodicBackground.identity(1, 2), prof, DisorderSpec(),
-                          BoxSpec(d=1, k=2, m=2), 2, [1.0, 4.0], seed=1, tol=1e-6)
+                          BoxSpec(d=1, k=2, m=2), 2, [1.0, 4.0], seed=1)
     assert np.all(curve.values > 0)
     assert len(packed) == 1
     doc = {"kind": "ids", "geometry": {"d": 1, "k": 2, "m": 2, "bc": "dirichlet"},

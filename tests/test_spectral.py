@@ -349,6 +349,10 @@ def test_distance_to_spectrum_reads_singular_shift_as_eigenvalue(monkeypatch):
     monkeypatch.setattr(spla, "eigsh", _failing_eigsh(RuntimeError("Factor is exactly singular")))
     monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 0)
     assert distance_to_spectrum(A, 1.0) == 0.0
+    # any other shift-invert failure is not read as a distance
+    monkeypatch.setattr(spla, "eigsh", _failing_eigsh(RuntimeError("Not enough memory to perform factorization.")))
+    with pytest.raises(SolverError):
+        distance_to_spectrum(A, 1.0)
 
 
 def test_distance_to_spectrum_raises_when_the_dense_eigensolve_fails(monkeypatch):
