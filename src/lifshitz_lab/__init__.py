@@ -5,9 +5,8 @@ localization proofs."""
 
 from .anderson import (AndersonInstance, BoundEvaluation, LatticeWindow,
                        OptimizerWarning, anderson_ids, assemble_anderson,
-                       chernoff_bound_P1, eigenvalue_below_probability,
-                       log_mgf_truncated, mc_chernoff_event, mc_product_event_1,
-                       mc_product_event_2, potential_on_box,
+                       chernoff_bound_P1, log_mgf_truncated, mc_chernoff_event,
+                       mc_product_event_1, mc_product_event_2, potential_on_box,
                        product_bound_P_eps_alpha_1, product_bound_P_eps_alpha_2,
                        sample_anderson, truncation_radius_for)
 from .config import (Diagnostic, ExperimentConfig, config_hash, load_config,
@@ -17,14 +16,12 @@ from .disorder import (CoverageError, DisorderSpec, Realization, ValidationError
                        lattice_cube, sample_realization, site_uniforms)
 from .experiments import RunManifest, RunResult, run
 from .ids import (CheckReport, ExponentFit, decay_diagnostic, empirical_ids,
-                  event_E_check, expected_periodic_ids, ile_check,
-                  lifshitz_exponent, periodic_approx_ids, sandwich_check,
+                  expected_periodic_ids, ile_check, lifshitz_exponent, sandwich_check,
                   shell_decay_rate, theoretical_exponent, wegner_check)
 from .lattice import (AssembledOperator, BoxSpec, CoefficientField,
                       PeriodicBackground, SingleSiteProfile, assemble_operator,
                       background_field, compact_profile, identity_field,
-                      long_range_profile, operator_sampler,
-                      periodized_coefficient_field, required_window,
+                      long_range_profile, operator_sampler, required_window,
                       sample_coefficient_field, short_range_profile)
 from .runner import (TaskFailure, ensemble, frequency, indexed_map, resolve_threads,
                      trials)

@@ -42,7 +42,6 @@ __all__ = [
     "assemble_anderson",
     "sample_anderson",
     "anderson_ids",
-    "eigenvalue_below_probability",
     "log_mgf_truncated",
     "chernoff_bound_P1",
     "product_bound_P_eps_alpha_1",
@@ -237,19 +236,6 @@ def anderson_ids(disorder: DisorderSpec, d: int, k: int, nu: float, energies,
 
     return ensemble_curve(block, n_realizations, energies, vol, "box", threads, plan.block,
                           model="anderson", seed=seed, nu=nu, E_plus=E_plus)
-
-
-def eigenvalue_below_probability(disorder: DisorderSpec, d: int, k: int, nu: float,
-                                 E: float, n_trials: int, E_plus: float = 0.0,
-                                 seed: int = 0, tol: float = POTENTIAL_TOL, threads: int = 1):
-    """Frequency of {lambda_min <= E} with a 95% Clopper-Pearson interval.
-
-    The event is a count, #{lambda <= E} > 0, with the slack of every count.
-    A failed trial raises.
-    """
-    plan = _AndersonPlan(d, k, nu, E_plus, tol)
-    return frequency(lambda indices: [plan.counts(v, E) > 0 for v in plan.draws(disorder, seed, indices)],
-                     n_trials, threads, plan.block)
 
 
 # -- analytic bounds ------------------------------------------------------------

@@ -22,7 +22,7 @@ import scipy.linalg
 from . import version
 from .anderson import (anderson_ids, chernoff_bound_P1, product_bound_P_eps_alpha_1,
                        product_bound_P_eps_alpha_2, sample_anderson)
-from .config import (ExperimentConfig, build_background, build_box, build_disorder,
+from .config import (Diagnostic, ExperimentConfig, build_background, build_box, build_disorder,
                      build_params, build_profile, config_hash, energy_grid, eps_grid,
                      resolved_dict, validate)
 from .curves import InsufficientDataError
@@ -283,12 +283,15 @@ def run(config: ExperimentConfig, out_dir: str = None, threads: int = None,
     if out_dir is not None:
         config.out = out_dir
     diags = validate(config)
+    try:
+        threads = resolve_threads(threads)
+    except ValueError as exc:
+        diags.append(Diagnostic("error", f"threads: {exc}"))
     errors = [d for d in diags if d.severity == "error"]
     if errors:
         return RunResult(exit_code=2, diagnostics=diags)
     if dry_run:
         return RunResult(exit_code=0, diagnostics=diags)
-    threads = resolve_threads(threads)
     target = config.out
     os.makedirs(target, exist_ok=True)
     t0 = time.time()

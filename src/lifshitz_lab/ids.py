@@ -17,18 +17,15 @@ import scipy.linalg
 
 from .curves import IDSCurve, InsufficientDataError, ensemble_curve
 from .disorder import DisorderSpec, ValidationError, cube_codes, draw_couplings, site_hash
-from .lattice import (BoxSpec, PeriodicBackground, SingleSiteProfile, _periodized_plan,
-                      assemble_operator, background_field, identity_field, operator_sampler)
+from .lattice import BoxSpec, PeriodicBackground, SingleSiteProfile, _periodized_plan, operator_sampler
 from .runner import frequency, trials
-from .spectral import (_field_bands, counts_below, distance_to_spectrum, floquet_bands,
-                       periodic_ids_curve)
+from .spectral import _field_bands, counts_below, distance_to_spectrum, periodic_ids_curve
 from .stats import bootstrap_slope_interval, clopper_pearson, fit_line, mean_stderr
 
 __all__ = [
     "CheckReport",
     "ExponentFit",
     "empirical_ids",
-    "periodic_approx_ids",
     "expected_periodic_ids",
     "sandwich_check",
     "lifshitz_exponent",
@@ -37,12 +34,10 @@ __all__ = [
     "wegner_check",
     "decay_diagnostic",
     "shell_decay_rate",
-    "event_E_check",
 ]
 
 DECAY_DENSE_LIMIT = 6000  # largest operator `decay_diagnostic` diagonalizes densely
 MIN_SHELL_MASS = 1e-12  # lightest shell `shell_decay_rate` fits
-FORM_EVENT_MIN_PROBABILITY = 0.5  # p_lo `event_E_check` needs to pass
 
 
 @dataclass
@@ -83,20 +78,9 @@ def empirical_ids(background: PeriodicBackground, profile: SingleSiteProfile,
                           n_realizations, energies, box.volume, box.bc, threads, seed=seed)
 
 
-def periodic_approx_ids(background: PeriodicBackground, profile: SingleSiteProfile,
-                        pattern, k: int, n_theta: int, energies) -> IDSCurve:
-    """IDS of one disorder pattern repeated (2k+1)-periodically.
-
-    Counts are averaged over a uniform half-open quasimomentum grid and
-    divided by the supercell volume (2k+1)^d.
-    """
-    bands = floquet_bands(background, n_theta=n_theta, profile=profile, pattern=pattern, k=k)
-    return periodic_ids_curve(bands, energies)
-
-
 def _periodic_counts(background, profile, disorder, k: int, n_theta: int, energies, seed: int):
-    """Index i -> `periodic_approx_ids` values of pattern (seed, i) on lattice_cube(d, k),
-    from one field plan and one hash of the pattern cube for all."""
+    """Index i -> IDS values (grid-averaged counts per (2k+1)^d) of pattern (seed, i) on lattice_cube(d, k)
+    repeated (2k+1)-periodically, from one field plan and one hash of the pattern cube for all."""
     field = _periodized_plan(background, profile, k, background.m)
     hashes = site_hash(cube_codes(background.d, k))
     return lambda i: periodic_ids_curve(_field_bands(field(draw_couplings(disorder, hashes, seed, i)), n_theta),
@@ -380,40 +364,3 @@ def decay_diagnostic(operator, window: tuple) -> list[dict]:
         out.append({"eigenvalue": float(w[i]), "decay_rate": rate, "fit_r2": r2,
                     "n_shells": int(np.sum(masses > 0))})
     return out
-
-
-def event_E_check(background: PeriodicBackground, profile: SingleSiteProfile,
-                  disorder: DisorderSpec, k: int, eps: float, n_trials: int,
-                  seed: int = 0, threads: int = 1) -> CheckReport:
-    """Frequency of the operator inequality (A(omega) - A0) + eps*L >= 0.
-
-    A0 is the disorder-free periodized operator and L the free Laplacian on
-    the same supercell; the smallest eigenvalue of the sum is allowed a
-    -1e-10 numerical slack.  The box/coupling scaling is healthy when
-    log(k)/log(1/eps) exceeds 1/(nu - d); the report flags a violation but
-    still measures.  eps = 0 is allowed (pure positivity of the coupling).
-    A failed trial raises.
-    """
-    if eps < 0:
-        raise ValidationError("eps must be >= 0")
-    d = background.d
-    box = BoxSpec(d=d, k=k, m=background.m, bc="quasiperiodic")
-    A0 = assemble_operator(background_field(background, box)).matrix.toarray().real
-    L = assemble_operator(identity_field(box)).matrix.toarray().real
-    hashes = site_hash(cube_codes(d, k))
-    fld = _periodized_plan(background, profile, k, background.m)
-    premise_ok = True
-    if profile.kind == "long_range" and 0.0 < eps < 1.0 and k >= 2:
-        premise_ok = math.log(k) / math.log(1.0 / eps) > 1.0 / (profile.nu - d)
-
-    def holds(i):
-        A = assemble_operator(fld(draw_couplings(disorder, hashes, seed, i))).matrix.toarray().real
-        return scipy.linalg.eigvalsh(A - A0 + eps * L, subset_by_index=[0, 0])[0] >= -1e-10
-
-    _, p_lo, p_hi, successes = frequency(holds, n_trials, threads)
-    verdict = ("pass" if p_lo >= FORM_EVENT_MIN_PROBABILITY or successes == n_trials
-               else "fail")
-    return CheckReport(name="form_event", trials=n_trials, successes=successes,
-                       p_lo=p_lo, p_hi=p_hi, bound=float("nan"), verdict=verdict,
-                       details={"k": k, "eps": eps, "premise_ok": premise_ok,
-                                "min_probability": FORM_EVENT_MIN_PROBABILITY})

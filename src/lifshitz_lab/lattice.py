@@ -52,7 +52,6 @@ __all__ = [
     "required_window",
     "sample_coefficient_field",
     "operator_sampler",
-    "periodized_coefficient_field",
     "background_field",
     "identity_field",
     "assemble_operator",
@@ -393,14 +392,9 @@ def operator_sampler(background: PeriodicBackground, profile: SingleSiteProfile,
     return lambda index: assemble_operator(plan.field(draw_couplings(disorder, hashes, seed, index)))
 
 
-def periodized_coefficient_field(background: PeriodicBackground, profile: SingleSiteProfile,
-                                 pattern, k: int, m: int, tol: float = TAIL_TOL) -> CoefficientField:
-    """Field with the disorder pattern on {-k..k}^d repeated (2k+1)-periodically."""
-    return _periodized_plan(background, profile, k, m, tol)(pattern.values_at(lattice_cube(background.d, k)))
-
-
 def _periodized_plan(background: PeriodicBackground, profile: SingleSiteProfile, k, m, tol: float = TAIL_TOL):
-    """Pattern values on lattice_cube(d, k) -> `periodized_coefficient_field`, planned once."""
+    """Pattern values on lattice_cube(d, k) -> the field with that pattern repeated
+    (2k+1)-periodically, on the quasiperiodic box of half-side k, planned once."""
     d, period = background.d, 2 * k + 1
     plan = _FieldPlan(background, profile, BoxSpec(d=d, k=k, m=m, bc="quasiperiodic"), tol)
     wrapped = (np.arange(-plan.R, plan.R + 1) + k) % period  # folded into {-k..k}, plus k

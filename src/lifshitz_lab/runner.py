@@ -36,12 +36,15 @@ class TaskFailure(RuntimeError):
 
 
 def resolve_threads(explicit: int = None) -> int:
-    if explicit is not None:
-        n = int(explicit)
-    else:
-        n = int(os.environ.get(THREADS_ENV, "1"))
+    """The worker count: explicit, else $LIFSHITZ_LAB_THREADS, else 1; ValueError unless an integer >= 1."""
+    raw = os.environ.get(THREADS_ENV, "1") if explicit is None else explicit
+    try:
+        n = int(raw)
+    except (TypeError, ValueError):
+        n = 0
     if n < 1:
-        raise ValueError("thread count must be >= 1")
+        source = f"${THREADS_ENV}=" if explicit is None else ""
+        raise ValueError(f"thread count must be an integer >= 1, got {source}{raw!r}")
     return n
 
 

@@ -29,7 +29,7 @@ import scipy.sparse.linalg as spla
 from .curves import IDSCurve
 from .disorder import ValidationError
 from .lattice import (AssembledOperator, BoxSpec, PeriodicBackground, _bloch_family,
-                      _point_symmetries, background_field, periodized_coefficient_field)
+                      _point_symmetries, background_field)
 from .lattice import assemble_operator  # noqa: F401  (perfbench/tracing.py patches this name)
 
 __all__ = [
@@ -155,8 +155,9 @@ def _tridiagonal_counts(diagonal: np.ndarray, off: np.ndarray, energies):
     """
     hops, weights = np.zeros(diagonal.size), np.abs(off)  # hops: the |off-diagonal| column sums
     hops[:-1] = weights
-    hops[1:] += weights
-    scale = float(np.max(np.abs(diagonal) + hops)) or 1.0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scale raises below
+        hops[1:] += weights
+        scale = float(np.max(np.abs(diagonal) + hops)) or 1.0
     top = float(np.max(energies)) + 2e-12 * scale
     if not math.isfinite(top):  # NaN in any entry or energy propagates to top
         raise SolverError(f"non-finite entry or energy in a tridiagonal count of order {diagonal.size}")
@@ -209,13 +210,8 @@ class BandStructure:
         return np.stack([self.bands.min(axis=0), self.bands.max(axis=0)], axis=1)
 
 
-def floquet_bands(background: PeriodicBackground, n_theta: int = 64, profile=None,
-                  pattern=None, k: int = 0) -> BandStructure:
-    """Bloch eigenvalue branches of the periodic medium (optionally disordered).
-
-    Without a pattern this fibers the unit-periodic background operator; with
-    a disorder pattern on {-k..k}^d the medium is the pattern repeated with
-    period 2k+1, and each fiber lives on the supercell.
+def floquet_bands(background: PeriodicBackground, n_theta: int = 64) -> BandStructure:
+    """Bloch eigenvalue branches of the unit-periodic background medium.
 
     The medium is assembled once, as a family sum_t C_t exp(i t.phi) over seam
     shifts t in {-1,0,1}^d with real C_t; a fiber is one evaluation of that
@@ -227,13 +223,8 @@ def floquet_bands(background: PeriodicBackground, n_theta: int = 64, profile=Non
     Without a point symmetry the fibers at grid indices j and (-j) mod n_theta
     are solved once, and the self-conjugate points phi in {0, pi}^d alone.
     """
-    if pattern is None:
-        box = BoxSpec(d=background.d, k=0, m=background.m, bc="quasiperiodic")
-        return _field_bands(background_field(background, box), n_theta)
-    if profile is None:
-        raise ValidationError("a disorder pattern needs a single-site profile")
-    return _field_bands(periodized_coefficient_field(background, profile, pattern, k, background.m),
-                        n_theta)
+    box = BoxSpec(d=background.d, k=0, m=background.m, bc="quasiperiodic")
+    return _field_bands(background_field(background, box), n_theta)
 
 
 def _field_bands(field, n_theta: int) -> BandStructure:

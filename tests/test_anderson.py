@@ -11,7 +11,7 @@ import lifshitz_lab.spectral as spectral_mod
 from lifshitz_lab.anderson import (AndersonInstance, LatticeWindow,
                                    OptimizerWarning, anderson_ids,
                                    assemble_anderson, chernoff_bound_P1,
-                                   eigenvalue_below_probability, log_mgf_truncated,
+                                   log_mgf_truncated,
                                    mc_chernoff_event, mc_product_event_1,
                                    mc_product_event_2,
                                    potential_on_box, product_bound_P_eps_alpha_1,
@@ -20,10 +20,15 @@ from lifshitz_lab.anderson import (AndersonInstance, LatticeWindow,
 from lifshitz_lab.disorder import (DisorderSpec, Realization, ValidationError,
                                    lattice_cube, law_quantile, sample_realization,
                                    site_uniforms)
-from lifshitz_lab.runner import TaskFailure
+from lifshitz_lab.runner import TaskFailure, frequency
 from lifshitz_lab.spectral import SolverError, _norm1, count_sorted_leq, counts_below
 
 UNIFORM = DisorderSpec()
+
+
+def below_event(plan, disorder, seed, E):
+    """The event {lambda_min <= E} per realization of a block, as the count #{lambda <= E} > 0."""
+    return lambda indices: [plan.counts(v, E) > 0 for v in plan.draws(disorder, seed, indices)]
 
 
 def indicator_realization(d, radius, hot=()):
@@ -296,7 +301,7 @@ def test_bisection_raises_when_stebz_fails(monkeypatch):
         with pytest.raises(SolverError):
             plan.counts(v, energies)
         with pytest.raises(TaskFailure):  # the lambda_min event is a count too
-            eigenvalue_below_probability(UNIFORM, 1, 4, 4.0, energies[0], n_trials=1, tol=1e-4)
+            frequency(below_event(plan, UNIFORM, 0, energies[0]), 1, block=plan.block)
 
 
 def test_plan_rejects_a_nan_potential():
@@ -349,8 +354,9 @@ def test_anderson_ids_drops_a_failed_realization(monkeypatch):
     curve = anderson_ids(UNIFORM, 1, 8, 4.0, energies, n_realizations=4, seed=1, threads=2)
     assert curve.n_realizations == 3
     assert [f.index for f in curve.meta["failures"]] == [1]
-    with pytest.raises(TaskFailure):
-        eigenvalue_below_probability(UNIFORM, 1, 6, 4.0, E=0.4, n_trials=3, seed=2)
+    plan = anderson_mod._AndersonPlan(1, 6, 4.0, 0.0, anderson_mod.POTENTIAL_TOL)
+    with pytest.raises(TaskFailure):  # an event frequency raises where an ensemble drops
+        frequency(below_event(plan, UNIFORM, 2, 0.4), 3, block=plan.block)
     lost.update(range(4))
     with pytest.raises(TaskFailure):
         anderson_ids(UNIFORM, 1, 8, 4.0, energies, n_realizations=4, seed=1)
@@ -358,11 +364,13 @@ def test_anderson_ids_drops_a_failed_realization(monkeypatch):
         anderson_ids(UNIFORM, 1, 8, 4.0, energies, n_realizations=0)
 
 
-def test_eigenvalue_below_probability_interval():
-    freq, lo, hi, successes = eigenvalue_below_probability(
-        UNIFORM, 1, 6, 4.0, E=0.4, n_trials=20, seed=2)
+def test_lambda_min_event_frequency_interval():
+    # block draws count the event of each realization as its own draw does
+    plan = anderson_mod._AndersonPlan(1, 6, 4.0, 0.0, anderson_mod.POTENTIAL_TOL)
+    freq, lo, hi, successes = frequency(below_event(plan, UNIFORM, 2, 0.4), 20, block=plan.block)
     assert 0.0 <= lo <= freq <= hi <= 1.0
-    assert successes == round(freq * 20)
+    assert successes == round(freq * 20) == sum(plan.counts(plan.draw(UNIFORM, 2, i), 0.4) > 0
+                                                 for i in range(20))
 
 
 # -- truncated-MGF oracles ----------------------------------------------------------

@@ -571,6 +571,20 @@ def test_cli_invalid_config_exits_2(tmp_path, capsys):
     assert main(["ids", "--config", write_config(tmp_path, doc)]) == 2
 
 
+@pytest.mark.parametrize("dry_run", [False, True])
+@pytest.mark.parametrize("flag,env", [("0", None), ("-1", None), (None, "x")])
+def test_cli_bad_thread_count_exits_2_before_output(tmp_path, capsys, monkeypatch, flag, env, dry_run):
+    if env is None:
+        monkeypatch.delenv(THREADS_ENV, raising=False)
+    else:
+        monkeypatch.setenv(THREADS_ENV, env)
+    path = write_config(tmp_path, {**IDS_DOC, "out": str(tmp_path / "res")})
+    argv = ["ids", "--config", path] + (["--threads", flag] if flag else []) + (["--dry-run"] if dry_run else [])
+    assert main(argv) == 2
+    assert not (tmp_path / "res").exists()
+    assert "error: threads: thread count must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_cli_missing_file_exits_2(tmp_path):
     assert main(["ids", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -11,18 +11,16 @@ from hypothesis import strategies as st
 import lifshitz_lab.ids as ids_mod
 import lifshitz_lab.lattice as lattice_mod
 from lifshitz_lab.curves import IDSCurve, InsufficientDataError
-from lifshitz_lab.disorder import (DisorderSpec, ValidationError, lattice_cube,
-                                   sample_realization)
-from lifshitz_lab.ids import (empirical_ids, event_E_check, expected_periodic_ids,
-                              ile_check, lifshitz_exponent, periodic_approx_ids,
-                              sandwich_check, shell_decay_rate, theoretical_exponent,
-                              wegner_check)
-from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, assemble_operator,
+from lifshitz_lab.disorder import DisorderSpec, ValidationError, sample_realization
+from lifshitz_lab.ids import (empirical_ids, expected_periodic_ids, ile_check,
+                              lifshitz_exponent, sandwich_check, shell_decay_rate,
+                              theoretical_exponent, wegner_check)
+from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _periodized_plan, assemble_operator,
                                   compact_profile, identity_field,
                                   long_range_profile, operator_sampler,
                                   required_window, sample_coefficient_field)
 from lifshitz_lab.runner import TaskFailure
-from lifshitz_lab.spectral import counts_below, periodic_ids_curve, floquet_bands
+from lifshitz_lab.spectral import _field_bands, counts_below, floquet_bands, periodic_ids_curve
 from lifshitz_lab.stats import _bootstrap_slopes, fit_line
 
 UNIFORM = DisorderSpec()
@@ -62,10 +60,9 @@ def test_empirical_ids_zero_coupling_matches_free_counts():
 
 def test_periodized_zero_pattern_equals_reference_bands():
     bg = PeriodicBackground.identity(1, 2)
-    prof = compact_profile(d=1)
-    pattern = sample_realization(ZERO, lattice_cube(1, 1), seed=0, index=0)
     energies = np.linspace(0.0, 16.0, 8)
-    per = periodic_approx_ids(bg, prof, pattern, k=1, n_theta=6, energies=energies)
+    field = _periodized_plan(bg, compact_profile(d=1), 1, bg.m)(np.zeros(3))  # the k = 1 pattern, all zero
+    per = periodic_ids_curve(_field_bands(field, 6), energies)
     free = periodic_ids_curve(floquet_bands(bg, n_theta=18), energies)
     # the supercell samples the same bands on a refined quasimomentum grid
     assert np.max(np.abs(per.values - free.values)) < 1e-12
@@ -319,17 +316,6 @@ def test_wegner_check_requires_compact_profile():
     with pytest.raises(ValidationError):
         wegner_check(bg, long_range_profile(d=1, nu=2.5), UNIFORM, E=8.0,
                      ks=[4], eps_list=[0.1], n_trials=2)
-
-
-def test_event_check_positive_coupling_always_holds():
-    rep = event_E_check(PeriodicBackground.identity(1, 2), compact_profile(d=1),
-                        UNIFORM, k=2, eps=0.1, n_trials=10, seed=3)
-    assert rep.successes == rep.trials == 10
-    assert rep.verdict == "pass"
-    # eps = 0 degenerates to plain nonnegativity of the random part
-    rep0 = event_E_check(PeriodicBackground.identity(1, 2), compact_profile(d=1),
-                         UNIFORM, k=2, eps=0.0, n_trials=5, seed=3)
-    assert rep0.verdict == "pass"
 
 
 # -- decay diagnostics ----------------------------------------------------------------------

@@ -17,8 +17,7 @@ from lifshitz_lab.lattice import (BoxSpec, CoefficientField, PeriodicBackground,
                                   _FieldPlan, _periodized_plan,
                                   assemble_operator, background_field, compact_profile, identity_field,
                                   lattice_correlate, long_range_profile,
-                                  operator_sampler, periodized_coefficient_field,
-                                  required_window, sample_coefficient_field,
+                                  operator_sampler, required_window, sample_coefficient_field,
                                   short_range_profile)
 
 
@@ -322,7 +321,7 @@ def test_periodized_field_wraps_pattern():
     bg = PeriodicBackground.identity(1, 2)
     prof = compact_profile(d=1)
     pattern = sample_realization(DisorderSpec(), lattice_cube(1, 1), seed=4, index=0)
-    fld = periodized_coefficient_field(bg, prof, pattern, k=1, m=2)
+    fld = _periodized_plan(bg, prof, 1, 2)(pattern.values)
     m = assemble_operator(fld).matrix
     assert abs((m - m.conj().T).toarray()).max() < 1e-12
 
@@ -373,7 +372,7 @@ def test_field_matches_direct_sum(d, prof, tol, m):
          direct_sum_cells(bg, prof, sites, omega.values_at(sites), box, tol)),
         (sample_coefficient_field(bg, prof, capped, box, tol),
          direct_sum_cells(bg, prof, sites, capped.values_at(sites), box, tol)),
-        (periodized_coefficient_field(bg, prof, pattern, k, m, tol),
+        (_periodized_plan(bg, prof, k, m, tol)(pattern.values),
          direct_sum_cells(bg, prof, periodic_sites,
                           pattern.values_at((periodic_sites + k) % (2 * k + 1) - k), periodic, tol)),
     ]
@@ -439,7 +438,6 @@ def test_periodized_plan_is_bitwise_the_wrapped_lookup(kind, d, m, seed):
     sites = required_window(prof, periodic, tol)
     wrapped = pattern.values_at((sites + k) % (2 * k + 1) - k)
     want = displacement_field(bg, prof, sites, wrapped, periodic, tol)
-    assert np.array_equal(periodized_coefficient_field(bg, prof, pattern, k, m, tol).cells, want)
     assert np.array_equal(_periodized_plan(bg, prof, k, m, tol)(pattern.values).cells, want)
 
 

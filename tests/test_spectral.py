@@ -1,3 +1,4 @@
+import functools
 import itertools
 from unittest.mock import patch
 
@@ -10,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lifshitz_lab.spectral as spectral
-from lifshitz_lab.anderson import _AndersonPlan, assemble_anderson, eigenvalue_below_probability
+from lifshitz_lab.anderson import _AndersonPlan, assemble_anderson
 from lifshitz_lab.curves import IDSCurve
 from lifshitz_lab.disorder import DisorderSpec, lattice_cube, sample_realization
-from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _bloch_family, _point_symmetries,
-                                  assemble_operator, background_field, compact_profile, long_range_profile,
-                                  operator_sampler, periodized_coefficient_field, required_window,
+from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _bloch_family, _periodized_plan,
+                                  _point_symmetries, assemble_operator, background_field, compact_profile,
+                                  long_range_profile, operator_sampler, required_window,
                                   sample_coefficient_field)
+from lifshitz_lab.runner import frequency
 from lifshitz_lab.spectral import (SolverError, _block_diag_eigs, count_eigenvalues_below,
                                    count_sorted_leq, counts_below, distance_to_spectrum,
                                    floquet_bands, periodic_ids_curve, spectral_gaps)
@@ -83,7 +85,7 @@ def ids_operator(d, long_range, floquet, k, seed, bc="dirichlet"):
     bg = PeriodicBackground.two_phase(m=2, low=1.0, high=3.0, d=d)
     if floquet:
         pattern = sample_realization(DisorderSpec(), lattice_cube(d, k), seed=seed, index=d)
-        fld = periodized_coefficient_field(bg, prof, pattern, k=k, m=2, tol=tol)
+        fld = _periodized_plan(bg, prof, k, 2, tol)(pattern.values)
         return assemble_operator(fld, theta=(0.7,) * d)
     box = BoxSpec(d=d, k=k, m=2, bc=bc)
     omega = sample_realization(DisorderSpec(), required_window(prof, box, tol), seed=seed, index=d)
@@ -390,10 +392,11 @@ def test_every_count_takes_the_slack_of_the_operator_norm(law, k, seed, index):
             assert [count_eigenvalues_below(mat, E) for E in energies] == want.tolist()
             if i == 0:  # a hit inside the slack, a miss below it
                 for E, hits in ((vals[0] - 1e-12 * norm / 2.0, 1), (vals[0] - 2e-12 * norm, 0)):
-                    assert eigenvalue_below_probability(law, d, box_k, 4.0, E, 1, seed=seed, tol=1e-3)[3] == hits
+                    assert frequency(lambda indices: [plan.counts(v, E) > 0 for v in plan.draws(law, seed, indices)],
+                                     1, block=plan.block)[3] == hits
     for d in (1, 2):
-        bg, kw, field = floquet_medium(d, True, seed)
-        bands = floquet_bands(bg, n_theta=3, **kw)
+        field = floquet_medium(d, True, seed)
+        bands = spectral._field_bands(field, 3)
         fibers = [assemble_operator(field, theta=tuple(th)).matrix.toarray() for th in bands.thetas]
         j = index % bands.bands.shape[1]
         energies = np.unique([between(row, spectral._norm1(f))[j] for row, f in zip(bands.bands, fibers)])
@@ -446,27 +449,24 @@ BACKGROUNDS = {"identity": PeriodicBackground.identity(2, 2),
 
 
 def floquet_medium(d, medium, seed=0):
-    """(background, floquet_bands keywords, field) of a medium.
+    """The field of a medium whose (2k+1)-periodic repetition `_field_bands` fibers.
 
-    medium: False for a two-phase background, True for a k = 1 pattern on it,
-    or a name in BACKGROUNDS (d = 2).
+    medium: False for a two-phase background's unit cell, True for a k = 1
+    pattern on it, or a name in BACKGROUNDS (d = 2).
     """
-    if medium in BACKGROUNDS:
-        bg = BACKGROUNDS[medium]
-        return bg, {}, background_field(bg, BoxSpec(d=2, k=0, m=bg.m, bc="quasiperiodic"))
-    bg = PeriodicBackground.two_phase(m=3 if d == 1 else 2, low=1.0, high=3.0, d=d)
-    if not medium:
-        return bg, {}, background_field(bg, BoxSpec(d=d, k=0, m=bg.m, bc="quasiperiodic"))
-    kw = {"profile": IDS_PROFILES[d][0], "k": 1,
-          "pattern": sample_realization(DisorderSpec(), lattice_cube(d, 1), seed=seed, index=0)}
-    return bg, kw, periodized_coefficient_field(bg, m=bg.m, **kw)
+    bg = BACKGROUNDS[medium] if medium in BACKGROUNDS else \
+        PeriodicBackground.two_phase(m=3 if d == 1 else 2, low=1.0, high=3.0, d=d)
+    if medium is True:
+        pattern = sample_realization(DisorderSpec(), lattice_cube(d, 1), seed=seed, index=0)
+        return _periodized_plan(bg, IDS_PROFILES[d][0], 1, bg.m)(pattern.values)
+    return background_field(bg, BoxSpec(d=bg.d, k=0, m=bg.m, bc="quasiperiodic"))
 
 
 @given(st.sampled_from([1, 2]), st.booleans(), st.integers(0, 2**32 - 1),
        st.lists(st.floats(0.0, 2.0 * np.pi, exclude_max=True), min_size=2, max_size=2))
 @settings(max_examples=30, deadline=None)
 def test_bloch_family_fiber_equals_assembled_operator(d, periodized, seed, phi):
-    _, _, field = floquet_medium(d, periodized, seed)
+    field = floquet_medium(d, periodized, seed)
     phi, period = np.array(phi[:d]), field.box.side
     rows, cols, shifts, coeffs = _bloch_family(field)
     want = assemble_operator(field, theta=tuple(phi / period)).matrix.toarray()
@@ -483,7 +483,7 @@ MIRROR_0, MIRROR_1, EXCHANGE = np.diag([-1, 1]), np.diag([1, -1]), np.array([[0,
     ("anisotropic", []), ("offcentre", [MIRROR_0])],
     ids=["two_phase", "periodized", "identity", "anisotropic", "offcentre"])
 def test_point_symmetries_are_exact(medium, symmetries):
-    _, _, field = floquet_medium(2, medium, seed=5)
+    field = floquet_medium(2, medium, seed=5)
     found = _point_symmetries(field)
     assert len(found) == len(symmetries)
     assert all(np.array_equal(G, want) for G, want in zip(found, symmetries))
@@ -493,8 +493,7 @@ def test_a_mirror_must_negate_the_off_diagonal():
     # the anisotropic medium's rows at grid indices j and j with one component
     # negated differ by 5.6% of max|E|: a mirror check blind to rho_01's sign
     # would copy wrong bands (each row is checked against its own fiber below)
-    bg, _, _ = floquet_medium(2, "anisotropic")
-    bands = floquet_bands(bg, n_theta=6).bands.reshape(6, 6, -1)
+    bands = floquet_bands(BACKGROUNDS["anisotropic"], n_theta=6).bands.reshape(6, 6, -1)
     negated = -np.arange(6) % 6
     for mirrored in (bands[negated], bands[:, negated]):
         assert np.max(np.abs(bands - mirrored)) > 0.05 * np.max(np.abs(bands))
@@ -505,19 +504,21 @@ def test_a_mirror_must_negate_the_off_diagonal():
                                       (2, "identity"), (2, "anisotropic"), (2, "offcentre")])
 def test_every_band_row_is_its_own_fiber(d, medium, n_theta):
     # rows copied from a fiber of the same orbit (time reversal, mirrors, exchange) included
-    bg, kw, field = floquet_medium(d, medium, seed=5)
-    bands = floquet_bands(bg, n_theta=n_theta, **kw)
+    field = floquet_medium(d, medium, seed=5)
+    bands = spectral._field_bands(field, n_theta)
     direct = np.array([np.linalg.eigvalsh(assemble_operator(field, theta=tuple(th)).matrix.toarray())
                        for th in bands.thetas])
     assert np.max(np.abs(bands.bands - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-def count_solves(monkeypatch, bg, n_theta, **medium):
+def count_solves(monkeypatch, bands_of, n_theta):
+    """The eigensolves behind bands_of(n_theta), a band structure over the whole grid."""
     calls = []
     eigvalsh = spectral.scipy.linalg.eigvalsh
     monkeypatch.setattr(spectral.scipy.linalg, "eigvalsh",
                         lambda *a, **kw: calls.append(1) or eigvalsh(*a, **kw))
-    assert floquet_bands(bg, n_theta=n_theta, **medium).bands.shape[0] == n_theta**bg.d
+    bands = bands_of(n_theta)
+    assert bands.bands.shape[0] == n_theta**bands.d
     return len(calls)
 
 
@@ -539,9 +540,9 @@ def signed_permutations(d, permute):
 def test_floquet_bands_solves_half_the_grid(monkeypatch, d, n_theta, solves):
     # a periodized random pattern has time reversal alone: (n^d + c) / 2 eigensolves,
     # c = 2^d self-conjugate points for even n, 1 for odd n
-    bg, kw, _ = floquet_medium(d, True, seed=5)
+    bands_of = functools.partial(spectral._field_bands, floquet_medium(d, True, seed=5))
     time_reversal = [np.eye(d, dtype=int), -np.eye(d, dtype=int)]
-    assert count_solves(monkeypatch, bg, n_theta, **kw) == solves == grid_orbits(d, n_theta, time_reversal)
+    assert count_solves(monkeypatch, bands_of, n_theta) == solves == grid_orbits(d, n_theta, time_reversal)
     assert solves == (n_theta**d + (2**d if n_theta % 2 == 0 else 1)) // 2
 
 
@@ -555,7 +556,8 @@ def test_floquet_bands_solves_one_fiber_per_orbit(monkeypatch, d, n_theta, mediu
     bg = (PeriodicBackground.two_phase(m=4, low=1.0, high=3.0, d=d) if medium == "two_phase"
           else PeriodicBackground.identity(d, 2))
     group = signed_permutations(d, permute=medium == "identity")
-    assert count_solves(monkeypatch, bg, n_theta) == solves == grid_orbits(d, n_theta, group)
+    assert count_solves(monkeypatch, functools.partial(floquet_bands, bg), n_theta) == solves \
+        == grid_orbits(d, n_theta, group)
 
 
 def test_two_phase_gap_values_frozen():
