@@ -26,7 +26,6 @@ from .lattice import (AssembledOperator, BoxSpec, CoefficientField,
 from .runner import (TaskFailure, ensemble, frequency, indexed_map, resolve_threads,
                      trials)
 from .spectral import (BandStructure, SolverError, count_eigenvalues_below,
-                       count_sorted_leq, counts_below, distance_to_spectrum,
-                       floquet_bands, periodic_ids_curve, spectral_gaps)
+                       count_sorted_leq, counts_below, floquet_bands, periodic_ids_curve, spectral_gaps)
 from .stats import bootstrap_slope_interval, clopper_pearson, fit_line, mean_stderr
 from .version import __version__

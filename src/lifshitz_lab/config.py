@@ -24,6 +24,7 @@ from .disorder import LAWS, DisorderSpec, ValidationError
 from .ids import DECAY_DENSE_LIMIT
 from .lattice import (BCS, BoxSpec, PeriodicBackground, SingleSiteProfile, compact_profile,
                       long_range_profile, short_range_profile)
+from .runner import _integral
 
 __all__ = [
     "EXPERIMENT_KINDS",
@@ -56,11 +57,10 @@ def _count(low: int = 0, high=math.inf):
     bound = f">= {low}" if high == math.inf else f"in [{low}, {high})"
 
     def read(value, label):
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value < high:
+        n = _integral(value)
+        if n is None or not low <= n < high:
             raise ValidationError(f"{label} must be an integer {bound}, got {value!r}")
-        return int(value)
+        return n
     return read
 
 

@@ -14,7 +14,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -29,7 +29,7 @@ from .curves import InsufficientDataError
 from .ids import (decay_diagnostic, empirical_ids, ile_check, lifshitz_exponent,
                   sandwich_check, theoretical_exponent, wegner_check)
 from .lattice import operator_sampler
-from .runner import resolve_threads
+from .runner import _integral, resolve_threads
 from .spectral import floquet_bands, spectral_gaps
 # Not called here (the ensemble kinds go through the library estimators), but
 # kept as attributes of this module: perfbench/tracing.py patches these names.
@@ -277,11 +277,13 @@ _DRIVERS = {
 
 def run(config: ExperimentConfig, out_dir: str = None, threads: int = None,
         seed: int = None, dry_run: bool = False) -> RunResult:
-    """Validate, dispatch, persist.  Exit codes: 0 ok, 2 invalid, 3 task failures."""
-    if seed is not None:
-        config.ensemble = {**config.ensemble, "seed": int(seed)}
+    """Validate, dispatch, persist; seed and out_dir override a copy of config.  Exit codes: 0 ok,
+    2 invalid, 3 task failures."""
+    if seed is not None:  # a seed that is no integer is kept as given, for validate to refuse
+        n = _integral(seed)
+        config = replace(config, ensemble={**config.ensemble, "seed": seed if n is None else n})
     if out_dir is not None:
-        config.out = out_dir
+        config = replace(config, out=out_dir)
     diags = validate(config)
     try:
         threads = resolve_threads(threads)

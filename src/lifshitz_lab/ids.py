@@ -5,6 +5,8 @@ eigenvalues per L^d, and quasimomentum-averaged counts of a period-L medium
 are likewise divided by L^d.  Band-edge tails are probed through the fit of
 log |log dN(eps)| against log eps, whose slope is compared to closed-form
 targets depending on the coupling tail index and the single-site decay.
+The localization-input checks count each window [E - t, E + t] as the
+difference of two `counts_below` counts at its edges (`_window_hits`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from .curves import IDSCurve, InsufficientDataError, ensemble_curve
 from .disorder import DisorderSpec, ValidationError, cube_codes, draw_couplings, site_hash
 from .lattice import BoxSpec, PeriodicBackground, SingleSiteProfile, _periodized_plan, operator_sampler
 from .runner import frequency, trials
-from .spectral import _field_bands, counts_below, distance_to_spectrum, periodic_ids_curve
+from .spectral import _field_bands, counts_below, periodic_ids_curve
 from .stats import bootstrap_slope_interval, clopper_pearson, fit_line, mean_stderr
 
 __all__ = [
@@ -242,16 +244,23 @@ def theoretical_exponent(d: int, kappa: float, range_kind: str, nu: float = None
 # -- localization-input checks ---------------------------------------------------
 
 
+def _window_hits(operator, E: float, radii: np.ndarray) -> np.ndarray:
+    """Per radius t, whether #{lambda <= E + t} - #{lambda <= E - t} > 0 by `counts_below`: with its
+    slack eta, an eigenvalue in E - t + eta <= lambda < E + t + eta (a hit at E + t, none at E - t)."""
+    counts = counts_below(operator, np.concatenate([E - radii, E + radii]))
+    return counts[len(radii):] > counts[:len(radii)]
+
+
 def ile_check(background: PeriodicBackground, profile: SingleSiteProfile,
               disorder: DisorderSpec, E_plus: float, k: int, alpha: float,
               p: float, n_trials: int, theta=None, seed: int = 0,
               threads: int = 1) -> CheckReport:
-    """Initial-scale estimate: how often spectrum comes within 1/k of E_plus.
+    """Initial-scale estimate: how often a box has an eigenvalue in [E_plus - 1/k, E_plus + 1/k].
 
-    Boxes have half-side round(k**alpha) with quasiperiodic bc; the observed
-    frequency is compared against k**(-p) through its Clopper-Pearson upper
-    bound.  Passing requires the upper bound below k**(-p), or zero hits.
-    A failed trial raises.
+    The window is counted by `_window_hits`, with its edge rule.  Boxes have
+    half-side round(k**alpha) with quasiperiodic bc; the observed frequency is
+    compared against k**(-p) through its Clopper-Pearson upper bound.  Passing
+    requires the upper bound below k**(-p), or zero hits.  A failed trial raises.
     """
     if alpha <= 1.0:
         raise ValidationError("box-growth exponent alpha must exceed 1")
@@ -264,7 +273,7 @@ def ile_check(background: PeriodicBackground, profile: SingleSiteProfile,
     operator = operator_sampler(background, profile, disorder, box, seed)
     threshold = 1.0 / k
     _, p_lo, p_hi, successes = frequency(
-        lambda i: distance_to_spectrum(operator(i), E_plus) <= threshold, n_trials, threads)
+        lambda i: _window_hits(operator(i), E_plus, np.array([threshold]))[0], n_trials, threads)
     bound = float(k) ** (-p)
     verdict = "pass" if (successes == 0 or p_hi <= bound) else "fail"
     return CheckReport(name="initial_scale", trials=n_trials, successes=successes,
@@ -277,13 +286,14 @@ def wegner_check(background: PeriodicBackground, profile: SingleSiteProfile,
                  disorder: DisorderSpec, E: float, ks, eps_list, n_trials: int,
                  theta=None, seed: int = 0, min_exponent: float = 0.5, volume_ratio_cap: float = 2.5,
                  threads: int = 1) -> CheckReport:
-    """Level-repulsion probe: P(dist(spectrum, E) <= eps) across eps and box sizes.
+    """Level-repulsion probe: P(an eigenvalue in [E - eps, E + eps]) across eps and box sizes.
 
-    Reports the fitted eps-exponent on the largest box and whether the hit
-    probability grows at most like the volume (ratio capped) between
-    consecutive box sizes.  Only compactly supported profiles are accepted:
-    level statistics under unbounded-range couplings are outside the
-    regime this probe is meant for.  A failed trial raises.
+    The windows are counted by `_window_hits`, with its edge rule.  Reports
+    the fitted eps-exponent on the largest box and whether the hit probability
+    grows at most like the volume (ratio capped) between consecutive box sizes.
+    Only compactly supported profiles are accepted: level statistics under
+    unbounded-range couplings are outside the regime this probe is meant for.
+    A failed trial raises.
     """
     if profile.kind != "compact":
         raise ValidationError("level-repulsion probe requires a compact profile")
@@ -297,8 +307,7 @@ def wegner_check(background: PeriodicBackground, profile: SingleSiteProfile,
         box = BoxSpec(d=d, k=k, m=background.m, bc="quasiperiodic",
                       theta=tuple(theta) if theta is not None else None)
         operator = operator_sampler(background, profile, disorder, box, seed)
-        dists = trials(lambda i: distance_to_spectrum(operator(i), E), n_trials, threads)
-        table[k] = np.array([(dists <= e).mean() for e in eps_list])
+        table[k] = trials(lambda i: _window_hits(operator(i), E, eps_list), n_trials, threads).mean(axis=0)
     probs_top = table[max(ks)]
     pos = probs_top > 0
     if pos.sum() >= 2:

@@ -12,6 +12,7 @@ bound companions included.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -35,14 +36,22 @@ class TaskFailure(RuntimeError):
         self.error = error
 
 
+def _integral(value):
+    """value as an int when it is an integer or a float equal to one, never a bool; else None."""
+    if isinstance(value, float):
+        return int(value) if value.is_integer() else None
+    return None if isinstance(value, bool) or not isinstance(value, numbers.Integral) else int(value)
+
+
 def resolve_threads(explicit: int = None) -> int:
-    """The worker count: explicit, else $LIFSHITZ_LAB_THREADS, else 1; ValueError unless an integer >= 1."""
+    """The worker count: explicit, else $LIFSHITZ_LAB_THREADS, else 1; ValueError unless an
+    integer >= 1 by `_integral` (a string, as the variable's value, is parsed by int first)."""
     raw = os.environ.get(THREADS_ENV, "1") if explicit is None else explicit
     try:
-        n = int(raw)
-    except (TypeError, ValueError):
-        n = 0
-    if n < 1:
+        n = _integral(int(raw) if isinstance(raw, str) else raw)
+    except ValueError:
+        n = None
+    if n is None or n < 1:
         source = f"${THREADS_ENV}=" if explicit is None else ""
         raise ValueError(f"thread count must be an integer >= 1, got {source}{raw!r}")
     return n

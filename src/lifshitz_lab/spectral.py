@@ -4,16 +4,17 @@ Counting "<= E" means "strictly below E + eta", eta = 1e-12 * ||A||_1 of the
 operator counted (1e-12 for A = 0), on every path: `counts_below`,
 `count_eigenvalues_below`, `_tridiagonal_counts` and `periodic_ids_curve`
 (each fiber H(phi)).  This module is the only one that solves for eigenvalues
-in order to count them.  `counts_below` counts a whole energy grid from one
-spectrum (`_spectrum`): a real sparse operator whose lower band
-(half-bandwidth kd) is narrow, BAND_RATIO * (kd + 1) <= n, is solved from that
-band by `eigvals_banded` (LAPACK sbevd, an O(n^2 kd) band reduction), and any
-other operator by one dense `eigvalsh`.  `_tridiagonal_counts` counts a
+in order to count them.  `count_eigenvalues_below` counts one energy by the
+inertia of A - (E + eta) I: the negative pivots of SuperLU's symmetric-mode
+factorization, or the spectrum when a pivot cannot be trusted.  `counts_below`
+counts a whole energy grid from one spectrum (`_spectrum`): a real sparse
+operator whose lower band (half-bandwidth kd) is narrow, BAND_RATIO * (kd + 1)
+<= n, is solved from that band by `eigvals_banded` (LAPACK sbevd, an
+O(n^2 kd) band reduction), any other operator up to DENSE_THRESHOLD nodes by
+one dense `eigvalsh`; a larger one that is not narrow is counted energy by
+energy through `count_eigenvalues_below`.  `_tridiagonal_counts` counts a
 symmetric tridiagonal matrix (the d = 1 Anderson box) by a positive-definite
 screen at the top energy, then a coarse Sturm bisection up to it.
-`count_eigenvalues_below` counts one energy by the inertia of the
-Bunch-Kaufman LDL^T of A - (E + eta) I, retrying with eta doubled (up to
-MAX_RETRIES times) when a pivot block is numerically zero.
 """
 
 from __future__ import annotations
@@ -40,12 +41,10 @@ __all__ = [
     "count_sorted_leq",
     "floquet_bands",
     "spectral_gaps",
-    "distance_to_spectrum",
     "periodic_ids_curve",
 ]
 
-DENSE_THRESHOLD = 3000  # above this, iterative shift-invert paths kick in
-MAX_RETRIES = 10  # eta doublings before an inertia count gives up
+DENSE_THRESHOLD = 3000  # above this, counts_below counts an operator that is not narrow by inertia
 # counts_below solves from the band when BAND_RATIO * (kd + 1) <= n.  Banded
 # was faster on d = 2 boxes from n / (kd + 1) = 12 (2x at 32) but 15-30% slower
 # on d = 3 boxes up to 17, so 16 keeps d = 3 boxes up to k = 3 (m = 2) dense
@@ -73,57 +72,52 @@ def _norm1(mat) -> float:
     return float(np.abs(mat).sum(axis=0).max()) if mat.size else 0.0
 
 
-def _block_diag_eigs(d: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the (1x1 / 2x2) block diagonal factor from an LDL^T."""
-    eigs = np.diagonal(d).real.copy()
-    off = np.diagonal(d, 1)
-    i = np.flatnonzero(off != 0)  # 2x2 block starts; blocks of D never touch
-    a, c = eigs[i], eigs[i + 1]
-    root = np.sqrt((a - c) ** 2 / 4.0 + np.abs(off[i]) ** 2)
-    mid = (a + c) / 2.0
-    eigs[i], eigs[i + 1] = mid - root, mid + root
-    return eigs
-
-
 def count_eigenvalues_below(A, E: float) -> int:
-    """#{eigenvalues of A <= E}, by inertia of the shifted LDL^T factorization."""
+    """#{eigenvalues of A <= E}: the negative pivots of SuperLU's P (A - (E + eta) I) P^T = L U.
+
+    In symmetric mode with diagonal pivots, U's diagonal is the D of an LDL^H
+    (Sylvester's inertia).  The spectrum counts instead when SuperLU pivots off
+    the diagonal, raises (an exactly singular shift), or leaves a pivot that is
+    not finite or lies within n eps || |L| |U| ||_inf of zero: L U is exact for
+    a matrix that far from the shifted one, so that pivot's sign is not trusted.
+    """
     mat = _as_matrix(A)
-    n = mat.shape[0]
-    norm1 = _norm1(mat)
-    eta = 1e-12 * norm1
-    if eta == 0.0:
-        eta = 1e-12
-    dense = mat.toarray() if sp.issparse(mat) else np.array(mat)
-    hermitian = np.iscomplexobj(dense)
-    tiny = max(norm1, 1.0) * 1e-30
-    for _ in range(MAX_RETRIES + 1):
-        shifted = dense - (E + eta) * np.eye(n, dtype=dense.dtype)
-        try:
-            _, dblk, _ = scipy.linalg.ldl(shifted, hermitian=True) if hermitian \
-                else scipy.linalg.ldl(shifted)
-            eigs = _block_diag_eigs(dblk)
-        except (np.linalg.LinAlgError, ValueError):
-            eta *= 2.0
-            continue
-        if not np.all(np.isfinite(eigs)) or np.any(np.abs(eigs) <= tiny):
-            eta *= 2.0  # factorization breakdown at the shift; nudge and retry
-            continue
-        return int(np.sum(eigs < 0.0))
-    raise SolverError(f"inertia count failed after {MAX_RETRIES} retries at E={E}")
+    n, scale = mat.shape[0], _norm1(mat) or 1.0
+    shifted = sp.csc_matrix(mat) - (E + 1e-12 * scale) * sp.identity(n, dtype=mat.dtype, format="csc")
+    try:
+        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                       options={"SymmetricMode": True})
+    except RuntimeError:
+        lu = None
+    if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
+        pivots = lu.U.diagonal().real
+        growth = (abs(lu.L) @ (abs(lu.U) @ np.ones(n))).max()  # not finite: no pivot passes
+        if np.all(np.abs(pivots) > n * np.finfo(float).eps * growth):
+            return int(np.count_nonzero(pivots < 0.0))
+    return count_sorted_leq(_spectrum(mat), E, scale)
+
+
+def _lower_band(mat):
+    """LAPACK lower band storage of a real sparse `mat` that is narrow, BAND_RATIO * (kd + 1) <= n; else None."""
+    if not sp.issparse(mat) or np.iscomplexobj(mat):
+        return None
+    coo = mat.tocoo()  # read only: for a COO input these are the caller's arrays
+    offset = coo.row - coo.col
+    low = offset >= 0
+    kd = int(offset[low].max(initial=0))
+    if BAND_RATIO * (kd + 1) > mat.shape[0]:
+        return None
+    band = np.zeros((kd + 1, mat.shape[0]))
+    np.add.at(band, (offset[low], coo.col[low]), coo.data[low])  # duplicate entries sum
+    return band
 
 
 def _spectrum(mat) -> np.ndarray:
     """Ascending eigenvalues of the symmetric matrix whose lower triangle `mat` holds."""
     try:
-        if sp.issparse(mat) and not np.iscomplexobj(mat):
-            coo = mat.tocoo()  # read only: for a COO input these are the caller's arrays
-            offset = coo.row - coo.col
-            low = offset >= 0
-            kd = int(offset[low].max(initial=0))
-            if BAND_RATIO * (kd + 1) <= mat.shape[0]:
-                band = np.zeros((kd + 1, mat.shape[0]))
-                np.add.at(band, (offset[low], coo.col[low]), coo.data[low])  # duplicate entries sum
-                return scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
+        band = _lower_band(mat)
+        if band is not None:
+            return scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
         dense = mat.toarray() if sp.issparse(mat) else np.array(mat)  # a copy to overwrite
         return scipy.linalg.eigvalsh(dense, overwrite_a=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
@@ -131,8 +125,12 @@ def _spectrum(mat) -> np.ndarray:
 
 
 def counts_below(A, energies) -> np.ndarray:
-    """#{eigenvalues of A <= E} for each energy of a grid, from one banded or dense spectrum."""
+    """#{eigenvalues of A <= E} for each energy of a grid: from one banded spectrum, from one
+    dense spectrum up to DENSE_THRESHOLD nodes, and else one inertia count per energy."""
     mat = _as_matrix(A)
+    if mat.shape[0] > DENSE_THRESHOLD and _lower_band(mat) is None:
+        counts = [count_eigenvalues_below(mat, E) for E in np.ravel(energies)]
+        return np.array(counts, dtype=np.intp).reshape(np.shape(energies))
     return count_sorted_leq(_spectrum(mat), energies, scale=_norm1(mat) or 1.0)
 
 
@@ -282,26 +280,6 @@ def spectral_gaps(bands: BandStructure) -> list:
         if hi >= cur_right:
             cur_right, cur_idx = hi, int(idx)
     return gaps
-
-
-def distance_to_spectrum(A, E: float) -> float:
-    """min |lambda - E| over the spectrum of A: all of it up to DENSE_THRESHOLD, else ARPACK shift-invert.
-
-    A shift that SuperLU finds exactly singular is an eigenvalue (distance 0);
-    any other failure of shift-invert raises SolverError.
-    """
-    mat = _as_matrix(A)
-    if mat.shape[0] <= DENSE_THRESHOLD:
-        return float(np.min(np.abs(_spectrum(mat) - E)))
-    try:
-        w = spla.eigsh(sp.csc_matrix(mat), k=1, sigma=E, which="LM", return_eigenvectors=False)
-        return float(np.min(np.abs(w - E)))
-    except spla.ArpackNoConvergence as exc:  # a RuntimeError too, so caught first
-        raise SolverError(f"distance_to_spectrum failed to converge at E={E}") from exc
-    except RuntimeError as exc:
-        if "Factor is exactly singular" not in str(exc):
-            raise SolverError(f"distance_to_spectrum: shift-invert failed at E={E}: {exc}") from exc
-        return 0.0  # SuperLU found the shift singular: E is an eigenvalue
 
 
 def periodic_ids_curve(bands: BandStructure, energies) -> IDSCurve:

@@ -170,6 +170,22 @@ def test_resolve_threads_env(monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "3")
     assert resolve_threads(None) == 3
     assert resolve_threads(2) == 2
+    # an explicit count is read as config counts are: a float equal to an integer, never a bool
+    assert resolve_threads(2.0) == 2 and resolve_threads(np.int64(4)) == 4
+    for bad in (1.5, True, False, float("nan"), float("inf"), 0, -2, [2]):
+        with pytest.raises(ValueError):
+            resolve_threads(bad)
+    for bad in ("1.5", "2.0", "true", ""):
+        monkeypatch.setenv(THREADS_ENV, bad)
+        with pytest.raises(ValueError):
+            resolve_threads(None)
+
+
+@pytest.mark.parametrize("threads", [1.5, True])
+def test_run_refuses_a_thread_count_it_would_truncate(tmp_path, threads):
+    result = run(parse_config(dict(IDS_DOC)), out_dir=str(tmp_path / "res"), threads=threads)
+    assert result.exit_code == 2 and not (tmp_path / "res").exists()
+    assert any("threads: thread count must be an integer >= 1" in d.message for d in result.diagnostics)
 
 
 # -- config parsing -----------------------------------------------------------------
@@ -522,6 +538,27 @@ def test_identical_bytes_across_thread_counts(tmp_path, kind):
                               for name in result.manifest.files}
         assert len(blobs[1]) == 2
         assert blobs[1] == blobs[4] == blobs[16]
+
+
+def test_run_overrides_leave_the_callers_config_alone(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = parse_config({**IDS_DOC, "out": "plain"})
+    kept = copy.deepcopy(cfg)
+
+    def artifacts(result):
+        assert result.exit_code == 0
+        return {name: (Path(result.out_dir) / name).read_bytes() for name in result.manifest.files}
+
+    overridden = artifacts(run(cfg, out_dir="over", seed=9))
+    assert cfg == kept and cfg.ensemble == {"n_realizations": 4, "seed": 3} and cfg.out == "plain"
+    # the overridden run writes what a config holding the override writes
+    assert overridden == artifacts(run(parse_config({**IDS_DOC, "ensemble": {"n_realizations": 4, "seed": 9}}),
+                                       out_dir="direct"))
+    # and a later run without overrides reads the caller's own seed and directory
+    plain = run(cfg)
+    assert plain.out_dir == "plain" and plain.manifest.seed == 3
+    assert artifacts(plain) == artifacts(run(parse_config(dict(IDS_DOC)), out_dir="fresh")) != overridden
+    assert run(cfg, out_dir="bad", seed=1.5).exit_code == 2 and cfg == kept
 
 
 # -- command line ------------------------------------------------------------------------

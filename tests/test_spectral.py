@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,11 +15,11 @@ from lifshitz_lab.curves import IDSCurve
 from lifshitz_lab.disorder import DisorderSpec, lattice_cube, sample_realization
 from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _bloch_family, _periodized_plan,
                                   _point_symmetries, assemble_operator, background_field, compact_profile,
-                                  long_range_profile, operator_sampler, required_window,
+                                  identity_field, long_range_profile, operator_sampler, required_window,
                                   sample_coefficient_field)
 from lifshitz_lab.runner import frequency
-from lifshitz_lab.spectral import (SolverError, _block_diag_eigs, count_eigenvalues_below,
-                                   count_sorted_leq, counts_below, distance_to_spectrum,
+from lifshitz_lab.ids import _window_hits
+from lifshitz_lab.spectral import (SolverError, count_eigenvalues_below, count_sorted_leq, counts_below,
                                    floquet_bands, periodic_ids_curve, spectral_gaps)
 
 
@@ -263,57 +262,6 @@ def test_band_path_leaves_the_sparse_input_unchanged():
     assert all(np.array_equal(a, b) for a, b in zip((split.data, split.row, split.col), kept_split))
 
 
-def block_diag_eigs_loop(d):
-    """The pivot-by-pivot walk over D that _block_diag_eigs replaced: the reference."""
-    n = d.shape[0]
-    eigs = np.empty(n)
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i, i + 1] != 0:
-            a, c = d[i, i].real, d[i + 1, i + 1].real
-            b2 = abs(d[i, i + 1]) ** 2
-            root = np.sqrt((a - c) ** 2 / 4.0 + b2)
-            mid = (a + c) / 2.0
-            eigs[i], eigs[i + 1] = mid - root, mid + root
-            i += 2
-        else:
-            eigs[i] = d[i, i].real
-            i += 1
-    return eigs
-
-
-def assert_block_eigs_match_loop(dblk):
-    # the loop squares numpy scalars through pow(), the vectorized code
-    # multiplies exactly; the two differ by a few ulps of the block's scale
-    got, want = _block_diag_eigs(dblk), block_diag_eigs_loop(dblk)
-    assert np.max(np.abs(got - want), initial=0.0) <= \
-        8 * np.finfo(float).eps * np.max(np.abs(dblk), initial=0.0)
-    assert np.array_equal(got < 0, want < 0)
-
-
-@given(st.integers(1, 40), st.integers(0, 10**6), st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_block_diag_eigs_matches_loop(n, seed, hermitian):
-    rng = np.random.default_rng(seed)
-    A = random_sym(rng, n)
-    if hermitian:
-        B = rng.standard_normal((n, n))
-        A = A + 1j * (B - B.T) / 2.0
-    _, dblk, _ = scipy.linalg.ldl(A, hermitian=True)
-    assert_block_eigs_match_loop(dblk)
-
-
-def test_block_diag_eigs_sees_two_by_two_blocks():
-    # indefinite matrices make Bunch-Kaufman pick 2x2 pivots; the blocks
-    # must come out as the eigenvalues of each block
-    rng = np.random.default_rng(3)
-    A = random_sym(rng, 30)
-    _, dblk, _ = scipy.linalg.ldl(A)
-    assert np.count_nonzero(np.diagonal(dblk, 1)) > 0
-    assert_block_eigs_match_loop(dblk)
-    assert np.allclose(np.sort(_block_diag_eigs(dblk)), np.linalg.eigvalsh(dblk))
-
-
 @given(st.integers(2, 25), st.integers(0, 10**6), st.floats(-4.0, 4.0))
 @settings(max_examples=40, deadline=None)
 def test_count_is_sylvester_inertia(n, seed, E):
@@ -322,48 +270,118 @@ def test_count_is_sylvester_inertia(n, seed, E):
     assert count_eigenvalues_below(sp.csr_matrix(A), E) == exact
 
 
-# -- distance to the spectrum -----------------------------------------------------------
+# -- sparse inertia and its fallbacks --------------------------------------------------
 
 
-def test_distance_to_spectrum():
+def spectrum_spy():
+    """Counts the calls of `_spectrum`, the fallback of every inertia count, while it is entered."""
+    return patch.object(spectral, "_spectrum", wraps=spectral._spectrum)
+
+
+def big_box(d, complex_fiber, seed):
+    """A wide box: real periodic or complex quasiperiodic, d = 1 (122 nodes) or d = 2 (196 nodes)."""
+    k = 30 if d == 1 else 3
+    bg = PeriodicBackground.two_phase(m=2, low=1.0, high=3.0, d=d)
+    box = BoxSpec(d=d, k=k, m=2, bc="quasiperiodic" if complex_fiber else "periodic",
+                  theta=(0.7,) * d if complex_fiber else None)
+    return operator_sampler(bg, compact_profile(d=d, amplitude=2.0), DisorderSpec(), box, seed)(0).matrix
+
+
+@given(st.sampled_from([1, 2]), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_counts_above_the_dense_threshold_equal_dense_counts(d, complex_fiber, seed):
+    mat = big_box(d, complex_fiber, seed)
+    assert mat.dtype == (complex if complex_fiber else float) and not narrow(mat)
+    vals = np.linalg.eigvalsh(mat.toarray())
+    picks = np.linspace(0, len(vals) - 1, 5).astype(int)
+    grid = np.linspace(vals[0] - 1.0, vals[-1] + 1.0, 9)
+    with spectrum_spy() as spectrum, patch.object(spectral, "DENSE_THRESHOLD", 10):
+        for energies in (grid, vals[picks]):
+            assert counts_below(mat, energies).tolist() == dense_counts(mat, energies).tolist()
+            if energies is grid:  # no pivot this far from an eigenvalue falls back
+                assert spectrum.call_count == 0
+
+
+def test_big_operator_is_counted_without_a_dense_copy(monkeypatch):
+    # d = 1 quasiperiodic, 3,202 nodes: complex, with a corner entry that makes it wide
+    bg = PeriodicBackground.two_phase(m=2, low=1.0, high=3.0)
+    box = BoxSpec(d=1, k=800, m=2, bc="quasiperiodic", theta=(0.7,))
+    mat = operator_sampler(bg, compact_profile(d=1), DisorderSpec(), box, seed=3)(0).matrix
+    assert mat.shape[0] > spectral.DENSE_THRESHOLD and spectral._lower_band(mat) is None
+    norm = spectral._norm1(mat)
+    energies = np.array([-1.0, 0.1, 0.3, 1.0, 3.0, norm + 1.0])
+    monkeypatch.setattr(spectral, "_spectrum", raise_linalg_error)
+    got = counts_below(mat, energies)
+    # the operator is positive semidefinite and ||A||_1 bounds its spectrum
+    assert got[0] == 0 and got[-1] == mat.shape[0] and np.all(np.diff(got) > 0)
+    assert counts_below(mat, 1.0) == got[3]
+
+
+def test_count_falls_back_on_an_off_diagonal_pivot():
+    # at E = -eta the shifted matrix is [[0, 1], [1, 0]]: no diagonal pivot is left to take
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with spectrum_spy() as spectrum:
+        assert count_eigenvalues_below(swap, -1e-12) == 1
+        assert spectrum.call_count == 1
+        assert count_eigenvalues_below(swap, -0.5) == 1 and spectrum.call_count == 1  # the clean path
+
+
+def test_count_falls_back_on_a_singular_shift():
+    # at E = -eta the shifted diag(0, 1, 5) is exactly singular and SuperLU raises;
+    # the eigenvalue at E + eta is not below it
     A = sp.diags([0.0, 1.0, 5.0]).tocsr()
-    assert distance_to_spectrum(A, 1.2) == pytest.approx(0.2, abs=1e-9)
-    assert distance_to_spectrum(A, 5.0) == pytest.approx(0.0, abs=1e-12)
+    with spectrum_spy() as spectrum:
+        assert count_eigenvalues_below(A, -5e-12) == 0
+        assert count_eigenvalues_below(A, 0.0) == 1
+        assert spectrum.call_count == 1
 
 
-def _failing_eigsh(exc):
-    def eigsh(*args, **kwargs):
-        raise exc
-    return eigsh
+def test_count_falls_back_on_an_untrusted_pivot():
+    # the second pivot of [[1, 1], [1, 1 + 2 eps]] is 2 eps, below n eps || |L| |U| || = 4 eps
+    A = np.array([[1.0, 1.0], [1.0, 1.0 + 2 * np.finfo(float).eps]])
+    with spectrum_spy() as spectrum:
+        assert count_eigenvalues_below(A, -2e-12) == 0
+        assert count_eigenvalues_below(A, 3.0) == 2
+        assert spectrum.call_count == 1
 
 
-def test_distance_to_spectrum_raises_when_arpack_does_not_converge(monkeypatch):
-    A = sp.diags([0.0, 1.0, 5.0]).tocsr()
-    stalled = spla.ArpackNoConvergence("no convergence", np.array([]), np.array([]))
-    monkeypatch.setattr(spla, "eigsh", _failing_eigsh(stalled))
-    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 0)
+def test_count_at_a_degenerate_free_eigenvalue_falls_back_and_is_exact():
+    # the free d = 2 periodic box has eigenvalues of multiplicity up to 26: at
+    # E on one of them several pivots come within rounding of zero
+    A = assemble_operator(identity_field(BoxSpec(d=2, k=3, m=2, bc="periodic"))).matrix
+    vals = np.linalg.eigvalsh(A.toarray())
+    with spectrum_spy() as spectrum:
+        assert [count_eigenvalues_below(A, E) for E in vals] == dense_counts(A, vals).tolist()
+        assert spectrum.call_count > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_count_falls_back_on_a_non_finite_pivot(bad):
+    A = np.eye(4)
+    A[1, 2] = A[2, 1] = bad
+    with spectrum_spy() as spectrum, pytest.raises(SolverError):
+        count_eigenvalues_below(sp.csr_matrix(A), 0.5)
+    assert spectrum.call_count == 1
+
+
+def test_count_fallback_failure_is_a_solver_error(monkeypatch):
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", raise_linalg_error)
     with pytest.raises(SolverError):
-        distance_to_spectrum(A, 1.2)
+        count_eigenvalues_below(np.diag([0.0, 1.0, 5.0]), -5e-12)
 
 
-def test_distance_to_spectrum_reads_singular_shift_as_eigenvalue(monkeypatch):
-    A = sp.diags([0.0, 1.0, 5.0]).tocsr()
-    monkeypatch.setattr(spla, "eigsh", _failing_eigsh(RuntimeError("Factor is exactly singular")))
-    monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 0)
-    assert distance_to_spectrum(A, 1.0) == 0.0
-    # any other shift-invert failure is not read as a distance
-    monkeypatch.setattr(spla, "eigsh", _failing_eigsh(RuntimeError("Not enough memory to perform factorization.")))
-    with pytest.raises(SolverError):
-        distance_to_spectrum(A, 1.0)
+# -- window counts ----------------------------------------------------------------------
 
 
-def test_distance_to_spectrum_raises_when_the_dense_eigensolve_fails(monkeypatch):
-    def failing(*args, **kwargs):
-        raise np.linalg.LinAlgError("no convergence")
-
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", failing)
-    with pytest.raises(SolverError):
-        distance_to_spectrum(np.diag([0.0, 1.0, 5.0]), 1.2)
+def test_window_hits_pin_the_edge_rule():
+    # eigenvalues at E - t and E + t: the upper edge is a hit, the lower one is not
+    E, t = 1.0, 0.25
+    below, above = sp.diags([0.0, E - t, 5.0]).tocsr(), sp.diags([0.0, E + t, 5.0]).tocsr()
+    radii = np.array([t, t * (1 - 1e-9), t * (1 + 1e-9)])
+    assert _window_hits(below, E, radii).tolist() == [False, False, True]
+    assert _window_hits(above, E, radii).tolist() == [True, False, True]
+    assert _window_hits(sp.diags([0.0, 1.2, 5.0]).tocsr(), E, np.array([0.19, 0.2 + 1e-9])).tolist() == \
+        [False, True]
 
 
 @given(st.sampled_from([DisorderSpec(), DisorderSpec(law="kappa_tail", kappa=1.5),
