@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse as sp
 
 from .curves import IDSCurve, ensemble_curve
@@ -308,6 +307,7 @@ def log_mgf_truncated(spec: DisorderSpec, u: float, truncation: float) -> float:
     def integrand(y):
         return math.exp(-y) * law_cdf(spec, min(y / u, 1.0))
 
+    import scipy.integrate  # deferred: it loads scipy.optimize, which nothing else needs
     q, _ = scipy.integrate.quad(integrand, 0.0, y_max, limit=200)
     log_tail = -u * t0
     log_int = math.log(q) if q > 0 else -np.inf

@@ -21,7 +21,7 @@ from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _periodized_plan,
                                   required_window, sample_coefficient_field)
 from lifshitz_lab.runner import TaskFailure
 from lifshitz_lab.spectral import _field_bands, counts_below, floquet_bands, periodic_ids_curve
-from lifshitz_lab.stats import _bootstrap_slopes, fit_line
+from lifshitz_lab.stats import CONFIDENCE, _bootstrap_slopes, clopper_pearson, fit_line
 
 UNIFORM = DisorderSpec()
 ZERO = DisorderSpec(law="bernoulli", p=1.0, a=0.0)
@@ -147,6 +147,47 @@ def test_bootstrap_slopes_equal_the_per_resample_loop(n, n_boot, seed):
         yb = slope * x + intercept + resid[idx[b]]
         want[b] = float(np.sum(xc * (yb - yb.mean())) / denom)
     assert np.array_equal(_bootstrap_slopes(x, y, n_boot, seed), want)
+
+
+# -- Clopper-Pearson interval -------------------------------------------------------
+
+
+def test_clopper_pearson_closed_forms_at_the_ends():
+    # the beta quantiles at s = 0 and s = n solve (1 - p)^n = alpha/2 and p^n = alpha/2
+    half = (1.0 - CONFIDENCE) / 2.0
+    for n in (1, 2, 7, 50, 400, 10000):
+        assert clopper_pearson(0, n) == (0.0, pytest.approx(1.0 - half ** (1.0 / n), abs=1e-12))
+        assert clopper_pearson(n, n) == (pytest.approx(half ** (1.0 / n), abs=1e-12), 1.0)
+
+
+def test_clopper_pearson_mirror_identity():
+    for n in range(1, 201):
+        for s in range(n + 1):
+            lo, hi = clopper_pearson(s, n)
+            assert lo <= s / n <= hi
+            assert lo == pytest.approx(1.0 - clopper_pearson(n - s, n)[1], abs=1e-12)
+
+
+def test_clopper_pearson_refuses_bad_counts():
+    with pytest.raises(ValueError, match="trials must be positive"):
+        clopper_pearson(0, 0)
+    for s in (-1, 4):
+        with pytest.raises(ValueError, match="successes must lie"):
+            clopper_pearson(s, 3)
+
+
+def test_clopper_pearson_is_bitwise_scipy_stats_beta_ppf():
+    # the interval is read from scipy.special so that scipy.stats stays unloaded;
+    # a SciPy release that splits the two kernels fails here
+    from scipy.stats import beta
+
+    half = (1.0 - CONFIDENCE) / 2.0
+    for n in range(1, 201):
+        s = np.arange(1, n + 1)
+        want_lo = beta.ppf(half, s, n - s + 1)
+        want_hi = beta.ppf(1.0 - half, s, n - s + 1)  # the upper bound of s - 1 successes
+        got = np.array([clopper_pearson(k, n) for k in range(n + 1)])
+        assert np.array_equal(got[1:, 0], want_lo) and np.array_equal(got[:-1, 1], want_hi)
 
 
 def test_exponent_requires_enough_admissible_points():

@@ -1,10 +1,18 @@
 import ast
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import lifshitz_lab
+from lifshitz_lab.anderson import log_mgf_truncated
+from lifshitz_lab.disorder import DisorderSpec
 
 
 def test_public_names_are_listed_and_resolve():
@@ -22,7 +30,8 @@ def test_public_names_are_listed_and_resolve():
             assert not unlisted, f"lifshitz_lab re-exports {unlisted} missing from {node.module}.__all__"
 
 
-BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "perfbench"
 
 
 def _load_bench(name: str):
@@ -55,3 +64,46 @@ def test_benchmark_harness_reaches_the_package():
             module = importlib.import_module(node.module)
             missing = [a.name for a in node.names if not hasattr(module, a.name)]
             assert not missing, f"perfbench/checks.py imports missing {node.module}.{missing}"
+
+
+# Run in a fresh interpreter: this test process holds whatever the other tests
+# imported.  The probe imports the package, dry-runs every shipped config as
+# `python -m lifshitz_lab.cli <kind> --config <cfg> --dry-run` would, notes the
+# heavy SciPy subpackages loaded after each step, then evaluates the one
+# function that loads scipy.integrate on first use.  Its last line is a JSON report.
+_LEAN_IMPORT_PROBE = """
+import json, runpy, sys
+HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+def loaded():
+    return [m for m in HEAVY if m in sys.modules]
+import lifshitz_lab
+report = {"import": loaded()}
+for cfg in sys.argv[1:]:
+    sys.argv = ["lifshitz_lab.cli", json.load(open(cfg))["kind"], "--config", cfg, "--dry-run"]
+    code = None
+    try:
+        runpy.run_module("lifshitz_lab.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+    report[cfg] = {"exit": code, "loaded": loaded()}
+from lifshitz_lab.anderson import log_mgf_truncated
+from lifshitz_lab.disorder import DisorderSpec
+report["log_mgf"] = log_mgf_truncated(DisorderSpec(law="kappa_tail", kappa=1.0), 3.0, 0.5)
+print(json.dumps(report))
+"""
+
+
+def test_import_and_dry_runs_leave_stats_integrate_and_optimize_unloaded():
+    configs = sorted(str(p) for p in (ROOT / "scripts" / "configs").glob("*.json"))
+    assert len(configs) >= 6
+    path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    out = subprocess.run([sys.executable, "-c", _LEAN_IMPORT_PROBE, *configs], cwd=ROOT,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                         capture_output=True, text=True, check=True).stdout
+    report = json.loads(out.splitlines()[-1])
+    value = report.pop("log_mgf")
+    assert report == {"import": [], **{cfg: {"exit": 0, "loaded": []} for cfg in configs}}
+    # the deferred import inside log_mgf_truncated runs: the value is the one
+    # tests/test_anderson.py pins, bit for bit the value in this process
+    assert value == log_mgf_truncated(DisorderSpec(law="kappa_tail", kappa=1.0), 3.0, 0.5)
+    assert value == pytest.approx(-1.3083719736513757, abs=1e-9)
