@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .anderson import POTENTIAL_TOL, check_bound_args, truncation_radius_for
-from .disorder import LAWS, DisorderSpec, ValidationError
+from .disorder import DisorderSpec, ValidationError
 from .ids import DECAY_DENSE_LIMIT
 from .lattice import (BCS, BoxSpec, PeriodicBackground, SingleSiteProfile, compact_profile,
                       long_range_profile, short_range_profile)
@@ -107,11 +107,6 @@ _COUNT, _NUMBER, _NUMBERS = _count(), _number(), _listed(_number())
 _COUNTS = _listed(_COUNT)
 
 
-def _box_sides(value, label):
-    # wegner_check takes one box half-side or a list of them
-    return _COUNTS(value if isinstance(value, (list, tuple)) else [value], label)
-
-
 def _window(value, label):
     window = _NUMBERS(value, label)
     if len(window) != 2 or not window[0] < window[1]:
@@ -160,8 +155,9 @@ BACKGROUNDS = _Choice(identity={}, two_phase={"low": (_NUMBER, 1.0), "high": (_N
                                               "axis": (_COUNT, 0)})
 PROFILES = _Choice(compact={"radius": (_NUMBER, 0.5), "amplitude": (_NUMBER, 1.0)},
                    short_range={"nu": (_NUMBER, _REQUIRED), "g_plus": (_NUMBER, 1.0)},
-                   long_range={"nu": (_NUMBER, _REQUIRED), "g_plus": (_NUMBER, 1.0),
-                               "g_minus": (_NUMBER, None)})
+                   long_range={"nu": (_NUMBER, _REQUIRED), "g_plus": (_NUMBER, 1.0)})
+DISORDER_LAWS = _Choice(uniform01={}, kappa_tail={"kappa": (_NUMBER, DisorderSpec.kappa)},
+                        bernoulli={"p": (_NUMBER, DisorderSpec.p), "a": (_NUMBER, DisorderSpec.a)})
 ENERGIES = {"values": (_NUMBERS, None), "min": (_NUMBER, None), "max": (_NUMBER, None),
             "count": (_count(1), None)}
 
@@ -197,7 +193,7 @@ PARAMS = {
                  "nondegenerate": (_flag, True)},
     "anderson": _ANDERSON_TOL,
     "bounds": {"evaluations": (_listed(_evaluation, 0), [])},
-    "wegner": {"E": (_NUMBER, _REQUIRED), **_EPS, "ks": (_box_sides, [8, 16]),
+    "wegner": {"E": (_NUMBER, _REQUIRED), **_EPS, "ks": (_COUNTS, [8, 16]),
                "n_trials": (_count(1), 100), "theta": (_NUMBERS, None),
                "min_exponent": (_NUMBER, 0.5), "volume_ratio_cap": (_NUMBER, 2.5)},
     "ile": {"E_plus": (_NUMBER, _REQUIRED), "k": (_count(2), _REQUIRED), "alpha": (_number(1.0), 1.2),
@@ -308,9 +304,8 @@ def build_profile(config: ExperimentConfig) -> SingleSiteProfile:
 
 
 def build_disorder(config: ExperimentConfig) -> DisorderSpec:
-    law = _read(config.disorder, {"law": (_Choice.fromkeys(LAWS, {}), "uniform01")}, "disorder")["law"]
-    return DisorderSpec(law=law, **{k: _NUMBER(v, f"disorder.{k}")
-                                    for k, v in config.disorder.items() if k != "law"})
+    return DisorderSpec(**_read(config.disorder, {"law": (DISORDER_LAWS, "uniform01")}, "disorder",
+                                closed=True))
 
 
 def build_params(config: ExperimentConfig) -> dict:
@@ -322,23 +317,23 @@ def build_params(config: ExperimentConfig) -> dict:
 
 
 def _grid(values, lo, hi, count, spacing, need: str) -> np.ndarray:
-    if values is not None:
+    if values is not None and {lo, hi, count} == {None}:
         return np.asarray(values)
-    if None not in (lo, hi, count):
+    if values is None and None not in (lo, hi, count):
         return spacing(lo, hi, count)
     raise ValidationError(need)
 
 
 def energy_grid(config: ExperimentConfig) -> np.ndarray:
-    e = _read(config.energies, ENERGIES, "energies")
+    e = _read(config.energies, ENERGIES, "energies", closed=True)
     return _grid(e["values"], e["min"], e["max"], e["count"], np.linspace,
-                 "energies need either 'values' or min/max/count")
+                 "energies need either 'values' or min/max/count, not both")
 
 
 def eps_grid(config: ExperimentConfig) -> np.ndarray:
     p = build_params(config)
     return _grid(p["eps_values"], p["eps_min"], p["eps_max"], p["eps_count"], np.geomspace,
-                 "params need either 'eps_values' or eps_min/eps_max/eps_count")
+                 "params need either 'eps_values' or eps_min/eps_max/eps_count, not both")
 
 
 # -- validation -------------------------------------------------------------------
@@ -361,7 +356,10 @@ def _check_truncation(d: int, params: dict):
     truncation_radius_for(d, params["nu"], params.get("potential_tol", POTENTIAL_TOL))
 
 
-def _check_decay(box: BoxSpec, params: dict):
+def _check_decay(box: BoxSpec, params: dict, given: dict):
+    # given is the params block as written: params holds n_states's default either way
+    if params["window"] is not None and "n_states" in given:
+        raise ValidationError("params.n_states is not read when params.window is given; give one of them")
     if params["model"] == "anderson":
         _check_truncation(box.d, params)
         dim = (2 * params["k"] + 1) ** box.d
@@ -417,7 +415,7 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         if config.kind in ("anderson", "lifshitz") and box_ok:
             _try(diags, lambda: _check_truncation(build_box(config).d, params), "params")
         if config.kind == "decay" and box_ok:
-            _try(diags, lambda: _check_decay(build_box(config), params), "params")
+            _try(diags, lambda: _check_decay(build_box(config), params, config.params), "params")
         if config.kind == "ile" and geo_ok:
             _try(diags, lambda: _check_gap(config, params), "params")
     if profile_ok and config.kind == "wegner" and build_profile(config).kind != "compact":

@@ -83,7 +83,7 @@ def empirical_ids(background: PeriodicBackground, profile: SingleSiteProfile,
 def _periodic_counts(background, profile, disorder, k: int, n_theta: int, energies, seed: int):
     """Index i -> IDS values (grid-averaged counts per (2k+1)^d) of pattern (seed, i) on lattice_cube(d, k)
     repeated (2k+1)-periodically, from one field plan and one hash of the pattern cube for all."""
-    field = _periodized_plan(background, profile, k, background.m)
+    field = _periodized_plan(background, profile, k)
     hashes = site_hash(cube_codes(background.d, k))
     return lambda i: periodic_ids_curve(_field_bands(field(draw_couplings(disorder, hashes, seed, i)), n_theta),
                                         energies).values
@@ -297,7 +297,7 @@ def wegner_check(background: PeriodicBackground, profile: SingleSiteProfile,
     """
     if profile.kind != "compact":
         raise ValidationError("level-repulsion probe requires a compact profile")
-    ks = tuple(int(k) for k in (ks if np.iterable(ks) else (ks,)))
+    ks = tuple(int(k) for k in ks)
     eps_list = np.sort(np.asarray(eps_list, dtype=float))
     if np.any(eps_list <= 0):
         raise ValidationError("eps values must be positive")

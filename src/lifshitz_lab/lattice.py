@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -184,8 +184,8 @@ class PeriodicBackground:
 class SingleSiteProfile:
     """Nonnegative single-site coefficient bump rho0 centered at a lattice site.
 
-    rho0(x) = envelope(x) * template, with template a fixed symmetric PSD
-    matrix.  Envelope kinds:
+    rho0(x) = envelope(x) * template, with template the all-ones matrix for
+    long_range and the identity otherwise.  Envelope kinds:
 
     long_range :  g_plus * (1 + |x|_2)^(-nu), d < nu <= d + 2
     short_range:  g_plus * (1 + |x|_2)^(-nu), nu > d + 2
@@ -196,9 +196,8 @@ class SingleSiteProfile:
     kind: str
     g_plus: float
     nu: float = None
-    g_minus: float = 0.0
     radius: float = None
-    template: np.ndarray = None
+    template: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.kind not in ("long_range", "short_range", "compact"):
@@ -215,22 +214,10 @@ class SingleSiteProfile:
                 raise ValidationError(f"long_range requires d < nu <= d+2, got nu={self.nu}, d={self.d}")
             if self.kind == "short_range" and not self.nu > self.d + 2:
                 raise ValidationError(f"short_range requires nu > d+2, got nu={self.nu}, d={self.d}")
-            if self.kind == "long_range" and not self.g_minus > 0:
-                raise ValidationError("long_range profile needs a positive lower envelope g_minus")
-        if self.template is None:
-            # all-ones template keeps every entry of rho0 inside the two-sided
-            # envelope; it is PSD of rank one
-            t = np.ones((self.d, self.d)) if self.kind == "long_range" else np.eye(self.d)
-            self.template = t
-        self.template = np.asarray(self.template, dtype=float)
-        if self.template.shape != (self.d, self.d):
-            raise ValidationError("template must be a (d,d) matrix")
-        if np.max(np.abs(self.template - self.template.T)) > 1e-12:
-            raise ValidationError("template must be symmetric")
-        tev = np.linalg.eigvalsh(self.template)
-        if tev.min() < -1e-12:
-            raise ValidationError("template must be positive semidefinite")
-        self._template_norm = float(tev.max())
+        # all-ones template keeps every entry of rho0 inside the two-sided
+        # envelope; it is PSD of rank one
+        self.template = np.ones((self.d, self.d)) if self.kind == "long_range" else np.eye(self.d)
+        self._template_norm = float(np.linalg.eigvalsh(self.template).max())
 
     def envelope(self, points: np.ndarray) -> np.ndarray:
         """Scalar envelope at displacements from the site center, shape (n,)."""
@@ -258,23 +245,16 @@ class SingleSiteProfile:
         return max((self.g_plus * self._template_norm / tol) ** (1.0 / self.nu) - 1.0, 0.0)
 
 
-def long_range_profile(d: int, nu: float, g_plus: float = 1.0, g_minus: float = None,
-                       template: np.ndarray = None) -> SingleSiteProfile:
-    if g_minus is None:
-        # valid two-sided constant: worst case is gamma = 0, |x| <= sqrt(d)/2
-        g_minus = g_plus * (1.0 + math.sqrt(d) / 2.0) ** (-nu)
-    return SingleSiteProfile(d=d, kind="long_range", nu=nu, g_plus=g_plus,
-                             g_minus=g_minus, template=template)
+def long_range_profile(d: int, nu: float, g_plus: float = 1.0) -> SingleSiteProfile:
+    return SingleSiteProfile(d=d, kind="long_range", nu=nu, g_plus=g_plus)
 
 
-def short_range_profile(d: int, nu: float, g_plus: float = 1.0,
-                        template: np.ndarray = None) -> SingleSiteProfile:
-    return SingleSiteProfile(d=d, kind="short_range", nu=nu, g_plus=g_plus, template=template)
+def short_range_profile(d: int, nu: float, g_plus: float = 1.0) -> SingleSiteProfile:
+    return SingleSiteProfile(d=d, kind="short_range", nu=nu, g_plus=g_plus)
 
 
-def compact_profile(d: int, radius: float = 0.5, amplitude: float = 1.0,
-                    template: np.ndarray = None) -> SingleSiteProfile:
-    return SingleSiteProfile(d=d, kind="compact", g_plus=amplitude, radius=radius, template=template)
+def compact_profile(d: int, radius: float = 0.5, amplitude: float = 1.0) -> SingleSiteProfile:
+    return SingleSiteProfile(d=d, kind="compact", g_plus=amplitude, radius=radius)
 
 
 # -- coefficient fields -------------------------------------------------------
@@ -392,11 +372,11 @@ def operator_sampler(background: PeriodicBackground, profile: SingleSiteProfile,
     return lambda index: assemble_operator(plan.field(draw_couplings(disorder, hashes, seed, index)))
 
 
-def _periodized_plan(background: PeriodicBackground, profile: SingleSiteProfile, k, m, tol: float = TAIL_TOL):
+def _periodized_plan(background: PeriodicBackground, profile: SingleSiteProfile, k, tol: float = TAIL_TOL):
     """Pattern values on lattice_cube(d, k) -> the field with that pattern repeated
     (2k+1)-periodically, on the quasiperiodic box of half-side k, planned once."""
     d, period = background.d, 2 * k + 1
-    plan = _FieldPlan(background, profile, BoxSpec(d=d, k=k, m=m, bc="quasiperiodic"), tol)
+    plan = _FieldPlan(background, profile, BoxSpec(d=d, k=k, m=background.m, bc="quasiperiodic"), tol)
     wrapped = (np.arange(-plan.R, plan.R + 1) + k) % period  # folded into {-k..k}, plus k
     take = np.ravel_multi_index(np.ix_(*[wrapped] * d), (period,) * d).ravel()
     return lambda values: plan.field(values[take])

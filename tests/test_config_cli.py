@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import lifshitz_lab.anderson as anderson_mod
 import lifshitz_lab.experiments as experiments_mod
+import lifshitz_lab.ids as ids_mod
 import lifshitz_lab.lattice as lattice_mod
 from lifshitz_lab.cli import build_parser, main
 from lifshitz_lab.config import (EXPERIMENT_KINDS, ExperimentConfig, config_hash,
@@ -307,6 +308,13 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
         {**IDS_DOC, "profile": {"kind": "long_range", "nu": 9.0}},
         {**IDS_DOC, **unsorted},
         {**ENSEMBLE_DOCS["anderson"], **unsorted},
+        {**ENSEMBLE_DOCS["wegner"], "profile": {"kind": "short_range", "nu": 3.5}},
+        # a key nothing reads, and a value given two ways
+        {**IDS_DOC, "disorder": {"law": "uniform01", "kappa": 2.0}},
+        {**IDS_DOC, "disorder": {"law": "bernoulli", "kappa": 3.0}},
+        {**IDS_DOC, "energies": {**IDS_DOC["energies"], "step": 0.5}},
+        {**IDS_DOC, "energies": {"values": [0.0, 1.0], "count": 7}},
+        {**IDS_DOC, "profile": {"kind": "long_range", "nu": 1.5, "g_minus": 0.1}},
     ]
     for kind, patch in [("ile", {"n_trials": 0}), ("wegner", {"n_trials": 0}),
                         ("wegner", {"eps_values": [0.1, 0.0]}),
@@ -339,7 +347,9 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
                         ("ile", {"alpha": "x"}), ("ile", {"p": "x"}), ("ile", {"E_plus": "x"}),
                         ("ile", {"alpha": 1.0}), ("ile", {"p": 0.0}), ("ile", {"k": 1}),
                         ("ile", {"gap_scan_n_theta": "x"}), ("decay", {"index": "x"}),
-                        ("decay", {"index": -1})]:
+                        ("decay", {"index": -1}),
+                        ("lifshitz", {"eps_values": [0.1, 0.2], "eps_min": 0.01}),
+                        ("decay", {"window": [0.0, 2.0], "n_states": 3}), ("wegner", {"ks": 8})]:
         doc = docs[kind]
         cases.append({**doc, "params": {**doc["params"], **patch}})
     # malformed scalars outside params
@@ -526,8 +536,11 @@ def test_lifshitz_blocks_write_the_per_realization_bytes(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("kind", sorted(ENSEMBLE_DOCS))
 def test_identical_bytes_across_thread_counts(tmp_path, kind):
-    # IDS_DOC's 9-node box is counted densely; the shipped 33-node box from its band
-    docs = [ENSEMBLE_DOCS[kind]] + ([json.loads(SHIPPED_IDS.read_text())] if kind == "ids" else [])
+    # IDS_DOC's 9-node box is counted densely; the shipped 33-node box from its band.
+    # A kappa_tail law carries its tail index into expfit.json's kappa and target.
+    kappa_tail = {**ENSEMBLE_DOCS["lifshitz"], "disorder": {"law": "kappa_tail", "kappa": 2.0}}
+    docs = [ENSEMBLE_DOCS[kind]] + ([json.loads(SHIPPED_IDS.read_text())] if kind == "ids" else
+                                    [kappa_tail] if kind == "lifshitz" else [])
     for j, doc in enumerate(docs):
         blobs = {}
         for threads in (1, 4, 16):
@@ -538,6 +551,9 @@ def test_identical_bytes_across_thread_counts(tmp_path, kind):
                               for name in result.manifest.files}
         assert len(blobs[1]) == 2
         assert blobs[1] == blobs[4] == blobs[16]
+    if kind == "lifshitz":  # blobs holds the kappa_tail doc's bytes, run last
+        fit = json.loads(blobs[1]["expfit.json"])["results"]
+        assert (fit["kappa"], fit["target"]) == (2.0, -2.5)  # -(d/2 + kappa) at d = 1
 
 
 def test_run_overrides_leave_the_callers_config_alone(tmp_path, monkeypatch):
@@ -589,6 +605,28 @@ def test_bands_csv_rows_keep_their_bytes(tmp_path, monkeypatch):
         with open(tmp_path / f"writer{d}.csv", "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([header] + rows)
         assert (tmp_path / f"run{d}" / "bands.csv").read_bytes() == (tmp_path / f"writer{d}.csv").read_bytes()
+
+
+def test_cli_exits_3_on_a_task_failure(tmp_path, capsys, monkeypatch):
+    real = ids_mod.operator_sampler
+
+    def flaky_sampler(*args, **kwargs):
+        operator = real(*args, **kwargs)
+
+        def flaky(index):
+            if index == 1:
+                raise RuntimeError("synthetic loss")
+            return operator(index)
+        return flaky
+
+    monkeypatch.setattr(ids_mod, "operator_sampler", flaky_sampler)
+    out = tmp_path / "res"
+    assert main(["ids", "--config", write_config(tmp_path, {**IDS_DOC, "out": str(out)})]) == 3
+    assert "task failure: task 1 failed: RuntimeError('synthetic loss')" in capsys.readouterr().err
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == ["task 1 failed: RuntimeError('synthetic loss')"]
+    results = json.loads((out / "ids.json").read_text())["results"]
+    assert results["n_realizations"] == IDS_DOC["ensemble"]["n_realizations"] - 1
 
 
 def test_cli_dry_run_skips_compute(tmp_path, capsys):

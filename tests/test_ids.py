@@ -61,7 +61,7 @@ def test_empirical_ids_zero_coupling_matches_free_counts():
 def test_periodized_zero_pattern_equals_reference_bands():
     bg = PeriodicBackground.identity(1, 2)
     energies = np.linspace(0.0, 16.0, 8)
-    field = _periodized_plan(bg, compact_profile(d=1), 1, bg.m)(np.zeros(3))  # the k = 1 pattern, all zero
+    field = _periodized_plan(bg, compact_profile(d=1), 1)(np.zeros(3))  # the k = 1 pattern, all zero
     per = periodic_ids_curve(_field_bands(field, 6), energies)
     free = periodic_ids_curve(floquet_bands(bg, n_theta=18), energies)
     # the supercell samples the same bands on a refined quasimomentum grid

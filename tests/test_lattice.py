@@ -321,7 +321,7 @@ def test_periodized_field_wraps_pattern():
     bg = PeriodicBackground.identity(1, 2)
     prof = compact_profile(d=1)
     pattern = sample_realization(DisorderSpec(), lattice_cube(1, 1), seed=4, index=0)
-    fld = _periodized_plan(bg, prof, 1, 2)(pattern.values)
+    fld = _periodized_plan(bg, prof, 1)(pattern.values)
     m = assemble_operator(fld).matrix
     assert abs((m - m.conj().T).toarray()).max() < 1e-12
 
@@ -372,7 +372,7 @@ def test_field_matches_direct_sum(d, prof, tol, m):
          direct_sum_cells(bg, prof, sites, omega.values_at(sites), box, tol)),
         (sample_coefficient_field(bg, prof, capped, box, tol),
          direct_sum_cells(bg, prof, sites, capped.values_at(sites), box, tol)),
-        (_periodized_plan(bg, prof, k, m, tol)(pattern.values),
+        (_periodized_plan(bg, prof, k, tol)(pattern.values),
          direct_sum_cells(bg, prof, periodic_sites,
                           pattern.values_at((periodic_sites + k) % (2 * k + 1) - k), periodic, tol)),
     ]
@@ -438,7 +438,7 @@ def test_periodized_plan_is_bitwise_the_wrapped_lookup(kind, d, m, seed):
     sites = required_window(prof, periodic, tol)
     wrapped = pattern.values_at((sites + k) % (2 * k + 1) - k)
     want = displacement_field(bg, prof, sites, wrapped, periodic, tol)
-    assert np.array_equal(_periodized_plan(bg, prof, k, m, tol)(pattern.values).cells, want)
+    assert np.array_equal(_periodized_plan(bg, prof, k, tol)(pattern.values).cells, want)
 
 
 @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 4), st.integers(0, 2**16))

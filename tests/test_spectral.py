@@ -84,7 +84,7 @@ def ids_operator(d, long_range, floquet, k, seed, bc="dirichlet"):
     bg = PeriodicBackground.two_phase(m=2, low=1.0, high=3.0, d=d)
     if floquet:
         pattern = sample_realization(DisorderSpec(), lattice_cube(d, k), seed=seed, index=d)
-        fld = _periodized_plan(bg, prof, k, 2, tol)(pattern.values)
+        fld = _periodized_plan(bg, prof, k, tol)(pattern.values)
         return assemble_operator(fld, theta=(0.7,) * d)
     box = BoxSpec(d=d, k=k, m=2, bc=bc)
     omega = sample_realization(DisorderSpec(), required_window(prof, box, tol), seed=seed, index=d)
@@ -476,7 +476,7 @@ def floquet_medium(d, medium, seed=0):
         PeriodicBackground.two_phase(m=3 if d == 1 else 2, low=1.0, high=3.0, d=d)
     if medium is True:
         pattern = sample_realization(DisorderSpec(), lattice_cube(d, 1), seed=seed, index=0)
-        return _periodized_plan(bg, IDS_PROFILES[d][0], 1, bg.m)(pattern.values)
+        return _periodized_plan(bg, IDS_PROFILES[d][0], 1)(pattern.values)
     return background_field(bg, BoxSpec(d=bg.d, k=0, m=bg.m, bc="quasiperiodic"))
 
 
