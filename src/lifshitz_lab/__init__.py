@@ -3,6 +3,23 @@ lattice operators: finite-volume assembly, Floquet bands, integrated density
 of states, band-edge tail exponents, and the probabilistic estimates feeding
 localization proofs."""
 
+import os as _os
+import sys as _sys
+
+# BLAS runs on one thread, so that artifacts do not depend on the host's pool:
+# d = 2 bands rows moved by rounding between one and two OpenBLAS threads, and
+# a second thread made these small dense solves no faster on a two-core host.
+# The variables are read once, when numpy loads its BLAS, so they are set (over
+# any value in the environment) before the first numpy import; a caller that
+# loaded numpy first keeps its pool, and manifest.json's blas_threads says so.
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if "numpy" in _sys.modules:
+    _BLAS_THREADS = "numpy was loaded before lifshitz_lab, with " + ", ".join(
+        f"{var}={_os.environ.get(var, 'unset')}" for var in _BLAS_VARS)
+else:
+    _BLAS_THREADS = dict.fromkeys(_BLAS_VARS, "1")
+    _os.environ.update(_BLAS_THREADS)
+
 from .anderson import (AndersonInstance, BoundEvaluation, LatticeWindow,
                        OptimizerWarning, anderson_ids, assemble_anderson,
                        chernoff_bound_P1, log_mgf_truncated, mc_chernoff_event,

@@ -29,6 +29,7 @@ from .runner import _integral
 __all__ = [
     "EXPERIMENT_KINDS",
     "PARAMS",
+    "BLOCKS",
     "Diagnostic",
     "ExperimentConfig",
     "load_config",
@@ -205,6 +206,21 @@ PARAMS = {
                  "k_big": (_COUNT, None), "eta0": (_number(1.0), 1.5)},
 }
 EXPERIMENT_KINDS = tuple(PARAMS)
+# kind -> the fields besides ensemble and params that its driver builds from
+# (geometry also as the d and m of the background); validate refuses any other
+# field given a value other than its default, since nothing would read it
+_LATTICE = ("geometry", "background", "profile", "disorder")
+BLOCKS = {
+    "bands": ("geometry", "background", "n_theta"),
+    "ids": (*_LATTICE, "energies"),
+    "lifshitz": ("geometry", "disorder"),
+    "anderson": ("geometry", "disorder", "energies"),
+    "bounds": ("disorder",),
+    "wegner": _LATTICE,
+    "ile": _LATTICE,
+    "decay": _LATTICE,  # the anderson model reads only geometry and disorder
+    "sandwich": (*_LATTICE, "n_theta"),
+}
 
 
 @dataclass(frozen=True)
@@ -393,14 +409,22 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                                 f"remove {config.solver!r}"))
     if not isinstance(config.out, str):
         diags.append(Diagnostic("error", f"out must be a path, got {config.out!r}"))
-    box_ok = _try(diags, lambda: build_box(config), "geometry")
-    geo_ok = box_ok and _try(diags, lambda: build_background(config), "background")
-    profile_ok = box_ok and _try(diags, lambda: build_profile(config), "profile")
-    if _try(diags, lambda: build_disorder(config), "disorder"):
+    reads = BLOCKS[config.kind]
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.name in (*reads, "kind", "ensemble", "params", "solver", "out"):
+            continue
+        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
+        if getattr(config, f.name) != default:
+            diags.append(Diagnostic("error", f"{f.name}: a {config.kind} run does not read it; remove it"))
+    box_ok = "geometry" in reads and _try(diags, lambda: build_box(config), "geometry")
+    geo_ok = box_ok and "background" in reads and _try(diags, lambda: build_background(config), "background")
+    profile_ok = box_ok and "profile" in reads and _try(diags, lambda: build_profile(config), "profile")
+    if "disorder" in reads and _try(diags, lambda: build_disorder(config), "disorder"):
         diags.extend(Diagnostic("warning", f"disorder: {note}")
                      for note in build_disorder(config).diagnostics())
-    _try(diags, lambda: config.theta_points, "n_theta")
-    if config.kind in ("ids", "anderson"):
+    if "n_theta" in reads:
+        _try(diags, lambda: config.theta_points, "n_theta")
+    if "energies" in reads:
         _try(diags, lambda: _increasing(energy_grid(config)), "energies")
     errors = []  # one per key of the ensemble and params blocks that does not read
     _read(config.ensemble, ENSEMBLE, "ensemble", closed=True, errors=errors)

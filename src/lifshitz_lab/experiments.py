@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 import scipy.linalg
 
-from . import version
+from . import _BLAS_THREADS, version
 from .anderson import (anderson_ids, chernoff_bound_P1, product_bound_P_eps_alpha_1,
                        product_bound_P_eps_alpha_2, sample_anderson)
 from .config import (Diagnostic, ExperimentConfig, build_background, build_box, build_disorder,
@@ -51,6 +51,7 @@ class RunManifest:
     wall_time_s: float
     files: list = field(default_factory=list)
     failures: list = field(default_factory=list)
+    blas_threads: object = None  # the BLAS thread variables in effect, or a note (lifshitz_lab/__init__.py)
 
 
 @dataclass
@@ -301,7 +302,7 @@ def run(config: ExperimentConfig, out_dir: str = None, threads: int = None,
     manifest = RunManifest(config_hash=config_hash(config), version=version.__version__,
                            kind=config.kind, seed=config.seed, threads=threads,
                            wall_time_s=time.time() - t0, files=sorted(files),
-                           failures=failures)
+                           failures=failures, blas_threads=_BLAS_THREADS)
     with open(os.path.join(target, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(_jsonable(asdict(manifest)), fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -458,17 +458,18 @@ def _bloch_family(field: CoefficientField):
 
 
 def _point_symmetries(field: CoefficientField) -> list:
-    """Point symmetries of the field's cells on the torus of its quasiperiodic box.
+    """Point symmetries (G, c) of the field's cells on the torus of its quasiperiodic box.
 
-    Each is a signed axis permutation G, an int (d, d) matrix, for which a map g
+    Each G is a signed axis permutation, an int (d, d) matrix, for which a map g
     of the cell torus has rho(g x) = G rho(x) G^T in every cell x.  The cell
     forms then map onto each other corner by corner, so the operator commutes
     with the node map of g, and its fiber at phi is unitarily equivalent to the
     fiber at G phi.  Two kinds are searched, with exact equality:
     - a mirror of axis j, G = I with -1 at (j, j) (rho_jl, l != j, negated),
-      about any centre of the torus: x_j -> c - x_j for some c mod n;
+      about any centre of the torus: x_j -> c - x_j for some c mod n, the
+      least such c;
     - the exchange of axes a and a+1 (rho's indices swapped), the reflection in
-      the diagonal x_a = x_(a+1), which fixes each of its points.
+      the diagonal x_a = x_(a+1), which fixes each of its points (c is None).
     A mirror's candidate centres are those whose slice across axis j equals
     the image of slice 0, so a field with no mirror is refused after one
     O(n_cells) comparison per candidate, and there is one for distinct slices.
@@ -484,13 +485,14 @@ def _point_symmetries(field: CoefficientField) -> list:
         own, image = (np.moveaxis(a, j, 0).reshape(n, -1) for a in (cells, image))
         # centre c: the slice at c - t is the image of the slice at t, for every t
         centres = np.flatnonzero(np.all(own == image[0], axis=1))
-        if any(np.array_equal(own[(c - t) % n], image) for c in centres):
-            found.append(G)
+        centre = next((int(c) for c in centres if np.array_equal(own[(c - t) % n], image)), None)
+        if centre is not None:
+            found.append((G, centre))
     for a in range(d - 1):
         perm = np.arange(d)
         perm[[a, a + 1]] = a + 1, a
         if np.array_equal(np.swapaxes(cells, a, a + 1), cells[..., perm, :][..., perm]):
-            found.append(np.eye(d, dtype=int)[perm])
+            found.append((np.eye(d, dtype=int)[perm], None))
     return found
 
 

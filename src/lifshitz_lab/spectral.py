@@ -219,7 +219,9 @@ def floquet_bands(background: PeriodicBackground, n_theta: int = 64) -> BandStru
     and each point symmetry G of the medium's cells (`lattice._point_symmetries`:
     axis mirrors about any centre, exchanges of adjacent axes) maps phi to G phi.
     Without a point symmetry the fibers at grid indices j and (-j) mod n_theta
-    are solved once, and the self-conjugate points phi in {0, pi}^d alone.
+    are solved once, and the self-conjugate points phi in {0, pi}^d alone.  A
+    medium with a mirror of every axis solves each fiber as a real symmetric
+    matrix (`_real_form`).
     """
     box = BoxSpec(d=background.d, k=0, m=background.m, bc="quasiperiodic")
     return _field_bands(background_field(background, box), n_theta)
@@ -228,11 +230,13 @@ def floquet_bands(background: PeriodicBackground, n_theta: int = 64) -> BandStru
 def _field_bands(field, n_theta: int) -> BandStructure:
     """`floquet_bands` of the medium that repeats the field's quasiperiodic box.
 
-    Each generator, time reversal -I and the point symmetries (none searched in
-    d = 1, where a mirror is time reversal), maps grid index j to G j mod
-    n_theta; `rep` is the least index of each orbit, by rep = min(rep, rep[g])
-    to a fixpoint.  Only the fibers with rep[t] == t are solved, and every row
-    is copied from its orbit's representative.
+    Each generator, time reversal -I and the point symmetries (in d = 1 the
+    mirror repeats time reversal), maps grid index j to G j mod n_theta; `rep`
+    is the least index of each orbit, by rep = min(rep, rep[g]) to a fixpoint.
+    Only the fibers with rep[t] == t are solved, and every row is copied from
+    its orbit's representative.  When every axis has a mirror, their product,
+    the inversion, is a symmetry and each solved fiber is the real matrix of
+    `_real_form`; otherwise it is the complex Hermitian one.
     """
     d, m, period = field.box.d, field.box.m, field.box.side
     if n_theta < 1:
@@ -242,7 +246,10 @@ def _field_bands(field, n_theta: int) -> BandStructure:
     grids = np.meshgrid(*([np.arange(n_theta)] * d), indexing="ij")
     index = np.stack([g.ravel() for g in grids], axis=1)
     phase_pts = 2.0 * np.pi * index / n_theta
-    generators = [-np.eye(d, dtype=int)] + (_point_symmetries(field) if d > 1 else [])
+    symmetries = _point_symmetries(field)
+    generators = [-np.eye(d, dtype=int)] + [G for G, _ in symmetries]
+    centres = [c for _, c in symmetries if c is not None]  # one per mirrored axis, in axis order
+    real = _real_form(field.box, rows, cols, centres) if len(centres) == d else None
     maps = [np.ravel_multi_index(tuple((index @ G.T % n_theta).T), (n_theta,) * d) for G in generators]
     rep, previous = np.arange(len(index)), None
     while not np.array_equal(rep, previous):
@@ -252,14 +259,56 @@ def _field_bands(field, n_theta: int) -> BandStructure:
     phases = np.exp(1j * (phase_pts @ shifts.T))
     bands, norms = np.empty((len(index), n)), np.empty(len(index))
     for t in np.flatnonzero(rep == np.arange(len(index))):
-        dense = np.zeros((n, n), dtype=complex)
         # a broadcast sum, not a BLAS product: a small threaded BLAS call between
         # eigensolves more than doubled their time with two BLAS threads
-        dense[rows, cols] = (phases[t][:, None] * coeffs).sum(axis=0)
-        norms[t] = _norm1(dense)
+        values = (phases[t][:, None] * coeffs).sum(axis=0)
+        if real is None:
+            dense = np.zeros((n, n), dtype=complex)
+            dense[rows, cols] = values
+            norms[t] = _norm1(dense)
+        else:  # the column sums of _norm1, added in the same (row) order
+            norms[t] = np.bincount(cols, np.abs(values), minlength=n).max()
+            dense = real(values, phase_pts[t])
         bands[t] = scipy.linalg.eigvalsh(dense, overwrite_a=True)
     return BandStructure(thetas=phase_pts / period, bands=bands[rep], norms=norms[rep], period=period,
                          m=m, d=d)
+
+
+def _real_form(box: BoxSpec, rows, cols, centres):
+    """(pattern values at seam phase phi, phi) -> the fiber as a real symmetric matrix.
+
+    The symmetric gauge (a unitary change) multiplies entry (a, b) by
+    exp(i phi.(y_b - y_a) / N), node coordinates y in {0..N-1}^d, so that it
+    carries exp(i phi.(y_b - y_a + N t) / N) at seam shift t.  The mirrors
+    about cell centres c map y to P y = c + 1 - y mod N, which negates every
+    coupling's displacement: P H(phi) P = conj H(phi), and in the basis e_a
+    (a = Pa), (e_a + e_Pa)/sqrt 2 and i (e_a - e_Pa)/sqrt 2 (a < Pa) the fiber
+    is real.  Each real entry is a fixed sparse map of (Re z, Im z) over the
+    pattern values z, built once; the matrix is in Fortran order, which
+    eigvalsh overwrites in place.
+    """
+    N, n, nnz = box.cells_per_axis, box.n_nodes, len(rows)
+    y, nodes = np.indices(box.node_shape).reshape(box.d, n), np.arange(n)
+    image = np.ravel_multi_index(tuple((np.reshape(centres, (-1, 1)) + 1 - y) % N), box.node_shape)
+    lead = np.minimum(nodes, image)  # the fixed node, or the first of the pair
+    first, paired = nodes <= image, nodes != image
+    plus = (np.cumsum(first) - 1)[lead]  # e_a, or (e_a + e_Pa)/sqrt 2
+    minus = (first.sum() + np.cumsum(first & paired) - 1)[lead]  # i (e_a - e_Pa)/sqrt 2
+    slot = np.stack([plus, np.where(paired, minus, 0)])
+    scale = np.where(paired, math.sqrt(0.5), 1.0)
+    weight = np.stack([scale, np.where(paired, np.where(first, 1j, -1j) * scale, 0.0)])
+    w = weight[:, None, rows].conj() * weight[None, :, cols]  # (2, 2, nnz), each real or imaginary
+    imag = w.imag != 0.0
+    keep = imag | (w.real != 0.0)
+    target = (slot[:, None, rows] + n * slot[None, :, cols])[keep]  # Fortran order
+    source = (2 * np.arange(nnz) + imag)[keep]  # into (Re z_0, Im z_0, Re z_1, ...)
+    weights = np.where(imag, -w.imag, w.real)[keep]
+    gauge = 1j * (y[:, cols] - y[:, rows]).T / N
+
+    def fiber(values, phi):
+        z = values * np.exp(gauge @ phi)
+        return np.bincount(target, weights * z.view(float)[source], minlength=n * n).reshape((n, n), order="F")
+    return fiber
 
 
 def spectral_gaps(bands: BandStructure) -> list:

@@ -3,6 +3,8 @@ import copy
 import csv
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import lifshitz_lab.experiments as experiments_mod
 import lifshitz_lab.ids as ids_mod
 import lifshitz_lab.lattice as lattice_mod
 from lifshitz_lab.cli import build_parser, main
-from lifshitz_lab.config import (EXPERIMENT_KINDS, ExperimentConfig, config_hash,
+from lifshitz_lab.config import (BLOCKS, EXPERIMENT_KINDS, PARAMS, ExperimentConfig, config_hash,
                                  energy_grid, eps_grid, load_config, parse_config,
                                  validate)
 from lifshitz_lab.disorder import ValidationError
@@ -388,6 +390,10 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
     cases.append({**DECAY_DOC, "params": {"n_states": 2.5}})
     bands = {"kind": "bands", "geometry": {"d": 1, "m": 4}, "n_theta": 3}
     cases.append({**bands, "background": {"type": "two_phase", "axis": 3}})
+    # a block the kind does not read
+    cases.append({**bands, "energies": {"junk": 1, "values": "x"}})
+    cases.append({**ENSEMBLE_DOCS["lifshitz"], "profile": {"kind": "long_range", "nu": 1.5},
+                  "energies": {"count": 3}})
     cases.append({**bands, "geometry": {"d": 1, "m": 2.5}})
     cases.append({**IDS_DOC, "geometry": {**IDS_DOC["geometry"], "k": 2.5}})
     cases.append({**IDS_DOC, "energies": {"min": 0.5, "max": 10.0, "count": 2.5}})
@@ -399,6 +405,23 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
         result = run(parse_config(doc), out_dir=str(tmp_path / f"never{i}"))
         assert result.exit_code == 2, doc
         assert not (tmp_path / f"never{i}").exists()
+
+
+def test_validate_refuses_each_block_the_kind_does_not_read():
+    assert set(BLOCKS) == set(PARAMS)
+    doc = {**ENSEMBLE_DOCS["lifshitz"], "profile": {"kind": "long_range", "nu": 1.5}, "energies": {"count": 3}}
+    assert [str(d) for d in validate(parse_config(doc))] == [
+        "error: profile: a lifshitz run does not read it; remove it",
+        "error: energies: a lifshitz run does not read it; remove it"]
+    bands = {"kind": "bands", "geometry": {"d": 1, "m": 4}, "n_theta": 3}
+    for name, value in [("profile", _COMPACT), ("disorder", {"law": "bernoulli"}), ("energies", {"count": 3})]:
+        assert [str(d) for d in validate(parse_config({**bands, name: value}))] == [
+            f"error: {name}: a bands run does not read it; remove it"]
+    assert [str(d) for d in validate(parse_config({**BOUNDS_DOC, "geometry": {"d": 2}, "n_theta": 2}))] == [
+        "error: geometry: a bounds run does not read it; remove it",
+        "error: n_theta: a bounds run does not read it; remove it"]
+    # a field given at its default value is indistinguishable from one left out
+    assert validate(parse_config({**bands, "disorder": {"law": "uniform01"}})) == []
 
 
 # every key of the closed blocks, and every params key a driver reads (kind -> paths)
@@ -578,6 +601,30 @@ def test_run_overrides_leave_the_callers_config_alone(tmp_path, monkeypatch):
 
 
 # -- command line ------------------------------------------------------------------------
+
+
+_BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_bands_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a d = 2 two-phase medium of 144 nodes: its bands.csv rows moved by rounding
+    # between one and two OpenBLAS threads until the package pinned BLAS to one
+    cfg = write_config(tmp_path, {"kind": "bands", "geometry": {"d": 2, "m": 12}, "n_theta": 3,
+                                  "background": {"type": "two_phase", "low": 1.0, "high": 4.0}})
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
+    trees = {}
+    for setting in ("1", "2", None):
+        env = {k: v for k, v in os.environ.items() if k not in _BLAS_VARS}
+        env.update(dict.fromkeys(_BLAS_VARS, setting) if setting else {}, PYTHONPATH=path)
+        out = tmp_path / f"blas{setting}"
+        subprocess.run([sys.executable, "-m", "lifshitz_lab.cli", "bands", "--config", cfg, "--out", str(out)],
+                       env=env, cwd=root, check=True, capture_output=True)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["blas_threads"] == dict.fromkeys(_BLAS_VARS, "1")
+        trees[setting] = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+    assert sorted(trees["1"]) == ["bands.csv", "bands.json"]
+    assert trees["1"] == trees["2"] == trees[None]
 
 
 def test_experiment_kinds_are_one_list():

@@ -496,15 +496,29 @@ def test_bloch_family_fiber_equals_assembled_operator(d, periodized, seed, phi):
 MIRROR_0, MIRROR_1, EXCHANGE = np.diag([-1, 1]), np.diag([1, -1]), np.array([[0, 1], [1, 0]])
 
 
+# each symmetry with its centre: the least c of a mirror x_j -> c - x_j mod n
+# (any c for a constant axis), None for an exchange
 @pytest.mark.parametrize("medium,symmetries", [
-    (False, [MIRROR_0, MIRROR_1]), (True, []), ("identity", [MIRROR_0, MIRROR_1, EXCHANGE]),
-    ("anisotropic", []), ("offcentre", [MIRROR_0])],
+    (False, [(MIRROR_0, 0), (MIRROR_1, 0)]), (True, []),
+    ("identity", [(MIRROR_0, 0), (MIRROR_1, 0), (EXCHANGE, None)]),
+    ("anisotropic", []), ("offcentre", [(MIRROR_0, 2)])],
     ids=["two_phase", "periodized", "identity", "anisotropic", "offcentre"])
 def test_point_symmetries_are_exact(medium, symmetries):
     field = floquet_medium(2, medium, seed=5)
     found = _point_symmetries(field)
     assert len(found) == len(symmetries)
-    assert all(np.array_equal(G, want) for G, want in zip(found, symmetries))
+    assert all(np.array_equal(G, want) for (G, _), (want, _) in zip(found, symmetries))
+    assert [c for _, c in found] == [c for _, c in symmetries]
+
+
+def test_mirror_centres_of_two_phase_stripes():
+    # stripes low on cells 0..m/2-1 and high on the rest are mirrored about
+    # c = m/2 - 1 across their axis (x -> m/2 - 1 - x swaps the low cells),
+    # about c = 0 for odd m (cell 0 low, cells 1..m-1 high), and constant across the other
+    for d, m, axis, centres in [(1, 4, 0, [1]), (1, 3, 0, [0]), (2, 4, 1, [0, 1]), (2, 6, 0, [2, 0])]:
+        bg = PeriodicBackground.two_phase(m=m, low=1.0, high=3.0, d=d, axis=axis)
+        found = _point_symmetries(background_field(bg, BoxSpec(d=d, k=0, m=m, bc="quasiperiodic")))
+        assert [c for _, c in found] == centres
 
 
 def test_a_mirror_must_negate_the_off_diagonal():
@@ -529,12 +543,13 @@ def test_every_band_row_is_its_own_fiber(d, medium, n_theta):
     assert np.max(np.abs(bands.bands - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-def count_solves(monkeypatch, bands_of, n_theta):
-    """The eigensolves behind bands_of(n_theta), a band structure over the whole grid."""
-    calls = []
+def count_solves(monkeypatch, bands_of, n_theta, dtypes=None):
+    """The eigensolves behind bands_of(n_theta), a band structure over the whole grid;
+    the dtype of each matrix solved is appended to `dtypes` when it is given."""
+    calls = [] if dtypes is None else dtypes
     eigvalsh = spectral.scipy.linalg.eigvalsh
     monkeypatch.setattr(spectral.scipy.linalg, "eigvalsh",
-                        lambda *a, **kw: calls.append(1) or eigvalsh(*a, **kw))
+                        lambda a, *args, **kw: calls.append(a.dtype) or eigvalsh(a, *args, **kw))
     bands = bands_of(n_theta)
     assert bands.bands.shape[0] == n_theta**bands.d
     return len(calls)
@@ -576,6 +591,53 @@ def test_floquet_bands_solves_one_fiber_per_orbit(monkeypatch, d, n_theta, mediu
     group = signed_permutations(d, permute=medium == "identity")
     assert count_solves(monkeypatch, functools.partial(floquet_bands, bg), n_theta) == solves \
         == grid_orbits(d, n_theta, group)
+
+
+def inversion_medium(d, medium):
+    """floquet_medium, with the d = 3 identity background's unit cell beside it."""
+    if (d, medium) == (3, "identity"):
+        return background_field(PeriodicBackground.identity(3, 2), BoxSpec(d=3, k=0, m=2, bc="quasiperiodic"))
+    return floquet_medium(d, medium, seed=5)
+
+
+@pytest.mark.parametrize("d,medium,real", [
+    (1, False, True), (2, False, True), (2, "identity", True), (3, "identity", True),
+    (1, True, False), (2, True, False), (2, "anisotropic", False), (2, "offcentre", False)],
+    ids=["two_phase_d1", "two_phase_d2", "identity_d2", "identity_d3",
+         "periodized_d1", "periodized_d2", "anisotropic", "offcentre"])
+def test_media_with_every_mirror_solve_real_fibers(monkeypatch, d, medium, real):
+    # a mirror of every axis makes the inversion a symmetry, and each fiber real
+    # symmetric; a random pattern, the anisotropic medium (whose constant rho_01
+    # no single mirror keeps) and the offcentre one (no mirror across axis 1) stay complex
+    dtypes = []
+    solves = count_solves(monkeypatch, functools.partial(spectral._field_bands, inversion_medium(d, medium)),
+                          4, dtypes)
+    assert len(dtypes) == solves > 0
+    assert set(dtypes) == {np.dtype(float) if real else np.dtype(complex)}
+
+
+@pytest.mark.parametrize("d,medium", [(1, False), (2, False), (2, "identity"), (3, "identity")])
+def test_real_fibers_keep_norms_and_move_rows_by_rounding(monkeypatch, d, medium):
+    # the same medium through the complex path: mirrors kept for the orbits, centres dropped
+    field = inversion_medium(d, medium)
+    real = spectral._field_bands(field, 5)
+    monkeypatch.setattr(spectral, "_point_symmetries", lambda f: [(G, None) for G, _ in _point_symmetries(f)])
+    complex_ = spectral._field_bands(field, 5)
+    assert np.array_equal(real.norms, complex_.norms)
+    assert np.max(np.abs(real.bands - complex_.bands)) <= 1e-13 * np.max(np.abs(complex_.bands))
+
+
+@given(st.integers(1, 2), st.integers(2, 6), st.integers(0, 1), st.integers(1, 5),
+       st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+@settings(max_examples=25, deadline=None)
+def test_two_phase_real_fibers_match_complex_eigvalsh(d, m, axis, n_theta, low, high):
+    bg = PeriodicBackground.two_phase(m=m, low=low, high=high, d=d, axis=axis % d)
+    field = background_field(bg, BoxSpec(d=d, k=0, m=m, bc="quasiperiodic"))
+    assert len([c for _, c in _point_symmetries(field) if c is not None]) == d  # the real path
+    bands = spectral._field_bands(field, n_theta)
+    direct = np.array([scipy.linalg.eigvalsh(assemble_operator(field, theta=tuple(th)).matrix.toarray())
+                       for th in bands.thetas])
+    assert np.max(np.abs(bands.bands - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_two_phase_gap_values_frozen():
