@@ -218,9 +218,10 @@ BLOCKS = {
     "bounds": ("disorder",),
     "wegner": _LATTICE,
     "ile": _LATTICE,
-    "decay": _LATTICE,  # the anderson model reads only geometry and disorder
+    "decay": _LATTICE,
     "sandwich": (*_LATTICE, "n_theta"),
 }
+_DECAY_ANDERSON_BLOCKS = ("geometry", "disorder")  # decay with params.model "anderson"
 
 
 @dataclass(frozen=True)
@@ -409,13 +410,15 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                                 f"remove {config.solver!r}"))
     if not isinstance(config.out, str):
         diags.append(Diagnostic("error", f"out must be a path, got {config.out!r}"))
-    reads = BLOCKS[config.kind]
+    reads, run_label = BLOCKS[config.kind], f"a {config.kind} run"
+    if config.kind == "decay" and isinstance(config.params, dict) and config.params.get("model") == "anderson":
+        reads, run_label = _DECAY_ANDERSON_BLOCKS, "a decay run of the anderson model"
     for f in dataclasses.fields(ExperimentConfig):
         if f.name in (*reads, "kind", "ensemble", "params", "solver", "out"):
             continue
         default = f.default_factory() if f.default is dataclasses.MISSING else f.default
         if getattr(config, f.name) != default:
-            diags.append(Diagnostic("error", f"{f.name}: a {config.kind} run does not read it; remove it"))
+            diags.append(Diagnostic("error", f"{f.name}: {run_label} does not read it; remove it"))
     box_ok = "geometry" in reads and _try(diags, lambda: build_box(config), "geometry")
     geo_ok = box_ok and "background" in reads and _try(diags, lambda: build_background(config), "background")
     profile_ok = box_ok and "profile" in reads and _try(diags, lambda: build_profile(config), "profile")

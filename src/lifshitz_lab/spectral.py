@@ -262,12 +262,12 @@ def _field_bands(field, n_theta: int) -> BandStructure:
         # a broadcast sum, not a BLAS product: a small threaded BLAS call between
         # eigensolves more than doubled their time with two BLAS threads
         values = (phases[t][:, None] * coeffs).sum(axis=0)
+        # the column sums of _norm1 of the fiber, added in its (sorted) row order
+        norms[t] = np.bincount(cols, np.abs(values), minlength=n).max()
         if real is None:
             dense = np.zeros((n, n), dtype=complex)
             dense[rows, cols] = values
-            norms[t] = _norm1(dense)
-        else:  # the column sums of _norm1, added in the same (row) order
-            norms[t] = np.bincount(cols, np.abs(values), minlength=n).max()
+        else:
             dense = real(values, phase_pts[t])
         bands[t] = scipy.linalg.eigvalsh(dense, overwrite_a=True)
     return BandStructure(thetas=phase_pts / period, bands=bands[rep], norms=norms[rep], period=period,

@@ -66,6 +66,7 @@ ENSEMBLE_DOCS = {
 DECAY_DOC = {"kind": "decay", "geometry": {"d": 1, "k": 2, "m": 2, "bc": "dirichlet"},
              "profile": _COMPACT, "disorder": {"law": "uniform01"}, "ensemble": {"seed": 2},
              "params": {"n_states": 3}}
+DECAY_BARE = {k: v for k, v in DECAY_DOC.items() if k != "profile"}  # the anderson model reads no profile
 SHIPPED_IDS = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "ids_uniform_box.json"
 BOUNDS_DOC = {"kind": "bounds", "disorder": {"law": "uniform01"},
               "params": {"nu": 4.0, "evaluations": [
@@ -302,7 +303,7 @@ def test_run_seed_override_changes_hash_and_data(tmp_path):
 
 
 def test_run_rejects_invalid_config_before_compute(tmp_path):
-    docs = {**ENSEMBLE_DOCS, "decay": DECAY_DOC, "bounds": BOUNDS_DOC}
+    docs = {**ENSEMBLE_DOCS, "decay": DECAY_DOC, "decay_bare": DECAY_BARE, "bounds": BOUNDS_DOC}
     for kind, doc in docs.items():
         assert validate(parse_config(doc)) == [], kind
     unsorted = {"energies": {"values": [0.5, 0.1]}}
@@ -324,11 +325,11 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
                         ("lifshitz", {"eps_values": [0.1, 0.3, 0.2]}),
                         ("ile", {"theta": [7.0]}), ("wegner", {"theta": [0.5, 0.5]}),
                         ("ile", {"theta": 0.5}),
-                        ("decay", {"model": "anderson", "nu": 4.0}),
+                        ("decay_bare", {"model": "anderson", "nu": 4.0}),
                         ("decay", {"model": "nonsense"}),
                         ("decay", {"window": [1.0, 0.5]}), ("decay", {"n_states": 0}),
                         ("decay", {"n_states": 50}),
-                        ("decay", {"model": "anderson", "k": 2, "nu": 4.0, "n_states": 6}),
+                        ("decay_bare", {"model": "anderson", "k": 2, "nu": 4.0, "n_states": 6}),
                         ("bounds", {"evaluations": [{"type": "chernof", "k": 2, "delta": 0.3}]}),
                         ("bounds", {"evaluations": [{"type": "product1", "eps": 0.3, "nu": 2.5}]}),
                         ("bounds", {"evaluations": ["chernoff"]}),
@@ -337,7 +338,7 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
                                                      "alpha": 1.5, "nu": 2.5}]}),
                         ("anderson", {"k": -3}), ("anderson", {"k": "x"}), ("anderson", {"k": 2.5}),
                         ("lifshitz", {"k": -3}), ("lifshitz", {"k": "x"}),
-                        ("decay", {"model": "anderson", "k": -3, "nu": 4.0, "window": [0.0, 1.0]}),
+                        ("decay_bare", {"model": "anderson", "k": -3, "nu": 4.0, "window": [0.0, 1.0]}),
                         ("ile", {"n_trials": "x"}), ("wegner", {"n_trials": 2.5}),
                         ("lifshitz", {"n_boot": "x"}), ("lifshitz", {"fit_seed": "x"}),
                         ("lifshitz", {"E_plus": "x"}), ("lifshitz", {"E_plus": float("nan")}),
@@ -362,14 +363,14 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
     # decay operators above ids.DECAY_DENSE_LIMIT: 81^2 = 6,561 nodes, and (2k+1)^d sites
     cases.append({**DECAY_DOC, "geometry": {"d": 2, "k": 20, "m": 2, "bc": "dirichlet"},
                   "params": {"window": [0.0, 1.0]}})
-    cases.append({**DECAY_DOC, "geometry": {"d": 2},
+    cases.append({**DECAY_BARE, "geometry": {"d": 2},
                   "params": {"model": "anderson", "k": 40, "nu": 4.0, "window": [0.0, 1.0]}})
     # Anderson potentials whose truncation cube truncation_radius_for refuses
     # (d=2, nu=4.5: radius 2,968 at the default potential_tol)
     too_wide = {"k": 3, "nu": 4.5}
     wide = [{**ENSEMBLE_DOCS[kind], "geometry": {"d": 2},
              "params": {**ENSEMBLE_DOCS[kind]["params"], **too_wide}} for kind in ("anderson", "lifshitz")]
-    wide.append({**DECAY_DOC, "geometry": {"d": 2},
+    wide.append({**DECAY_BARE, "geometry": {"d": 2},
                  "params": {"model": "anderson", **too_wide, "window": [0.0, 1.0]}})
     for doc in wide:
         assert any("truncation cube" in str(diag) for diag in validate(parse_config(doc))), doc
@@ -385,7 +386,7 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
                        {**product1, "nu": 3.5, "d": 2.5}]:
         cases.append({**BOUNDS_DOC, "params": {"evaluations": [evaluation]}})
     cases.append({**BOUNDS_DOC, "params": {"evaluations": 3}})
-    cases.append({**DECAY_DOC, "params": {"model": "anderson", "k": 2, "nu": 4.0, "E_plus": "x",
+    cases.append({**DECAY_BARE, "params": {"model": "anderson", "k": 2, "nu": 4.0, "E_plus": "x",
                                           "window": [0.0, 1.0]}})
     cases.append({**DECAY_DOC, "params": {"n_states": 2.5}})
     bands = {"kind": "bands", "geometry": {"d": 1, "m": 4}, "n_theta": 3}
@@ -420,6 +421,13 @@ def test_validate_refuses_each_block_the_kind_does_not_read():
     assert [str(d) for d in validate(parse_config({**BOUNDS_DOC, "geometry": {"d": 2}, "n_theta": 2}))] == [
         "error: geometry: a bounds run does not read it; remove it",
         "error: n_theta: a bounds run does not read it; remove it"]
+    # decay's anderson model builds no background and no profile
+    anderson = {**DECAY_BARE, "params": {"model": "anderson", "k": 2, "nu": 4.0, "window": [0.0, 2.0]}}
+    assert validate(parse_config(anderson)) == []
+    assert [str(d) for d in validate(parse_config({**anderson, "profile": _COMPACT,
+                                                   "background": {"type": "two_phase"}}))] == [
+        "error: background: a decay run of the anderson model does not read it; remove it",
+        "error: profile: a decay run of the anderson model does not read it; remove it"]
     # a field given at its default value is indistinguishable from one left out
     assert validate(parse_config({**bands, "disorder": {"law": "uniform01"}})) == []
 
@@ -446,7 +454,7 @@ _PARAM_KEYS = {
 _EVALUATION_KEYS = [("type", "k", "delta", "K", "C", "d", "truncation"), ("type", "eps", "alpha", "nu", "d"),
                     ("type", "eps", "alpha", "nu", "d", "s", "C")]  # BOUNDS_DOC's three evaluations
 _SCHEMA_DOCS = {**ENSEMBLE_DOCS, "decay": DECAY_DOC, "bounds": BOUNDS_DOC,
-                "decay_anderson": {**DECAY_DOC, "params": {"model": "anderson", "k": 2, "nu": 4.0,
+                "decay_anderson": {**DECAY_BARE, "params": {"model": "anderson", "k": 2, "nu": 4.0,
                                                            "window": [0.0, 2.0]}},
                 "bands": {"kind": "bands", "geometry": {"d": 1, "m": 4}, "n_theta": 3,
                           "background": {"type": "two_phase", "low": 1.0, "high": 4.0}}}

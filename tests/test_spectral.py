@@ -538,9 +538,12 @@ def test_every_band_row_is_its_own_fiber(d, medium, n_theta):
     # rows copied from a fiber of the same orbit (time reversal, mirrors, exchange) included
     field = floquet_medium(d, medium, seed=5)
     bands = spectral._field_bands(field, n_theta)
-    direct = np.array([np.linalg.eigvalsh(assemble_operator(field, theta=tuple(th)).matrix.toarray())
-                       for th in bands.thetas])
+    fibers = [assemble_operator(field, theta=tuple(th)).matrix.toarray() for th in bands.thetas]
+    direct = np.array([np.linalg.eigvalsh(f) for f in fibers])
     assert np.max(np.abs(bands.bands - direct)) <= 1e-12 * np.max(np.abs(direct))
+    # norms: ||H(phi)||_1 of each row's fiber, up to the rounding of its phases
+    norms = np.array([spectral._norm1(f) for f in fibers])
+    assert np.max(np.abs(bands.norms - norms)) <= 1e-14 * np.max(norms)
 
 
 def count_solves(monkeypatch, bands_of, n_theta, dtypes=None):
