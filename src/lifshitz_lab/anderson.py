@@ -57,6 +57,7 @@ PAD_RADIUS = 200  # extra radius of the window mc_product_event_1 samples
 # the thread count; 2^14-2^16 drew the 1,067-site d=1 tail window fastest per row
 BLOCK_COUPLINGS = 2**15
 POTENTIAL_TOL = 1e-8  # default neglected tail of the truncated potential
+CHUNK = 32  # most box sites one GEMM of the d = 1 potential computes
 # bounds-config type -> {argument: (upper end, upper end included)}; each
 # argument lies above 0, and a product bound's nu in (d, d+2] besides
 BOUND_DOMAINS = {"chernoff": {"delta": (1.0, True), "K": (math.inf, False), "C": (math.inf, False)},
@@ -155,13 +156,19 @@ class _AndersonPlan:
     """What every realization of an Anderson ensemble on {-k..k}^d shares.
 
     The site hashes of the window lattice_cube(d, k + R), R the truncation
-    radius, and the realizations per block draw (`draws`); the potential
+    radius, and the realizations per block draw (`block`); the potential
     kernel (1 + |r|)^(-nu) over lattice_cube(d, R); and the box operator at
-    v = 0.  The potential is one `lattice_correlate` of the couplings with
-    the kernel.  `spectral` counts the box: for d = 1 the operator is
-    symmetric tridiagonal, its diagonal degree + E_plus + v and its
-    off-diagonal -1, and `_tridiagonal_counts` screens and bisects it; for
-    d >= 2 `counts_below` counts the sparse operator.
+    v = 0.  The potential is the correlation of the couplings with the
+    kernel, computed a block of realizations at a time (`potential`).  For
+    d = 1 it is a GEMM per chunk of box sites against one Toeplitz tile of
+    the kernel, and its rounding depends on the shape of the product and on
+    a row's place in it, so every product has the plan's `block` rows and
+    realization i sits in row i mod `block`, whatever call draws it.  For
+    d >= 2 it is one `lattice_correlate` per realization.  `spectral` counts
+    the box: for d = 1 the operator is symmetric tridiagonal, its diagonal
+    degree + E_plus + v and its off-diagonal -1, and `_tridiagonal_counts`
+    screens and bisects a whole block; for d >= 2 `counts_below` counts the
+    sparse operator of each realization.
     """
 
     def __init__(self, d: int, k: int, nu: float, E_plus: float, tol: float):
@@ -173,31 +180,72 @@ class _AndersonPlan:
         self.free = assemble_anderson(d, k, E_plus, np.zeros((2 * k + 1) ** d)).matrix
         self.diagonal, self.off = self.free.diagonal(), self.free.diagonal(1)  # off read when d = 1
         self.d, self.block = d, _block(self.hashes)
+        if d == 1:
+            # the box in chunks of CHUNK sites (all of it when shorter); the last one
+            # overlaps its neighbour rather than shrink, so every product has one shape
+            n = 2 * k + 1
+            width = min(CHUNK, n)
+            self.starts = [*range(0, n - width, width), n - width]
+            # tile[i, c] = kernel[i - c]: couplings x..x + width + 2R - 1 times tile
+            # is the potential on box sites x..x + width - 1
+            self.tile = np.zeros((width + 2 * radius, width))
+            for c in range(width):
+                self.tile[c:c + 2 * radius + 1, c] = self.kernel
 
-    def potential(self, couplings: np.ndarray) -> np.ndarray:
-        """The potential on the box of couplings listed in window order; it must be nonnegative."""
-        v = lattice_correlate(couplings.reshape(self.window_shape), self.kernel).ravel()
+    def potential(self, couplings: np.ndarray, first: int = 0) -> np.ndarray:
+        """The potentials on the box of realizations first, first + 1, ..., one per row of
+        couplings listed in window order (a 1-d couplings is one realization); they must be
+        nonnegative."""
+        rows = couplings.reshape(-1, couplings.shape[-1])
+        if self.d == 1:
+            v = self._products(rows, first)
+        else:
+            v = np.stack([lattice_correlate(row.reshape(self.window_shape), self.kernel).ravel()
+                          for row in rows])
         if not np.all(v >= 0):  # NaN fails too
             raise ValidationError("potential values must be nonnegative")
+        return v.reshape(couplings.shape[:-1] + v.shape[-1:])
+
+    def _products(self, rows: np.ndarray, first: int) -> np.ndarray:
+        """The d = 1 potentials of realizations first, first + 1, ...: each block they fall
+        in is one (block, window) operand, zero in the rows not drawn, times the tile per chunk."""
+        width = self.tile.shape[1]
+        v = np.empty((len(rows), self.diagonal.size))
+        done = 0
+        while done < len(rows):
+            slot = (first + done) % self.block
+            take = min(self.block - slot, len(rows) - done)
+            if take == self.block:
+                operand = rows[done:done + take]
+            else:
+                operand = np.zeros((self.block, rows.shape[1]))
+                operand[slot:slot + take] = rows[done:done + take]
+            for x in self.starts:
+                product = operand[:, x:x + self.tile.shape[0]] @ self.tile
+                v[done:done + take, x:x + width] = product[slot:slot + take]
+            done += take
         return v
 
     def draw(self, disorder: DisorderSpec, seed: int, index: int) -> np.ndarray:
         """The potential of realization (seed, index)."""
-        return self.potential(draw_couplings(disorder, self.hashes, seed, index))
+        return self.potential(draw_couplings(disorder, self.hashes, seed, index), index)
 
-    def draws(self, disorder: DisorderSpec, seed: int, indices: range) -> list:
-        """The potential of each realization (seed, i), i in indices, from one block draw."""
-        return [self.potential(row) for row in draw_couplings(disorder, self.hashes, seed, indices)]
+    def draws(self, disorder: DisorderSpec, seed: int, indices: range) -> np.ndarray:
+        """The potential of each realization (seed, i), i in indices (consecutive), one row
+        each, from one block draw."""
+        return self.potential(draw_couplings(disorder, self.hashes, seed, indices), indices.start)
 
     def operator(self, v: np.ndarray) -> sp.csr_matrix:
         """The box operator with potential v, entry for entry assemble_anderson(d, k, E_plus, v).matrix."""
         return self.free + sp.diags(v)
 
     def counts(self, v: np.ndarray, energies):
-        """#{eigenvalues of the box operator with potential v <= E} per energy (an int for a scalar E)."""
+        """#{eigenvalues of the box operator with potential v <= E} per energy (an int for a
+        scalar E); for a block of potentials, one row of counts per row of v."""
         if self.d == 1:
             return _tridiagonal_counts(self.diagonal + v, self.off, energies)
-        return counts_below(self.operator(v), energies)
+        counts = [counts_below(self.operator(row), energies) for row in v.reshape(-1, v.shape[-1])]
+        return counts[0] if v.ndim == 1 else np.array(counts)
 
 
 def potential_on_box(realization: Realization, d: int, k: int, nu: float,
@@ -205,7 +253,7 @@ def potential_on_box(realization: Realization, d: int, k: int, nu: float,
     """Potential on every site of {-k..k}^d, same truncation certificate."""
     cube = lattice_cube(d, k + truncation_radius_for(d, nu, tol))  # a realization drawn on it is read in place
     values = realization.values if np.array_equal(realization.window, cube) else realization.values_at(cube)
-    return _AndersonPlan(d, k, nu, 0.0, tol).potential(values)
+    return _AndersonPlan(d, k, nu, 0.0, tol).potential(values, realization.index)
 
 
 def sample_anderson(disorder: DisorderSpec, d: int, k: int, nu: float,
@@ -231,7 +279,7 @@ def anderson_ids(disorder: DisorderSpec, d: int, k: int, nu: float, energies,
     plan = _AndersonPlan(d, k, nu, E_plus, tol)
 
     def block(indices):
-        return [plan.counts(v, energies) / vol for v in plan.draws(disorder, seed, indices)]
+        return plan.counts(plan.draws(disorder, seed, indices), energies) / vol
 
     return ensemble_curve(block, n_realizations, energies, vol, "box", threads, plan.block,
                           model="anderson", seed=seed, nu=nu, E_plus=E_plus)

@@ -25,7 +25,8 @@ shift s_b - s_a of a coupling is its Floquet shift.
 
 Random fields come from a plan built once per ensemble (`_FieldPlan`): each
 window site's truncation bound, the m^d sub-lattice envelope kernels (built
-axis by axis, as envelopes on product grids) and the background tile, so a
+axis by axis, as envelopes on product grids, one per class of sub-lattices
+equal up to axis flips) and the background tile, so a
 realization costs a mask, a reversal, m^d correlations and the tile sum.
 """
 
@@ -313,16 +314,16 @@ class _FieldPlan:
         disp = np.arange(-(k + R), k + R + 1, dtype=float)
         axis = [part(disp + ((a + 0.5) / m - 0.5)) for a in range(m)]
         # where axis m-1-a is exactly axis a reversed (o_{m-1-a} = -o_a in floating
-        # point), the kernel of sub-lattice m-1-r is the kernel of r flipped
+        # point), the kernel of sub-lattice r is that of its representative, the lesser
+        # of r_j and m-1-r_j on each such axis, flipped on the axes where they differ
         mirrored = [np.array_equal(axis[a][::-1], axis[m - 1 - a]) for a in range(m)]
-        kernels = {}
+        envelopes, self.kernels = {}, []
         for r in np.ndindex(*(m,) * d):
-            flip = tuple(m - 1 - a for a in r)
-            if flip in kernels and all(mirrored[a] for a in r):
-                kernels[r] = np.ascontiguousarray(np.flip(kernels[flip]))
-            else:
-                kernels[r] = profile._radial(functools.reduce(outer, [axis[a] for a in r]))
-        self.kernels = list(kernels.values())
+            rep = tuple(min(a, m - 1 - a) if mirrored[a] else a for a in r)
+            if rep not in envelopes:
+                envelopes[rep] = profile._radial(functools.reduce(outer, [axis[a] for a in rep]))
+            flips = tuple(j for j in range(d) if r[j] != rep[j])
+            self.kernels.append(np.ascontiguousarray(np.flip(envelopes[rep], flips)))
         self.tile = background.tile(box)
         self.profile, self.box, self.tol = profile, box, tol
 

@@ -13,8 +13,9 @@ operator whose lower band (half-bandwidth kd) is narrow, BAND_RATIO * (kd + 1)
 O(n^2 kd) band reduction), any other operator up to DENSE_THRESHOLD nodes by
 one dense `eigvalsh`; a larger one that is not narrow is counted energy by
 energy through `count_eigenvalues_below`.  `_tridiagonal_counts` counts a
-symmetric tridiagonal matrix (the d = 1 Anderson box) by a positive-definite
-screen at the top energy, then a coarse Sturm bisection up to it.
+block of symmetric tridiagonal matrices (the d = 1 Anderson boxes of a block
+of realizations) by a positive-definite screen at the top energy, then a
+coarse Sturm bisection up to it.
 """
 
 from __future__ import annotations
@@ -135,13 +136,15 @@ def counts_below(A, energies) -> np.ndarray:
 
 
 def _tridiagonal_counts(diagonal: np.ndarray, off: np.ndarray, energies):
-    """`counts_below` of the symmetric tridiagonal matrix with this diagonal and off-diagonal.
+    """`counts_below` of the symmetric tridiagonal matrix with this diagonal and off-diagonal;
+    for a (B, n) block of diagonals sharing the off-diagonal, one row of counts per diagonal.
 
-    ||A||_1 costs O(n).  The counts are those of Sturm bisection (LAPACK stebz
+    ||A||_1 costs O(n), and the block's norms, top energies and finiteness are
+    found together.  The counts are those of Sturm bisection (LAPACK stebz
     with the arguments of scipy's eigvalsh_tridiagonal: tol 0, order "E") for
     the eigenvalues up to twice the slack above the top energy, so that the
     strict count of count_sorted_leq decides each energy, not stebz's bound.
-    Two cheaper steps come first:
+    Two cheaper steps come first, matrix by matrix:
     1. A screen: when the LDL^T of A - top I (LAPACK pttrf, whose pivots are
        stebz's Sturm sequence at top) has only positive pivots, no eigenvalue
        lies <= top and every count is 0.
@@ -149,27 +152,38 @@ def _tridiagonal_counts(diagonal: np.ndarray, off: np.ndarray, energies):
        abstol / 2 of its coarse value, so the coarse values count every energy
        exactly unless one lies within 2 abstol of some E + eta; only then is
        the bisection run again at tol 0.
-    A non-finite entry or energy raises SolverError: pttrf passes NaN pivots.
+    A non-finite entry or energy raises SolverError for the whole block: pttrf
+    passes NaN pivots.
     """
-    hops, weights = np.zeros(diagonal.size), np.abs(off)  # hops: the |off-diagonal| column sums
+    block = np.atleast_2d(diagonal)
+    hops, weights = np.zeros(block.shape[1]), np.abs(off)  # hops: the |off-diagonal| column sums
     hops[:-1] = weights
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scale raises below
         hops[1:] += weights
-        scale = float(np.max(np.abs(diagonal) + hops)) or 1.0
-    top = float(np.max(energies)) + 2e-12 * scale
-    if not math.isfinite(top):  # NaN in any entry or energy propagates to top
-        raise SolverError(f"non-finite entry or energy in a tridiagonal count of order {diagonal.size}")
-    if diagonal.size == 1:  # stebz takes no empty off-diagonal
-        return count_sorted_leq(diagonal[diagonal <= top], energies, scale)
-    if scipy.linalg.lapack.dpttrf(diagonal - top, off, overwrite_d=1)[2] == 0:
-        return count_sorted_leq(diagonal[:0], energies, scale)
-    abstol = COARSE_TOL * scale
-    vals = _bisect(diagonal, off, top, abstol)
-    shifted = np.asarray(energies, dtype=float) + 1e-12 * scale  # E + eta
-    near = np.searchsorted(vals, shifted - 2 * abstol) != np.searchsorted(vals, shifted + 2 * abstol, "right")
-    if np.any(near):
-        vals = _bisect(diagonal, off, top, 0.0)
-    return count_sorted_leq(vals, energies, scale)
+        scales = np.max(np.abs(block) + hops, axis=1)
+        scales[scales == 0.0] = 1.0
+        tops = float(np.max(energies)) + 2e-12 * scales
+    if not np.all(np.isfinite(tops)):  # NaN in any entry or energy propagates to top
+        raise SolverError(f"non-finite entry or energy in a tridiagonal count of order {block.shape[1]}")
+    energies = np.asarray(energies, dtype=float)
+    counts = np.empty(block.shape[:1] + energies.shape, dtype=np.intp)
+    screens = block - tops[:, None]  # A - top I, overwritten by pttrf
+    for i, (row, top, scale, screen) in enumerate(zip(block, tops, scales, screens)):
+        if block.shape[1] == 1:  # stebz takes no empty off-diagonal
+            vals = row[row <= top]
+        elif scipy.linalg.lapack.dpttrf(screen, off, overwrite_d=1)[2] == 0:
+            vals = row[:0]
+        else:
+            abstol = COARSE_TOL * scale
+            vals = _bisect(row, off, top, abstol)
+            shifted = energies + 1e-12 * scale  # E + eta
+            near = np.searchsorted(vals, shifted - 2 * abstol) != np.searchsorted(vals, shifted + 2 * abstol, "right")
+            if np.any(near):
+                vals = _bisect(row, off, top, 0.0)
+        counts[i] = count_sorted_leq(vals, energies, scale)
+    if diagonal.ndim == 2:
+        return counts
+    return int(counts[0]) if energies.ndim == 0 else counts[0]
 
 
 def _bisect(diagonal: np.ndarray, off: np.ndarray, top: float, abstol: float) -> np.ndarray:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import lifshitz_lab.anderson as anderson_mod
+import lifshitz_lab.curves as curves_mod
 import lifshitz_lab.spectral as spectral_mod
 from lifshitz_lab.anderson import (AndersonInstance, LatticeWindow,
                                    OptimizerWarning, anderson_ids,
@@ -17,11 +18,13 @@ from lifshitz_lab.anderson import (AndersonInstance, LatticeWindow,
                                    potential_on_box, product_bound_P_eps_alpha_1,
                                    product_bound_P_eps_alpha_2, sample_anderson,
                                    truncation_radius_for, _tail_bound)
-from lifshitz_lab.disorder import (DisorderSpec, Realization, ValidationError,
+from lifshitz_lab.disorder import (DisorderSpec, Realization, ValidationError, draw_couplings,
                                    lattice_cube, law_quantile, sample_realization,
                                    site_uniforms)
+from lifshitz_lab.lattice import lattice_correlate
 from lifshitz_lab.runner import TaskFailure, frequency
 from lifshitz_lab.spectral import SolverError, _norm1, count_sorted_leq, counts_below
+from lifshitz_lab.stats import mean_stderr
 
 UNIFORM = DisorderSpec()
 
@@ -130,8 +133,10 @@ def test_anderson_ids_potential_is_bitwise_the_looked_up_potential(d, k, seed, i
     drawn = {}
     real = anderson_mod._AndersonPlan.potential
 
-    def record(plan, couplings):
-        v = drawn[len(drawn)] = real(plan, couplings)
+    def record(plan, couplings, first=0):  # each row of the block method, in index order
+        v = real(plan, couplings, first)
+        for row in v.reshape(-1, v.shape[-1]):
+            drawn[len(drawn)] = row
         return v
 
     def no_lookup(self, sites):
@@ -143,6 +148,33 @@ def test_anderson_ids_potential_is_bitwise_the_looked_up_potential(d, k, seed, i
         curve = anderson_ids(UNIFORM, d, k, nu, [0.5], index + 1, seed=seed, tol=tol)
     assert curve.meta["failures"] == [] and len(drawn) == index + 1
     assert np.array_equal(drawn[index], want)
+
+
+@given(st.integers(0, 40), st.sampled_from([2.5, 3.0, 4.0]), st.sampled_from([1e-2, 1e-3, 1e-4]),
+       st.integers(0, 2**32), st.lists(st.integers(0, 2**16), min_size=4, max_size=4))
+@example(1, 2.5, 1e-4, 0, [28, 0, 0, 0])  # a 29-row block whose last row rounds apart alone in row 0
+@settings(max_examples=25, deadline=None)
+def test_block_potential_of_a_realization_does_not_depend_on_its_block(k, nu, tol, seed, picks):
+    # d = 1: the GEMM's rounding depends on the product's shape and a row's place in it,
+    # so a realization's potential must be bitwise the same alone, in its full block,
+    # in a final partial block and in a run of indices that crosses block boundaries
+    plan = anderson_mod._AndersonPlan(1, k, nu, 0.0, tol)
+    block = plan.block
+    i = picks[0] % (3 * block)
+    lo = i - i % block
+    alone = plan.draw(UNIFORM, seed, i)
+    full = plan.draws(UNIFORM, seed, range(lo, lo + block))
+    partial = plan.draws(UNIFORM, seed, range(lo, i + 1 + picks[1] % (lo + block - i)))
+    start = i - picks[2] % (min(i, block) + 1)
+    crossing = plan.draws(UNIFORM, seed, range(start, i + 1 + picks[3] % (2 * block)))
+    assert alone.shape == (2 * k + 1,) and full.shape == (block, 2 * k + 1)
+    for row in (full[i - lo], partial[i - lo], crossing[i - start]):
+        assert np.array_equal(row, alone)
+    for j in (lo, lo + block - 1):  # the last row of a product rounds apart from the rest most often
+        assert np.array_equal(full[j - lo], plan.draw(UNIFORM, seed, j))
+    couplings = draw_couplings(UNIFORM, plan.hashes, seed, i)
+    want = lattice_correlate(couplings, plan.kernel)
+    assert np.max(np.abs(alone - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_truncation_radius_certifies_tail():
@@ -268,6 +300,25 @@ def test_screened_and_coarse_counts_equal_full_precision_counts(law, k, nu, E_pl
             assert tols[-1] == 0.0
 
 
+@given(st.sampled_from(LAWS), st.integers(0, 12), st.sampled_from([2.5, 4.0]),
+       st.sampled_from([0.0, -0.2]), st.integers(0, 2**32), st.integers(1, 8))
+@settings(max_examples=30, deadline=None)
+def test_block_counts_equal_dense_counts_per_row(law, k, nu, E_plus, seed, rows):
+    # one call counts a block of realizations, each row as the dense eigvalsh counts of
+    # its own operator and as a call on that row alone, at grid energies and, inclusively,
+    # at every computed eigenvalue of the block
+    plan = anderson_mod._AndersonPlan(1, k, nu, E_plus, 1e-4)
+    potentials = plan.draws(law, seed, range(rows))
+    dense = [assemble_anderson(1, k, E_plus, v).matrix.toarray() for v in potentials]
+    spectra = [np.linalg.eigvalsh(a) for a in dense]
+    for energies in (E_plus + np.linspace(-0.5, 5.5, 61), np.concatenate(spectra)):
+        counts = plan.counts(potentials, energies)
+        assert counts.shape == (rows, energies.size)
+        for row, v, a, vals in zip(counts, potentials, dense, spectra):
+            assert np.array_equal(row, count_sorted_leq(vals, energies, _norm1(a) or 1.0))
+            assert np.array_equal(row, plan.counts(v, energies))
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_tridiagonal_count_refuses_non_finite_entries(value):
     # pttrf passes a NaN pivot, so a NaN matrix would screen as "no eigenvalue <= top"
@@ -362,6 +413,50 @@ def test_anderson_ids_drops_a_failed_realization(monkeypatch):
         anderson_ids(UNIFORM, 1, 8, 4.0, energies, n_realizations=4, seed=1)
     with pytest.raises(ValidationError):
         anderson_ids(UNIFORM, 1, 8, 4.0, energies, n_realizations=0)
+
+
+@pytest.mark.parametrize("where", ["couplings", "potential"])
+def test_anderson_ids_drops_only_the_nan_row_of_a_block(monkeypatch, where):
+    # a NaN coupling fails the block's v >= 0 check, a NaN potential the block's count;
+    # either way the block is rerun one index at a time, only the NaN index is dropped,
+    # and every other realization counts as in the clean run
+    energies = np.linspace(0.0, 1.5, 7)
+    plan = anderson_mod._AndersonPlan(1, 16, 4.0, 0.0, anderson_mod.POTENTIAL_TOL)
+    n, bad = plan.block + 12, plan.block + 5  # the NaN row in the final, partial block
+    samples = []
+
+    def recorded(rows):
+        samples.append(rows)
+        return mean_stderr(rows)
+
+    monkeypatch.setattr(curves_mod, "mean_stderr", recorded)
+    clean = anderson_ids(UNIFORM, 1, 16, 4.0, energies, n, seed=3)
+    draw, potential = anderson_mod.draw_couplings, anderson_mod._AndersonPlan.potential
+
+    def nan_couplings(spec, hashes, seed, index):
+        couplings = draw(spec, hashes, seed, index)
+        indices = list(index) if np.ndim(index) else [index]
+        if bad in indices:
+            couplings.reshape(len(indices), -1)[indices.index(bad), 3] = np.nan
+        return couplings
+
+    def nan_potential(plan, couplings, first=0):
+        v = potential(plan, couplings, first)
+        rows = v.reshape(-1, v.shape[-1])
+        if first <= bad < first + len(rows):
+            rows[bad - first, 0] = np.nan
+        return v
+
+    if where == "couplings":
+        monkeypatch.setattr(anderson_mod, "draw_couplings", nan_couplings)
+    else:
+        monkeypatch.setattr(anderson_mod._AndersonPlan, "potential", nan_potential)
+    curve = anderson_ids(UNIFORM, 1, 16, 4.0, energies, n, seed=3)
+    assert clean.meta["failures"] == [] and [f.index for f in curve.meta["failures"]] == [bad]
+    error = ValidationError if where == "couplings" else SolverError
+    assert isinstance(curve.meta["failures"][0].error, error)
+    assert curve.n_realizations == n - 1
+    assert np.array_equal(samples[1], np.delete(samples[0], bad, axis=0))
 
 
 def test_lambda_min_event_frequency_interval():

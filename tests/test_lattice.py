@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from lifshitz_lab.disorder import (CoverageError, DisorderSpec, Realization, Val
                                    lattice_cube, sample_realization)
 from lifshitz_lab.experiments import run
 from lifshitz_lab.ids import empirical_ids
-from lifshitz_lab.lattice import (BoxSpec, CoefficientField, PeriodicBackground, _bloch_family,
+from lifshitz_lab.lattice import (BoxSpec, CoefficientField, PeriodicBackground, SingleSiteProfile, _bloch_family,
                                   _FieldPlan, _periodized_plan,
                                   assemble_operator, background_field, compact_profile, identity_field,
                                   lattice_correlate, long_range_profile,
@@ -481,6 +482,29 @@ def test_field_plan_kernels_are_the_envelope_at_each_offset(kind, d, m):
     disp = lattice_cube(d, k + plan.R).astype(float)
     for r, kernel in zip(np.ndindex(*(m,) * d), plan.kernels):
         want = prof.envelope(disp + ((np.array(r) + 0.5) / m - 0.5)).reshape(kernel.shape)
+        assert kernel.flags.c_contiguous and np.array_equal(kernel, want)
+
+
+@pytest.mark.parametrize("d,m,evaluated", [(2, 2, 1), (2, 4, 4), (3, 3, 8)])
+@pytest.mark.parametrize("kind", sorted(PLAN_PROFILES))
+def test_field_plan_evaluates_one_envelope_per_flip_class(kind, d, m, evaluated):
+    # sub-lattices that are equal up to flips of mirrored axes share one envelope
+    # evaluation, and each kernel is still bitwise the envelope of its own outer product
+    bg, prof, tol, k = _plan_case(kind, d, m)
+    real, calls = SingleSiteProfile._radial, []
+
+    def radial(profile, dist):
+        calls.append(dist.shape)
+        return real(profile, dist)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SingleSiteProfile, "_radial", radial)
+        plan = _FieldPlan(bg, prof, BoxSpec(d=d, k=k, m=m), tol)
+    assert len(calls) == evaluated and len(plan.kernels) == m**d
+    outer, part = (np.maximum.outer, np.abs) if kind == "compact" else (np.add.outer, np.square)
+    disp = np.arange(-(k + plan.R), k + plan.R + 1, dtype=float)
+    for r, kernel in zip(np.ndindex(*(m,) * d), plan.kernels):
+        want = prof._radial(functools.reduce(outer, [part(disp + ((a + 0.5) / m - 0.5)) for a in r]))
         assert kernel.flags.c_contiguous and np.array_equal(kernel, want)
 
 
