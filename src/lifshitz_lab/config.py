@@ -1,9 +1,11 @@
 """Declarative experiment descriptions: JSON schema, validation, hashing.
 
-A config is one JSON document.  Each block is read in one place (`build_box`
-reads geometry; `build_params` reads the params keys `PARAMS` lists for the
-kind) by readers that refuse any value their cast would change; the drivers
-take every value from these functions.  validate() runs them and returns
+A config is one JSON document.  `MODELS` gives each (kind, model) the blocks its
+driver reads, its params table and its cross-key checks.  Each block is read in
+one place (`build_box` reads geometry, `build_params` the params keys of the
+run's row) by readers that refuse any value their cast would change; the
+drivers take every value from these functions.  validate() refuses every other
+block, runs the readers and the checks whose inputs read, and returns
 diagnostics instead of raising, one per bad key, so a caller can list every
 problem at once; run pipelines refuse to start on any "error" diagnostic.
 """
@@ -15,7 +17,9 @@ import hashlib
 import json
 import math
 import numbers
+from collections import namedtuple
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -26,23 +30,9 @@ from .lattice import (BCS, BoxSpec, PeriodicBackground, SingleSiteProfile, compa
                       long_range_profile, short_range_profile)
 from .runner import _integral
 
-__all__ = [
-    "EXPERIMENT_KINDS",
-    "PARAMS",
-    "BLOCKS",
-    "Diagnostic",
-    "ExperimentConfig",
-    "load_config",
-    "parse_config",
-    "resolved_dict",
-    "config_hash",
-    "validate",
-    "build_background",
-    "build_profile",
-    "build_disorder",
-    "build_params",
-    "energy_grid",
-]
+__all__ = ["MODELS", "EXPERIMENT_KINDS", "PARAMS", "BLOCKS", "Diagnostic", "ExperimentConfig",
+           "load_config", "parse_config", "resolved_dict", "config_hash", "validate", "build_background",
+           "build_profile", "build_disorder", "build_params", "energy_grid"]
 
 # -- readers --------------------------------------------------------------------
 # A reader takes (value, label) and returns the value as the library receives
@@ -185,43 +175,8 @@ _ANDERSON = {"k": (_COUNT, _REQUIRED), "nu": (_NUMBER, _REQUIRED), "E_plus": (_N
 _ANDERSON_TOL = {**_ANDERSON, "potential_tol": (_number(0.0), POTENTIAL_TOL)}
 _EPS = {"eps_values": (_listed(_number(0.0)), None), "eps_min": (_number(0.0), None),
         "eps_max": (_number(0.0), None), "eps_count": (_count(1), None)}
-# kind -> {params key its driver reads: (reader, default)}; the least values are
-# those its estimator enforces, and a null k_big is sandwich_check's 2k
-PARAMS = {
-    "bands": {},
-    "ids": {},
-    "lifshitz": {**_ANDERSON_TOL, **_EPS, "n_boot": (_count(1), 1000), "fit_seed": (_COUNT, 715517),
-                 "nondegenerate": (_flag, True)},
-    "anderson": _ANDERSON_TOL,
-    "bounds": {"evaluations": (_listed(_evaluation, 0), [])},
-    "wegner": {"E": (_NUMBER, _REQUIRED), **_EPS, "ks": (_COUNTS, [8, 16]),
-               "n_trials": (_count(1), 100), "theta": (_NUMBERS, None),
-               "min_exponent": (_NUMBER, 0.5), "volume_ratio_cap": (_NUMBER, 2.5)},
-    "ile": {"E_plus": (_NUMBER, _REQUIRED), "k": (_count(2), _REQUIRED), "alpha": (_number(1.0), 1.2),
-            "p": (_number(0.0), 2.0), "n_trials": (_count(1), 100), "theta": (_NUMBERS, None),
-            "gap_scan_n_theta": (_count(1), 32)},
-    "decay": {"model": (_Choice(lattice={}, anderson=_ANDERSON), "lattice"),
-              "index": (_count(0, 2**64), 0), "window": (_window, None), "n_states": (_count(1), 5)},
-    "sandwich": {"E": (_NUMBER, _REQUIRED), "eps": (_number(0.0), _REQUIRED), "k": (_COUNT, _REQUIRED),
-                 "k_big": (_COUNT, None), "eta0": (_number(1.0), 1.5)},
-}
-EXPERIMENT_KINDS = tuple(PARAMS)
-# kind -> the fields besides ensemble and params that its driver builds from
-# (geometry also as the d and m of the background); validate refuses any other
-# field given a value other than its default, since nothing would read it
-_LATTICE = ("geometry", "background", "profile", "disorder")
-BLOCKS = {
-    "bands": ("geometry", "background", "n_theta"),
-    "ids": (*_LATTICE, "energies"),
-    "lifshitz": ("geometry", "disorder"),
-    "anderson": ("geometry", "disorder", "energies"),
-    "bounds": ("disorder",),
-    "wegner": _LATTICE,
-    "ile": _LATTICE,
-    "decay": _LATTICE,
-    "sandwich": (*_LATTICE, "n_theta"),
-}
-_DECAY_ANDERSON_BLOCKS = ("geometry", "disorder")  # decay with params.model "anderson"
+_DECAY = {"model": (_Choice(lattice={}, anderson=_ANDERSON), "lattice"),
+          "index": (_count(0, 2**64), 0), "window": (_window, None), "n_states": (_count(1), 5)}
 
 
 @dataclass(frozen=True)
@@ -296,9 +251,22 @@ def config_hash(config: ExperimentConfig) -> str:
 # -- builders -------------------------------------------------------------------
 
 
+# log2 of the most coefficient values, m**d * d**2, that a medium's unit cell may hold (128 MB)
+CELL_LOG2 = 24
+
+
 def build_box(config: ExperimentConfig) -> BoxSpec:
-    """The geometry block; its d and m are those of every medium the config builds."""
-    return BoxSpec(**_read(config.geometry, GEOMETRY, "geometry", closed=True))
+    """The geometry block; its d and m are those of every medium the config builds.
+
+    Its unit cell is bounded on logarithms, so no power of d or m is formed; a
+    d above CELL_LOG2 exceeds the bound alone (m >= 2), and is refused before
+    any float of it is formed.
+    """
+    box = BoxSpec(**_read(config.geometry, GEOMETRY, "geometry", closed=True))
+    if box.d > CELL_LOG2 or box.d * math.log2(box.m) + 2 * math.log2(box.d) > CELL_LOG2:
+        raise ValidationError(f"a unit cell of m**d * d**2 coefficient values above 2**{CELL_LOG2} "
+                              f"is too large (d = {box.d}, m = {box.m})")
+    return box
 
 
 def build_background(config: ExperimentConfig) -> PeriodicBackground:
@@ -326,11 +294,11 @@ def build_disorder(config: ExperimentConfig) -> DisorderSpec:
 
 
 def build_params(config: ExperimentConfig) -> dict:
-    """The value of every params key the kind's driver reads, defaults filled in.
+    """The value of every params key the run's driver reads, defaults filled in.
 
-    `params` is open: a key `PARAMS` does not list for the kind is not read.
+    `params` is open: a key its row of `MODELS` does not list is not read.
     """
-    return _read(config.params, PARAMS[config.kind], "params")
+    return _read(config.params, MODELS[_model(config)].params, "params")
 
 
 def _grid(values, lo, hi, count, spacing, need: str) -> np.ndarray:
@@ -353,8 +321,8 @@ def eps_grid(config: ExperimentConfig) -> np.ndarray:
                  "params need either 'eps_values' or eps_min/eps_max/eps_count, not both")
 
 
-# -- validation -------------------------------------------------------------------
-# The readers refuse single values; these checks span keys and read built values.
+# -- models ---------------------------------------------------------------------
+# The readers refuse single values; a model's checks span keys and read built values.
 
 
 def _increasing(grid: np.ndarray):
@@ -362,30 +330,93 @@ def _increasing(grid: np.ndarray):
         raise ValidationError("grid must be strictly increasing")
 
 
-def _check_eps(config: ExperimentConfig):
-    eps = eps_grid(config)
-    if config.kind == "lifshitz":  # its energies are E_plus + eps
-        _increasing(eps)
-
-
-def _check_truncation(d: int, params: dict):
-    # the Anderson potential's truncation cube; decay draws at the library's tolerance
+def _check_truncation(config: ExperimentConfig, params: dict) -> int:
+    """The box's d, after checking the Anderson potential's truncation cube (decay's at the library's tol)."""
+    d = build_box(config).d
     truncation_radius_for(d, params["nu"], params.get("potential_tol", POTENTIAL_TOL))
+    return d
 
 
-def _check_decay(box: BoxSpec, params: dict, given: dict):
-    # given is the params block as written: params holds n_states's default either way
-    if params["window"] is not None and "n_states" in given:
+def _check_decay(dim, config: ExperimentConfig, params: dict):
+    """The decay check of an operator of dimension dim(config, params)."""
+    # config.params is the block as written: params holds n_states's default either way
+    if params["window"] is not None and "n_states" in config.params:
         raise ValidationError("params.n_states is not read when params.window is given; give one of them")
-    if params["model"] == "anderson":
-        _check_truncation(box.d, params)
-        dim = (2 * params["k"] + 1) ** box.d
-    else:
-        dim = box.n_nodes
-    if dim > DECAY_DENSE_LIMIT:
-        raise ValidationError(f"the operator's dimension {dim} exceeds the dense limit {DECAY_DENSE_LIMIT}")
-    if params["window"] is None and not params["n_states"] <= dim:
-        raise ValidationError(f"n_states must lie in [1, {dim}], the operator's dimension")
+    n = dim(config, params)
+    if n > DECAY_DENSE_LIMIT:
+        raise ValidationError(f"the operator's dimension {n} exceeds the dense limit {DECAY_DENSE_LIMIT}")
+    if params["window"] is None and not params["n_states"] <= n:
+        raise ValidationError(f"n_states must lie in [1, {n}], the operator's dimension")
+
+
+def _check_gap(config: ExperimentConfig, params: dict):
+    """Numeric scan: the probe energy must sit inside a spectral gap."""
+    from .spectral import floquet_bands, spectral_gaps
+    gaps = spectral_gaps(floquet_bands(build_background(config), n_theta=params["gap_scan_n_theta"]))
+    if not any(lo < params["E_plus"] < hi for lo, hi, _, _ in gaps):
+        raise ValidationError(f"probe energy {params['E_plus']} is not inside any spectral gap of the "
+                              f"reference medium (gaps: {[(round(a, 4), round(b, 4)) for a, b, _, _ in gaps]})")
+
+
+def _check_compact(config: ExperimentConfig, params: dict):
+    if build_profile(config).kind != "compact":
+        raise ValidationError("the level-repulsion probe (wegner_check) needs a compactly supported profile")
+
+
+# (kind, model) -> Model; model is params.model in a row that names one, else None.
+#   blocks: the fields besides ensemble and params that its driver builds from
+#     (geometry also as the d and m of the background); validate refuses any other
+#     field given a value other than its default, since nothing would read it.
+#   params: params key -> (reader, default); the least values are those its
+#     estimator enforces, and a null k_big is sandwich_check's 2k.
+#   checks: (label, what it reads, fn(config, params)), run in order once each
+#     block it names reads, and "params" once the ensemble and params blocks do.
+Model = namedtuple("Model", "blocks params checks", defaults=[()])
+_LATTICE = ("geometry", "background", "profile", "disorder")
+# the boxes ile and wegner build are quasiperiodic
+_THETA = ("params.theta", ("geometry", "params"), lambda config, p: p["theta"] is None or dataclasses.replace(
+    build_box(config), bc="quasiperiodic", theta=p["theta"]))
+_TRUNCATION = ("params", ("geometry", "params"), _check_truncation)
+MODELS = {
+    ("bands", None): Model(("geometry", "background", "n_theta"), {}),
+    ("ids", None): Model((*_LATTICE, "energies"), {}),
+    ("lifshitz", None): Model(("geometry", "disorder"), {  # its energies, E_plus + eps, must increase
+        **_ANDERSON_TOL, **_EPS, "n_boot": (_count(1), 1000), "fit_seed": (_COUNT, 715517),
+        "nondegenerate": (_flag, True)},
+        (("eps grid", ("params",), lambda config, p: _increasing(eps_grid(config))), _TRUNCATION)),
+    ("anderson", None): Model(("geometry", "disorder", "energies"), _ANDERSON_TOL, (_TRUNCATION,)),
+    ("bounds", None): Model(("disorder",), {"evaluations": (_listed(_evaluation, 0), [])}),
+    ("wegner", None): Model(_LATTICE, {
+        "E": (_NUMBER, _REQUIRED), **_EPS, "ks": (_COUNTS, [8, 16]), "n_trials": (_count(1), 100),
+        "theta": (_NUMBERS, None), "min_exponent": (_NUMBER, 0.5), "volume_ratio_cap": (_NUMBER, 2.5)},
+        (("eps grid", ("params",), lambda config, p: eps_grid(config)), _THETA,
+         ("profile", ("profile",), _check_compact))),
+    ("ile", None): Model(_LATTICE, {
+        "E_plus": (_NUMBER, _REQUIRED), "k": (_count(2), _REQUIRED), "alpha": (_number(1.0), 1.2),
+        "p": (_number(0.0), 2.0), "n_trials": (_count(1), 100), "theta": (_NUMBERS, None),
+        "gap_scan_n_theta": (_count(1), 32)},
+        (_THETA, ("params", ("background", "params"), _check_gap))),
+    ("decay", None): Model(_LATTICE, _DECAY, (("params", ("geometry", "params"), partial(
+        _check_decay, lambda config, p: build_box(config).n_nodes)),)),
+    ("decay", "anderson"): Model(("geometry", "disorder"), _DECAY, (("params", ("geometry", "params"), partial(
+        _check_decay, lambda config, p: (2 * p["k"] + 1) ** _check_truncation(config, p))),)),
+    ("sandwich", None): Model((*_LATTICE, "n_theta"), {
+        "E": (_NUMBER, _REQUIRED), "eps": (_number(0.0), _REQUIRED), "k": (_COUNT, _REQUIRED),
+        "k_big": (_COUNT, None), "eta0": (_number(1.0), 1.5)}),
+}
+PARAMS = {kind: row.params for (kind, model), row in MODELS.items() if model is None}  # views by kind
+BLOCKS = {kind: row.blocks for (kind, model), row in MODELS.items() if model is None}
+EXPERIMENT_KINDS = tuple(PARAMS)
+
+
+def _model(config: ExperimentConfig) -> tuple:
+    """config's key in MODELS: its kind, and its params.model where a row names that model."""
+    model = config.params.get("model") if isinstance(config.params, dict) else None
+    key = (config.kind, model)
+    return key if isinstance(model, str) and key in MODELS else (config.kind, None)
+
+
+# -- validation -------------------------------------------------------------------
 
 
 def _try(diags: list, fn, label: str):
@@ -410,51 +441,30 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
                                 f"remove {config.solver!r}"))
     if not isinstance(config.out, str):
         diags.append(Diagnostic("error", f"out must be a path, got {config.out!r}"))
-    reads, run_label = BLOCKS[config.kind], f"a {config.kind} run"
-    if config.kind == "decay" and isinstance(config.params, dict) and config.params.get("model") == "anderson":
-        reads, run_label = _DECAY_ANDERSON_BLOCKS, "a decay run of the anderson model"
+    kind, model = _model(config)
+    row, run_label = MODELS[kind, model], f"a {kind} run" + (f" of the {model} model" if model else "")
     for f in dataclasses.fields(ExperimentConfig):
-        if f.name in (*reads, "kind", "ensemble", "params", "solver", "out"):
+        if f.name in (*row.blocks, "kind", "ensemble", "params", "solver", "out"):
             continue
         default = f.default_factory() if f.default is dataclasses.MISSING else f.default
         if getattr(config, f.name) != default:
             diags.append(Diagnostic("error", f"{f.name}: {run_label} does not read it; remove it"))
-    box_ok = "geometry" in reads and _try(diags, lambda: build_box(config), "geometry")
-    geo_ok = box_ok and "background" in reads and _try(diags, lambda: build_background(config), "background")
-    profile_ok = box_ok and "profile" in reads and _try(diags, lambda: build_profile(config), "profile")
-    if "disorder" in reads and _try(diags, lambda: build_disorder(config), "disorder"):
-        diags.extend(Diagnostic("warning", f"disorder: {note}")
-                     for note in build_disorder(config).diagnostics())
-    if "n_theta" in reads:
-        _try(diags, lambda: config.theta_points, "n_theta")
-    if "energies" in reads:
-        _try(diags, lambda: _increasing(energy_grid(config)), "energies")
+    read = set()  # the blocks that read, and "params" once the ensemble and params blocks do
+    for block, needs, fn in [
+            ("geometry", (), build_box), ("background", ("geometry",), build_background),
+            ("profile", ("geometry",), build_profile),
+            ("disorder", (), lambda c: diags.extend(Diagnostic("warning", f"disorder: {note}")
+                                                    for note in build_disorder(c).diagnostics())),
+            ("n_theta", (), lambda c: c.theta_points), ("energies", (), lambda c: _increasing(energy_grid(c)))]:
+        if block in row.blocks and read.issuperset(needs) and _try(diags, lambda: fn(config), block):
+            read.add(block)
     errors = []  # one per key of the ensemble and params blocks that does not read
     _read(config.ensemble, ENSEMBLE, "ensemble", closed=True, errors=errors)
-    params = _read(config.params, PARAMS[config.kind], "params", errors=errors)
+    params = _read(config.params, row.params, "params", errors=errors)
     diags.extend(Diagnostic("error", str(exc)) for exc in errors)
     if not errors:
-        if config.kind in ("lifshitz", "wegner"):
-            _try(diags, lambda: _check_eps(config), "eps grid")
-        if box_ok and params.get("theta") is not None:  # the boxes ile and wegner build are quasiperiodic
-            _try(diags, lambda: dataclasses.replace(
-                build_box(config), bc="quasiperiodic", theta=params["theta"]), "params.theta")
-        if config.kind in ("anderson", "lifshitz") and box_ok:
-            _try(diags, lambda: _check_truncation(build_box(config).d, params), "params")
-        if config.kind == "decay" and box_ok:
-            _try(diags, lambda: _check_decay(build_box(config), params, config.params), "params")
-        if config.kind == "ile" and geo_ok:
-            _try(diags, lambda: _check_gap(config, params), "params")
-    if profile_ok and config.kind == "wegner" and build_profile(config).kind != "compact":
-        diags.append(Diagnostic("error", "profile: the level-repulsion probe (wegner_check) "
-                                "needs a compactly supported profile"))
+        read.add("params")
+    for label, needs, check in row.checks:
+        if read.issuperset(needs):
+            _try(diags, lambda: check(config, params), label)
     return diags
-
-
-def _check_gap(config: ExperimentConfig, params: dict):
-    """Numeric scan: the probe energy must sit inside a spectral gap."""
-    from .spectral import floquet_bands, spectral_gaps
-    gaps = spectral_gaps(floquet_bands(build_background(config), n_theta=params["gap_scan_n_theta"]))
-    if not any(lo < params["E_plus"] < hi for lo, hi, _, _ in gaps):
-        raise ValidationError(f"probe energy {params['E_plus']} is not inside any spectral gap of the "
-                              f"reference medium (gaps: {[(round(a, 4), round(b, 4)) for a, b, _, _ in gaps]})")

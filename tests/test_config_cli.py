@@ -18,8 +18,8 @@ import lifshitz_lab.experiments as experiments_mod
 import lifshitz_lab.ids as ids_mod
 import lifshitz_lab.lattice as lattice_mod
 from lifshitz_lab.cli import build_parser, main
-from lifshitz_lab.config import (BLOCKS, EXPERIMENT_KINDS, PARAMS, ExperimentConfig, config_hash,
-                                 energy_grid, eps_grid, load_config, parse_config,
+from lifshitz_lab.config import (BLOCKS, EXPERIMENT_KINDS, MODELS, PARAMS, ExperimentConfig,
+                                 config_hash, energy_grid, eps_grid, load_config, parse_config,
                                  validate)
 from lifshitz_lab.disorder import ValidationError
 from lifshitz_lab.experiments import _DRIVERS, run
@@ -430,6 +430,109 @@ def test_validate_refuses_each_block_the_kind_does_not_read():
         "error: profile: a decay run of the anderson model does not read it; remove it"]
     # a field given at its default value is indistinguishable from one left out
     assert validate(parse_config({**bands, "disorder": {"law": "uniform01"}})) == []
+
+
+# a valid doc of each row of MODELS, and the optional fields its driver does not read
+_ROW_DOCS = {
+    ("bands", None): ({"kind": "bands", "geometry": {"d": 1, "m": 4}, "n_theta": 3},
+                      ("profile", "disorder", "energies")),
+    ("ids", None): (IDS_DOC, ("n_theta",)),
+    ("lifshitz", None): (ENSEMBLE_DOCS["lifshitz"], ("background", "profile", "energies", "n_theta")),
+    ("anderson", None): (ENSEMBLE_DOCS["anderson"], ("background", "profile", "n_theta")),
+    ("bounds", None): (BOUNDS_DOC, ("geometry", "background", "profile", "energies", "n_theta")),
+    ("wegner", None): (ENSEMBLE_DOCS["wegner"], ("energies", "n_theta")),
+    ("ile", None): (ENSEMBLE_DOCS["ile"], ("energies", "n_theta")),
+    ("decay", None): (DECAY_DOC, ("energies", "n_theta")),
+    ("decay", "anderson"): ({**DECAY_BARE, "params": {"model": "anderson", "k": 2, "nu": 4.0,
+                                                      "window": [0.0, 2.0]}},
+                            ("background", "profile", "energies", "n_theta")),
+    ("sandwich", None): (ENSEMBLE_DOCS["sandwich"], ("energies",)),
+}
+# a value other than its default of each optional field
+_OTHER_VALUES = {"geometry": {"d": 2}, "background": {"type": "two_phase"},
+                 "profile": {"kind": "long_range", "nu": 1.5}, "disorder": {"law": "bernoulli"},
+                 "energies": {"count": 3}, "n_theta": 2}
+
+
+def test_every_model_refuses_each_block_it_does_not_read():
+    assert set(_ROW_DOCS) == set(MODELS)
+    for (kind, model), row in MODELS.items():
+        doc, unread = _ROW_DOCS[kind, model]
+        assert unread == tuple(block for block in _OTHER_VALUES if block not in row.blocks), (kind, model)
+        assert validate(parse_config(doc)) == [], (kind, model)
+        run_label = f"a {kind} run" + (f" of the {model} model" if model else "")
+        for block in unread:
+            assert [str(d) for d in validate(parse_config({**doc, block: _OTHER_VALUES[block]}))] == [
+                f"error: {block}: {run_label} does not read it; remove it"], (kind, model, block)
+        both = {**doc, **{block: _OTHER_VALUES[block] for block in unread}}
+        assert [str(d) for d in validate(parse_config(both))] == [
+            f"error: {block}: {run_label} does not read it; remove it" for block in unread], (kind, model)
+
+
+@pytest.mark.parametrize("model", [[], {}, [1]], ids=["list", "dict", "one"])
+def test_an_unhashable_decay_model_is_refused(model):
+    for doc in (DECAY_DOC, DECAY_BARE):
+        assert [str(d) for d in validate(parse_config({**doc, "params": {**doc["params"], "model": model}}))] == [
+            f"error: params.model must be one of ['anderson', 'lattice'], got {model!r}"]
+
+
+# media whose unit cell (m**d * d**2 values) a build would not survive: validate
+# refuses each before forming any power of d or m
+_HUGE_GEOMETRIES = [
+    {"kind": "bands", "geometry": {"d": 40, "m": 2}, "n_theta": 1},
+    {"kind": "bands", "geometry": {"d": 1, "m": 10**10}, "n_theta": 1},
+    {"kind": "bands", "geometry": {"d": 40, "m": 2}, "background": {"type": "two_phase"}, "n_theta": 1},
+    {**ENSEMBLE_DOCS["ile"], "geometry": {"d": 40, "m": 4}},
+    *({**doc, "geometry": {**doc["geometry"], "d": d}} for doc in (IDS_DOC, ENSEMBLE_DOCS["wegner"],
+      ENSEMBLE_DOCS["sandwich"], DECAY_DOC) for d in (10**30, 1e308)),
+    {**ENSEMBLE_DOCS["anderson"], "geometry": {"d": 10**30},
+     "params": {**ENSEMBLE_DOCS["anderson"]["params"], "nu": 1e308}},
+]
+_DRY_RUNS = """
+import contextlib, io, json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 * 1024**3, 2 * 1024**3))
+from lifshitz_lab.cli import main
+start, out = time.perf_counter(), []
+for path in sys.argv[1:]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        out.append([main([json.load(open(path))["kind"], "--config", path, "--dry-run"]), err.getvalue()])
+print(json.dumps({"seconds": time.perf_counter() - start, "runs": out}))
+"""
+
+
+def test_a_unit_cell_too_large_to_build_is_refused(tmp_path):
+    # in a child process capped at 2 GB of address space and stopped after 60 s,
+    # so that a build that does start fails this test without taking the runner down
+    paths = [write_config(tmp_path, doc, f"cfg{i}.json") for i, doc in enumerate(_HUGE_GEOMETRIES)]
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                                                  if p])
+    proc = subprocess.run([sys.executable, "-c", _DRY_RUNS, *paths], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    assert report["seconds"] < 5
+    for doc, (code, err) in zip(_HUGE_GEOMETRIES, report["runs"]):
+        assert code == 2 and "error: geometry: a unit cell of m**d * d**2 coefficient values" in err, (doc, err)
+
+
+# config_hash of each shipped config: every artifact of a run records it, so it keeps its bytes
+_SHIPPED_HASHES = {
+    "bands_two_phase.json": "1eb0b85a86892d4de03d6dc5bafb76a47ba8dd05404d3fe50dcc989810977f27",
+    "ids_uniform_box.json": "a1eada6e2af7bc4f3d345f5c2012f72005e8605dfdcd987f751d1816a943d451",
+    "ile_gapped.json": "d4c347df7cc0e755fe08db007fa4295a9202adc24f9a51bc58b098ccff9d51e6",
+    "sandwich_check.json": "b32c4b7fa6c2601761fd5417bdb2c802f25f94ed3bf3486aa9f53536555db512",
+    "tail_probe_small.json": "6b8d9e251b4d47f921aad39ed4080d17db656873a60434979fc2e7b41dca5037",
+    "wegner_free.json": "51da73a55a20ed3acf3ba26f00db37eed7ecde0f167cf0b858bd9720b0dbbca9",
+}
+
+
+def test_shipped_configs_keep_their_config_hash():
+    configs = SHIPPED_IDS.parent
+    assert sorted(p.name for p in configs.glob("*.json")) == sorted(_SHIPPED_HASHES)
+    for name, digest in _SHIPPED_HASHES.items():
+        assert config_hash(load_config(str(configs / name))) == digest, name
 
 
 # every key of the closed blocks, and every params key a driver reads (kind -> paths)
