@@ -26,9 +26,10 @@ import numpy as np
 from .anderson import POTENTIAL_TOL, check_bound_args, truncation_radius_for
 from .disorder import DisorderSpec, ValidationError
 from .ids import DECAY_DENSE_LIMIT
-from .lattice import (BCS, BoxSpec, PeriodicBackground, SingleSiteProfile, compact_profile,
-                      long_range_profile, short_range_profile)
+from .lattice import (BCS, BoxSpec, PeriodicBackground, SingleSiteProfile, _cell_periods, background_field,
+                      compact_profile, long_range_profile, short_range_profile)
 from .runner import _integral
+from .spectral import DENSE_THRESHOLD, floquet_bands, spectral_gaps
 
 __all__ = ["MODELS", "EXPERIMENT_KINDS", "PARAMS", "BLOCKS", "Diagnostic", "ExperimentConfig",
            "load_config", "parse_config", "resolved_dict", "config_hash", "validate", "build_background",
@@ -349,9 +350,19 @@ def _check_decay(dim, config: ExperimentConfig, params: dict):
         raise ValidationError(f"n_states must lie in [1, {n}], the operator's dimension")
 
 
+def _check_block(nodes, config: ExperimentConfig, params: dict):
+    """A Floquet fiber's largest dense block, nodes(config, params), must not exceed DENSE_THRESHOLD."""
+    if (n := nodes(config, params)) > DENSE_THRESHOLD:
+        raise ValidationError(f"a Floquet fiber's largest block has {n} nodes, above the dense limit {DENSE_THRESHOLD}")
+
+
+_FOLDED = partial(_check_block, lambda config, p: math.prod(_cell_periods(background_field(
+    build_background(config), dataclasses.replace(build_box(config), k=0, bc="quasiperiodic", theta=None)))))
+
+
 def _check_gap(config: ExperimentConfig, params: dict):
-    """Numeric scan: the probe energy must sit inside a spectral gap."""
-    from .spectral import floquet_bands, spectral_gaps
+    """Numeric scan, once the medium's blocks are bounded: the probe energy must sit inside a spectral gap."""
+    _FOLDED(config, params)
     gaps = spectral_gaps(floquet_bands(build_background(config), n_theta=params["gap_scan_n_theta"]))
     if not any(lo < params["E_plus"] < hi for lo, hi, _, _ in gaps):
         raise ValidationError(f"probe energy {params['E_plus']} is not inside any spectral gap of the "
@@ -378,7 +389,7 @@ _THETA = ("params.theta", ("geometry", "params"), lambda config, p: p["theta"] i
     build_box(config), bc="quasiperiodic", theta=p["theta"]))
 _TRUNCATION = ("params", ("geometry", "params"), _check_truncation)
 MODELS = {
-    ("bands", None): Model(("geometry", "background", "n_theta"), {}),
+    ("bands", None): Model(("geometry", "background", "n_theta"), {}, (("background", ("background",), _FOLDED),)),
     ("ids", None): Model((*_LATTICE, "energies"), {}),
     ("lifshitz", None): Model(("geometry", "disorder"), {  # its energies, E_plus + eps, must increase
         **_ANDERSON_TOL, **_EPS, "n_boot": (_count(1), 1000), "fit_seed": (_COUNT, 715517),
@@ -402,7 +413,9 @@ MODELS = {
         _check_decay, lambda config, p: (2 * p["k"] + 1) ** _check_truncation(config, p))),)),
     ("sandwich", None): Model((*_LATTICE, "n_theta"), {
         "E": (_NUMBER, _REQUIRED), "eps": (_number(0.0), _REQUIRED), "k": (_COUNT, _REQUIRED),
-        "k_big": (_COUNT, None), "eta0": (_number(1.0), 1.5)}),
+        "k_big": (_COUNT, None), "eta0": (_number(1.0), 1.5)},
+        (("params", ("geometry", "params"), partial(  # a random pattern's fibers fold to one block
+            _check_block, lambda config, p: ((2 * p["k"] + 1) * build_box(config).m) ** build_box(config).d)),)),
 }
 PARAMS = {kind: row.params for (kind, model), row in MODELS.items() if model is None}  # views by kind
 BLOCKS = {kind: row.blocks for (kind, model), row in MODELS.items() if model is None}

@@ -154,9 +154,7 @@ class PeriodicBackground:
 
     @classmethod
     def identity(cls, d: int, m: int) -> "PeriodicBackground":
-        n = m**d
-        samples = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-        return cls(d=d, m=m, samples=samples)
+        return cls(d=d, m=m, samples=np.broadcast_to(np.eye(d), (m**d, d, d)).copy())
 
     @classmethod
     def two_phase(cls, m: int, low: float, high: float, d: int = 1, axis: int = 0) -> "PeriodicBackground":
@@ -165,8 +163,7 @@ class PeriodicBackground:
             raise ValidationError("two-phase values must be positive")
         centers = -0.5 + (np.arange(m) + 0.5) / m
         scalar_axis = np.where(centers < 0.0, low, high)
-        grids = np.meshgrid(*([np.arange(m)] * d), indexing="ij")
-        scalars = scalar_axis[grids[axis].ravel()]
+        scalars = scalar_axis[np.indices((m,) * d)[axis].ravel()]
         samples = scalars[:, None, None] * np.eye(d)[None, :, :]
         return cls(d=d, m=m, samples=samples)
 
@@ -495,6 +492,24 @@ def _point_symmetries(field: CoefficientField) -> list:
         if np.array_equal(np.swapaxes(cells, a, a + 1), cells[..., perm, :][..., perm]):
             found.append((np.eye(d, dtype=int)[perm], None))
     return found
+
+
+def _cell_periods(field: CoefficientField) -> tuple:
+    """Per axis j, the least p_j dividing the torus side n with rho(x + p_j e_j) = rho(x) in every cell
+    x: the periods are its multiples, so each prime factor r of n is divided out of p_j = n while
+    p_j / r stays a period, compared exactly, on one slice before the whole field."""
+    d, n = field.box.d, field.box.cells_per_axis
+    cells, periods = field.cells.reshape((n,) * d + (d, d)), []
+    for j in range(d):
+        own, p, rest, r = np.moveaxis(cells, j, 0), n, n, 1
+        while rest > 1:
+            r = r + 1 if r * r < rest else rest  # past sqrt(rest), rest is prime
+            while rest % r == 0:
+                rest //= r
+                if np.array_equal(own[p // r], own[0]) and np.array_equal(np.roll(own, p // r, axis=0), own):
+                    p //= r
+        periods.append(p)
+    return tuple(periods)
 
 
 def assemble_operator(field: CoefficientField, theta=None) -> AssembledOperator:

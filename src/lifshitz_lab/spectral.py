@@ -20,6 +20,7 @@ coarse Sturm bisection up to it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ import scipy.sparse.linalg as spla
 
 from .curves import IDSCurve
 from .disorder import ValidationError
-from .lattice import (AssembledOperator, BoxSpec, PeriodicBackground, _bloch_family,
+from .lattice import (AssembledOperator, BoxSpec, PeriodicBackground, _bloch_family, _cell_periods,
                       _point_symmetries, background_field)
 from .lattice import assemble_operator  # noqa: F401  (perfbench/tracing.py patches this name)
 
@@ -45,7 +46,7 @@ __all__ = [
     "periodic_ids_curve",
 ]
 
-DENSE_THRESHOLD = 3000  # above this, counts_below counts an operator that is not narrow by inertia
+DENSE_THRESHOLD = 3000  # above this, counts_below counts a wide operator by inertia; validate refuses a Floquet block
 # counts_below solves from the band when BAND_RATIO * (kd + 1) <= n.  Banded
 # was faster on d = 2 boxes from n / (kd + 1) = 12 (2x at 32) but 15-30% slower
 # on d = 3 boxes up to 17, so 16 keeps d = 3 boxes up to k = 3 (m = 2) dense
@@ -227,15 +228,13 @@ def floquet_bands(background: PeriodicBackground, n_theta: int = 64) -> BandStru
 
     The medium is assembled once, as a family sum_t C_t exp(i t.phi) over seam
     shifts t in {-1,0,1}^d with real C_t; a fiber is one evaluation of that
-    sum on a fixed pattern, diagonalized densely.  Fibers that a symmetry maps
-    onto each other share their eigenvalues, and one fiber per orbit of the
-    grid is solved: real coefficients give time reversal, H(-phi) = conj H(phi),
-    and each point symmetry G of the medium's cells (`lattice._point_symmetries`:
-    axis mirrors about any centre, exchanges of adjacent axes) maps phi to G phi.
-    Without a point symmetry the fibers at grid indices j and (-j) mod n_theta
-    are solved once, and the self-conjugate points phi in {0, pi}^d alone.  A
-    medium with a mirror of every axis solves each fiber as a real symmetric
-    matrix (`_real_form`).
+    sum on a fixed pattern.  Fibers that a symmetry maps onto each other share
+    their eigenvalues, and one fiber per orbit of the grid is solved: real
+    coefficients give time reversal, H(-phi) = conj H(phi), and each point
+    symmetry G of the medium's cells (`lattice._point_symmetries`: axis mirrors
+    about any centre, exchanges of adjacent axes) maps phi to G phi.  Each
+    solved fiber splits into the Bloch blocks that the translations of the
+    cells (`lattice._cell_periods`) fold it into, all solved at once.
     """
     box = BoxSpec(d=background.d, k=0, m=background.m, bc="quasiperiodic")
     return _field_bands(background_field(background, box), n_theta)
@@ -247,29 +246,21 @@ def _field_bands(field, n_theta: int) -> BandStructure:
     Each generator, time reversal -I and the point symmetries (in d = 1 the
     mirror repeats time reversal), maps grid index j to G j mod n_theta; `rep`
     is the least index of each orbit, by rep = min(rep, rep[g]) to a fixpoint.
-    Only the fibers with rep[t] == t are solved, and every row is copied from
-    its orbit's representative.  When every axis has a mirror, their product,
-    the inversion, is a symmetry and each solved fiber is the real matrix of
-    `_real_form`; otherwise it is the complex Hermitian one.
+    Only the fibers with rep[t] == t are solved, as the blocks of `_fold` in one
+    batched `np.linalg.eigvalsh`, and each row is copied from its orbit's.
     """
-    d, m, period = field.box.d, field.box.m, field.box.side
+    d, m, period, n = field.box.d, field.box.m, field.box.side, field.box.n_cells
     if n_theta < 1:
         raise ValidationError("need at least one quasimomentum per axis")
     rows, cols, shifts, coeffs = _bloch_family(field)
-    n = field.box.n_cells
-    grids = np.meshgrid(*([np.arange(n_theta)] * d), indexing="ij")
-    index = np.stack([g.ravel() for g in grids], axis=1)
+    index = np.indices((n_theta,) * d).reshape(d, -1).T
     phase_pts = 2.0 * np.pi * index / n_theta
-    symmetries = _point_symmetries(field)
-    generators = [-np.eye(d, dtype=int)] + [G for G, _ in symmetries]
-    centres = [c for _, c in symmetries if c is not None]  # one per mirrored axis, in axis order
-    real = _real_form(field.box, rows, cols, centres) if len(centres) == d else None
+    generators = [-np.eye(d, dtype=int)] + [G for G, _ in _point_symmetries(field)]
     maps = [np.ravel_multi_index(tuple((index @ G.T % n_theta).T), (n_theta,) * d) for G in generators]
     rep, previous = np.arange(len(index)), None
     while not np.array_equal(rep, previous):
-        previous = rep
-        for g in maps:
-            rep = np.minimum(rep, rep[g])
+        previous, rep = rep, functools.reduce(lambda r, g: np.minimum(r, r[g]), maps, rep)
+    fold = _fold(field.box, rows, cols, _cell_periods(field))
     phases = np.exp(1j * (phase_pts @ shifts.T))
     bands, norms = np.empty((len(index), n)), np.empty(len(index))
     for t in np.flatnonzero(rep == np.arange(len(index))):
@@ -278,50 +269,33 @@ def _field_bands(field, n_theta: int) -> BandStructure:
         values = (phases[t][:, None] * coeffs).sum(axis=0)
         # the column sums of _norm1 of the fiber, added in its (sorted) row order
         norms[t] = np.bincount(cols, np.abs(values), minlength=n).max()
-        if real is None:
-            dense = np.zeros((n, n), dtype=complex)
-            dense[rows, cols] = values
-        else:
-            dense = real(values, phase_pts[t])
-        bands[t] = scipy.linalg.eigvalsh(dense, overwrite_a=True)
+        bands[t] = np.sort(np.linalg.eigvalsh(fold(values, phase_pts[t])), axis=None)
     return BandStructure(thetas=phase_pts / period, bands=bands[rep], norms=norms[rep], period=period,
                          m=m, d=d)
 
 
-def _real_form(box: BoxSpec, rows, cols, centres):
-    """(pattern values at seam phase phi, phi) -> the fiber as a real symmetric matrix.
+def _fold(box: BoxSpec, rows, cols, periods):
+    """(pattern values at seam phase phi, phi) -> the fiber as a (Q, P, P) stack of Bloch blocks.
 
-    The symmetric gauge (a unitary change) multiplies entry (a, b) by
-    exp(i phi.(y_b - y_a) / N), node coordinates y in {0..N-1}^d, so that it
-    carries exp(i phi.(y_b - y_a + N t) / N) at seam shift t.  The mirrors
-    about cell centres c map y to P y = c + 1 - y mod N, which negates every
-    coupling's displacement: P H(phi) P = conj H(phi), and in the basis e_a
-    (a = Pa), (e_a + e_Pa)/sqrt 2 and i (e_a - e_Pa)/sqrt 2 (a < Pa) the fiber
-    is real.  Each real entry is a fixed sparse map of (Re z, Im z) over the
-    pattern values z, built once; the matrix is in Fortran order, which
-    eigvalsh overwrites in place.
+    Cells p_j-periodic along each axis (Q_j = N / p_j) split the fiber (band folding; Kuchment,
+    Floquet Theory for PDEs, 1993) into Q = prod Q_j blocks on the P = prod p_j nodes y < p:
+    block q acts on u(y + p_j e_j) = exp(i k_j) u(y), k_j = (phi_j + 2 pi q_j) / Q_j, and each
+    entry (a, b) of a row a < p adds its value times exp(i k . floor(y_b / p)) to its entry
+    (a, b mod p).  The map is built once; with p = N the one block is the fiber, unchanged.
     """
-    N, n, nnz = box.cells_per_axis, box.n_nodes, len(rows)
-    y, nodes = np.indices(box.node_shape).reshape(box.d, n), np.arange(n)
-    image = np.ravel_multi_index(tuple((np.reshape(centres, (-1, 1)) + 1 - y) % N), box.node_shape)
-    lead = np.minimum(nodes, image)  # the fixed node, or the first of the pair
-    first, paired = nodes <= image, nodes != image
-    plus = (np.cumsum(first) - 1)[lead]  # e_a, or (e_a + e_Pa)/sqrt 2
-    minus = (first.sum() + np.cumsum(first & paired) - 1)[lead]  # i (e_a - e_Pa)/sqrt 2
-    slot = np.stack([plus, np.where(paired, minus, 0)])
-    scale = np.where(paired, math.sqrt(0.5), 1.0)
-    weight = np.stack([scale, np.where(paired, np.where(first, 1j, -1j) * scale, 0.0)])
-    w = weight[:, None, rows].conj() * weight[None, :, cols]  # (2, 2, nnz), each real or imaginary
-    imag = w.imag != 0.0
-    keep = imag | (w.real != 0.0)
-    target = (slot[:, None, rows] + n * slot[None, :, cols])[keep]  # Fortran order
-    source = (2 * np.arange(nnz) + imag)[keep]  # into (Re z_0, Im z_0, Re z_1, ...)
-    weights = np.where(imag, -w.imag, w.real)[keep]
-    gauge = 1j * (y[:, cols] - y[:, rows]).T / N
+    p, y = np.reshape(periods, (-1, 1)), np.indices(box.node_shape).reshape(box.d, -1)
+    slab = np.flatnonzero(np.all(y[:, rows] < p, axis=0))
+    cells, wraps = np.divmod(y[:, cols[slab]], p)  # floor(y_b / p), y_b mod p
+    quotients = np.reshape(box.node_shape, (-1, 1)) // p
+    twists = 2.0 * np.pi * np.indices(quotients.ravel()).reshape(box.d, -1)  # 2 pi q, one column per block
+    shape = (twists.shape[1], *periods, *periods)
+    flat = np.ravel_multi_index((np.arange(shape[0])[:, None], *y[:, rows[slab]], *wraps), shape).ravel()
+    blocks = np.empty(math.prod(shape), dtype=complex)
 
     def fiber(values, phi):
-        z = values * np.exp(gauge @ phi)
-        return np.bincount(target, weights * z.view(float)[source], minlength=n * n).reshape((n, n), order="F")
+        z = values[slab] * np.exp(1j * (((phi[:, None] + twists) / quotients).T @ cells))
+        blocks.real, blocks.imag = (np.bincount(flat, w.ravel(), minlength=blocks.size) for w in (z.real, z.imag))
+        return blocks.reshape(shape[0], math.prod(periods), -1)
     return fiber
 
 
@@ -333,9 +307,7 @@ def spectral_gaps(bands: BandStructure) -> list:
     ranges = bands.band_ranges()
     resolution = 1e-3 * max(float(bands.bands.max() - bands.bands.min()), 1e-300)
     order = np.argsort(ranges[:, 0])
-    gaps = []
-    cur_right = ranges[order[0], 1]
-    cur_idx = int(order[0])
+    gaps, cur_right, cur_idx = [], ranges[order[0], 1], int(order[0])
     for idx in order[1:]:
         lo, hi = ranges[idx]
         if lo > cur_right + resolution:

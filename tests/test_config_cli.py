@@ -517,6 +517,44 @@ def test_a_unit_cell_too_large_to_build_is_refused(tmp_path):
         assert code == 2 and "error: geometry: a unit cell of m**d * d**2 coefficient values" in err, (doc, err)
 
 
+_TWO_PHASE = {"type": "two_phase", "low": 1.0, "high": 4.0}
+_BIG_CELL_BANDS = {"kind": "bands", "geometry": {"d": 1, "m": 65536}, "background": _TWO_PHASE, "n_theta": 1}
+# docs whose largest Floquet block exceeds spectral.DENSE_THRESHOLD (3000 nodes), with the
+# diagnostic's label and the block: a d = 1 two-phase cell repeats only with itself, and a
+# sandwich run's random pattern only with its supercell of (2k+1) m nodes
+_HUGE_BLOCKS = [
+    (_BIG_CELL_BANDS, "background", 65536),
+    ({**ENSEMBLE_DOCS["ile"], "geometry": {"d": 1, "m": 65536}}, "params", 65536),  # the gap scan
+    ({**ENSEMBLE_DOCS["sandwich"], "params": {**ENSEMBLE_DOCS["sandwich"]["params"], "k": 750}}, "params", 3002),
+]
+
+
+def test_a_floquet_block_too_large_to_solve_is_refused(tmp_path):
+    # capped as above: at 65,536 nodes one dense fiber would take 68 GB
+    paths = [write_config(tmp_path, doc, f"cfg{i}.json") for i, (doc, _, _) in enumerate(_HUGE_BLOCKS)]
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep)
+                                                  if p])
+    proc = subprocess.run([sys.executable, "-c", _DRY_RUNS, *paths], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    assert report["seconds"] < 5
+    for (doc, label, nodes), (code, err) in zip(_HUGE_BLOCKS, report["runs"]):
+        assert code == 2 and err.splitlines() == [
+            f"error: {label}: a Floquet fiber's largest block has {nodes} nodes, above the dense limit 3000",
+            "error: configuration rejected"], (doc, err)
+
+
+def test_layered_media_fold_under_the_dense_limit():
+    # stripes constant across d - 1 axes fold to blocks of m nodes, the identity to blocks of one
+    for d, m in [(2, 256), (3, 16)]:
+        assert validate(parse_config({**_BIG_CELL_BANDS, "geometry": {"d": d, "m": m}})) == []
+    assert validate(parse_config({**_BIG_CELL_BANDS, "background": {"type": "identity"}})) == []
+    sandwich = ENSEMBLE_DOCS["sandwich"]
+    assert validate(parse_config({**sandwich, "params": {**sandwich["params"], "k": 749}})) == []
+
+
 # config_hash of each shipped config: every artifact of a run records it, so it keeps its bytes
 _SHIPPED_HASHES = {
     "bands_two_phase.json": "1eb0b85a86892d4de03d6dc5bafb76a47ba8dd05404d3fe50dcc989810977f27",

@@ -13,7 +13,7 @@ import lifshitz_lab.spectral as spectral
 from lifshitz_lab.anderson import _AndersonPlan, assemble_anderson
 from lifshitz_lab.curves import IDSCurve
 from lifshitz_lab.disorder import DisorderSpec, lattice_cube, sample_realization
-from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _bloch_family, _periodized_plan,
+from lifshitz_lab.lattice import (BoxSpec, PeriodicBackground, _bloch_family, _cell_periods, _periodized_plan,
                                   _point_symmetries, assemble_operator, background_field, compact_profile,
                                   identity_field, long_range_profile, operator_sampler, required_window,
                                   sample_coefficient_field)
@@ -546,13 +546,13 @@ def test_every_band_row_is_its_own_fiber(d, medium, n_theta):
     assert np.max(np.abs(bands.norms - norms)) <= 1e-14 * np.max(norms)
 
 
-def count_solves(monkeypatch, bands_of, n_theta, dtypes=None):
-    """The eigensolves behind bands_of(n_theta), a band structure over the whole grid;
-    the dtype of each matrix solved is appended to `dtypes` when it is given."""
-    calls = [] if dtypes is None else dtypes
-    eigvalsh = spectral.scipy.linalg.eigvalsh
-    monkeypatch.setattr(spectral.scipy.linalg, "eigvalsh",
-                        lambda a, *args, **kw: calls.append(a.dtype) or eigvalsh(a, *args, **kw))
+def count_solves(monkeypatch, bands_of, n_theta, shapes=None):
+    """The batched eigensolves behind bands_of(n_theta), a band structure over the whole grid,
+    one per solved fiber; the shape of each stack of blocks is appended to `shapes` when it is given."""
+    calls = [] if shapes is None else shapes
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(spectral.np.linalg, "eigvalsh",
+                        lambda a, *args, **kw: calls.append(a.shape) or eigvalsh(a, *args, **kw))
     bands = bands_of(n_theta)
     assert bands.bands.shape[0] == n_theta**bands.d
     return len(calls)
@@ -596,51 +596,92 @@ def test_floquet_bands_solves_one_fiber_per_orbit(monkeypatch, d, n_theta, mediu
         == grid_orbits(d, n_theta, group)
 
 
-def inversion_medium(d, medium):
+def fold_medium(d, medium):
     """floquet_medium, with the d = 3 identity background's unit cell beside it."""
     if (d, medium) == (3, "identity"):
         return background_field(PeriodicBackground.identity(3, 2), BoxSpec(d=3, k=0, m=2, bc="quasiperiodic"))
     return floquet_medium(d, medium, seed=5)
 
 
-@pytest.mark.parametrize("d,medium,real", [
-    (1, False, True), (2, False, True), (2, "identity", True), (3, "identity", True),
-    (1, True, False), (2, True, False), (2, "anisotropic", False), (2, "offcentre", False)],
+def unfolded(field):
+    """The period of each axis of the field's box: `_fold` then solves the whole fiber as one block."""
+    return (field.box.cells_per_axis,) * field.box.d
+
+
+def test_cell_periods_are_the_least_divisors_of_the_side():
+    for d, m, axis in [(1, 4, 0), (2, 4, 0), (2, 6, 1), (3, 2, 2)]:
+        bg = PeriodicBackground.two_phase(m=m, low=1.0, high=3.0, d=d, axis=axis)
+        field = background_field(bg, BoxSpec(d=d, k=0, m=m, bc="quasiperiodic"))
+        assert _cell_periods(field) == tuple(m if j == axis else 1 for j in range(d))
+    for d, m in [(1, 2), (2, 3), (3, 4)]:
+        field = background_field(PeriodicBackground.identity(d, m), BoxSpec(d=d, k=0, m=m, bc="quasiperiodic"))
+        assert _cell_periods(field) == (1,) * d
+    for d in (1, 2):
+        field = floquet_medium(d, True, seed=5)
+        assert _cell_periods(field) == unfolded(field)
+    # 12 cells whose slices 0, 2, 4, 6 and 8 agree: the candidates 6, 4 (and 2)
+    # match on slice 0 but are refused on the whole field; the period is 12, then 6
+    for scalars, period in [([1, 2, 1, 3, 1, 2, 1, 3, 1, 5, 6, 7], 12), ([1, 2, 1, 3, 1, 2] * 2, 6)]:
+        bg = PeriodicBackground(d=1, m=12, samples=np.reshape(scalars, (12, 1, 1)))
+        assert _cell_periods(background_field(bg, BoxSpec(d=1, k=0, m=12, bc="quasiperiodic"))) == (period,)
+
+
+@pytest.mark.parametrize("d,medium,periods", [
+    (1, False, (3,)), (2, False, (2, 1)), (2, "identity", (1, 1)), (3, "identity", (1, 1, 1)),
+    (1, True, (9,)), (2, True, (6, 6)), (2, "anisotropic", (2, 1)), (2, "offcentre", (5, 5))],
     ids=["two_phase_d1", "two_phase_d2", "identity_d2", "identity_d3",
          "periodized_d1", "periodized_d2", "anisotropic", "offcentre"])
-def test_media_with_every_mirror_solve_real_fibers(monkeypatch, d, medium, real):
-    # a mirror of every axis makes the inversion a symmetry, and each fiber real
-    # symmetric; a random pattern, the anisotropic medium (whose constant rho_01
-    # no single mirror keeps) and the offcentre one (no mirror across axis 1) stay complex
-    dtypes = []
-    solves = count_solves(monkeypatch, functools.partial(spectral._field_bands, inversion_medium(d, medium)),
-                          4, dtypes)
-    assert len(dtypes) == solves > 0
-    assert set(dtypes) == {np.dtype(float) if real else np.dtype(complex)}
+def test_folded_media_solve_blocks_of_the_cell_period(monkeypatch, d, medium, periods):
+    # a medium whose cells repeat along an axis solves each fiber as prod N / p_j
+    # blocks of prod p_j nodes; a random pattern (periodized) and the offcentre
+    # medium repeat only with the box (Q = 1) and solve one block of n nodes
+    field = fold_medium(d, medium)
+    assert _cell_periods(field) == periods
+    shapes = []
+    solves = count_solves(monkeypatch, functools.partial(spectral._field_bands, field), 4, shapes)
+    size, n = int(np.prod(periods)), field.box.n_nodes
+    assert len(shapes) == solves > 0
+    assert set(shapes) == {(n // size, size, size)}
 
 
 @pytest.mark.parametrize("d,medium", [(1, False), (2, False), (2, "identity"), (3, "identity")])
-def test_real_fibers_keep_norms_and_move_rows_by_rounding(monkeypatch, d, medium):
-    # the same medium through the complex path: mirrors kept for the orbits, centres dropped
-    field = inversion_medium(d, medium)
-    real = spectral._field_bands(field, 5)
-    monkeypatch.setattr(spectral, "_point_symmetries", lambda f: [(G, None) for G, _ in _point_symmetries(f)])
-    complex_ = spectral._field_bands(field, 5)
-    assert np.array_equal(real.norms, complex_.norms)
-    assert np.max(np.abs(real.bands - complex_.bands)) <= 1e-13 * np.max(np.abs(complex_.bands))
+def test_folded_fibers_keep_norms_and_move_rows_by_rounding(d, medium):
+    # the same medium with the fold switched off: one block of the whole fiber
+    field = fold_medium(d, medium)
+    folded = spectral._field_bands(field, 5)
+    with patch.object(spectral, "_cell_periods", unfolded):
+        whole = spectral._field_bands(field, 5)
+    assert np.array_equal(folded.norms, whole.norms)
+    assert np.max(np.abs(folded.bands - whole.bands)) <= 1e-13 * np.max(np.abs(whole.bands))
 
 
-@given(st.integers(1, 2), st.integers(2, 6), st.integers(0, 1), st.integers(1, 5),
-       st.floats(0.1, 10.0), st.floats(0.1, 10.0))
-@settings(max_examples=25, deadline=None)
-def test_two_phase_real_fibers_match_complex_eigvalsh(d, m, axis, n_theta, low, high):
-    bg = PeriodicBackground.two_phase(m=m, low=low, high=high, d=d, axis=axis % d)
+def repeating_background(d, m, axis, seed):
+    """Random symmetric positive definite samples whose cells repeat twice across `axis` (m even)."""
+    rng = np.random.default_rng(seed)
+    shape = tuple(m // 2 if j == axis else m for j in range(d))
+    half = rng.uniform(-0.3, 0.3, shape + (d, d))
+    half = (half + np.swapaxes(half, -1, -2)) / 2.0 + np.eye(d) * rng.uniform(1.0, 4.0, shape + (1, 1))
+    return PeriodicBackground(d=d, m=m, samples=np.concatenate([half, half], axis=axis).reshape(-1, d, d))
+
+
+@given(st.sampled_from(["two_phase", "identity", "repeating"]), st.integers(1, 3), st.integers(0, 2),
+       st.integers(1, 4), st.floats(0.1, 10.0), st.floats(0.1, 10.0), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_folded_fibers_match_eigvalsh_of_their_fiber(medium, d, axis, n_theta, low, high, seed):
+    m = {1: 6, 2: 4, 3: 2}[d]
+    axis %= d
+    bg = {"two_phase": lambda: PeriodicBackground.two_phase(m=m, low=low, high=high, d=d, axis=axis),
+          "identity": lambda: PeriodicBackground.identity(d, m),
+          "repeating": lambda: repeating_background(d, m, axis, seed)}[medium]()
     field = background_field(bg, BoxSpec(d=d, k=0, m=m, bc="quasiperiodic"))
-    assert len([c for _, c in _point_symmetries(field) if c is not None]) == d  # the real path
+    if medium == "repeating":
+        assert _cell_periods(field)[axis] == m // 2
     bands = spectral._field_bands(field, n_theta)
-    direct = np.array([scipy.linalg.eigvalsh(assemble_operator(field, theta=tuple(th)).matrix.toarray())
+    direct = np.array([np.linalg.eigvalsh(assemble_operator(field, theta=tuple(th)).matrix.toarray())
                        for th in bands.thetas])
     assert np.max(np.abs(bands.bands - direct)) <= 1e-12 * np.max(np.abs(direct))
+    with patch.object(spectral, "_cell_periods", unfolded):
+        assert np.array_equal(bands.norms, spectral._field_bands(field, n_theta).norms)
 
 
 def test_two_phase_gap_values_frozen():
