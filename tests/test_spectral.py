@@ -684,6 +684,69 @@ def test_folded_fibers_match_eigvalsh_of_their_fiber(medium, d, axis, n_theta, l
         assert np.array_equal(bands.norms, spectral._field_bands(field, n_theta).norms)
 
 
+def real_fiber(field, phi):
+    """The fiber at seam phase phi as the real symmetric matrix that a mirror of every axis makes it.
+
+    The symmetric gauge (a unitary change) multiplies entry (a, b) by
+    exp(i phi.(y_b - y_a) / N), node coordinates y in {0..N-1}^d; the mirrors
+    about the centres c of `_point_symmetries` map y to P y = c + 1 - y mod N,
+    and P S P = conj S.  In the basis e_a (a = Pa), (e_a + e_Pa)/sqrt 2 and
+    i (e_a - e_Pa)/sqrt 2 (a < Pa) the fiber is real.
+    """
+    box = field.box
+    N, n = box.cells_per_axis, box.n_nodes
+    centres = [c for _, c in _point_symmetries(field) if c is not None]
+    assert len(centres) == box.d
+    rows, cols, shifts, coeffs = _bloch_family(field)
+    y = np.indices(box.node_shape).reshape(box.d, n)
+    gauged = np.zeros((n, n), dtype=complex)
+    gauged[rows, cols] = (np.exp(1j * (shifts @ phi)) @ coeffs) * np.exp(1j * (phi @ (y[:, cols] - y[:, rows])) / N)
+    image = np.ravel_multi_index(tuple((np.reshape(centres, (-1, 1)) + 1 - y) % N), box.node_shape)
+    assert np.max(np.abs(gauged[np.ix_(image, image)] - gauged.conj())) <= 1e-13 * np.max(np.abs(gauged))
+    basis = []
+    for a, b in enumerate(image):
+        if a == b:
+            basis.append(np.eye(n)[a])
+        elif a < b:
+            basis += [(np.eye(n)[a] + np.eye(n)[b]) * np.sqrt(0.5), 1j * (np.eye(n)[a] - np.eye(n)[b]) * np.sqrt(0.5)]
+    U = np.array(basis).T
+    real = U.conj().T @ gauged @ U
+    assert np.max(np.abs(real.imag)) <= 1e-13 * np.max(np.abs(real))
+    return real.real
+
+
+@pytest.mark.parametrize("d,medium,real", [
+    (1, False, True), (2, False, True), (2, "identity", True), (3, "identity", True),
+    (1, True, False), (2, True, False), (2, "anisotropic", False), (2, "offcentre", False)],
+    ids=["two_phase_d1", "two_phase_d2", "identity_d2", "identity_d3",
+         "periodized_d1", "periodized_d2", "anisotropic", "offcentre"])
+def test_media_with_every_mirror_solve_real_fibers(d, medium, real):
+    # a mirror of every axis makes the inversion a symmetry, and each fiber real
+    # symmetric in the mirrors' basis; a random pattern, the anisotropic medium
+    # (whose constant rho_01 no single mirror keeps) and the offcentre one (no
+    # mirror across axis 1) lack one.  The real fibers solve to the folded rows.
+    field = fold_medium(d, medium)
+    assert (len([c for _, c in _point_symmetries(field) if c is not None]) == d) == real
+    if real:
+        bands = spectral._field_bands(field, 4)
+        direct = np.array([scipy.linalg.eigvalsh(real_fiber(field, th * bands.period)) for th in bands.thetas])
+        assert np.max(np.abs(bands.bands - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@given(st.integers(1, 2), st.integers(2, 6), st.integers(0, 1), st.integers(1, 5),
+       st.floats(0.1, 10.0), st.floats(0.1, 10.0))
+@settings(max_examples=25, deadline=None)
+def test_two_phase_real_fibers_match_complex_eigvalsh(d, m, axis, n_theta, low, high):
+    bg = PeriodicBackground.two_phase(m=m, low=low, high=high, d=d, axis=axis % d)
+    field = background_field(bg, BoxSpec(d=d, k=0, m=m, bc="quasiperiodic"))
+    bands = spectral._field_bands(field, n_theta)
+    direct = np.array([scipy.linalg.eigvalsh(assemble_operator(field, theta=tuple(th)).matrix.toarray())
+                       for th in bands.thetas])
+    real = np.array([scipy.linalg.eigvalsh(real_fiber(field, th * bands.period)) for th in bands.thetas])
+    assert np.max(np.abs(real - direct)) <= 1e-12 * np.max(np.abs(direct))
+    assert np.max(np.abs(bands.bands - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def test_two_phase_gap_values_frozen():
     # medium with m=4 cells alternating 1 and 4 opens these gaps (64-point scan)
     bg = PeriodicBackground.two_phase(m=4, low=1.0, high=4.0)
