@@ -1,13 +1,13 @@
 """Declarative experiment descriptions: JSON schema, validation, hashing.
 
-A config is one JSON document.  `MODELS` gives each (kind, model) the blocks its
-driver reads, its params table and its cross-key checks.  Each block is read in
-one place (`build_box` reads geometry, `build_params` the params keys of the
-run's row) by readers that refuse any value their cast would change; the
-drivers take every value from these functions.  validate() refuses every other
-block, runs the readers and the checks whose inputs read, and returns
-diagnostics instead of raising, one per bad key, so a caller can list every
-problem at once; run pipelines refuse to start on any "error" diagnostic.
+A config is one JSON document.  `MODELS` gives each (kind, model) the blocks (and
+geometry and ensemble keys) its driver reads, its params table and its
+cross-key checks.  Each block is read in one place (`build_box` reads geometry,
+`build_params` the params keys of the run's row) by readers that refuse any
+value their cast would change; the drivers take every value from these
+functions.  validate() refuses every other block and key, runs the readers and
+the checks whose inputs read, and returns diagnostics instead of raising, one
+per bad key; run pipelines refuse to start on any "error" diagnostic.
 """
 
 from __future__ import annotations
@@ -106,19 +106,19 @@ def _window(value, label):
     return tuple(window)
 
 
-def _read(block, table: dict, label: str, closed: bool = False, errors: list = None) -> dict:
+def _read(block, table: dict, label: str, closed: bool = False, errors: list = None, keys: tuple = None) -> dict:
     """The values of `table`'s keys in `block`; a choice's own table of keys follows it.
 
     The first error raises; with an `errors` list each key that does not read
     appends its error there instead and is left out.  A closed block refuses
-    keys that no table read lists.
+    keys that no table lists.  A key not among `keys` (if given) keeps its default.
     """
     values, found, tables = {}, [], [table]
     if not isinstance(block, dict):
         found, block, tables = [ValidationError(f"{label} must be an object, got {block!r}")], {}, []
     for table in tables:  # grows as choices are read
         for key, (reader, default) in table.items():
-            value = block.get(key, default)
+            value = block.get(key, default) if keys is None or key in keys else default
             try:
                 if value is _REQUIRED:
                     raise ValidationError(f"{label} requires {key!r}")
@@ -143,6 +143,7 @@ def _read(block, table: dict, label: str, closed: bool = False, errors: list = N
 GEOMETRY = {"d": (_COUNT, 1), "k": (_COUNT, 1), "m": (_COUNT, 2),
             "bc": (_Choice.fromkeys(BCS, {}), "dirichlet"), "theta": (_NUMBERS, None)}
 ENSEMBLE = {"n_realizations": (_count(1), 1), "seed": (_count(0, 2**64), 0)}
+_KEYED = {"geometry": GEOMETRY, "ensemble": ENSEMBLE}  # the blocks a row of MODELS may read in part
 BACKGROUNDS = _Choice(identity={}, two_phase={"low": (_NUMBER, 1.0), "high": (_NUMBER, 4.0),
                                               "axis": (_COUNT, 0)})
 PROFILES = _Choice(compact={"radius": (_NUMBER, 0.5), "amplitude": (_NUMBER, 1.0)},
@@ -205,11 +206,11 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return _read(self.ensemble, ENSEMBLE, "ensemble")["seed"]
+        return _read(self.ensemble, ENSEMBLE, "ensemble", keys=("seed",))["seed"]
 
     @property
     def n_realizations(self) -> int:
-        return _read(self.ensemble, ENSEMBLE, "ensemble")["n_realizations"]
+        return _read(self.ensemble, ENSEMBLE, "ensemble", keys=("n_realizations",))["n_realizations"]
 
     @property
     def theta_points(self) -> int:
@@ -263,7 +264,8 @@ def build_box(config: ExperimentConfig) -> BoxSpec:
     d above CELL_LOG2 exceeds the bound alone (m >= 2), and is refused before
     any float of it is formed.
     """
-    box = BoxSpec(**_read(config.geometry, GEOMETRY, "geometry", closed=True))
+    box = BoxSpec(**_read(config.geometry, GEOMETRY, "geometry", closed=True,
+                          keys=MODELS[_model(config)].blocks["geometry"]))
     if box.d > CELL_LOG2 or box.d * math.log2(box.m) + 2 * math.log2(box.d) > CELL_LOG2:
         raise ValidationError(f"a unit cell of m**d * d**2 coefficient values above 2**{CELL_LOG2} "
                               f"is too large (d = {box.d}, m = {box.m})")
@@ -357,7 +359,7 @@ def _check_block(nodes, config: ExperimentConfig, params: dict):
 
 
 _FOLDED = partial(_check_block, lambda config, p: math.prod(_cell_periods(background_field(
-    build_background(config), dataclasses.replace(build_box(config), k=0, bc="quasiperiodic", theta=None)))))
+    build_background(config), dataclasses.replace(build_box(config), k=0, bc="quasiperiodic")))))
 
 
 def _check_gap(config: ExperimentConfig, params: dict):
@@ -375,43 +377,45 @@ def _check_compact(config: ExperimentConfig, params: dict):
 
 
 # (kind, model) -> Model; model is params.model in a row that names one, else None.
-#   blocks: the fields besides ensemble and params that its driver builds from
-#     (geometry also as the d and m of the background); validate refuses any other
-#     field given a value other than its default, since nothing would read it.
+#   blocks: each field besides params its driver reads -> its keys read, or None for
+#     all (ensemble.seed by every run, for manifest.json); validate refuses any other
+#     field or key given a value other than its default, since nothing would read it.
 #   params: params key -> (reader, default); the least values are those its
 #     estimator enforces, and a null k_big is sandwich_check's 2k.
 #   checks: (label, what it reads, fn(config, params)), run in order once each
 #     block it names reads, and "params" once the ensemble and params blocks do.
 Model = namedtuple("Model", "blocks params checks", defaults=[()])
-_LATTICE = ("geometry", "background", "profile", "disorder")
+_LATTICE = {"geometry": ("d", "m"), "background": None, "profile": None, "disorder": None}
+_ANDERSON_BLOCKS, _SEED, _ENSEMBLE = {"geometry": ("d",), "disorder": None}, {"ensemble": ("seed",)}, {"ensemble": None}
 # the boxes ile and wegner build are quasiperiodic
 _THETA = ("params.theta", ("geometry", "params"), lambda config, p: p["theta"] is None or dataclasses.replace(
     build_box(config), bc="quasiperiodic", theta=p["theta"]))
 _TRUNCATION = ("params", ("geometry", "params"), _check_truncation)
 MODELS = {
-    ("bands", None): Model(("geometry", "background", "n_theta"), {}, (("background", ("background",), _FOLDED),)),
-    ("ids", None): Model((*_LATTICE, "energies"), {}),
-    ("lifshitz", None): Model(("geometry", "disorder"), {  # its energies, E_plus + eps, must increase
+    ("bands", None): Model({"geometry": ("d", "m"), "background": None, "n_theta": None, **_SEED}, {},
+                           (("background", ("background",), _FOLDED),)),
+    ("ids", None): Model({**_LATTICE, "geometry": None, "energies": None, **_ENSEMBLE}, {}),
+    ("lifshitz", None): Model({**_ANDERSON_BLOCKS, **_ENSEMBLE}, {  # its energies, E_plus + eps, must increase
         **_ANDERSON_TOL, **_EPS, "n_boot": (_count(1), 1000), "fit_seed": (_COUNT, 715517),
         "nondegenerate": (_flag, True)},
         (("eps grid", ("params",), lambda config, p: _increasing(eps_grid(config))), _TRUNCATION)),
-    ("anderson", None): Model(("geometry", "disorder", "energies"), _ANDERSON_TOL, (_TRUNCATION,)),
-    ("bounds", None): Model(("disorder",), {"evaluations": (_listed(_evaluation, 0), [])}),
-    ("wegner", None): Model(_LATTICE, {
+    ("anderson", None): Model({**_ANDERSON_BLOCKS, "energies": None, **_ENSEMBLE}, _ANDERSON_TOL, (_TRUNCATION,)),
+    ("bounds", None): Model({"disorder": None, **_SEED}, {"evaluations": (_listed(_evaluation, 0), [])}),
+    ("wegner", None): Model({**_LATTICE, **_SEED}, {
         "E": (_NUMBER, _REQUIRED), **_EPS, "ks": (_COUNTS, [8, 16]), "n_trials": (_count(1), 100),
         "theta": (_NUMBERS, None), "min_exponent": (_NUMBER, 0.5), "volume_ratio_cap": (_NUMBER, 2.5)},
         (("eps grid", ("params",), lambda config, p: eps_grid(config)), _THETA,
          ("profile", ("profile",), _check_compact))),
-    ("ile", None): Model(_LATTICE, {
+    ("ile", None): Model({**_LATTICE, **_SEED}, {
         "E_plus": (_NUMBER, _REQUIRED), "k": (_count(2), _REQUIRED), "alpha": (_number(1.0), 1.2),
         "p": (_number(0.0), 2.0), "n_trials": (_count(1), 100), "theta": (_NUMBERS, None),
         "gap_scan_n_theta": (_count(1), 32)},
         (_THETA, ("params", ("background", "params"), _check_gap))),
-    ("decay", None): Model(_LATTICE, _DECAY, (("params", ("geometry", "params"), partial(
+    ("decay", None): Model({**_LATTICE, "geometry": None, **_SEED}, _DECAY, (("params", ("geometry", "params"), partial(
         _check_decay, lambda config, p: build_box(config).n_nodes)),)),
-    ("decay", "anderson"): Model(("geometry", "disorder"), _DECAY, (("params", ("geometry", "params"), partial(
+    ("decay", "anderson"): Model({**_ANDERSON_BLOCKS, **_SEED}, _DECAY, (("params", ("geometry", "params"), partial(
         _check_decay, lambda config, p: (2 * p["k"] + 1) ** _check_truncation(config, p))),)),
-    ("sandwich", None): Model((*_LATTICE, "n_theta"), {
+    ("sandwich", None): Model({**_LATTICE, "n_theta": None, **_ENSEMBLE}, {
         "E": (_NUMBER, _REQUIRED), "eps": (_number(0.0), _REQUIRED), "k": (_COUNT, _REQUIRED),
         "k_big": (_COUNT, None), "eta0": (_number(1.0), 1.5)},
         (("params", ("geometry", "params"), partial(  # a random pattern's fibers fold to one block
@@ -455,13 +459,16 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     if not isinstance(config.out, str):
         diags.append(Diagnostic("error", f"out must be a path, got {config.out!r}"))
     kind, model = _model(config)
-    row, run_label = MODELS[kind, model], f"a {kind} run" + (f" of the {model} model" if model else "")
+    row, run_label = MODELS[kind, model], f"a{'n' * (kind[0] in 'aeiou')} {kind} run" + (
+        f" of the {model} model" if model else "")
     for f in dataclasses.fields(ExperimentConfig):
-        if f.name in (*row.blocks, "kind", "ensemble", "params", "solver", "out"):
-            continue
-        default = f.default_factory() if f.default is dataclasses.MISSING else f.default
-        if getattr(config, f.name) != default:
-            diags.append(Diagnostic("error", f"{f.name}: {run_label} does not read it; remove it"))
+        value, keys = getattr(config, f.name), row.blocks.get(f.name)
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        unread = [f.name] if f.name not in (*row.blocks, "kind", "params", "solver", "out") and value != default else []
+        if keys and isinstance(value, dict):  # a block the row reads in part
+            unread = [f"{f.name}.{key}" for key, (_, default) in _KEYED[f.name].items()
+                      if key not in keys and value.get(key, default) != default]
+        diags.extend(Diagnostic("error", f"{name}: {run_label} does not read it; remove it") for name in unread)
     read = set()  # the blocks that read, and "params" once the ensemble and params blocks do
     for block, needs, fn in [
             ("geometry", (), build_box), ("background", ("geometry",), build_background),
@@ -472,7 +479,7 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
         if block in row.blocks and read.issuperset(needs) and _try(diags, lambda: fn(config), block):
             read.add(block)
     errors = []  # one per key of the ensemble and params blocks that does not read
-    _read(config.ensemble, ENSEMBLE, "ensemble", closed=True, errors=errors)
+    _read(config.ensemble, ENSEMBLE, "ensemble", closed=True, errors=errors, keys=row.blocks["ensemble"])
     params = _read(config.params, row.params, "params", errors=errors)
     diags.extend(Diagnostic("error", str(exc)) for exc in errors)
     if not errors:

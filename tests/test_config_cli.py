@@ -66,7 +66,8 @@ ENSEMBLE_DOCS = {
 DECAY_DOC = {"kind": "decay", "geometry": {"d": 1, "k": 2, "m": 2, "bc": "dirichlet"},
              "profile": _COMPACT, "disorder": {"law": "uniform01"}, "ensemble": {"seed": 2},
              "params": {"n_states": 3}}
-DECAY_BARE = {k: v for k, v in DECAY_DOC.items() if k != "profile"}  # the anderson model reads no profile
+# the anderson model reads no profile, and of the geometry only d
+DECAY_BARE = {**{k: v for k, v in DECAY_DOC.items() if k != "profile"}, "geometry": {"d": 1}}
 SHIPPED_IDS = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "ids_uniform_box.json"
 BOUNDS_DOC = {"kind": "bounds", "disorder": {"law": "uniform01"},
               "params": {"nu": 4.0, "evaluations": [
@@ -460,13 +461,60 @@ def test_every_model_refuses_each_block_it_does_not_read():
         doc, unread = _ROW_DOCS[kind, model]
         assert unread == tuple(block for block in _OTHER_VALUES if block not in row.blocks), (kind, model)
         assert validate(parse_config(doc)) == [], (kind, model)
-        run_label = f"a {kind} run" + (f" of the {model} model" if model else "")
+        run_label = f"a{'n' * (kind[0] in 'aeiou')} {kind} run" + (f" of the {model} model" if model else "")
         for block in unread:
             assert [str(d) for d in validate(parse_config({**doc, block: _OTHER_VALUES[block]}))] == [
                 f"error: {block}: {run_label} does not read it; remove it"], (kind, model, block)
         both = {**doc, **{block: _OTHER_VALUES[block] for block in unread}}
         assert [str(d) for d in validate(parse_config(both))] == [
             f"error: {block}: {run_label} does not read it; remove it" for block in unread], (kind, model)
+
+
+# the geometry and ensemble keys each row of MODELS reads (bounds reads no geometry block)
+_ROW_KEYS = {
+    ("bands", None): ("d", "m", "seed"), ("ids", None): ("d", "k", "m", "bc", "theta", "n_realizations", "seed"),
+    ("lifshitz", None): ("d", "n_realizations", "seed"), ("anderson", None): ("d", "n_realizations", "seed"),
+    ("bounds", None): ("seed",), ("wegner", None): ("d", "m", "seed"), ("ile", None): ("d", "m", "seed"),
+    ("decay", None): ("d", "k", "m", "bc", "theta", "seed"), ("decay", "anderson"): ("d", "seed"),
+    ("sandwich", None): ("d", "m", "n_realizations", "seed"),
+}
+# a value other than its default, and the default, of each key a run may leave unread
+_KEY_VALUES = {("geometry", "k"): (3, 1), ("geometry", "m"): (3, 2), ("geometry", "bc"): ("periodic", "dirichlet"),
+               ("geometry", "theta"): ([0.5], None), ("ensemble", "n_realizations"): (5, 1)}
+
+
+def _with_key(doc, block, key, value):
+    return {**doc, block: {**doc.get(block, {}), key: value}}
+
+
+def test_every_model_refuses_each_geometry_and_ensemble_key_it_does_not_read(tmp_path):
+    assert set(_ROW_KEYS) == set(MODELS)
+    refused = []
+    for (kind, model), keys in _ROW_KEYS.items():
+        doc = _ROW_DOCS[kind, model][0]
+        run_label = f"a{'n' * (kind[0] in 'aeiou')} {kind} run" + (f" of the {model} model" if model else "")
+        for (block, key), (other, default) in _KEY_VALUES.items():
+            if block == "geometry" and block not in MODELS[kind, model].blocks:
+                continue  # the whole block is refused (test_every_model_refuses_each_block_it_does_not_read)
+            if key in keys:  # read: a value other than the default is accepted
+                patch = {"bc": "quasiperiodic", "theta": [0.5]} if key == "theta" else {key: other}
+                assert validate(parse_config({**doc, block: {**doc.get(block, {}), **patch}})) == [], (kind, key)
+                continue
+            bad = _with_key(doc, block, key, other)
+            assert [str(d) for d in validate(parse_config(bad))] == [
+                f"error: {block}.{key}: {run_label} does not read it; remove it"], (kind, model, key)
+            out = tmp_path / f"never{len(refused)}"
+            assert run(parse_config(bad), out_dir=str(out)).exit_code == 2 and not out.exists()
+            assert validate(parse_config(_with_key(doc, block, key, default))) == [], (kind, model, key)
+            refused.append((kind, model, key))
+    assert len(refused) == 30
+    # true equals the default 1, so an unread n_realizations of true is accepted; the seed still reads
+    bands = _with_key(_ROW_DOCS["bands", None][0], "ensemble", "n_realizations", True)
+    assert validate(parse_config(bands)) == [] and parse_config(bands).seed == 0
+    ile = _with_key(ENSEMBLE_DOCS["ile"], "ensemble", "n_realizations", 5)
+    assert [str(d) for d in validate(parse_config({**ile, "energies": {"count": 3}}))] == [
+        "error: energies: an ile run does not read it; remove it",
+        "error: ensemble.n_realizations: an ile run does not read it; remove it"]
 
 
 @pytest.mark.parametrize("model", [[], {}, [1]], ids=["list", "dict", "one"])
