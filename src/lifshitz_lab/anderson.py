@@ -23,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .curves import IDSCurve, ensemble_curve
-from .disorder import (DisorderSpec, Realization, ValidationError, cube_codes, draw_couplings,
-                       lattice_cube, law_cdf, site_hash)
+from .disorder import (BLOCK_COUPLINGS, DisorderSpec, Realization, ValidationError, cube_codes,
+                       draw_couplings, lattice_cube, law_cdf, site_hash)
 from .disorder import sample_realization  # noqa: F401  (perfbench/tracing.py patches this name)
 from .lattice import lattice_correlate
 from .runner import frequency
@@ -53,9 +53,6 @@ __all__ = [
 
 T_BRACKET = (1e-6, 1e12)  # range of t that chernoff_bound_P1 searches
 PAD_RADIUS = 200  # extra radius of the window mc_product_event_1 samples
-# couplings one block draw of an ensemble holds at most (256 kB per array), whatever
-# the thread count; 2^14-2^16 drew the 1,067-site d=1 tail window fastest per row
-BLOCK_COUPLINGS = 2**15
 POTENTIAL_TOL = 1e-8  # default neglected tail of the truncated potential
 CHUNK = 32  # most box sites one GEMM of the d = 1 potential computes
 # bounds-config type -> {argument: (upper end, upper end included)}; each

@@ -446,6 +446,11 @@ def _try(diags: list, fn, label: str):
         return False
 
 
+def _at_default(value, default) -> bool:
+    """value == default, except that a bool never equals a non-bool (in Python True == 1)."""
+    return isinstance(value, bool) == isinstance(default, bool) and value == default
+
+
 def validate(config: ExperimentConfig) -> list[Diagnostic]:
     """Coherence diagnostics; errors block a run, warnings do not."""
     diags: list[Diagnostic] = []
@@ -464,10 +469,11 @@ def validate(config: ExperimentConfig) -> list[Diagnostic]:
     for f in dataclasses.fields(ExperimentConfig):
         value, keys = getattr(config, f.name), row.blocks.get(f.name)
         default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
-        unread = [f.name] if f.name not in (*row.blocks, "kind", "params", "solver", "out") and value != default else []
+        read_by_row = f.name in (*row.blocks, "kind", "params", "solver", "out")
+        unread = [] if read_by_row or _at_default(value, default) else [f.name]
         if keys and isinstance(value, dict):  # a block the row reads in part
             unread = [f"{f.name}.{key}" for key, (_, default) in _KEYED[f.name].items()
-                      if key not in keys and value.get(key, default) != default]
+                      if key not in keys and not _at_default(value.get(key, default), default)]
         diags.extend(Diagnostic("error", f"{name}: {run_label} does not read it; remove it") for name in unread)
     read = set()  # the blocks that read, and "params" once the ensemble and params blocks do
     for block, needs, fn in [

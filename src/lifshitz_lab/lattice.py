@@ -24,10 +24,11 @@ dropped and a corner across a periodic seam carries its phase, so the seam
 shift s_b - s_a of a coupling is its Floquet shift.
 
 Random fields come from a plan built once per ensemble (`_FieldPlan`): each
-window site's truncation bound, the m^d sub-lattice envelope kernels (built
-axis by axis, as envelopes on product grids, one per class of sub-lattices
-equal up to axis flips) and the background tile, so a
-realization costs a mask, a reversal, m^d correlations and the tile sum.
+window site's truncation bound, one envelope kernel per class of sub-lattices
+equal up to axis flips (built axis by axis, as an envelope on a product grid)
+and the background tile.  A realization costs a mask, one correlation per
+class, which flips the coupling grid rather than the kernel (for d >= 2 one
+GEMM whose columns are the class's flipped grids), and the tile sum.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ __all__ = [
 
 BCS = ("dirichlet", "periodic", "quasiperiodic")
 TAIL_TOL = 1e-10  # default single-site tail truncation, in operator norm
+# Hankel rows one GEMM of lattice_correlate reads (about 1 MB); on the 757^2 window of
+# a 5^2 box (2-core host), 17-69 window rows per GEMM gave an 18-26 ms field, and 4 or
+# 138 rows 29-34 ms
+ROW_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -280,24 +285,69 @@ def required_window(profile: SingleSiteProfile, box: BoxSpec, tol: float = TAIL_
     return lattice_cube(box.d, _window_radius(profile, box, tol))
 
 
-def lattice_correlate(big: np.ndarray, small: np.ndarray) -> np.ndarray:
+def lattice_correlate(big: np.ndarray, small) -> np.ndarray:
     """Valid-mode correlation out[x] = sum_j big[x + j] * small[j], any dimension.
 
+    `small` is one array of big's dimension, or a sequence of arrays of one
+    shape (flipped views of one grid, say), which gives their outputs stacked.
     `big` must be at least as long as `small` on every axis.  In one dimension
-    this is `np.correlate`, one BLAS dot per lag; in more it is summed directly
-    over a strided window view of `big`, with no copy.
+    this is `np.correlate`, one BLAS dot per lag.  In two it is a GEMM over the
+    Hankel rows H[i, x_2, :] = big[i, x_2 : x_2 + G_2] of `big` (G the shape of
+    `small`, L that of the output), built ROW_BYTES at a time: window row j_1
+    contributes H[j_1 + x_1, x_2, :] @ small[j_1, :] at output row x_1 L_2 + x_2,
+    a stride view of the rows, `np.matmul` batches the window rows and the
+    arrays of `small` are the columns.  In more, each leading output index (a
+    Python loop) is the correlation of big's slab with its first two axes
+    merged, against the arrays zero-padded to that merged length.
     """
-    if small.ndim == 1:
-        if big.size < small.size:  # np.correlate would swap the operands
-            raise ValueError("big must be at least as long as small")
-        return np.correlate(big, small, "valid")
-    axes = list(range(2 * small.ndim))
-    view = np.lib.stride_tricks.sliding_window_view(big, small.shape)
-    return np.einsum(view, axes, small, axes[small.ndim:], axes[:small.ndim])
+    grids = [small] if isinstance(small, np.ndarray) else list(small)
+    # np.correlate would swap a longer small with big
+    if big.ndim != grids[0].ndim or any(b < s for b, s in zip(big.shape, grids[0].shape)):
+        raise ValueError("big must be at least as long as small on every axis")
+    if big.ndim == 1:
+        out = np.stack([np.correlate(big, grid, "valid") for grid in grids])
+    else:
+        out = np.moveaxis(_gemm_correlate(big, grids), -1, 0)
+    return out[0] if isinstance(small, np.ndarray) else out
+
+
+def _gemm_correlate(big: np.ndarray, grids: list) -> np.ndarray:
+    """lattice_correlate of big with each of grids (d >= 2), stacked on a last axis."""
+    G, L = grids[0].shape, [n - g + 1 for n, g in zip(big.shape, grids[0].shape)]
+    if big.ndim > 2:
+        # big[x_0 + j_0, i_1] is row j_0 N_1 + i_1 of the slab at x_0, and window row
+        # j_0 N_1 + j_1 (zero for j_1 >= G_1) meets rows j_0 N_1 + j_1 + x_1, x_1 < L_1
+        pad, rows = [(0, 0), (0, big.shape[1] - G[1])] + [(0, 0)] * (big.ndim - 2), G[0] * big.shape[1] - L[1] + 1
+        padded = [np.pad(grid, pad).reshape((-1,) + G[2:])[:rows] for grid in grids]
+        return np.stack([_gemm_correlate(big[x:x + G[0]].reshape((-1,) + big.shape[2:]), padded)
+                         for x in range(L[0])])
+    step = max(1, ROW_BYTES // (big.itemsize * L[1] * G[1]))  # window rows per GEMM
+    out = np.zeros((L[0] * L[1], len(grids)))
+    for a in range(0, G[0], step):
+        c = min(step, G[0] - a)
+        rows = np.lib.stride_tricks.sliding_window_view(big[a:a + c + L[0] - 1], G[1], axis=1)
+        hankel = np.ascontiguousarray(rows)
+        # batch b, row x_1 L_2 + x_2 reads hankel[b + x_1, x_2, :] (C strides: a length-1
+        # axis may keep any stride in a contiguous array)
+        strides = (L[1] * G[1] * hankel.itemsize, G[1] * hankel.itemsize, hankel.itemsize)
+        lhs = np.lib.stride_tricks.as_strided(hankel, (c, L[0] * L[1], G[1]), strides, writeable=False)
+        # the columns: window rows a..a+c-1 of each grid, copied row after row
+        cols = np.stack([grid[a:a + c] for grid in grids], axis=1).transpose(0, 2, 1)
+        out += np.matmul(lhs, cols).sum(axis=0)
+    return out.reshape(L[0], L[1], len(grids))
 
 
 class _FieldPlan:
-    """What every field of an ensemble on one box shares, over the window lattice_cube(d, R)."""
+    """What every field of an ensemble on one box shares, over the window lattice_cube(d, R).
+
+    `kernels` holds one envelope per class of sub-lattices equal up to axis
+    flips, and `members[c]` each sub-lattice r of class c with the axes F on
+    which its kernel is kernels[c] flipped.  For d >= 2 `field` flips the
+    couplings instead, corr(flip(K, F), g) = flip(corr(K, flip(g, F)), F), so a
+    class is one `lattice_correlate` with one column per member; for d = 1
+    `np.correlate` copies each flipped kernel view and sums it in the order
+    that a stored flipped kernel had, which keeps the d = 1 bytes.
+    """
 
     def __init__(self, background: PeriodicBackground, profile: SingleSiteProfile, box, tol):
         # Mesh sub-lattice r has its cell centres at x + o_r, x in {-k..k}^d and
@@ -314,13 +364,14 @@ class _FieldPlan:
         # point), the kernel of sub-lattice r is that of its representative, the lesser
         # of r_j and m-1-r_j on each such axis, flipped on the axes where they differ
         mirrored = [np.array_equal(axis[a][::-1], axis[m - 1 - a]) for a in range(m)]
-        envelopes, self.kernels = {}, []
+        classes, self.kernels, self.members = {}, [], []
         for r in np.ndindex(*(m,) * d):
             rep = tuple(min(a, m - 1 - a) if mirrored[a] else a for a in r)
-            if rep not in envelopes:
-                envelopes[rep] = profile._radial(functools.reduce(outer, [axis[a] for a in rep]))
-            flips = tuple(j for j in range(d) if r[j] != rep[j])
-            self.kernels.append(np.ascontiguousarray(np.flip(envelopes[rep], flips)))
+            if rep not in classes:
+                classes[rep] = len(self.kernels)
+                self.kernels.append(profile._radial(functools.reduce(outer, [axis[a] for a in rep])))
+                self.members.append([])
+            self.members[classes[rep]].append((r, tuple(j for j in range(d) if r[j] != rep[j])))
         self.tile = background.tile(box)
         self.profile, self.box, self.tol = profile, box, tol
 
@@ -331,11 +382,17 @@ class _FieldPlan:
         d, m, side = self.box.d, self.box.m, self.box.side
         # site-level truncation: a site whose whole contribution stays below tol gets weight zero
         weights = np.where(couplings * self.bound > self.tol, couplings, 0.0)
-        # the mirrored cube (index j holds gamma = R - j) is the window reversed;
-        # contiguous, since the correlation's summation order follows the strides
-        grid = np.ascontiguousarray(weights[::-1]).reshape((2 * self.R + 1,) * d)
-        scalar = np.stack([lattice_correlate(kernel, grid) for kernel in self.kernels])
-        scalar = scalar.reshape((m,) * d + (side,) * d)
+        # the mirrored cube (index j holds gamma = R - j), a view of the window reversed
+        grid = np.flip(weights.reshape((2 * self.R + 1,) * d))
+        scalar = np.empty((m,) * d + (side,) * d)
+        for kernel, members in zip(self.kernels, self.members):
+            if d == 1:  # np.correlate copies the flipped kernel, so it sums as one stored flipped
+                outs = [lattice_correlate(np.flip(kernel, flips), grid) for _, flips in members]
+            else:  # one GEMM per class: corr(flip(K, F), g) = flip(corr(K, flip(g, F)), F)
+                outs = lattice_correlate(kernel, [np.flip(grid, flips) for _, flips in members])
+                outs = [np.flip(out, flips) for (_, flips), out in zip(members, outs)]
+            for (r, _), out in zip(members, outs):
+                scalar[r] = out
         # interleave (r_1..r_d, x_1..x_d) into C-ordered cells (x_1, r_1, ..., x_d, r_d)
         scalar = scalar.transpose([a + s for a in range(d) for s in (d, 0)]).reshape(-1)
         cells = self.tile + scalar[:, None, None] * self.profile.template[None, :, :]

@@ -409,6 +409,18 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
         assert not (tmp_path / f"never{i}").exists()
 
 
+def test_an_anderson_decay_operator_above_the_dense_limit_is_refused(tmp_path):
+    # nu = 12 truncates the potential at radius 6, so the 81^2-site box reaches the
+    # dense limit check (at nu = 4 the truncation cube is refused first)
+    doc = {**DECAY_BARE, "geometry": {"d": 2},
+           "params": {"model": "anderson", "k": 40, "nu": 12.0, "window": [0.0, 1.0]}}
+    assert anderson_mod.truncation_radius_for(2, 12.0, anderson_mod.POTENTIAL_TOL) == 6
+    assert [str(d) for d in validate(parse_config(doc))] == [
+        "error: params: the operator's dimension 6561 exceeds the dense limit 6000"]
+    out = tmp_path / "never"
+    assert run(parse_config(doc), out_dir=str(out)).exit_code == 2 and not out.exists()
+
+
 def test_validate_refuses_each_block_the_kind_does_not_read():
     assert set(BLOCKS) == set(PARAMS)
     doc = {**ENSEMBLE_DOCS["lifshitz"], "profile": {"kind": "long_range", "nu": 1.5}, "energies": {"count": 3}}
@@ -508,9 +520,14 @@ def test_every_model_refuses_each_geometry_and_ensemble_key_it_does_not_read(tmp
             assert validate(parse_config(_with_key(doc, block, key, default))) == [], (kind, model, key)
             refused.append((kind, model, key))
     assert len(refused) == 30
-    # true equals the default 1, so an unread n_realizations of true is accepted; the seed still reads
-    bands = _with_key(_ROW_DOCS["bands", None][0], "ensemble", "n_realizations", True)
-    assert validate(parse_config(bands)) == [] and parse_config(bands).seed == 0
+    # true == 1 in Python, yet a bool is not the default 1: an unread key of true is refused
+    for (kind, model), block, key in [(("lifshitz", None), "geometry", "k"), (("bands", None), "ensemble",
+                                                                            "n_realizations")]:
+        bad = _with_key(_ROW_DOCS[kind, model][0], block, key, True)
+        assert [str(d) for d in validate(parse_config(bad))] == [
+            f"error: {block}.{key}: a {kind} run does not read it; remove it"], (kind, key)
+        out = tmp_path / f"never_true_{kind}"
+        assert run(parse_config(bad), out_dir=str(out)).exit_code == 2 and not out.exists()
     ile = _with_key(ENSEMBLE_DOCS["ile"], "ensemble", "n_realizations", 5)
     assert [str(d) for d in validate(parse_config({**ile, "energies": {"count": 3}}))] == [
         "error: energies: an ile run does not read it; remove it",

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lifshitz_lab.disorder as disorder_mod
+import lifshitz_lab.lattice as lattice_mod
 from lifshitz_lab.config import parse_config
 from lifshitz_lab.disorder import (CoverageError, DisorderSpec, Realization, ValidationError,
                                    lattice_cube, sample_realization)
@@ -383,8 +384,18 @@ def test_field_matches_direct_sum(d, prof, tol, m):
         assert np.max(np.abs(fld.cells - want)) <= 1e-12 * scale
 
 
+def reference_correlate(big, small):
+    """The correlation as first summed: np.correlate in one dimension, else an einsum
+    over a strided window view of big."""
+    if small.ndim == 1:
+        return np.correlate(big, small, "valid")
+    axes = list(range(2 * small.ndim))
+    view = np.lib.stride_tricks.sliding_window_view(big, small.shape)
+    return np.einsum(view, axes, small, axes[small.ndim:], axes[:small.ndim])
+
+
 def displacement_field(background, profile, sites, couplings, box, tol):
-    """The field as first assembled, the bitwise reference for the plan: an (n, d)
+    """The field as first assembled, the reference for the plan: an (n, d)
     displacement cube per sub-lattice and a bincount mirror of the couplings."""
     d, m, k = box.d, box.m, box.k
     reach = np.max(np.abs(sites), axis=1, initial=0)
@@ -397,7 +408,7 @@ def displacement_field(background, profile, sites, couplings, box, tol):
     scalar = np.empty((m,) * d + (box.side,) * d)
     for r in np.ndindex(*(m,) * d):
         kernel = profile.envelope(disp + ((np.array(r) + 0.5) / m - 0.5))
-        scalar[r] = lattice_correlate(kernel.reshape((2 * (k + R) + 1,) * d), grid)
+        scalar[r] = reference_correlate(kernel.reshape((2 * (k + R) + 1,) * d), grid)
     scalar = scalar.transpose([a + s for a in range(d) for s in (d, 0)]).reshape(-1)
     return background.tile(box) + scalar[:, None, None] * profile.template[None, :, :]
 
@@ -405,6 +416,20 @@ def displacement_field(background, profile, sites, couplings, box, tol):
 PLAN_PROFILES = {"compact": lambda d: compact_profile(d=d, radius=0.7),
                  "short_range": lambda d: short_range_profile(d=d, nu=d + 2.5),
                  "long_range": lambda d: long_range_profile(d=d, nu=d + 1.0)}
+
+
+# the plan's d >= 2 field (a GEMM per flip class) against displacement_field's
+# einsums: at most 2.1e-15 of the field's scale, max|field - tile|, over 1,000
+# examples of _plan_case's cases (1e-12 in test_field_matches_direct_sum)
+PLAN_ROUNDING = 1e-14
+
+
+def assert_plan_field(cells, want, tile, d):
+    """Bitwise in one dimension (np.correlate of the same operands), else within PLAN_ROUNDING."""
+    if d == 1:
+        assert np.array_equal(cells, want)
+    else:
+        assert np.max(np.abs(cells - want)) <= PLAN_ROUNDING * np.max(np.abs(want - tile))
 
 
 def _plan_case(kind, d, m):
@@ -421,8 +446,8 @@ def test_operator_sampler_is_bitwise_the_lookup_path(kind, d, m, bc, seed, index
     sites = required_window(prof, box, tol)
     omega = sample_realization(DisorderSpec(), sites[::-1], seed, index)  # looked up, not in order
     lookup = sample_coefficient_field(bg, prof, omega, box, tol)
-    assert np.array_equal(lookup.cells,
-                          displacement_field(bg, prof, sites, omega.values_at(sites), box, tol))
+    assert_plan_field(lookup.cells, displacement_field(bg, prof, sites, omega.values_at(sites), box, tol),
+                      bg.tile(box), d)
     got = operator_sampler(bg, prof, DisorderSpec(), box, seed, tol)(index).matrix
     want = assemble_operator(lookup).matrix
     for part in ("indptr", "indices", "data"):
@@ -439,7 +464,7 @@ def test_periodized_plan_is_bitwise_the_wrapped_lookup(kind, d, m, seed):
     sites = required_window(prof, periodic, tol)
     wrapped = pattern.values_at((sites + k) % (2 * k + 1) - k)
     want = displacement_field(bg, prof, sites, wrapped, periodic, tol)
-    assert np.array_equal(_periodized_plan(bg, prof, k, tol)(pattern.values).cells, want)
+    assert_plan_field(_periodized_plan(bg, prof, k, tol)(pattern.values).cells, want, bg.tile(periodic), d)
 
 
 @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 4), st.integers(0, 2**16))
@@ -471,6 +496,50 @@ def test_lattice_correlate_1d_matches_loop_at_the_tail_size():
     assert np.allclose(lattice_correlate(big, small), want, rtol=1e-13, atol=1e-13)
 
 
+def _loop_correlate(big, small):
+    """The loop oracle, each output an exactly rounded sum of its products."""
+    want = np.empty([b - s + 1 for b, s in zip(big.shape, small.shape)])
+    for x in np.ndindex(*want.shape):
+        window = tuple(slice(a, a + s) for a, s in zip(x, small.shape))
+        want[x] = math.fsum((big[window] * small).ravel())
+    return want
+
+
+def _flipped_stack(small):
+    return [small, np.flip(small, 0), np.flip(small, -1), np.flip(small)]
+
+
+def test_lattice_correlate_crosses_a_row_chunk_at_its_row_bytes():
+    # windows 64 wide on a 127-wide operand: ROW_BYTES // (8 * 64 * 64) window rows
+    # per GEMM, and a window one chunk and 3 rows long
+    step = lattice_mod.ROW_BYTES // (8 * 64 * 64)
+    rng = np.random.default_rng(11)
+    big, small = rng.standard_normal((step + 3 + 2, 127)), rng.standard_normal((step + 3, 64))
+    grids = _flipped_stack(small)
+    got = lattice_correlate(big, grids)
+    assert got.shape == (len(grids), 3, 64)
+    for grid, out in zip(grids, got):
+        assert np.allclose(out, _loop_correlate(big, grid), rtol=1e-13, atol=1e-13)
+    assert np.allclose(lattice_correlate(big, small), _loop_correlate(big, small), rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("shape,out", [((7, 4), (3, 3)), ((1, 1), (4, 5)),
+                                       ((3, 5, 4), (2, 3, 3)), ((1, 1, 1), (3, 4, 2))],
+                         ids=["d2", "d2-one-element", "d3", "d3-one-element"])
+def test_lattice_correlate_crosses_row_chunks(monkeypatch, shape, out):
+    # ROW_BYTES of 4 Hankel rows: the d = 2 window of 7 rows is a chunk and 3 rows,
+    # the d = 3 one merges to 3 * 7 - 3 + 1 = 19 rows, four chunks and 3 rows
+    monkeypatch.setattr(lattice_mod, "ROW_BYTES", 4 * 8 * out[-1] * shape[-1])
+    rng = np.random.default_rng(len(shape))
+    small = rng.standard_normal(shape)
+    big = rng.standard_normal([s + o - 1 for s, o in zip(shape, out)])
+    grids = _flipped_stack(small)
+    got = lattice_correlate(big, grids)
+    assert got.shape == (len(grids), *out)
+    for grid, result in zip(grids, got):
+        assert np.allclose(result, _loop_correlate(big, grid), rtol=1e-13, atol=1e-13)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("d", [1, 2])
 @pytest.mark.parametrize("kind", sorted(PLAN_PROFILES))
@@ -480,9 +549,12 @@ def test_field_plan_kernels_are_the_envelope_at_each_offset(kind, d, m):
     bg, prof, tol, k = _plan_case(kind, d, m)
     plan = _FieldPlan(bg, prof, BoxSpec(d=d, k=k, m=m), tol)
     disp = lattice_cube(d, k + plan.R).astype(float)
-    for r, kernel in zip(np.ndindex(*(m,) * d), plan.kernels):
-        want = prof.envelope(disp + ((np.array(r) + 0.5) / m - 0.5)).reshape(kernel.shape)
-        assert kernel.flags.c_contiguous and np.array_equal(kernel, want)
+    assert sorted(r for members in plan.members for r, _ in members) == list(np.ndindex(*(m,) * d))
+    for kernel, members in zip(plan.kernels, plan.members):
+        assert kernel.flags.c_contiguous
+        for r, flips in members:
+            want = prof.envelope(disp + ((np.array(r) + 0.5) / m - 0.5)).reshape(kernel.shape)
+            assert np.array_equal(np.flip(kernel, flips), want)
 
 
 @pytest.mark.parametrize("d,m,evaluated", [(2, 2, 1), (2, 4, 4), (3, 3, 8)])
@@ -500,12 +572,15 @@ def test_field_plan_evaluates_one_envelope_per_flip_class(kind, d, m, evaluated)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SingleSiteProfile, "_radial", radial)
         plan = _FieldPlan(bg, prof, BoxSpec(d=d, k=k, m=m), tol)
-    assert len(calls) == evaluated and len(plan.kernels) == m**d
+    assert len(calls) == evaluated and len(plan.kernels) == evaluated
+    assert sum(map(len, plan.members)) == m**d
     outer, part = (np.maximum.outer, np.abs) if kind == "compact" else (np.add.outer, np.square)
     disp = np.arange(-(k + plan.R), k + plan.R + 1, dtype=float)
-    for r, kernel in zip(np.ndindex(*(m,) * d), plan.kernels):
-        want = prof._radial(functools.reduce(outer, [part(disp + ((a + 0.5) / m - 0.5)) for a in r]))
-        assert kernel.flags.c_contiguous and np.array_equal(kernel, want)
+    for kernel, members in zip(plan.kernels, plan.members):
+        assert kernel.flags.c_contiguous
+        for r, flips in members:
+            want = prof._radial(functools.reduce(outer, [part(disp + ((a + 0.5) / m - 0.5)) for a in r]))
+            assert np.array_equal(np.flip(kernel, flips), want)
 
 
 def test_field_plan_rejects_a_nan_coupling():
