@@ -282,15 +282,23 @@ def draw_couplings(spec: DisorderSpec, hashes: np.ndarray, seed: int, index) -> 
     keys = np.array([_mix64_int(seed_key ^ _mix64_int((i + _GOLDEN) & _MASK)) for i in indices],
                     dtype=np.uint64)[:, None]
     n = hashes.size
-    rows, cols = max(1, BLOCK_COUPLINGS // max(n, 1)), max(1, min(n, BLOCK_COUPLINGS))
-    couplings = np.empty((len(indices), n))
-    for r in range(0, len(indices), rows):
-        for c in range(0, n, cols):
-            h = _mix64(keys[r:r + rows] ^ hashes[c:c + cols])
-            # 53-bit mantissa, offset by half a step: never exactly 0 or 1.
-            u = ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
-            couplings[r:r + rows, c:c + cols] = law_quantile(spec, u)
+    if len(indices) * n <= BLOCK_COUPLINGS:  # one slice: no buffer to fill (a block of the tail window)
+        couplings = _couplings(spec, keys, hashes)
+    else:
+        rows, cols = max(1, BLOCK_COUPLINGS // n), min(n, BLOCK_COUPLINGS)
+        couplings = np.empty((len(indices), n))
+        for r in range(0, len(indices), rows):
+            for c in range(0, n, cols):
+                couplings[r:r + rows, c:c + cols] = _couplings(spec, keys[r:r + rows], hashes[c:c + cols])
     return couplings if block else couplings[0]
+
+
+def _couplings(spec: DisorderSpec, keys: np.ndarray, hashes: np.ndarray) -> np.ndarray:
+    """Couplings of the draws with these keys (a column) on the sites with these hashes (a row)."""
+    h = _mix64(keys ^ hashes)
+    # 53-bit mantissa, offset by half a step: never exactly 0 or 1.
+    u = ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.asarray(law_quantile(spec, u), dtype=float)
 
 
 def sample_realization(spec: DisorderSpec, window: np.ndarray, seed: int, index: int) -> Realization:
