@@ -28,7 +28,8 @@ window site's truncation bound, one envelope kernel per class of sub-lattices
 equal up to axis flips (built axis by axis, as an envelope on a product grid)
 and the background tile.  A realization costs a mask, one correlation per
 class, which flips the coupling grid rather than the kernel (for d >= 2 one
-GEMM whose columns are the class's flipped grids), and the tile sum.
+`_gemm_correlate` of the kernel with all the class's flipped grids), and the
+tile sum.
 """
 
 from __future__ import annotations
@@ -62,9 +63,9 @@ __all__ = [
 
 BCS = ("dirichlet", "periodic", "quasiperiodic")
 TAIL_TOL = 1e-10  # default single-site tail truncation, in operator norm
-# Hankel rows one GEMM of lattice_correlate reads (about 1 MB); on the 757^2 window of
-# a 5^2 box (2-core host), 17-69 window rows per GEMM gave an 18-26 ms field, and 4 or
-# 138 rows 29-34 ms
+# bytes of the rows one product of _gemm_correlate copies (Hankel rows of the big
+# operand, or Toeplitz rows of the grids); on the 757^2 window of a 5^2 box (2-core
+# host), 17-69 window rows per product gave an 18-26 ms field, and 4 or 138 rows 29-34 ms
 ROW_BYTES = 2**20
 
 
@@ -285,56 +286,110 @@ def required_window(profile: SingleSiteProfile, box: BoxSpec, tol: float = TAIL_
     return lattice_cube(box.d, _window_radius(profile, box, tol))
 
 
-def lattice_correlate(big: np.ndarray, small) -> np.ndarray:
+def lattice_correlate(big: np.ndarray, small: np.ndarray) -> np.ndarray:
     """Valid-mode correlation out[x] = sum_j big[x + j] * small[j], any dimension.
 
-    `small` is one array of big's dimension, or a sequence of arrays of one
-    shape (flipped views of one grid, say), which gives their outputs stacked.
     `big` must be at least as long as `small` on every axis.  In one dimension
-    this is `np.correlate`, one BLAS dot per lag.  In two it is a GEMM over the
-    Hankel rows H[i, x_2, :] = big[i, x_2 : x_2 + G_2] of `big` (G the shape of
-    `small`, L that of the output), built ROW_BYTES at a time: window row j_1
-    contributes H[j_1 + x_1, x_2, :] @ small[j_1, :] at output row x_1 L_2 + x_2,
-    a stride view of the rows, `np.matmul` batches the window rows and the
-    arrays of `small` are the columns.  In more, each leading output index (a
-    Python loop) is the correlation of big's slab with its first two axes
-    merged, against the arrays zero-padded to that merged length.
+    this is `np.correlate`, one BLAS dot per lag; in more it is `_gemm_correlate`.
     """
-    grids = [small] if isinstance(small, np.ndarray) else list(small)
     # np.correlate would swap a longer small with big
-    if big.ndim != grids[0].ndim or any(b < s for b, s in zip(big.shape, grids[0].shape)):
+    if big.ndim != small.ndim or any(b < s for b, s in zip(big.shape, small.shape)):
         raise ValueError("big must be at least as long as small on every axis")
     if big.ndim == 1:
-        out = np.stack([np.correlate(big, grid, "valid") for grid in grids])
-    else:
-        out = np.moveaxis(_gemm_correlate(big, grids), -1, 0)
-    return out[0] if isinstance(small, np.ndarray) else out
+        return np.correlate(big, small, "valid")
+    return _gemm_correlate(big, [small])[..., 0]
 
 
 def _gemm_correlate(big: np.ndarray, grids: list) -> np.ndarray:
-    """lattice_correlate of big with each of grids (d >= 2), stacked on a last axis."""
-    G, L = grids[0].shape, [n - g + 1 for n, g in zip(big.shape, grids[0].shape)]
+    """lattice_correlate of big with each of grids (d >= 2, one shape), stacked on a last axis.
+
+    The products are BLAS GEMMs in one of two layouts.  `_hankel_gemm` copies
+    rows of `big` and shares them among the grids, `_toeplitz_gemm` copies rows
+    of each grid and shares them among the output rows; for d = 2 it is the one
+    whose copies (at most about ROW_BYTES at a time) hold fewer entries.  Many
+    grids and few outputs (a field plan's flip class) favour the first, one grid
+    and many outputs (the Anderson potential) the second.  For d >= 3 it is the
+    Toeplitz layout, faster on every field and potential measured.
+    """
     if big.ndim > 2:
-        # big[x_0 + j_0, i_1] is row j_0 N_1 + i_1 of the slab at x_0, and window row
-        # j_0 N_1 + j_1 (zero for j_1 >= G_1) meets rows j_0 N_1 + j_1 + x_1, x_1 < L_1
-        pad, rows = [(0, 0), (0, big.shape[1] - G[1])] + [(0, 0)] * (big.ndim - 2), G[0] * big.shape[1] - L[1] + 1
-        padded = [np.pad(grid, pad).reshape((-1,) + G[2:])[:rows] for grid in grids]
-        return np.stack([_gemm_correlate(big[x:x + G[0]].reshape((-1,) + big.shape[2:]), padded)
-                         for x in range(L[0])])
-    step = max(1, ROW_BYTES // (big.itemsize * L[1] * G[1]))  # window rows per GEMM
-    out = np.zeros((L[0] * L[1], len(grids)))
+        return _toeplitz_gemm(big, grids)
+    G = grids[0].shape
+    L = [n - g + 1 for n, g in zip(big.shape, G)]
+    t, c = _hankel_blocks(L, G, big.itemsize)
+    hankel = -(-L[0] // t) * -(-G[0] // c) * (t + c - 1) * L[1] * G[1]  # entries each layout copies
+    toeplitz = len(grids) * G[0] * big.shape[1] * L[1]
+    return (_hankel_gemm if hankel < toeplitz else _toeplitz_gemm)(big, grids)
+
+
+def _hankel_blocks(L, G, itemsize: int) -> tuple:
+    """Output rows t and window rows c of one `_hankel_gemm` product: its t + c - 1 Hankel
+    rows of L_2 G_2 entries fit ROW_BYTES, or are one row where a single row is larger."""
+    rows = max(1, ROW_BYTES // (itemsize * L[1] * G[1]))
+    t = min(L[0], (rows + 1) // 2)
+    return t, min(G[0], rows + 1 - t)
+
+
+def _hankel_gemm(big: np.ndarray, grids: list) -> np.ndarray:
+    """The d = 2 correlations over the Hankel rows H[i, x_2, :] = big[i, x_2 : x_2 + G_2].
+
+    Window row j_1 adds H[j_1 + x_1, x_2, :] @ grid[j_1, :] to out[x_1, x_2].  For
+    output rows x..x+t-1 and window rows a..a+c-1 (`_hankel_blocks`) the copied
+    rows a+x..a+x+t+c-2 of H serve every product: output row (x_1 - x) L_2 + x_2
+    of batch j_1 - a reads them through one stride view, `np.matmul` batches the
+    window rows, and the grids' rows a..a+c-1 are the columns.
+    """
+    G, n = grids[0].shape, len(grids)
+    L = [N - g + 1 for N, g in zip(big.shape, G)]
+    t, c = _hankel_blocks(L, G, big.itemsize)
+    # one buffer for every block's Hankel rows, with its C strides written out
+    buffer = np.empty((t + c - 1) * L[1] * G[1])
+    strides = (L[1] * G[1] * buffer.itemsize, G[1] * buffer.itemsize, buffer.itemsize)
+    out = np.zeros((L[0], L[1], n))
+    for a in range(0, G[0], c):
+        cc = min(c, G[0] - a)
+        cols = np.stack([grid[a:a + cc] for grid in grids], axis=1).transpose(0, 2, 1)
+        for x in range(0, L[0], t):
+            tt = min(t, L[0] - x)
+            hankel = buffer[:(cc + tt - 1) * L[1] * G[1]].reshape(cc + tt - 1, L[1], G[1])
+            rows = np.lib.stride_tricks.as_strided(big[a + x:], hankel.shape, (*big.strides, big.strides[1]),
+                                                   writeable=False)
+            np.copyto(hankel, rows)
+            lhs = np.lib.stride_tricks.as_strided(hankel, (cc, tt * L[1], G[1]), strides, writeable=False)
+            out[x:x + tt] += np.matmul(lhs, cols).sum(axis=0).reshape(tt, L[1], n)
+    return out
+
+
+def _toeplitz_gemm(big: np.ndarray, grids: list) -> np.ndarray:
+    """The correlations against the Toeplitz rows T[j, i, y] = grid[j, i - y] of each grid.
+
+    Write j = (j_0, .., j_{d-1}) and x alike, with b = d - 2.  Window row (j_0..j_b)
+    adds big[x_0 + j_0, .., x_b + j_b, :] @ T[j_0..j_b, :, x_{d-1}] to out[x].  For
+    each x_0..x_{b-1} (a Python loop, empty for d = 2) those rows of `big`, over
+    x_b, are a stride view (no copy); `np.matmul` batches the window rows, and T
+    is copied for a run of leading window indices j_0, ROW_BYTES at a time.
+    """
+    G, n, N = grids[0].shape, len(grids), big.shape
+    L = [a - b + 1 for a, b in zip(N, G)]
+    inner = math.prod(G[1:-1]) * n * L[-1] * max(N[-1], L[-2])  # T and product entries per j_0
+    step = min(G[0], max(1, ROW_BYTES // (big.itemsize * inner)))
+    # padded[j, .., p, g] = grids[g][j, .., p - L_{d-1} + 1] (zero off the grid), so its
+    # window at p = i + y is T[j, .., i, L_{d-1} - 1 - y] of grid g
+    padded = np.zeros((step, *G[1:-1], N[-1] + L[-1] - 1, n))
+    windows = np.lib.stride_tricks.as_strided(padded, (*padded.shape[:-2], N[-1], n, L[-1]),
+                                              (*padded.strides, padded.strides[-2]), writeable=False)
+    toeplitz = np.empty(windows.shape)
+    shape, strides = (*G[1:-1], L[-2], N[-1]), (*big.strides[:-1], *big.strides[-2:])
+    out = np.zeros((*L[:-1], n * L[-1]))
     for a in range(0, G[0], step):
         c = min(step, G[0] - a)
-        rows = np.lib.stride_tricks.sliding_window_view(big[a:a + c + L[0] - 1], G[1], axis=1)
-        hankel = np.ascontiguousarray(rows)
-        # batch b, row x_1 L_2 + x_2 reads hankel[b + x_1, x_2, :] (C strides: a length-1
-        # axis may keep any stride in a contiguous array)
-        strides = (L[1] * G[1] * hankel.itemsize, G[1] * hankel.itemsize, hankel.itemsize)
-        lhs = np.lib.stride_tricks.as_strided(hankel, (c, L[0] * L[1], G[1]), strides, writeable=False)
-        # the columns: window rows a..a+c-1 of each grid, copied row after row
-        cols = np.stack([grid[a:a + c] for grid in grids], axis=1).transpose(0, 2, 1)
-        out += np.matmul(lhs, cols).sum(axis=0)
-    return out.reshape(L[0], L[1], len(grids))
+        for g, grid in enumerate(grids):
+            padded[:c, ..., L[-1] - 1:L[-1] - 1 + G[-1], g] = grid[a:a + c]
+        np.copyto(toeplitz[:c], windows[:c])
+        rhs = toeplitz[:c].reshape(c, *G[1:-1], N[-1], n * L[-1])
+        for x in np.ndindex(*L[:-2]):
+            lhs = np.lib.stride_tricks.as_strided(big[a:][x], (c, *shape), strides, writeable=False)
+            out[x] += np.matmul(lhs, rhs).sum(axis=tuple(range(big.ndim - 1)))
+    return out.reshape(*L[:-1], n, L[-1])[..., ::-1].swapaxes(-1, -2)
 
 
 class _FieldPlan:
@@ -344,9 +399,9 @@ class _FieldPlan:
     flips, and `members[c]` each sub-lattice r of class c with the axes F on
     which its kernel is kernels[c] flipped.  For d >= 2 `field` flips the
     couplings instead, corr(flip(K, F), g) = flip(corr(K, flip(g, F)), F), so a
-    class is one `lattice_correlate` with one column per member; for d = 1
-    `np.correlate` copies each flipped kernel view and sums it in the order
-    that a stored flipped kernel had, which keeps the d = 1 bytes.
+    class is one `_gemm_correlate` of its kernel with each member's flipped
+    grid; for d = 1 `np.correlate` copies each flipped kernel view and sums it
+    in the order that a stored flipped kernel had, which keeps the d = 1 bytes.
     """
 
     def __init__(self, background: PeriodicBackground, profile: SingleSiteProfile, box, tol):
@@ -388,9 +443,9 @@ class _FieldPlan:
         for kernel, members in zip(self.kernels, self.members):
             if d == 1:  # np.correlate copies the flipped kernel, so it sums as one stored flipped
                 outs = [lattice_correlate(np.flip(kernel, flips), grid) for _, flips in members]
-            else:  # one GEMM per class: corr(flip(K, F), g) = flip(corr(K, flip(g, F)), F)
-                outs = lattice_correlate(kernel, [np.flip(grid, flips) for _, flips in members])
-                outs = [np.flip(out, flips) for (_, flips), out in zip(members, outs)]
+            else:  # one correlation per class: corr(flip(K, F), g) = flip(corr(K, flip(g, F)), F)
+                outs = _gemm_correlate(kernel, [np.flip(grid, flips) for _, flips in members])
+                outs = [np.flip(outs[..., i], flips) for i, (_, flips) in enumerate(members)]
             for (r, _), out in zip(members, outs):
                 scalar[r] = out
         # interleave (r_1..r_d, x_1..x_d) into C-ordered cells (x_1, r_1, ..., x_d, r_d)

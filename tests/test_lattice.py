@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -467,6 +468,23 @@ def test_periodized_plan_is_bitwise_the_wrapped_lookup(kind, d, m, seed):
     assert_plan_field(_periodized_plan(bg, prof, k, tol)(pattern.values).cells, want, bg.tile(periodic), d)
 
 
+@pytest.mark.parametrize("row_bytes", [2**11, 2**13])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("kind", sorted(PLAN_PROFILES))
+def test_plan_field_keeps_its_rounding_bound_across_row_chunks(monkeypatch, kind, d, m, row_bytes):
+    # the plan's windows fit one product at the real ROW_BYTES; at 2 and 8 kB both layouts
+    # take their window rows (and the Hankel one its output rows) a few at a time, some
+    # with a remainder
+    monkeypatch.setattr(lattice_mod, "ROW_BYTES", row_bytes)
+    bg, prof, tol, k = _plan_case(kind, d, m)
+    box = BoxSpec(d=d, k=k, m=m)
+    sites = required_window(prof, box, tol)
+    omega = sample_realization(DisorderSpec(), sites, 7, 0)
+    want = displacement_field(bg, prof, sites, omega.values_at(sites), box, tol)
+    assert_plan_field(sample_coefficient_field(bg, prof, omega, box, tol).cells, want, bg.tile(box), d)
+
+
 @given(st.integers(1, 3), st.integers(0, 3), st.integers(0, 4), st.integers(0, 2**16))
 @settings(max_examples=30, deadline=None)
 def test_lattice_correlate_matches_loop(d, big_extra, small_side, seed):
@@ -509,35 +527,72 @@ def _flipped_stack(small):
     return [small, np.flip(small, 0), np.flip(small, -1), np.flip(small)]
 
 
-def test_lattice_correlate_crosses_a_row_chunk_at_its_row_bytes():
-    # windows 64 wide on a 127-wide operand: ROW_BYTES // (8 * 64 * 64) window rows
-    # per GEMM, and a window one chunk and 3 rows long
-    step = lattice_mod.ROW_BYTES // (8 * 64 * 64)
+LAYOUTS = ["_hankel_gemm", "_toeplitz_gemm", "_gemm_correlate"]
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_gemm_layouts_cross_a_row_chunk_at_the_row_bytes(layout):
+    # windows 64 wide with 3 x 64 outputs: at ROW_BYTES the Hankel layout takes 30
+    # window rows per product and the Toeplitz one 4, so a window of 33 rows crosses both
+    assert lattice_mod._hankel_blocks((3, 64), (33, 64), 8) == (3, 30)
     rng = np.random.default_rng(11)
-    big, small = rng.standard_normal((step + 3 + 2, 127)), rng.standard_normal((step + 3, 64))
+    big, small = rng.standard_normal((35, 127)), rng.standard_normal((33, 64))
     grids = _flipped_stack(small)
-    got = lattice_correlate(big, grids)
-    assert got.shape == (len(grids), 3, 64)
-    for grid, out in zip(grids, got):
-        assert np.allclose(out, _loop_correlate(big, grid), rtol=1e-13, atol=1e-13)
-    assert np.allclose(lattice_correlate(big, small), _loop_correlate(big, small), rtol=1e-13, atol=1e-13)
+    got = getattr(lattice_mod, layout)(big, grids)
+    assert got.shape == (3, 64, len(grids))
+    for i, grid in enumerate(grids):
+        assert np.allclose(got[..., i], _loop_correlate(big, grid), rtol=1e-13, atol=1e-13)
 
 
-@pytest.mark.parametrize("shape,out", [((7, 4), (3, 3)), ((1, 1), (4, 5)),
-                                       ((3, 5, 4), (2, 3, 3)), ((1, 1, 1), (3, 4, 2))],
-                         ids=["d2", "d2-one-element", "d3", "d3-one-element"])
-def test_lattice_correlate_crosses_row_chunks(monkeypatch, shape, out):
-    # ROW_BYTES of 4 Hankel rows: the d = 2 window of 7 rows is a chunk and 3 rows,
-    # the d = 3 one merges to 3 * 7 - 3 + 1 = 19 rows, four chunks and 3 rows
-    monkeypatch.setattr(lattice_mod, "ROW_BYTES", 4 * 8 * out[-1] * shape[-1])
+@pytest.mark.parametrize("row_bytes", [8, 384, 600, 2048, 8192])
+@pytest.mark.parametrize("layout,shape,out", [
+    (layout, shape, out) for shape, out in [((7, 4), (3, 3)), ((1, 1), (4, 5)), ((7, 3, 4), (2, 3, 3)),
+                                            ((1, 1, 1), (3, 4, 2))]
+    for layout in LAYOUTS if len(shape) == 2 or layout != "_hankel_gemm"])
+def test_gemm_layouts_cross_row_chunks(monkeypatch, row_bytes, layout, shape, out):
+    # from one window row (and, for the Hankel layout, one output row) per product up to
+    # the whole window; 384 bytes give the d = 2 Hankel layout 2 output rows of 3, 600
+    # bytes 4 window rows of 7, and 8,192 the d = 3 Toeplitz layout 4 of 7: one chunk and 3 rows
+    monkeypatch.setattr(lattice_mod, "ROW_BYTES", row_bytes)
     rng = np.random.default_rng(len(shape))
     small = rng.standard_normal(shape)
     big = rng.standard_normal([s + o - 1 for s, o in zip(shape, out)])
     grids = _flipped_stack(small)
-    got = lattice_correlate(big, grids)
-    assert got.shape == (len(grids), *out)
-    for grid, result in zip(grids, got):
-        assert np.allclose(result, _loop_correlate(big, grid), rtol=1e-13, atol=1e-13)
+    got = getattr(lattice_mod, layout)(big, grids)
+    assert got.shape == (*out, len(grids))
+    for i, grid in enumerate(grids):
+        assert np.allclose(got[..., i], _loop_correlate(big, grid), rtol=1e-13, atol=1e-13)
+
+
+def test_hankel_blocks_fit_the_row_bytes():
+    # output rows and window rows of one product, over shapes from one-row to whole-window
+    # blocks; a Hankel row larger than ROW_BYTES (the d = 2 anderson kernel of k = 50,
+    # nu = 5 has 101 x 1,473 entries a row) is built one row at a time
+    for L, G in [((5, 5), (757, 757)), ((101, 101), (263, 263)), ((41, 41), (49, 49)),
+                 ((13, 13), (15, 15)), ((3, 64), (33, 64)), ((101, 101), (1473, 1473))]:
+        t, c = lattice_mod._hankel_blocks(L, G, 8)
+        assert 1 <= t <= L[0] and 1 <= c <= G[0]
+        assert (t + c - 1) * L[1] * G[1] * 8 <= max(lattice_mod.ROW_BYTES, L[1] * G[1] * 8)
+    assert lattice_mod._hankel_blocks((101, 101), (1473, 1473), 8) == (1, 1)
+
+
+@pytest.mark.parametrize("layout", ["_hankel_gemm", "lattice_correlate"])
+def test_a_wide_single_grid_correlation_allocates_about_its_row_bytes(layout):
+    # one grid and 81 x 81 outputs, as the d >= 2 anderson potential has: the Hankel
+    # layout tiles the output rows too (13 output and 14 window rows a product), and
+    # neither layout's copies grow with the output; the peak counts the output (52 kB)
+    rng = np.random.default_rng(3)
+    big, small = rng.uniform(size=(140, 140)), rng.uniform(size=(60, 60))
+    assert lattice_mod._hankel_blocks((81, 81), small.shape, 8) == (13, 14)
+    correlate = getattr(lattice_mod, layout)
+    tracemalloc.start()
+    try:
+        got = correlate(big, [small])[..., 0] if layout == "_hankel_gemm" else correlate(big, small)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * lattice_mod.ROW_BYTES
+    assert np.allclose(got, reference_correlate(big, small), rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
