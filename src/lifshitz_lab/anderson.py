@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from .curves import IDSCurve, ensemble_curve
 from .disorder import (BLOCK_COUPLINGS, DisorderSpec, Realization, ValidationError, cube_codes,
-                       draw_couplings, lattice_cube, law_cdf, site_hash)
+                       draw_couplings, lattice_cube, law_cdf, max_norm_cube, site_hash)
 from .disorder import sample_realization  # noqa: F401  (perfbench/tracing.py patches this name)
 from .lattice import lattice_correlate
 from .runner import frequency
@@ -172,8 +172,7 @@ class _AndersonPlan:
         radius = truncation_radius_for(d, nu, tol)
         self.hashes = site_hash(cube_codes(d, k + radius))
         self.window_shape = (2 * (k + radius) + 1,) * d
-        offsets = lattice_cube(d, radius)
-        self.kernel = ((1.0 + np.max(np.abs(offsets), axis=1)) ** (-nu)).reshape((2 * radius + 1,) * d)
+        self.kernel = max_norm_cube(lambda r: (1.0 + r) ** (-nu), d, radius)
         self.free = assemble_anderson(d, k, E_plus, np.zeros((2 * k + 1) ** d)).matrix
         self.diagonal, self.off = self.free.diagonal(), self.free.diagonal(1)  # off read when d = 1
         self.d, self.block = d, _block(self.hashes)
@@ -248,8 +247,7 @@ class _AndersonPlan:
 def potential_on_box(realization: Realization, d: int, k: int, nu: float,
                      tol: float = POTENTIAL_TOL) -> np.ndarray:
     """Potential on every site of {-k..k}^d, same truncation certificate."""
-    cube = lattice_cube(d, k + truncation_radius_for(d, nu, tol))  # a realization drawn on it is read in place
-    values = realization.values if np.array_equal(realization.window, cube) else realization.values_at(cube)
+    values = realization.values_at(lattice_cube(d, k + truncation_radius_for(d, nu, tol)))
     return _AndersonPlan(d, k, nu, 0.0, tol).potential(values, realization.index)
 
 
@@ -541,9 +539,8 @@ def mc_product_event_2(spec: DisorderSpec, eps: float, alpha: float, nu: float,
                        seed: int = 0):
     """Frequency of {sum over the window of omega*(1+|gamma|)^(-nu) <= eps^(1+alpha)/2}."""
     window = LatticeWindow(alpha=alpha, zeta=eps ** s)
-    sites = window.sites(d)
     hashes = site_hash(cube_codes(d, window.half_side))
-    weights = (1.0 + np.max(np.abs(sites), axis=1).astype(float)) ** (-nu)
+    weights = max_norm_cube(lambda r: (1.0 + r) ** (-nu), d, window.half_side).ravel()
     threshold = eps ** (1.0 + alpha) / 2.0
 
     def small_sum(indices):

@@ -31,9 +31,9 @@ from .lattice import (BCS, BoxSpec, PeriodicBackground, SingleSiteProfile, _cell
 from .runner import _integral
 from .spectral import DENSE_THRESHOLD, floquet_bands, spectral_gaps
 
-__all__ = ["MODELS", "EXPERIMENT_KINDS", "PARAMS", "BLOCKS", "Diagnostic", "ExperimentConfig",
-           "load_config", "parse_config", "resolved_dict", "config_hash", "validate", "build_background",
-           "build_profile", "build_disorder", "build_params", "energy_grid"]
+__all__ = ["MODELS", "EXPERIMENT_KINDS", "Diagnostic", "ExperimentConfig", "load_config", "parse_config",
+           "resolved_dict", "config_hash", "validate", "build_background", "build_profile", "build_disorder",
+           "build_params", "energy_grid"]
 
 # -- readers --------------------------------------------------------------------
 # A reader takes (value, label) and returns the value as the library receives
@@ -421,9 +421,7 @@ MODELS = {
         (("params", ("geometry", "params"), partial(  # a random pattern's fibers fold to one block
             _check_block, lambda config, p: ((2 * p["k"] + 1) * build_box(config).m) ** build_box(config).d)),)),
 }
-PARAMS = {kind: row.params for (kind, model), row in MODELS.items() if model is None}  # views by kind
-BLOCKS = {kind: row.blocks for (kind, model), row in MODELS.items() if model is None}
-EXPERIMENT_KINDS = tuple(PARAMS)
+EXPERIMENT_KINDS = tuple(kind for kind, model in MODELS if model is None)
 
 
 def _model(config: ExperimentConfig) -> tuple:

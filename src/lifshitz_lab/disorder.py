@@ -33,6 +33,7 @@ __all__ = [
     "draw_couplings",
     "sample_realization",
     "lattice_cube",
+    "max_norm_cube",
 ]
 
 LAWS = ("uniform01", "kappa_tail", "bernoulli")
@@ -45,8 +46,6 @@ BLOCK_COUPLINGS = 2**15
 _U64 = np.uint64
 _MASK = 2**64 - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
 
 
 class ValidationError(ValueError):
@@ -65,16 +64,9 @@ class CoverageError(ValueError):
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     # SplitMix64 finalizer; z is a uint64 ndarray, arithmetic wraps mod 2^64.
-    z = (z ^ (z >> _U64(30))) * _U64(_MIX1)
-    z = (z ^ (z >> _U64(27))) * _U64(_MIX2)
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
     return z ^ (z >> _U64(31))
-
-
-def _mix64_int(z: int) -> int:
-    # _mix64 of one integer in [0, 2^64), in Python integers masked to 64 bits
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
 
 
 def _fold_signed(coords: np.ndarray) -> np.ndarray:
@@ -234,12 +226,14 @@ class Realization:
         return self.window.shape[1]
 
     def values_at(self, sites: np.ndarray) -> np.ndarray:
-        """Couplings on the given sites; CoverageError if any lie outside."""
+        """Couplings on the given sites, its own window in place; CoverageError if any lie outside."""
         # window positions by binary search over the sorted Morton codes; a
         # site listed twice resolves to its last position
         sites = np.atleast_2d(np.asarray(sites, dtype=np.int64))
         if sites.shape[1] != self.d:
             raise CoverageError(sites)
+        if np.array_equal(sites, self.window):  # equal to the lookup: a draw gives a repeated site one value
+            return self.values
         if self._sorted is None:
             codes = encode_sites(self.window)
             order = np.argsort(codes, kind="stable")
@@ -265,31 +259,35 @@ def lattice_cube(d: int, radius: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def max_norm_cube(f, d: int, radius: int) -> np.ndarray:
+    """f(|x|_inf) on lattice_cube(d, radius), shaped (2 radius + 1,)*d, from f on one axis; f must
+    not increase with distance, so that min_j f(|x_j|) = f(max_j |x_j|)."""
+    return functools.reduce(np.minimum.outer, [f(np.abs(np.arange(-radius, radius + 1)))] * d)
+
+
 def draw_couplings(spec: DisorderSpec, hashes: np.ndarray, seed: int, index) -> np.ndarray:
     """Couplings of realization (seed, index) on the sites with these `site_hash` values.
 
     For a sequence of indices the result has one row per index, each bitwise
-    the draw of that index alone: the keys are built per index in Python
-    integers, and the (block, window) array is drawn in slices of at most
-    BLOCK_COUPLINGS entries, whole rows when the window is shorter.
+    the draw of that index alone: the keys are built on uint64 arrays, whose
+    adds wrap silently (a numpy scalar's warns), and the (block, window) array
+    is drawn in column slices of at most BLOCK_COUPLINGS entries, all rows in each.
     """
     block = np.ndim(index) == 1
     seed, indices = int(seed), [int(i) for i in index] if block else [int(index)]
     for name, value in (("seed", seed), *(("index", i) for i in indices)):
         if not 0 <= value <= _MASK:
             raise ValidationError(f"{name} must be a uint64")
-    seed_key = _mix64_int((seed + _GOLDEN) & _MASK)
-    keys = np.array([_mix64_int(seed_key ^ _mix64_int((i + _GOLDEN) & _MASK)) for i in indices],
-                    dtype=np.uint64)[:, None]
-    n = hashes.size
-    if len(indices) * n <= BLOCK_COUPLINGS:  # one slice: no buffer to fill (a block of the tail window)
+    seed_key = _mix64(np.array([seed], dtype=np.uint64) + _U64(_GOLDEN))
+    keys = _mix64(seed_key ^ _mix64(np.array(indices, dtype=np.uint64) + _U64(_GOLDEN)))[:, None]
+    rows, n = len(indices), hashes.size
+    if rows * n <= BLOCK_COUPLINGS:  # one slice: no buffer to fill (a block of the tail window)
         couplings = _couplings(spec, keys, hashes)
     else:
-        rows, cols = max(1, BLOCK_COUPLINGS // n), min(n, BLOCK_COUPLINGS)
-        couplings = np.empty((len(indices), n))
-        for r in range(0, len(indices), rows):
-            for c in range(0, n, cols):
-                couplings[r:r + rows, c:c + cols] = _couplings(spec, keys[r:r + rows], hashes[c:c + cols])
+        cols = max(1, BLOCK_COUPLINGS // rows)
+        couplings = np.empty((rows, n))
+        for c in range(0, n, cols):
+            couplings[:, c:c + cols] = _couplings(spec, keys, hashes[c:c + cols])
     return couplings if block else couplings[0]
 
 

@@ -280,8 +280,8 @@ def run(config: ExperimentConfig, out_dir: str = None, threads: int = None,
         seed: int = None, dry_run: bool = False) -> RunResult:
     """Validate, dispatch, persist; seed and out_dir override a copy of config.  Exit codes: 0 ok,
     2 invalid, 3 task failures."""
-    if seed is not None:  # a seed that is no integer is kept as given, for validate to refuse
-        n = _integral(seed)
+    if seed is not None and isinstance(config.ensemble, dict):  # else validate refuses the ensemble
+        n = _integral(seed)  # a seed that is no integer is kept as given, for validate to refuse
         config = replace(config, ensemble={**config.ensemble, "seed": seed if n is None else n})
     if out_dir is not None:
         config = replace(config, out=out_dir)

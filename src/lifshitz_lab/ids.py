@@ -268,8 +268,7 @@ def ile_check(background: PeriodicBackground, profile: SingleSiteProfile,
         raise ValidationError("need p > 0 and k >= 2")
     d = background.d
     k_box = max(1, int(round(k**alpha)))
-    box = BoxSpec(d=d, k=k_box, m=background.m, bc="quasiperiodic",
-                  theta=tuple(theta) if theta is not None else None)
+    box = BoxSpec(d=d, k=k_box, m=background.m, bc="quasiperiodic", theta=theta)
     operator = operator_sampler(background, profile, disorder, box, seed)
     threshold = 1.0 / k
     _, p_lo, p_hi, successes = frequency(
@@ -304,8 +303,7 @@ def wegner_check(background: PeriodicBackground, profile: SingleSiteProfile,
     d = background.d
     table = {}
     for k in ks:
-        box = BoxSpec(d=d, k=k, m=background.m, bc="quasiperiodic",
-                      theta=tuple(theta) if theta is not None else None)
+        box = BoxSpec(d=d, k=k, m=background.m, bc="quasiperiodic", theta=theta)
         operator = operator_sampler(background, profile, disorder, box, seed)
         table[k] = trials(lambda i: _window_hits(operator(i), E, eps_list), n_trials, threads).mean(axis=0)
     probs_top = table[max(ks)]

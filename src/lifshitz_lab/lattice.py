@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .disorder import ValidationError, cube_codes, draw_couplings, lattice_cube, site_hash
+from .disorder import ValidationError, cube_codes, draw_couplings, lattice_cube, max_norm_cube, site_hash
 
 __all__ = [
     "BoxSpec",
@@ -410,8 +410,7 @@ class _FieldPlan:
         # + o_r) is one lattice correlation of the couplings with a shifted envelope.
         d, m, k = box.d, box.m, box.k
         self.R = R = _window_radius(profile, box, tol)
-        reach = functools.reduce(np.maximum.outer, [np.abs(np.arange(-R, R + 1))] * d).ravel()
-        self.bound = profile.norm_bound(np.arange(R + 1) - box.side / 2.0)[reach]
+        self.bound = max_norm_cube(lambda r: profile.norm_bound(r - box.side / 2.0), d, R).ravel()
         outer, part = (np.maximum.outer, np.abs) if profile.kind == "compact" else (np.add.outer, np.square)
         disp = np.arange(-(k + R), k + R + 1, dtype=float)
         axis = [part(disp + ((a + 0.5) / m - 0.5)) for a in range(m)]
@@ -631,7 +630,7 @@ def assemble_operator(field: CoefficientField, theta=None) -> AssembledOperator:
     of cell c gets conj(phi_a) phi_b form[c, a, b], with phi_a the product of
     the seam phases exp(1j * theta_j * side) corner a lies across.
     """
-    box = field.box if theta is None else replace(field.box, theta=tuple(theta))
+    box = field.box if theta is None else replace(field.box, theta=theta)
     form, node, seams = _cell_scatter(field.cells, box)
     phases = [np.exp(1j * t * box.side) for t in box.theta or (0.0,) * box.d]
     if any(p != 1.0 for p in phases):

@@ -58,7 +58,9 @@ class SolverError(RuntimeError):
     """An eigen- or factorization routine failed to meet its tolerance."""
 
 
-def _as_matrix(A):
+def _checked_matrix(A, energies):
+    if np.any(np.isnan(energies)):  # no count is defined at NaN; +-inf count none and all
+        raise SolverError("NaN energy in an eigenvalue count")
     if isinstance(A, AssembledOperator):
         return A.matrix
     if sp.issparse(A):
@@ -83,7 +85,7 @@ def count_eigenvalues_below(A, E: float) -> int:
     not finite or lies within n eps || |L| |U| ||_inf of zero: L U is exact for
     a matrix that far from the shifted one, so that pivot's sign is not trusted.
     """
-    mat = _as_matrix(A)
+    mat = _checked_matrix(A, E)
     n, scale = mat.shape[0], _norm1(mat) or 1.0
     shifted = sp.csc_matrix(mat) - (E + 1e-12 * scale) * sp.identity(n, dtype=mat.dtype, format="csc")
     try:
@@ -129,7 +131,7 @@ def _spectrum(mat) -> np.ndarray:
 def counts_below(A, energies) -> np.ndarray:
     """#{eigenvalues of A <= E} for each energy of a grid: from one banded spectrum, from one
     dense spectrum up to DENSE_THRESHOLD nodes, and else one inertia count per energy."""
-    mat = _as_matrix(A)
+    mat = _checked_matrix(A, energies)
     if mat.shape[0] > DENSE_THRESHOLD and _lower_band(mat) is None:
         counts = [count_eigenvalues_below(mat, E) for E in np.ravel(energies)]
         return np.array(counts, dtype=np.intp).reshape(np.shape(energies))
@@ -167,13 +169,13 @@ def _tridiagonal_counts(diagonal: np.ndarray, off: np.ndarray, energies):
     if not np.all(np.isfinite(tops)):  # NaN in any entry or energy propagates to top
         raise SolverError(f"non-finite entry or energy in a tridiagonal count of order {block.shape[1]}")
     energies = np.asarray(energies, dtype=float)
-    counts = np.empty(block.shape[:1] + energies.shape, dtype=np.intp)
+    counts = np.zeros(block.shape[:1] + energies.shape, dtype=np.intp)
     screens = block - tops[:, None]  # A - top I, overwritten by pttrf
     for i, (row, top, scale, screen) in enumerate(zip(block, tops, scales, screens)):
         if block.shape[1] == 1:  # stebz takes no empty off-diagonal
             vals = row[row <= top]
         elif scipy.linalg.lapack.dpttrf(screen, off, overwrite_d=1)[2] == 0:
-            vals = row[:0]
+            continue  # no eigenvalue <= top: its counts stay 0
         else:
             abstol = COARSE_TOL * scale
             vals = _bisect(row, off, top, abstol)

@@ -18,9 +18,8 @@ import lifshitz_lab.experiments as experiments_mod
 import lifshitz_lab.ids as ids_mod
 import lifshitz_lab.lattice as lattice_mod
 from lifshitz_lab.cli import build_parser, main
-from lifshitz_lab.config import (BLOCKS, EXPERIMENT_KINDS, MODELS, PARAMS, ExperimentConfig,
-                                 config_hash, energy_grid, eps_grid, load_config, parse_config,
-                                 validate)
+from lifshitz_lab.config import (EXPERIMENT_KINDS, MODELS, ExperimentConfig, config_hash, energy_grid,
+                                 eps_grid, load_config, parse_config, validate)
 from lifshitz_lab.disorder import ValidationError
 from lifshitz_lab.experiments import _DRIVERS, run
 from lifshitz_lab.lattice import PeriodicBackground
@@ -422,7 +421,6 @@ def test_an_anderson_decay_operator_above_the_dense_limit_is_refused(tmp_path):
 
 
 def test_validate_refuses_each_block_the_kind_does_not_read():
-    assert set(BLOCKS) == set(PARAMS)
     doc = {**ENSEMBLE_DOCS["lifshitz"], "profile": {"kind": "long_range", "nu": 1.5}, "energies": {"count": 3}}
     assert [str(d) for d in validate(parse_config(doc))] == [
         "error: profile: a lifshitz run does not read it; remove it",
@@ -919,6 +917,18 @@ def test_cli_bad_thread_count_exits_2_before_output(tmp_path, capsys, monkeypatc
     assert main(argv) == 2
     assert not (tmp_path / "res").exists()
     assert "error: threads: thread count must be an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("ensemble", [5, [1, 2]])
+def test_a_seed_override_leaves_an_ensemble_that_is_no_object_to_validate(tmp_path, capsys, ensemble):
+    doc = {**IDS_DOC, "ensemble": ensemble, "out": str(tmp_path / "cli")}
+    error = f"error: ensemble must be an object, got {ensemble!r}"
+    result = run(parse_config(doc), out_dir=str(tmp_path / "lib"), seed=3)
+    assert result.exit_code == 2 and [str(d) for d in result.diagnostics] == [error]
+    for argv in ([], ["--dry-run"]):
+        assert main(["ids", "--config", write_config(tmp_path, doc), "--seed", "3", *argv]) == 2
+        assert error in capsys.readouterr().err
+    assert not (tmp_path / "lib").exists() and not (tmp_path / "cli").exists()
 
 
 def test_cli_missing_file_exits_2(tmp_path):

@@ -151,6 +151,13 @@ def test_block_draw_rows_are_the_per_index_draws(d, radius, seed, start, length,
         assert np.array_equal(row, draw_couplings(spec, hashes, seed, i))
     with pytest.raises(ValidationError):
         draw_couplings(spec, hashes, seed, [start, -1])
+    # keys at the ends of the uint64 range, mixed in one block, wrap without a warning
+    mixed = [0, _MASK, 2**63 + 17, 0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = draw_couplings(spec, hashes, _MASK, mixed)
+        for i, row in zip(mixed, rows, strict=True):
+            assert np.array_equal(row, draw_couplings(spec, hashes, _MASK, i))
 
 
 # -- laws ---------------------------------------------------------------------
@@ -232,6 +239,15 @@ def test_realization_values_and_coverage():
     assert np.all((vals >= 0.0) & (vals <= 1.0))
     with pytest.raises(CoverageError):
         omega.values_at(np.array([[4, 0]]))
+    # its own window reads in place, bitwise the sorted lookup of the same sites in
+    # shuffled order mapped back, also for a window that lists a site twice
+    for win in (window, np.concatenate([window, window[[3, 17]]])):
+        omega = sample_realization(spec, win, seed=5, index=2)
+        order = np.random.default_rng(1).permutation(len(win))
+        looked_up = np.empty(len(win))
+        looked_up[order] = omega.values_at(win[order])
+        assert omega.values_at(win) is omega.values
+        assert np.array_equal(omega.values, looked_up)
 
 
 def test_realization_reproducible_across_windows():

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 import lifshitz_lab.disorder as disorder_mod
 import lifshitz_lab.lattice as lattice_mod
+from lifshitz_lab.anderson import _AndersonPlan
 from lifshitz_lab.config import parse_config
 from lifshitz_lab.disorder import (CoverageError, DisorderSpec, Realization, ValidationError,
-                                   lattice_cube, sample_realization)
+                                   lattice_cube, max_norm_cube, sample_realization)
 from lifshitz_lab.experiments import run
 from lifshitz_lab.ids import empirical_ids
 from lifshitz_lab.lattice import (BoxSpec, CoefficientField, PeriodicBackground, SingleSiteProfile, _bloch_family,
@@ -610,6 +611,26 @@ def test_field_plan_kernels_are_the_envelope_at_each_offset(kind, d, m):
         for r, flips in members:
             want = prof.envelope(disp + ((np.array(r) + 0.5) / m - 0.5)).reshape(kernel.shape)
             assert np.array_equal(np.flip(kernel, flips), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_max_norm_cube_is_f_of_the_max_norm(d):
+    # bitwise f(max |x|) over lattice_cube(d, r), for the Anderson kernel and for each
+    # profile's norm_bound, as the plans that read them hold them
+    nu = d + 6.0
+    plan = _AndersonPlan(d, 1, nu, 0.0, 1e-4)
+    radius = (plan.kernel.shape[0] - 1) // 2
+    reach = np.max(np.abs(lattice_cube(d, radius)), axis=1)
+    assert np.array_equal(max_norm_cube(lambda r: (1.0 + r) ** (-nu), d, radius).ravel(), (1.0 + reach) ** (-nu))
+    assert np.array_equal(plan.kernel.ravel(), (1.0 + reach) ** (-nu))
+    for kind in sorted(PLAN_PROFILES):
+        bg, prof, tol, k = _plan_case(kind, d, 2)
+        box = BoxSpec(d=d, k=k, m=2)
+        plan = _FieldPlan(bg, prof, box, tol)
+        reach = np.max(np.abs(lattice_cube(d, plan.R)), axis=1)
+        want = prof.norm_bound(reach - box.side / 2.0)
+        assert np.array_equal(max_norm_cube(lambda r: prof.norm_bound(r - box.side / 2.0), d, plan.R).ravel(), want)
+        assert np.array_equal(plan.bound, want)
 
 
 @pytest.mark.parametrize("d,m,evaluated", [(2, 2, 1), (2, 4, 4), (3, 3, 8)])

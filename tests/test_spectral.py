@@ -124,6 +124,30 @@ def test_counts_below_rejects_nan_matrix():
         counts_below(sp.csr_matrix(A), [0.0])
 
 
+@pytest.mark.parametrize("path", ["band", "dense", "inertia", "wide", "tridiagonal"])
+def test_a_nan_energy_is_refused_before_any_solve(path, monkeypatch):
+    # eigenvalues 1..50; the ring's corner entries make it wide, so with a low
+    # DENSE_THRESHOLD counts_below counts it energy by energy
+    diagonal = np.arange(1.0, 51.0)
+    narrow_op = sp.diags(diagonal).tocsr()
+    ring = narrow_op.tolil()
+    ring[0, 49] = ring[49, 0] = 0.5
+    ring = ring.tocsr()
+    if path == "wide":
+        monkeypatch.setattr(spectral, "DENSE_THRESHOLD", 10)
+    count = {"band": lambda E: counts_below(narrow_op, E),
+             "dense": lambda E: counts_below(narrow_op.toarray(), E),
+             "inertia": lambda E: np.array([count_eigenvalues_below(ring, e) for e in E]),
+             "wide": lambda E: counts_below(ring, E),
+             "tridiagonal": lambda E: spectral._tridiagonal_counts(diagonal, np.zeros(49), E)}[path]
+    if path != "tridiagonal":  # +-inf keep their exact counts (a tridiagonal count refuses them)
+        assert count([-np.inf, np.inf]).tolist() == [0, 50]
+    with spectrum_spy() as spectrum, patch.object(spectral.spla, "splu") as splu, \
+            patch.object(scipy.linalg.lapack, "dpttrf") as pttrf, pytest.raises(SolverError):
+        count([np.nan] if path == "inertia" else [1.5, np.nan])  # an inertia count is of one energy
+    assert not (spectrum.called or splu.called or pttrf.called)
+
+
 def test_counts_below_maps_eigvalsh_failure_to_solver_error(monkeypatch):
     def eigvalsh(*args, **kwargs):
         raise np.linalg.LinAlgError("no convergence")
