@@ -23,8 +23,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .curves import IDSCurve, ensemble_curve
-from .disorder import (BLOCK_COUPLINGS, DisorderSpec, Realization, ValidationError, cube_codes,
-                       draw_couplings, lattice_cube, law_cdf, max_norm_cube, site_hash)
+from .disorder import (BLOCK_COUPLINGS, DisorderSpec, Realization, ValidationError, cube_hashes,
+                       draw_couplings, lattice_cube, law_cdf, max_norm_cube)
 from .disorder import sample_realization  # noqa: F401  (perfbench/tracing.py patches this name)
 from .lattice import lattice_correlate
 from .runner import frequency
@@ -170,7 +170,7 @@ class _AndersonPlan:
 
     def __init__(self, d: int, k: int, nu: float, E_plus: float, tol: float):
         radius = truncation_radius_for(d, nu, tol)
-        self.hashes = site_hash(cube_codes(d, k + radius))
+        self.hashes = cube_hashes(d, k + radius)
         self.window_shape = (2 * (k + radius) + 1,) * d
         self.kernel = max_norm_cube(lambda r: (1.0 + r) ** (-nu), d, radius)
         self.free = assemble_anderson(d, k, E_plus, np.zeros((2 * k + 1) ** d)).matrix
@@ -439,8 +439,10 @@ def product_bound_P_eps_alpha_1(spec: DisorderSpec, eps: float, alpha: float,
     Core: every site |gamma| <= eps^(-(1-alpha)/2) has coupling below
     eps^(1+alpha).  Annulus: sites out to eps^(-(1+2alpha)/(nu-d)) get the
     relaxed threshold eps^(1+alpha) * (1+dist)^((nu-d)(1-alpha)), dist being
-    the max-norm distance to the integer core cube.  Exact lattice
-    enumeration; CDF arguments clipped at 1.
+    the max-norm distance to the integer core cube.  The annulus is summed per
+    max-norm shell r, whose (2r+1)^d - (2r-1)^d sites share one term (the
+    shell count in the form 2 sum_{j odd} C(d, j) (2r)^(d-j), positive terms
+    only); CDF arguments clipped at 1.
     """
     check_bound_args("product1", {"eps": eps, "alpha": alpha, "nu": nu, "d": d})
     core_r = eps ** (-(1.0 - alpha) / 2.0)
@@ -454,13 +456,13 @@ def product_bound_P_eps_alpha_1(spec: DisorderSpec, eps: float, alpha: float,
     log_annulus = 0.0
     n_annulus = 0
     if not annulus_empty:
-        sites = lattice_cube(d, outer_half)
-        dist = np.max(np.abs(sites), axis=1) - core_half
-        dist = dist[dist > 0]
-        n_annulus = dist.shape[0]
-        grow = (nu - d) * (1.0 - alpha)
-        for dv in dist:
-            log_annulus += _log_cdf_clipped(spec, threshold * (1.0 + dv) ** grow)
+        n_annulus = (2 * outer_half + 1) ** d - n_core
+        dist = np.arange(1, outer_half - core_half + 1)
+        two_r = 2.0 * (core_half + dist)
+        shells = 2.0 * sum(math.comb(d, j) * two_r ** (d - j) for j in range(1, d + 1, 2))
+        cdf = law_cdf(spec, np.minimum(threshold * (1.0 + dist) ** ((nu - d) * (1.0 - alpha)), 1.0))
+        with np.errstate(divide="ignore"):  # a CDF of 0 makes the bound -inf
+            log_annulus = float(np.sum(shells * np.log(cdf)))
     log_bound = log_core + log_annulus
     return BoundEvaluation(
         name="product_forced_small_all_sites", log_bound=min(log_bound, 0.0),
@@ -496,7 +498,7 @@ def mc_chernoff_event(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
                       C: float = 1.0, d: int = 1, n_trials: int = 10000,
                       seed: int = 0, truncation: float = None):
     """Frequency of the small-empirical-mean event the Chernoff bound majorizes."""
-    hashes = site_hash(cube_codes(d, k))
+    hashes = cube_hashes(d, k)
     scale = C * len(hashes)
     trunc = delta if truncation is None else truncation
     thr = delta / K
@@ -520,7 +522,7 @@ def mc_product_event_1(spec: DisorderSpec, eps: float, alpha: float, nu: float,
     beta_half = int(math.floor(eps ** (-(1.0 + alpha) / 2.0)))
     betas = lattice_cube(d, beta_half)
     window = lattice_cube(d, beta_half + PAD_RADIUS)
-    hashes = site_hash(cube_codes(d, beta_half + PAD_RADIUS))
+    hashes = cube_hashes(d, beta_half + PAD_RADIUS)
     # worst-case contribution of all sites beyond the sampled window
     far = _tail_bound(d, nu, PAD_RADIUS)
     diff = betas[:, None, :] - window[None, :, :]
@@ -539,7 +541,7 @@ def mc_product_event_2(spec: DisorderSpec, eps: float, alpha: float, nu: float,
                        seed: int = 0):
     """Frequency of {sum over the window of omega*(1+|gamma|)^(-nu) <= eps^(1+alpha)/2}."""
     window = LatticeWindow(alpha=alpha, zeta=eps ** s)
-    hashes = site_hash(cube_codes(d, window.half_side))
+    hashes = cube_hashes(d, window.half_side)
     weights = max_norm_cube(lambda r: (1.0 + r) ** (-nu), d, window.half_side).ravel()
     threshold = eps ** (1.0 + alpha) / 2.0
 

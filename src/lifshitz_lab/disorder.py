@@ -9,7 +9,8 @@ triple therefore yields bit-identical values on every platform, independent
 of evaluation order or parallelism.  The hash splits in two: a per-site hash
 mix64(code + GOLDEN) of the Morton code (`site_hash`) and a per-draw key
 mix64(mix64(seed + GOLDEN) ^ mix64(index + GOLDEN)) meet in mix64(key ^ site
-hash), so a window is hashed once for all its draws (`draw_couplings`).
+hash), so a window is hashed once for all its draws (`draw_couplings`), and
+a cube's hashes once per process until another cube replaces them (`cube_hashes`).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "encode_sites",
     "cube_codes",
     "site_hash",
+    "cube_hashes",
     "draw_couplings",
     "sample_realization",
     "lattice_cube",
@@ -126,6 +128,14 @@ def site_hash(codes: np.ndarray) -> np.ndarray:
     flat, out = codes.reshape(-1), hashes.reshape(-1)
     for a in range(0, flat.size, BLOCK_COUPLINGS):
         out[a:a + BLOCK_COUPLINGS] = _mix64(flat[a:a + BLOCK_COUPLINGS] + _U64(_GOLDEN))
+    return hashes
+
+
+@functools.lru_cache(maxsize=1)
+def cube_hashes(d: int, radius: int) -> np.ndarray:
+    """site_hash(cube_codes(d, radius)), read-only: the last cube's hashes are kept for the next caller."""
+    hashes = site_hash(cube_codes(d, radius))
+    hashes.flags.writeable = False
     return hashes
 
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.linalg
 
 from .curves import IDSCurve, InsufficientDataError, ensemble_curve
-from .disorder import DisorderSpec, ValidationError, cube_codes, draw_couplings, site_hash
+from .disorder import DisorderSpec, ValidationError, cube_hashes, draw_couplings
 from .lattice import BoxSpec, PeriodicBackground, SingleSiteProfile, _periodized_plan, operator_sampler
 from .runner import frequency, trials
 from .spectral import _field_bands, counts_below, periodic_ids_curve
@@ -84,7 +84,7 @@ def _periodic_counts(background, profile, disorder, k: int, n_theta: int, energi
     """Index i -> IDS values (grid-averaged counts per (2k+1)^d) of pattern (seed, i) on lattice_cube(d, k)
     repeated (2k+1)-periodically, from one field plan and one hash of the pattern cube for all."""
     field = _periodized_plan(background, profile, k)
-    hashes = site_hash(cube_codes(background.d, k))
+    hashes = cube_hashes(background.d, k)
     return lambda i: periodic_ids_curve(_field_bands(field(draw_couplings(disorder, hashes, seed, i)), n_theta),
                                         energies).values
 

@@ -23,13 +23,13 @@ averages the edges along axis j, and B_ij[a, b] = sigma_ai sigma_bj / 4^(d-1)
 dropped and a corner across a periodic seam carries its phase, so the seam
 shift s_b - s_a of a coupling is its Floquet shift.
 
-Random fields come from a plan built once per ensemble (`_FieldPlan`): each
-window site's truncation bound, one envelope kernel per class of sub-lattices
-equal up to axis flips (built axis by axis, as an envelope on a product grid)
-and the background tile.  A realization costs a mask, one correlation per
-class, which flips the coupling grid rather than the kernel (for d >= 2 one
-`_gemm_correlate` of the kernel with all the class's flipped grids), and the
-tile sum.
+Random fields come from a plan (`_FieldPlan`): each window site's truncation
+bound and one envelope kernel per class of sub-lattices equal up to axis flips
+(built axis by axis, as an envelope on a product grid), built once per process
+per geometry (`_plan_geometry`), and the background tile.  A realization costs
+a mask, one correlation per class, which flips the coupling grid rather than
+the kernel (for d >= 2 one `_gemm_correlate` of the kernel with all the class's
+flipped grids), and the tile sum.
 """
 
 from __future__ import annotations
@@ -41,7 +41,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .disorder import ValidationError, cube_codes, draw_couplings, lattice_cube, max_norm_cube, site_hash
+from .disorder import (BLOCK_COUPLINGS, ValidationError, cube_hashes, draw_couplings, lattice_cube,
+                       max_norm_cube)
 
 __all__ = [
     "BoxSpec",
@@ -233,7 +234,11 @@ class SingleSiteProfile:
         """The one distance -> envelope formula; dist is the max-norm (compact) or squared 2-norm."""
         if self.kind == "compact":
             return self.g_plus * (dist <= self.radius + 1e-15).astype(float)
-        return self.g_plus * (1.0 + np.sqrt(dist)) ** (-self.nu)
+        env = np.sqrt(dist)  # g_plus (1 + sqrt(dist))^(-nu), in place in one array
+        env += 1.0
+        env **= -self.nu
+        env *= self.g_plus
+        return env
 
     def norm_bound(self, dist) -> np.ndarray:
         """Upper bound on ||rho0(x)||_2 over |x| >= dist (any norm), elementwise."""
@@ -392,8 +397,40 @@ def _toeplitz_gemm(big: np.ndarray, grids: list) -> np.ndarray:
     return out.reshape(*L[:-1], n, L[-1])[..., ::-1].swapaxes(-1, -2)
 
 
+@functools.lru_cache(maxsize=1)
+def _plan_geometry(kind: str, g_plus: float, nu, radius, d: int, k: int, m: int, tol: float) -> tuple:
+    """(R, bound, kernels, members) of `_FieldPlan` for the profile with these fields on the
+    d-dimensional box (k, m), whatever its background and bc: a pure function of its arguments,
+    whose last result is kept for the next caller.  Its arrays are read-only, as they are shared."""
+    # Mesh sub-lattice r has its cell centres at x + o_r, x in {-k..k}^d and
+    # o_r = (r + 1/2)/m - 1/2, so its scalar field sum_gamma w_gamma env(x - gamma
+    # + o_r) is one lattice correlation of the couplings with a shifted envelope.
+    profile = SingleSiteProfile(d=d, kind=kind, g_plus=g_plus, nu=nu, radius=radius)
+    box = BoxSpec(d=d, k=k, m=m)
+    R = _window_radius(profile, box, tol)
+    bound = max_norm_cube(lambda r: profile.norm_bound(r - box.side / 2.0), d, R).ravel()
+    outer, part = (np.maximum.outer, np.abs) if kind == "compact" else (np.add.outer, np.square)
+    disp = np.arange(-(k + R), k + R + 1, dtype=float)
+    axis = [part(disp + ((a + 0.5) / m - 0.5)) for a in range(m)]
+    # where axis m-1-a is exactly axis a reversed (o_{m-1-a} = -o_a in floating
+    # point), the kernel of sub-lattice r is that of its representative, the lesser
+    # of r_j and m-1-r_j on each such axis, flipped on the axes where they differ
+    mirrored = [np.array_equal(axis[a][::-1], axis[m - 1 - a]) for a in range(m)]
+    classes, kernels, members = {}, [], []
+    for r in np.ndindex(*(m,) * d):
+        rep = tuple(min(a, m - 1 - a) if mirrored[a] else a for a in r)
+        if rep not in classes:
+            classes[rep] = len(kernels)
+            kernels.append(profile._radial(functools.reduce(outer, [axis[a] for a in rep])))
+            members.append([])
+        members[classes[rep]].append((r, tuple(j for j in range(d) if r[j] != rep[j])))
+    for array in (bound, *kernels):
+        array.flags.writeable = False
+    return R, bound, tuple(kernels), tuple(map(tuple, members))
+
+
 class _FieldPlan:
-    """What every field of an ensemble on one box shares, over the window lattice_cube(d, R).
+    """What every field on one box shares, over the window lattice_cube(d, R).
 
     `kernels` holds one envelope per class of sub-lattices equal up to axis
     flips, and `members[c]` each sub-lattice r of class c with the axes F on
@@ -402,40 +439,30 @@ class _FieldPlan:
     class is one `_gemm_correlate` of its kernel with each member's flipped
     grid; for d = 1 `np.correlate` copies each flipped kernel view and sums it
     in the order that a stored flipped kernel had, which keeps the d = 1 bytes.
+    All but the background tile comes from `_plan_geometry`, so a driver call
+    that repeats the last geometry builds none of it.
     """
 
     def __init__(self, background: PeriodicBackground, profile: SingleSiteProfile, box, tol):
-        # Mesh sub-lattice r has its cell centres at x + o_r, x in {-k..k}^d and
-        # o_r = (r + 1/2)/m - 1/2, so its scalar field sum_gamma w_gamma env(x - gamma
-        # + o_r) is one lattice correlation of the couplings with a shifted envelope.
-        d, m, k = box.d, box.m, box.k
-        self.R = R = _window_radius(profile, box, tol)
-        self.bound = max_norm_cube(lambda r: profile.norm_bound(r - box.side / 2.0), d, R).ravel()
-        outer, part = (np.maximum.outer, np.abs) if profile.kind == "compact" else (np.add.outer, np.square)
-        disp = np.arange(-(k + R), k + R + 1, dtype=float)
-        axis = [part(disp + ((a + 0.5) / m - 0.5)) for a in range(m)]
-        # where axis m-1-a is exactly axis a reversed (o_{m-1-a} = -o_a in floating
-        # point), the kernel of sub-lattice r is that of its representative, the lesser
-        # of r_j and m-1-r_j on each such axis, flipped on the axes where they differ
-        mirrored = [np.array_equal(axis[a][::-1], axis[m - 1 - a]) for a in range(m)]
-        classes, self.kernels, self.members = {}, [], []
-        for r in np.ndindex(*(m,) * d):
-            rep = tuple(min(a, m - 1 - a) if mirrored[a] else a for a in r)
-            if rep not in classes:
-                classes[rep] = len(self.kernels)
-                self.kernels.append(profile._radial(functools.reduce(outer, [axis[a] for a in rep])))
-                self.members.append([])
-            self.members[classes[rep]].append((r, tuple(j for j in range(d) if r[j] != rep[j])))
+        if profile.d != box.d:
+            raise ValidationError("profile and box have different dimensions")
         self.tile = background.tile(box)
+        self.R, self.bound, self.kernels, self.members = _plan_geometry(
+            profile.kind, profile.g_plus, profile.nu, profile.radius, box.d, box.k, box.m, tol)
         self.profile, self.box, self.tol = profile, box, tol
 
     def field(self, couplings: np.ndarray) -> CoefficientField:
         """The field of couplings listed in window order."""
-        if not np.all(couplings >= 0):  # NaN fails too
-            raise ValidationError("couplings must be nonnegative")
         d, m, side = self.box.d, self.box.m, self.box.side
-        # site-level truncation: a site whose whole contribution stays below tol gets weight zero
-        weights = np.where(couplings * self.bound > self.tol, couplings, 0.0)
+        # site-level truncation: a site whose whole contribution stays below tol gets weight
+        # zero; c * (c * bound > tol) is np.where(c * bound > tol, c, 0) for finite c >= 0
+        weights = np.empty(couplings.shape)
+        for a in range(0, couplings.size, BLOCK_COUPLINGS):
+            part = slice(a, a + BLOCK_COUPLINGS)
+            c = couplings[part]
+            if not np.all(c >= 0):  # NaN fails too
+                raise ValidationError("couplings must be nonnegative")
+            np.multiply(c, c * self.bound[part] > self.tol, out=weights[part])
         # the mirrored cube (index j holds gamma = R - j), a view of the window reversed
         grid = np.flip(weights.reshape((2 * self.R + 1,) * d))
         scalar = np.empty((m,) * d + (side,) * d)
@@ -474,10 +501,11 @@ def operator_sampler(background: PeriodicBackground, profile: SingleSiteProfile,
                      disorder, box: BoxSpec, seed: int, tol: float = TAIL_TOL):
     """Function index -> assembled operator of that realization on the box.
 
-    The plan and its window's site hash are built once; a draw needs only its key.
+    The plan and its window's site hash are built once (and kept for the next call
+    on the same geometry); a draw needs only its key.
     """
     plan = _FieldPlan(background, profile, box, tol)
-    hashes = site_hash(cube_codes(box.d, plan.R))
+    hashes = cube_hashes(box.d, plan.R)
     return lambda index: assemble_operator(plan.field(draw_couplings(disorder, hashes, seed, index)))
 
 

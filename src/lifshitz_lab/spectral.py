@@ -98,7 +98,7 @@ def count_eigenvalues_below(A, E: float) -> int:
         growth = (abs(lu.L) @ (abs(lu.U) @ np.ones(n))).max()  # not finite: no pivot passes
         if np.all(np.abs(pivots) > n * np.finfo(float).eps * growth):
             return int(np.count_nonzero(pivots < 0.0))
-    return count_sorted_leq(_spectrum(mat), E, scale)
+    return count_sorted_leq(_spectrum(mat, _lower_band(mat)), E, scale)
 
 
 def _lower_band(mat):
@@ -116,10 +116,10 @@ def _lower_band(mat):
     return band
 
 
-def _spectrum(mat) -> np.ndarray:
-    """Ascending eigenvalues of the symmetric matrix whose lower triangle `mat` holds."""
+def _spectrum(mat, band) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix whose lower triangle `mat` holds: from `band`,
+    its `_lower_band` (which the solve overwrites), or densely where that is None."""
     try:
-        band = _lower_band(mat)
         if band is not None:
             return scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
         dense = mat.toarray() if sp.issparse(mat) else np.array(mat)  # a copy to overwrite
@@ -132,10 +132,11 @@ def counts_below(A, energies) -> np.ndarray:
     """#{eigenvalues of A <= E} for each energy of a grid: from one banded spectrum, from one
     dense spectrum up to DENSE_THRESHOLD nodes, and else one inertia count per energy."""
     mat = _checked_matrix(A, energies)
-    if mat.shape[0] > DENSE_THRESHOLD and _lower_band(mat) is None:
+    band = _lower_band(mat)  # built once: it picks the path, and the banded path solves it
+    if mat.shape[0] > DENSE_THRESHOLD and band is None:
         counts = [count_eigenvalues_below(mat, E) for E in np.ravel(energies)]
         return np.array(counts, dtype=np.intp).reshape(np.shape(energies))
-    return count_sorted_leq(_spectrum(mat), energies, scale=_norm1(mat) or 1.0)
+    return count_sorted_leq(_spectrum(mat, band), energies, scale=_norm1(mat) or 1.0)
 
 
 def _tridiagonal_counts(diagonal: np.ndarray, off: np.ndarray, energies):

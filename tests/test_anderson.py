@@ -18,9 +18,11 @@ from lifshitz_lab.anderson import (AndersonInstance, LatticeWindow,
                                    potential_on_box, product_bound_P_eps_alpha_1,
                                    product_bound_P_eps_alpha_2, sample_anderson,
                                    truncation_radius_for, _tail_bound)
+from lifshitz_lab.config import parse_config
 from lifshitz_lab.disorder import (DisorderSpec, Realization, ValidationError, draw_couplings,
-                                   lattice_cube, law_quantile, sample_realization,
+                                   lattice_cube, law_cdf, law_quantile, sample_realization,
                                    site_uniforms)
+from lifshitz_lab.experiments import run
 from lifshitz_lab.lattice import lattice_correlate
 from lifshitz_lab.runner import TaskFailure, frequency
 from lifshitz_lab.spectral import SolverError, _norm1, count_sorted_leq, counts_below
@@ -607,6 +609,40 @@ def test_product_bound_1_worked_core_value():
     assert be.details["n_core"] == 3
     assert be.details["log_p_core"] == pytest.approx(-4.5 * math.log(10.0), abs=1e-12)
     assert be.log_bound <= be.details["log_p_core"]
+
+
+def enumerated_annulus(spec, eps, alpha, nu, d):
+    """The annulus of product bound 1 site by site over lattice_cube(d, outer half side)."""
+    be = product_bound_P_eps_alpha_1(spec, eps=eps, alpha=alpha, nu=nu, d=d)
+    core, outer = be.details["core_half_side"], be.details["outer_half_side"]
+    dist = np.max(np.abs(lattice_cube(d, outer)), axis=1) - core
+    dist = dist[dist > 0]
+    terms = [math.log(law_cdf(spec, min(be.details["threshold"] * (1.0 + dv) ** ((nu - d) * (1.0 - alpha)), 1.0)))
+             for dv in dist]
+    return math.fsum(terms), len(dist), be
+
+
+@pytest.mark.parametrize("spec", [UNIFORM, DisorderSpec("kappa_tail", kappa=0.5),
+                                  DisorderSpec("bernoulli", p=0.4, a=0.9)])
+@pytest.mark.parametrize("eps,alpha,nu,d", [(0.1, 0.5, 2.5, 1), (0.05, 0.3, 1.8, 1),
+                                            (0.1, 0.5, 3.5, 2), (0.05, 0.25, 3.2, 2)])
+def test_product_bound_1_shell_sum_is_the_site_enumeration(spec, eps, alpha, nu, d):
+    want, n_sites, be = enumerated_annulus(spec, eps, alpha, nu, d)
+    assert n_sites > 0 and be.details["n_annulus"] == n_sites
+    assert be.details["log_p_annulus"] == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert be.log_bound == min(be.details["log_p_core"] + be.details["log_p_annulus"], 0.0)
+
+
+def test_product_bound_1_doc_at_a_wide_annulus_runs(tmp_path):
+    # outer half side floor(0.05^-4) = 159,999: the site cube would hold 1.0e11 sites (763 GiB)
+    doc = {"kind": "bounds", "disorder": {"law": "uniform01"},
+           "params": {"evaluations": [{"type": "product1", "eps": 0.05, "alpha": 0.5, "nu": 2.5, "d": 2}]}}
+    result = run(parse_config(doc), out_dir=str(tmp_path / "bounds"))
+    assert result.exit_code == 0
+    be = product_bound_P_eps_alpha_1(UNIFORM, eps=0.05, alpha=0.5, nu=2.5, d=2)
+    assert be.details["outer_half_side"] == 159999
+    assert be.details["n_annulus"] == 319999**2 - be.details["n_core"]
+    assert math.isfinite(be.log_bound) and be.log_bound < be.details["log_p_core"] < 0.0
 
 
 def test_product_bound_2_worked_value():

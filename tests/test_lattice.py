@@ -255,7 +255,10 @@ def test_field_on_its_own_window_skips_the_lookup(monkeypatch, prof, tol):
 
 def test_ids_drivers_never_look_up_sites(monkeypatch, tmp_path):
     monkeypatch.setattr(Realization, "values_at", _no_lookup)
-    # the window is packed once per ensemble, not once per realization
+    # the window is packed once per ensemble, not once per realization, and not again
+    # by a call that repeats the last geometry
+    disorder_mod.cube_hashes.cache_clear()
+    lattice_mod._plan_geometry.cache_clear()
     packed = []
     encode = disorder_mod.encode_sites
 
@@ -275,6 +278,9 @@ def test_ids_drivers_never_look_up_sites(monkeypatch, tmp_path):
            "energies": {"min": 0.5, "max": 10.0, "count": 4},
            "ensemble": {"n_realizations": 2, "seed": 3}}
     assert run(parse_config(doc), out_dir=str(tmp_path / "ids")).exit_code == 0
+    assert len(packed) == 1
+    disorder_mod.cube_hashes.cache_clear()
+    assert run(parse_config(doc), out_dir=str(tmp_path / "cold")).exit_code == 0
     assert len(packed) == 2
 
 
@@ -645,6 +651,7 @@ def test_field_plan_evaluates_one_envelope_per_flip_class(kind, d, m, evaluated)
         calls.append(dist.shape)
         return real(profile, dist)
 
+    lattice_mod._plan_geometry.cache_clear()  # so the plan evaluates its envelopes here
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(SingleSiteProfile, "_radial", radial)
         plan = _FieldPlan(bg, prof, BoxSpec(d=d, k=k, m=m), tol)
@@ -669,6 +676,71 @@ def test_field_plan_rejects_a_nan_coupling():
     couplings[plan.R] = np.nan
     with pytest.raises(ValidationError):
         plan.field(couplings)
+
+
+# -- the plan and hash caches ------------------------------------------------------------
+
+
+def test_field_plan_geometry_is_built_once_per_geometry():
+    # the kernels, bounds and members depend on the profile's fields, (d, k, m) and tol only:
+    # a Dirichlet and a quasiperiodic plan share them, and so do equal profiles and backgrounds
+    base = dict(kind="long_range", g_plus=1.0, nu=3.5, radius=0.7, k=1, m=2, tol=1e-5)
+
+    def plan(bc="dirichlet", theta=None, low=1.0, **change):
+        p = {**base, **change}
+        prof = SingleSiteProfile(d=2, kind=p["kind"], g_plus=p["g_plus"], nu=p["nu"], radius=p["radius"])
+        bg = PeriodicBackground.two_phase(m=p["m"], low=low, high=3.0, d=2)
+        return _FieldPlan(bg, prof, BoxSpec(d=2, k=p["k"], m=p["m"], bc=bc, theta=theta), p["tol"])
+
+    lattice_mod._plan_geometry.cache_clear()
+    first = plan()
+    for again in (plan(), plan(bc="quasiperiodic", theta=(0.3, 1.2)), plan(low=2.0)):
+        assert again.bound is first.bound and again.kernels is first.kernels and again.members is first.members
+    assert lattice_mod._plan_geometry.cache_info().misses == 1
+    for key, value in [("tol", 1e-6), ("nu", 3.0), ("g_plus", 2.0), ("kind", "compact"), ("k", 2), ("m", 3),
+                       ("radius", 0.9)]:
+        misses = lattice_mod._plan_geometry.cache_info().misses
+        changed = plan(**{key: value})
+        assert lattice_mod._plan_geometry.cache_info().misses == misses + 1, key
+        assert changed.bound is not first.bound and changed.kernels is not first.kernels
+        lattice_mod._plan_geometry.cache_clear()
+        assert np.array_equal(changed.bound, plan(**{key: value}).bound)  # built for its own key, not stale
+        first = plan()  # the base geometry again, for the next key
+
+
+def test_cached_plan_and_hash_arrays_are_read_only():
+    bg, prof, tol, k = _plan_case("long_range", 2, 2)
+    plan = _FieldPlan(bg, prof, BoxSpec(d=2, k=k, m=2), tol)
+    hashes = disorder_mod.cube_hashes(2, plan.R)
+    assert hashes is disorder_mod.cube_hashes(2, plan.R)
+    assert np.array_equal(hashes, disorder_mod.site_hash(disorder_mod.cube_codes(2, plan.R)))
+    for array in (plan.bound, *plan.kernels, hashes):
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+
+
+def test_field_plan_refuses_a_profile_of_another_dimension():
+    # the cached geometry is keyed by the box's d, so a profile of another d is refused, not rebuilt
+    with pytest.raises(ValidationError):
+        _FieldPlan(PeriodicBackground.identity(2, 2), compact_profile(d=1), BoxSpec(d=2, k=1, m=2), 1e-5)
+
+
+def test_cold_and_warm_runs_write_the_same_bytes(tmp_path):
+    # the ids_longrange_d2 benchmark doc: a cold run builds its plan and window hash, a warm one reuses them
+    doc = {"kind": "ids", "geometry": {"d": 2, "k": 2, "m": 2, "bc": "dirichlet"},
+           "profile": {"kind": "long_range", "nu": 4.0}, "disorder": {"law": "uniform01"},
+           "energies": {"min": 0.0, "max": 12.0, "count": 25},
+           "ensemble": {"n_realizations": 1, "seed": 0}}
+    lattice_mod._plan_geometry.cache_clear()
+    disorder_mod.cube_hashes.cache_clear()
+    for name in ("cold", "warm"):
+        assert run(parse_config(doc), out_dir=str(tmp_path / name)).exit_code == 0
+    assert lattice_mod._plan_geometry.cache_info().hits == 1 and disorder_mod.cube_hashes.cache_info().hits == 1
+    files = sorted(path.name for path in (tmp_path / "cold").iterdir() if path.name != "manifest.json")
+    assert files and files == sorted(path.name for path in (tmp_path / "warm").iterdir()
+                                     if path.name != "manifest.json")
+    for name in files:
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes(), name
 
 
 # -- structural invariants (property-based) ------------------------------------------

@@ -208,7 +208,7 @@ def test_banded_counts_equal_inertia_and_dense_counts(d, long_range, bc, j, seed
     # at these k the d = 1, 2 Dirichlet boxes are narrow; d = 3 boxes and periodic wraps are wide
     assert narrow(op.matrix) == (bc == "dirichlet" and d < 3)
     dense_vals = scipy.linalg.eigvalsh(op.matrix.toarray())
-    band_vals = spectral._spectrum(op.matrix)
+    band_vals = spectral._spectrum(op.matrix, spectral._lower_band(op.matrix))
     scale = spectral._norm1(op.matrix)
     picks = np.linspace(0, len(dense_vals) - 1, 3).astype(int)
     grid = np.linspace(dense_vals[0] - 1.0, dense_vals[-1] + 1.0, 5)
@@ -220,10 +220,23 @@ def test_banded_counts_equal_inertia_and_dense_counts(d, long_range, bc, j, seed
             assert np.all(got >= picks + 1)
     if bc == "dirichlet":  # the band solve itself, also on the d = 3 boxes the rule sends dense
         with patch.object(spectral, "BAND_RATIO", 1):
-            forced = spectral._spectrum(op.matrix)
+            forced = spectral._spectrum(op.matrix, spectral._lower_band(op.matrix))
             assert counts_below(op, dense_vals[picks]).tolist() == \
                 count_sorted_leq(dense_vals, dense_vals[picks], scale).tolist()
         assert np.max(np.abs(forced - dense_vals)) <= 1e-12 * scale
+
+
+def test_counts_below_builds_the_band_once():
+    # above DENSE_THRESHOLD the band picks the path and is then solved: one build per count
+    n = 4000
+    mat = sp.diags([np.full(n - 1, -1.0), np.full(n, 2.0), np.full(n - 1, -1.0)], [-1, 0, 1]).tocsr()
+    assert n > spectral.DENSE_THRESHOLD and narrow(mat)
+    energies = [0.5, 2.0, 3.5]
+    with patch.object(spectral, "_lower_band", wraps=spectral._lower_band) as band:
+        got = counts_below(mat, energies)
+    assert band.call_count == 1
+    exact = 2.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))  # the path Laplacian's spectrum
+    assert got.tolist() == count_sorted_leq(np.sort(exact), energies, spectral._norm1(mat)).tolist()
 
 
 def test_narrow_box_counts_without_dense_eigvalsh(monkeypatch):
@@ -280,7 +293,8 @@ def test_band_path_leaves_the_sparse_input_unchanged():
     assert counts_below(mat, energies).tolist() == dense_counts(mat, energies).tolist()
     assert counts_below(split, energies).tolist() == dense_counts(mat, energies).tolist()
     dense_vals = np.linalg.eigvalsh(mat.toarray())
-    assert np.max(np.abs(spectral._spectrum(split) - dense_vals)) <= 1e-12 * spectral._norm1(mat)
+    split_vals = spectral._spectrum(split, spectral._lower_band(split))
+    assert np.max(np.abs(split_vals - dense_vals)) <= 1e-12 * spectral._norm1(mat)
     assert spectral._norm1(split) == spectral._norm1(mat)
     assert all(np.array_equal(a, b) for a, b in zip((mat.data, mat.indices, mat.indptr), kept))
     assert all(np.array_equal(a, b) for a, b in zip((split.data, split.row, split.col), kept_split))
