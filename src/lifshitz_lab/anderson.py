@@ -15,6 +15,7 @@ values are returned in log form and never exceed 0.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -53,6 +54,7 @@ __all__ = [
 
 T_BRACKET = (1e-6, 1e12)  # range of t that chernoff_bound_P1 searches
 PAD_RADIUS = 200  # extra radius of the window mc_product_event_1 samples
+PRODUCT1_MAX_SHELLS = 10**6  # largest outer half side of product_bound_P_eps_alpha_1 (one term per shell)
 POTENTIAL_TOL = 1e-8  # default neglected tail of the truncated potential
 CHUNK = 32  # most box sites one GEMM of the d = 1 potential computes
 # bounds-config type -> {argument: (upper end, upper end included)}; each
@@ -380,7 +382,8 @@ def _golden_minimize(fn, lo: float, hi: float, iters: int = 200):
 
 def check_bound_args(kind: str, args: dict):
     """Raise ValidationError unless `args` (by name: each argument of BOUND_DOMAINS[kind],
-    d, and a product bound's nu) lie in the domain of bound `kind`, a bounds-config type."""
+    d, and a product bound's nu) lie in the domain of bound `kind`, a bounds-config type, and
+    product1's outer half side is at most PRODUCT1_MAX_SHELLS."""
     for key, (hi, closed) in BOUND_DOMAINS[kind].items():
         value = float(args[key])
         if not (0 < value < hi or (closed and value == hi)):
@@ -388,6 +391,12 @@ def check_bound_args(kind: str, args: dict):
     d = int(args["d"])
     if kind != "chernoff" and not d < float(args["nu"]) <= d + 2:
         raise ValidationError("need nu in (d, d+2]")
+    if kind == "product1":  # outer half side eps^(-(1+2 alpha)/(nu-d)), in logs: the power overflows
+        exponent = (1.0 + 2.0 * float(args["alpha"])) / (float(args["nu"]) - d)
+        log10_outer = -exponent * math.log10(float(args["eps"]))
+        if log10_outer > math.log10(PRODUCT1_MAX_SHELLS):
+            raise ValidationError(f"outer half side eps^(-(1+2 alpha)/(nu-d)) = 10^{log10_outer:.2f} "
+                                  f"exceeds {PRODUCT1_MAX_SHELLS:,}, the most shells product1 sums")
 
 
 def chernoff_bound_P1(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
@@ -510,6 +519,21 @@ def mc_chernoff_event(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
     return frequency(small_mean, n_trials, block=_block(hashes))
 
 
+def _cross_weights(d: int, inner: int, outer: int, nu: float) -> np.ndarray:
+    """(1 + |beta - gamma|_inf)^(-nu) for beta in lattice_cube(d, inner) (rows) and gamma in
+    lattice_cube(d, outer) (columns).  1 + the max-norm distance is the largest per-axis
+    1 + |beta_j - gamma_j|, broadcast on axes (beta_1..beta_d, gamma_1..gamma_d): no
+    (rows, columns, d) difference array."""
+    gap = 1.0 + np.abs(np.arange(-inner, inner + 1)[:, None] - np.arange(-outer, outer + 1))
+
+    def axis_gap(j):
+        shape = [1] * (2 * d)
+        shape[j], shape[d + j] = gap.shape
+        return gap.reshape(shape)
+
+    return functools.reduce(np.maximum, map(axis_gap, range(d))).reshape(gap.shape[0] ** d, -1) ** (-nu)
+
+
 def mc_product_event_1(spec: DisorderSpec, eps: float, alpha: float, nu: float,
                        d: int, n_trials: int = 10000, seed: int = 0):
     """Certified-from-below frequency of the uniform small-field event.
@@ -520,13 +544,11 @@ def mc_product_event_1(spec: DisorderSpec, eps: float, alpha: float, nu: float,
     their worst case (omega = 1), so a counted hit implies the true event.
     """
     beta_half = int(math.floor(eps ** (-(1.0 + alpha) / 2.0)))
-    betas = lattice_cube(d, beta_half)
-    window = lattice_cube(d, beta_half + PAD_RADIUS)
-    hashes = cube_hashes(d, beta_half + PAD_RADIUS)
+    pad_half = beta_half + PAD_RADIUS
+    hashes = cube_hashes(d, pad_half)
     # worst-case contribution of all sites beyond the sampled window
     far = _tail_bound(d, nu, PAD_RADIUS)
-    diff = betas[:, None, :] - window[None, :, :]
-    weights = (1.0 + np.max(np.abs(diff), axis=2).astype(float)) ** (-nu)
+    weights = _cross_weights(d, beta_half, pad_half, nu)
     threshold = eps ** (1.0 + alpha)
 
     def small_field(indices):

@@ -66,18 +66,16 @@ class RunResult:
 
 
 def _write_csv(path: str, header: list, rows):
-    """Rows hold str, int and float only: csv writes floats by repr, but a bool as True.
-
-    `rows` may also be one str of rows already rendered as csv renders them,
-    each ending in "\\r\\n".
-    """
+    """`rows` is a list of row tuples of str, int and float only (csv writes floats by repr, but
+    a bool as True), or an iterator of str chunks already rendered as csv renders them, each
+    ending in "\\r\\n"; the chunks are streamed to the file."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        if isinstance(rows, str):
-            fh.write(rows)
-        else:
+        if isinstance(rows, list):
             w.writerows(rows)
+        else:
+            fh.writelines(rows)
 
 
 def _jsonable(obj):
@@ -86,7 +84,10 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        # no element of an int, bool or finite float array needs the walk (a nonfinite float's repr)
+        if obj.dtype.kind in "biu" or (obj.dtype.kind == "f" and np.isfinite(obj).all()):
+            return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.floating,)):
@@ -98,12 +99,15 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: str, config: ExperimentConfig, results: dict):
-    doc = {"kind": config.kind, "config": resolved_dict(config),
-           "config_hash": config_hash(config), "results": _jsonable(results)}
+def _dump_json(path: str, doc: dict):
+    """doc as indented, key-sorted JSON and a newline, in one write."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def _write_json(path: str, config: ExperimentConfig, results: dict):
+    _dump_json(path, {"kind": config.kind, "config": resolved_dict(config),
+                      "config_hash": config_hash(config), "results": _jsonable(results)})
 
 
 def _write(config, out_dir, stem, header, rows, results, failures=()) -> tuple[list, list]:
@@ -138,20 +142,27 @@ def _write_ids(config, out_dir, curve, **extra) -> tuple[list, list]:
 # -- drivers ------------------------------------------------------------------------
 
 
+def _bands_rows(bands):
+    """csv.writer's rendering of the bands rows (floats by repr, "\\r\\n" endings), one chunk per
+    fiber.  A row's ",n,energy" tails are rendered once per distinct row: fibers of one symmetry
+    orbit share their row, and equal bits (`tobytes`, which tells 0.0 from -0.0) give equal reprs."""
+    tails = {}
+    for th, row in zip(bands.thetas.tolist(), bands.bands):
+        key = row.tobytes()
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = [f",{n},{e!r}" for n, e in enumerate(row.tolist())]
+        prefix = ",".join(map(repr, th))
+        yield prefix + ("\r\n" + prefix).join(tail) + "\r\n"
+
+
 def _run_bands(config, out_dir, threads):
     bg, n_theta = build_background(config), config.theta_points
     bands = floquet_bands(bg, n_theta=n_theta)
-    d = bg.d
-    header = [f"theta_{j+1}" for j in range(d)] + ["band_index", "energy"]
-    # csv.writer's rendering (floats by repr, "\r\n" endings), each fiber's thetas formatted once
-    middles = [f",{n}," for n in range(bands.bands.shape[1])]
-    rows = []
-    for th, row in zip(bands.thetas.tolist(), bands.bands.tolist()):
-        fiber = ",".join(map(repr, th))
-        rows.extend(f"{fiber}{mid}{e!r}\r\n" for mid, e in zip(middles, row))
+    header = [f"theta_{j+1}" for j in range(bg.d)] + ["band_index", "energy"]
     results = {"band_ranges": bands.band_ranges(), "gaps": spectral_gaps(bands),
                "n_theta": n_theta, "period": bands.period}
-    return _write(config, out_dir, "bands", header, "".join(rows), results)
+    return _write(config, out_dir, "bands", header, _bands_rows(bands), results)
 
 
 def _run_ids(config, out_dir, threads):
@@ -303,9 +314,7 @@ def run(config: ExperimentConfig, out_dir: str = None, threads: int = None,
                            kind=config.kind, seed=config.seed, threads=threads,
                            wall_time_s=time.time() - t0, files=sorted(files),
                            failures=failures, blas_threads=_BLAS_THREADS)
-    with open(os.path.join(target, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(asdict(manifest)), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _dump_json(os.path.join(target, "manifest.json"), _jsonable(asdict(manifest)))
     code = 3 if failures else 0
     return RunResult(exit_code=code, diagnostics=diags, manifest=manifest,
                      out_dir=target)

@@ -18,7 +18,7 @@ from lifshitz_lab.anderson import (AndersonInstance, LatticeWindow,
                                    potential_on_box, product_bound_P_eps_alpha_1,
                                    product_bound_P_eps_alpha_2, sample_anderson,
                                    truncation_radius_for, _tail_bound)
-from lifshitz_lab.config import parse_config
+from lifshitz_lab.config import parse_config, validate
 from lifshitz_lab.disorder import (DisorderSpec, Realization, ValidationError, draw_couplings,
                                    lattice_cube, law_cdf, law_quantile, sample_realization,
                                    site_uniforms)
@@ -586,6 +586,16 @@ MC_ORACLES = [
 ]
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_product_event_1_weights_are_the_difference_cube_formula(d):
+    # (1 + |beta - gamma|_inf)^(-nu) from per-axis gaps, bit for bit the (betas, window, d) formula
+    for inner, outer, nu in [(0, 3, d + 0.5), (2, 7, d + 1.0), (1, 1 + anderson_mod.PAD_RADIUS, d + 2.0)]:
+        betas, window = lattice_cube(d, inner), lattice_cube(d, outer)
+        want = (1.0 + np.max(np.abs(betas[:, None, :] - window[None, :, :]), axis=2).astype(float)) ** (-nu)
+        got = anderson_mod._cross_weights(d, inner, outer, nu)
+        assert got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("companion,oracle", MC_ORACLES,
                          ids=["chernoff", "product1", "product2"])
 def test_mc_companion_trial_i_draws_stream_i(companion, oracle):
@@ -643,6 +653,42 @@ def test_product_bound_1_doc_at_a_wide_annulus_runs(tmp_path):
     assert be.details["outer_half_side"] == 159999
     assert be.details["n_annulus"] == 319999**2 - be.details["n_core"]
     assert math.isfinite(be.log_bound) and be.log_bound < be.details["log_p_core"] < 0.0
+
+
+def test_product_bound_1_doc_above_the_shell_limit_is_refused(tmp_path):
+    # outer half side 0.01^(-2/0.05) = 1e80: validate refuses it (exit 2); the run used to fail (exit 1)
+    doc = {"kind": "bounds", "params": {"evaluations": [
+        {"type": "product1", "eps": 0.01, "alpha": 0.5, "nu": 2.05, "d": 2}]}}
+    for dry_run in (True, False):
+        result = run(parse_config(doc), out_dir=str(tmp_path / "bounds"), dry_run=dry_run)
+        assert result.exit_code == 2
+        assert any("outer half side" in str(diag) for diag in result.diagnostics)
+    assert not (tmp_path / "bounds").exists()
+    with pytest.raises(ValidationError, match="outer half side"):
+        product_bound_P_eps_alpha_1(UNIFORM, eps=0.01, alpha=0.5, nu=2.05, d=2)
+    # d = 1, nu = 3: the outer half side is 1/eps, on either side of PRODUCT1_MAX_SHELLS
+    limit = anderson_mod.PRODUCT1_MAX_SHELLS
+    with pytest.raises(ValidationError, match="outer half side"):
+        product_bound_P_eps_alpha_1(UNIFORM, eps=1.0 / (1.01 * limit), alpha=0.5, nu=3.0, d=1)
+    be = product_bound_P_eps_alpha_1(UNIFORM, eps=1.0 / (0.99 * limit), alpha=0.5, nu=3.0, d=1)
+    assert be.details["outer_half_side"] == 990000 and math.isfinite(be.log_bound)
+
+
+def test_bound_evaluations_in_use_pass_validation():
+    # every evaluation that scripts/run_bound_checks.py, criteria 7 and 8 and the product-bound
+    # tests above run stays inside the shell limit
+    chernoff = [{"k": 2, "delta": 0.3}, {"k": 8, "delta": 0.1, "K": 4.0}, {"k": 1, "delta": 0.4, "truncation": 1.0},
+                {"k": 2, "delta": 0.2}, {"k": 3, "delta": 0.15, "K": 2.0}]
+    product1 = [{"eps": eps, "alpha": 0.5, "nu": 2.5, "d": 1} for eps in (0.1, 0.3, 0.5)]
+    product1 += [{"eps": eps, "alpha": alpha, "nu": nu, "d": d}
+                 for eps, alpha, nu, d in [(0.05, 0.3, 1.8, 1), (0.1, 0.5, 3.5, 2), (0.05, 0.25, 3.2, 2),
+                                           (0.05, 0.5, 2.5, 2)]]
+    product2 = [{"eps": eps, "alpha": 0.25, "nu": 2.5, "d": 1, "s": 1.0, "C": C}
+                for eps, C in [(0.1, 1.0), (0.3, 3.5), (0.5, 3.5)]]
+    evaluations = ([{"type": "chernoff", **a} for a in chernoff] + [{"type": "product1", **a} for a in product1]
+                   + [{"type": "product2", **a} for a in product2])
+    doc = {"kind": "bounds", "params": {"evaluations": evaluations}}
+    assert validate(parse_config(doc)) == []
 
 
 def test_product_bound_2_worked_value():

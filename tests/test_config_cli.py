@@ -23,7 +23,7 @@ from lifshitz_lab.config import (EXPERIMENT_KINDS, MODELS, ExperimentConfig, con
 from lifshitz_lab.disorder import ValidationError
 from lifshitz_lab.experiments import _DRIVERS, run
 from lifshitz_lab.lattice import PeriodicBackground
-from lifshitz_lab.spectral import floquet_bands
+from lifshitz_lab.spectral import BandStructure, floquet_bands
 from lifshitz_lab.runner import (THREADS_ENV, TaskFailure, ensemble, frequency,
                                  indexed_map, resolve_threads, trials)
 
@@ -383,7 +383,7 @@ def test_run_rejects_invalid_config_before_compute(tmp_path):
     chernoff, product1 = {"type": "chernoff", "k": 2, "delta": 0.3}, {"type": "product1", "eps": 0.3, "alpha": 0.5}
     for evaluation in [{**chernoff, "k": -1}, {**chernoff, "k": "x"}, {**chernoff, "truncation": "x"},
                        {**chernoff, "truncation": -1}, {**chernoff, "k": 2.5}, {**chernoff, "d": 0},
-                       {**product1, "nu": 3.5, "d": 2.5}]:
+                       {**product1, "nu": 3.5, "d": 2.5}, {**product1, "eps": 0.01, "nu": 2.05, "d": 2}]:
         cases.append({**BOUNDS_DOC, "params": {"evaluations": [evaluation]}})
     cases.append({**BOUNDS_DOC, "params": {"evaluations": 3}})
     cases.append({**DECAY_BARE, "params": {"model": "anderson", "k": 2, "nu": 4.0, "E_plus": "x",
@@ -851,19 +851,52 @@ def test_cli_roundtrip(tmp_path, capsys):
 
 
 def test_bands_csv_rows_keep_their_bytes(tmp_path, monkeypatch):
-    # _run_bands renders its rows itself; they must be csv.writer's bytes for the same rows
-    for d in (1, 2):
-        bands = floquet_bands(PeriodicBackground.two_phase(m=4, low=1.0, high=4.0, d=d), n_theta=3)
+    # _run_bands renders its rows itself, once per distinct row; they must be csv.writer's bytes
+    e = [-0.0, 0.0, 1e-17, 0.1 + 0.2, 2.5, -3.75e300, 4.0]
+    shapes = {"repeated": [[e[3], e[4], e[6]], [e[2], e[3], e[4]], [e[3], e[4], e[6]], [e[3], e[4], e[6]],
+                           [e[2], e[3], e[4]]],
+              "distinct": [[e[5], e[2], e[3]], [e[2], e[3], e[4]], [e[3], e[4], e[6]], [e[1], e[4], e[6]]],
+              "signed_zero": [[e[0], e[4], e[6]], [e[1], e[4], e[6]]]}
+    cases = [(f"d{d}", floquet_bands(PeriodicBackground.two_phase(m=4, low=1.0, high=4.0, d=d), n_theta=3))
+             for d in (1, 2)]
+    for name, rows in shapes.items():
+        thetas = np.linspace(-0.5, 0.5, 2 * len(rows)).reshape(len(rows), 2) * np.pi
+        cases.append((name, BandStructure(thetas=thetas, bands=np.array(rows), norms=np.ones(len(rows)),
+                                          period=4, m=4, d=2)))
+    for name, bands in cases:
         monkeypatch.setattr(experiments_mod, "floquet_bands", lambda *a, **kw: bands)
+        d = bands.d
         doc = {"kind": "bands", "geometry": {"d": d, "m": 4}, "n_theta": 3,
                "background": {"type": "two_phase", "low": 1.0, "high": 4.0}}
-        assert run(parse_config(doc), out_dir=str(tmp_path / f"run{d}")).exit_code == 0
+        assert run(parse_config(doc), out_dir=str(tmp_path / name)).exit_code == 0
         rows = [tuple(float(t) for t in bands.thetas[i]) + (n, float(bands.bands[i, n]))
                 for i in range(bands.thetas.shape[0]) for n in range(bands.bands.shape[1])]
         header = [f"theta_{j + 1}" for j in range(d)] + ["band_index", "energy"]
-        with open(tmp_path / f"writer{d}.csv", "w", newline="", encoding="utf-8") as fh:
+        with open(tmp_path / f"writer_{name}.csv", "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows([header] + rows)
-        assert (tmp_path / f"run{d}" / "bands.csv").read_bytes() == (tmp_path / f"writer{d}.csv").read_bytes()
+        assert (tmp_path / name / "bands.csv").read_bytes() == (tmp_path / f"writer_{name}.csv").read_bytes(), name
+    assert b",0,-0.0\r\n" in (tmp_path / "signed_zero" / "bands.csv").read_bytes()
+
+
+@pytest.mark.parametrize("array", [
+    np.array(0.1 + 0.2), np.array([-0.0, 1e-300, 2.5]), np.arange(6.0).reshape(2, 3) / 7,
+    np.array([1.5, 2.5], dtype=np.float32), np.array(7), np.arange(-3, 3, dtype=np.int8).reshape(3, 2),
+    np.array([2**64 - 1], dtype=np.uint64), np.array(True), np.array([[True, False]]),
+    np.array(np.nan), np.array([1.0, np.inf, -np.inf]), np.array([[np.nan, 0.5], [-np.inf, 1.0]])],
+    ids=["float_0d", "float_1d", "float_2d", "float32", "int_0d", "int8_2d", "uint64", "bool_0d",
+         "bool_2d", "nan_0d", "inf_1d", "nonfinite_2d"])
+def test_jsonable_array_fast_path_is_the_element_walk(array):
+    # the walk over the array's python values, as _jsonable takes it for a nonfinite float array
+    walk = experiments_mod._jsonable(array.tolist())
+    got = experiments_mod._jsonable(array)
+    assert got == walk
+    assert repr(got) == repr(walk) and json.dumps(got) == json.dumps(walk)
+
+
+def test_jsonable_keeps_the_repr_of_nonfinite_floats():
+    assert experiments_mod._jsonable(np.array([[1.0, np.nan], [np.inf, -np.inf]])) == [[1.0, "nan"],
+                                                                                        ["inf", "-inf"]]
+    assert experiments_mod._jsonable(np.array([True, False])) == [True, False]
 
 
 def test_cli_exits_3_on_a_task_failure(tmp_path, capsys, monkeypatch):
