@@ -20,8 +20,8 @@ else:
     _BLAS_THREADS = dict.fromkeys(_BLAS_VARS, "1")
     _os.environ.update(_BLAS_THREADS)
 
-from .anderson import (AndersonInstance, BoundEvaluation, LatticeWindow,
-                       OptimizerWarning, anderson_ids, assemble_anderson,
+from .anderson import (AndersonInstance, BoundEvaluation, OptimizerWarning,
+                       anderson_ids, assemble_anderson,
                        chernoff_bound_P1, log_mgf_truncated, mc_chernoff_event,
                        mc_product_event_1, mc_product_event_2, potential_on_box,
                        product_bound_P_eps_alpha_1, product_bound_P_eps_alpha_2,

@@ -35,7 +35,6 @@ __all__ = [
     "AndersonInstance",
     "BoundEvaluation",
     "check_bound_args",
-    "LatticeWindow",
     "OptimizerWarning",
     "truncation_radius_for",
     "potential_on_box",
@@ -57,12 +56,6 @@ PAD_RADIUS = 200  # extra radius of the window mc_product_event_1 samples
 PRODUCT1_MAX_SHELLS = 10**6  # largest outer half side of product_bound_P_eps_alpha_1 (one term per shell)
 POTENTIAL_TOL = 1e-8  # default neglected tail of the truncated potential
 CHUNK = 32  # most box sites one GEMM of the d = 1 potential computes
-# bounds-config type -> {argument: (upper end, upper end included)}; each
-# argument lies above 0, and a product bound's nu in (d, d+2] besides
-BOUND_DOMAINS = {"chernoff": {"delta": (1.0, True), "K": (math.inf, False), "C": (math.inf, False)},
-                 "product1": {"eps": (1.0, False), "alpha": (1.0, False)},
-                 "product2": {"eps": (1.0, True), "alpha": (1.0, False), "s": (1.0, True),
-                              "C": (math.inf, False)}}
 
 
 class OptimizerWarning(UserWarning):
@@ -304,30 +297,6 @@ class BoundEvaluation:
         return math.exp(self.log_bound)
 
 
-@dataclass(frozen=True)
-class LatticeWindow:
-    """Cube of lattice sites {gamma: |gamma_j| <= zeta^(-(1/2+alpha))}."""
-
-    alpha: float
-    zeta: float
-
-    def __post_init__(self):
-        if not 0 < self.alpha < 1:
-            raise ValidationError("alpha must lie in (0,1)")
-        if not self.zeta > 0:
-            raise ValidationError("zeta must be positive")
-
-    @property
-    def half_side(self) -> int:
-        return int(math.floor(self.zeta ** -(0.5 + self.alpha)))
-
-    def cardinality(self, d: int) -> int:
-        return (2 * self.half_side + 1) ** d
-
-    def sites(self, d: int) -> np.ndarray:
-        return lattice_cube(d, self.half_side)
-
-
 def log_mgf_truncated(spec: DisorderSpec, u: float, truncation: float) -> float:
     """log E[exp(-u * min(omega, truncation))], stable for large u.
 
@@ -380,25 +349,6 @@ def _golden_minimize(fn, lo: float, hi: float, iters: int = 200):
     return x, min(fc, fd)
 
 
-def check_bound_args(kind: str, args: dict):
-    """Raise ValidationError unless `args` (by name: each argument of BOUND_DOMAINS[kind],
-    d, and a product bound's nu) lie in the domain of bound `kind`, a bounds-config type, and
-    product1's outer half side is at most PRODUCT1_MAX_SHELLS."""
-    for key, (hi, closed) in BOUND_DOMAINS[kind].items():
-        value = float(args[key])
-        if not (0 < value < hi or (closed and value == hi)):
-            raise ValidationError(f"{key} must lie in (0, {hi:g}{']' if closed else ')'}")
-    d = int(args["d"])
-    if kind != "chernoff" and not d < float(args["nu"]) <= d + 2:
-        raise ValidationError("need nu in (d, d+2]")
-    if kind == "product1":  # outer half side eps^(-(1+2 alpha)/(nu-d)), in logs: the power overflows
-        exponent = (1.0 + 2.0 * float(args["alpha"])) / (float(args["nu"]) - d)
-        log10_outer = -exponent * math.log10(float(args["eps"]))
-        if log10_outer > math.log10(PRODUCT1_MAX_SHELLS):
-            raise ValidationError(f"outer half side eps^(-(1+2 alpha)/(nu-d)) = 10^{log10_outer:.2f} "
-                                  f"exceeds {PRODUCT1_MAX_SHELLS:,}, the most shells product1 sums")
-
-
 def chernoff_bound_P1(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
                       C: float = 1.0, d: int = 1, truncation: float = None) -> BoundEvaluation:
     """Upper bound on P{ (1/(C N)) sum of truncated couplings <= delta/K }.
@@ -408,7 +358,7 @@ def chernoff_bound_P1(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
     is clipped at probability 1.  A minimizer pinned at the bracket edge or a
     flat objective triggers OptimizerWarning.
     """
-    check_bound_args("chernoff", {"delta": delta, "K": K, "C": C, "d": d})
+    check_bound_args("chernoff", {"delta": delta, "K": K, "C": C, "d": d, "truncation": truncation})
     n_sites = (2 * k + 1) ** d
     trunc = delta if truncation is None else truncation
 
@@ -483,40 +433,81 @@ def product_bound_P_eps_alpha_1(spec: DisorderSpec, eps: float, alpha: float,
                  "annulus_empty": annulus_empty, "threshold": threshold})
 
 
+def _window_half_side(eps: float, alpha: float, s: float) -> int:
+    """Half side of product2's window, floor((eps^s)^(-(1/2+alpha)))."""
+    return int(math.floor((eps ** s) ** -(0.5 + alpha)))
+
+
 def product_bound_P_eps_alpha_2(spec: DisorderSpec, eps: float, alpha: float,
                                 nu: float, d: int, s: float = 1.0,
                                 C: float = 1.0) -> BoundEvaluation:
     """Product lower bound over the window of half-side (eps^s)^(-(1/2+alpha))."""
     check_bound_args("product2", {"eps": eps, "alpha": alpha, "nu": nu, "d": d, "s": s, "C": C})
-    window = LatticeWindow(alpha=alpha, zeta=eps ** s)
-    n_sites = window.cardinality(d)
+    half = _window_half_side(eps, alpha, s)
+    n_sites = (2 * half + 1) ** d
     arg = eps ** (1.0 + alpha) / C
     log_bound = n_sites * _log_cdf_clipped(spec, arg)
     return BoundEvaluation(
         name="product_forced_small_window", log_bound=min(log_bound, 0.0),
         t_star=float("nan"),
         params={"eps": eps, "alpha": alpha, "nu": nu, "d": d, "s": s, "C": C},
-        details={"window_half_side": window.half_side, "n_sites": n_sites,
+        details={"window_half_side": half, "n_sites": n_sites,
                  "cdf_argument": min(arg, 1.0)})
 
 
+# bounds-config type -> (its bound, {argument: (upper end, upper end included)}); each
+# argument lies above 0, and a product bound's nu in (d, d+2] besides
+BOUNDS = {"chernoff": (chernoff_bound_P1, {"delta": (1.0, True), "K": (math.inf, False), "C": (math.inf, False),
+                                            "truncation": (math.inf, False)}),
+          "product1": (product_bound_P_eps_alpha_1, {"eps": (1.0, False), "alpha": (1.0, False)}),
+          "product2": (product_bound_P_eps_alpha_2, {"eps": (1.0, True), "alpha": (1.0, False), "s": (1.0, True),
+                                                      "C": (math.inf, False)})}
+
+
+def check_bound_args(kind: str, args: dict, annulus: bool = True):
+    """Raise ValidationError unless `args` (by name: d, a product bound's nu and each argument of
+    BOUNDS[kind]'s domain that args holds, None standing for one not given) lie in the domain of
+    bound `kind`, a bounds-config type, and, with `annulus`, product1's outer half side is at most
+    PRODUCT1_MAX_SHELLS.  A Monte Carlo companion passes the arguments it shares with its bound;
+    mc_product_event_1 forms no annulus."""
+    for key, (hi, closed) in BOUNDS[kind][1].items():
+        value = args.get(key)
+        if value is not None and not (0 < float(value) < hi or (closed and float(value) == hi)):
+            raise ValidationError(f"{key} must lie in (0, {hi:g}{']' if closed else ')'}")
+    d = int(args["d"])
+    if kind != "chernoff" and not d < float(args["nu"]) <= d + 2:
+        raise ValidationError("need nu in (d, d+2]")
+    if kind == "product1" and annulus:  # outer half side eps^(-(1+2 alpha)/(nu-d)), in logs: the power overflows
+        exponent = (1.0 + 2.0 * float(args["alpha"])) / (float(args["nu"]) - d)
+        log10_outer = -exponent * math.log10(float(args["eps"]))
+        if log10_outer > math.log10(PRODUCT1_MAX_SHELLS):
+            raise ValidationError(f"outer half side eps^(-(1+2 alpha)/(nu-d)) = 10^{log10_outer:.2f} "
+                                  f"exceeds {PRODUCT1_MAX_SHELLS:,}, the most shells product1 sums")
+
+
 # -- Monte Carlo companions of the bounds ----------------------------------------
+
+
+def _mc_frequency(spec: DisorderSpec, d: int, half_side: int, n_trials: int, seed: int, event):
+    """runner.frequency of event(omega), omega the couplings on lattice_cube(d, half_side) in
+    cube order; trial i draws stream (seed, i)."""
+    hashes = cube_hashes(d, half_side)
+
+    def hits(indices):
+        return [event(omega) for omega in draw_couplings(spec, hashes, seed, indices)]
+
+    return frequency(hits, n_trials, block=_block(hashes))
 
 
 def mc_chernoff_event(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
                       C: float = 1.0, d: int = 1, n_trials: int = 10000,
                       seed: int = 0, truncation: float = None):
     """Frequency of the small-empirical-mean event the Chernoff bound majorizes."""
-    hashes = cube_hashes(d, k)
-    scale = C * len(hashes)
+    check_bound_args("chernoff", {"delta": delta, "K": K, "C": C, "d": d, "truncation": truncation})
+    scale = C * (2 * k + 1) ** d
     trunc = delta if truncation is None else truncation
     thr = delta / K
-
-    def small_mean(indices):
-        return [np.minimum(omega, trunc).sum() / scale <= thr
-                for omega in draw_couplings(spec, hashes, seed, indices)]
-
-    return frequency(small_mean, n_trials, block=_block(hashes))
+    return _mc_frequency(spec, d, k, n_trials, seed, lambda omega: np.minimum(omega, trunc).sum() / scale <= thr)
 
 
 def _cross_weights(d: int, inner: int, outer: int, nu: float) -> np.ndarray:
@@ -543,31 +534,22 @@ def mc_product_event_1(spec: DisorderSpec, eps: float, alpha: float, nu: float,
     Couplings outside a window of extra radius PAD_RADIUS are budgeted at
     their worst case (omega = 1), so a counted hit implies the true event.
     """
+    check_bound_args("product1", {"eps": eps, "alpha": alpha, "nu": nu, "d": d}, annulus=False)
     beta_half = int(math.floor(eps ** (-(1.0 + alpha) / 2.0)))
     pad_half = beta_half + PAD_RADIUS
-    hashes = cube_hashes(d, pad_half)
     # worst-case contribution of all sites beyond the sampled window
     far = _tail_bound(d, nu, PAD_RADIUS)
     weights = _cross_weights(d, beta_half, pad_half, nu)
     threshold = eps ** (1.0 + alpha)
-
-    def small_field(indices):
-        return [np.max(weights @ omega) + far <= threshold
-                for omega in draw_couplings(spec, hashes, seed, indices)]
-
-    return frequency(small_field, n_trials, block=_block(hashes))
+    return _mc_frequency(spec, d, pad_half, n_trials, seed, lambda omega: np.max(weights @ omega) + far <= threshold)
 
 
 def mc_product_event_2(spec: DisorderSpec, eps: float, alpha: float, nu: float,
                        d: int, s: float = 1.0, n_trials: int = 10000,
                        seed: int = 0):
     """Frequency of {sum over the window of omega*(1+|gamma|)^(-nu) <= eps^(1+alpha)/2}."""
-    window = LatticeWindow(alpha=alpha, zeta=eps ** s)
-    hashes = cube_hashes(d, window.half_side)
-    weights = max_norm_cube(lambda r: (1.0 + r) ** (-nu), d, window.half_side).ravel()
+    check_bound_args("product2", {"eps": eps, "alpha": alpha, "nu": nu, "d": d, "s": s})
+    half = _window_half_side(eps, alpha, s)
+    weights = max_norm_cube(lambda r: (1.0 + r) ** (-nu), d, half).ravel()
     threshold = eps ** (1.0 + alpha) / 2.0
-
-    def small_sum(indices):
-        return [float(weights @ omega) <= threshold for omega in draw_couplings(spec, hashes, seed, indices)]
-
-    return frequency(small_sum, n_trials, block=_block(hashes))
+    return _mc_frequency(spec, d, half, n_trials, seed, lambda omega: float(weights @ omega) <= threshold)

@@ -77,12 +77,25 @@ def _flag(value, label):
     return value
 
 
+class _Errors(ValidationError):
+    """The errors of several items of one list, its args; `_read` reports each on its own."""
+
+
 def _listed(reader, least: int = 1):
-    """Reader of a list of at least `least` items, each read by `reader`."""
+    """Reader of a list of at least `least` items, each read by `reader`; every item that does not
+    read adds its error."""
     def read(value, label):
         if not isinstance(value, (list, tuple)) or len(value) < least:
             raise ValidationError(f"{label} must be a list of at least {least} items, got {value!r}")
-        return [reader(item, f"{label}[{i}]") for i, item in enumerate(value)]
+        items, found = [], []
+        for i, item in enumerate(value):
+            try:
+                items.append(reader(item, f"{label}[{i}]"))
+            except ValidationError as exc:
+                found.append(exc)
+        if found:
+            raise found[0] if len(found) == 1 else _Errors(*found)
+        return items
     return read
 
 
@@ -126,7 +139,7 @@ def _read(block, table: dict, label: str, closed: bool = False, errors: list = N
                 if isinstance(reader, _Choice):
                     tables.append(reader[values[key]])
             except ValidationError as exc:
-                found.append(exc)
+                found.extend(exc.args if isinstance(exc, _Errors) else [exc])
     unknown = set(block).difference(*tables)
     if closed and unknown and not found:
         found.append(ValidationError(f"unknown {label} keys {sorted(unknown)}; "
@@ -154,8 +167,8 @@ DISORDER_LAWS = _Choice(uniform01={}, kappa_tail={"kappa": (_NUMBER, DisorderSpe
 ENERGIES = {"values": (_NUMBERS, None), "min": (_NUMBER, None), "max": (_NUMBER, None),
             "count": (_count(1), None)}
 
-# a `bounds` evaluation: its type, then the arguments of that bound function;
-# chernoff's truncation reaches the library (and bounds.json) as given
+# a `bounds` evaluation: its type (a key of anderson.BOUNDS), then the arguments of that
+# bound function; chernoff's truncation reaches the library (and bounds.json) as given
 BOUND_EVALUATIONS = _Choice(
     chernoff={"k": (_COUNT, _REQUIRED), "delta": (_NUMBER, _REQUIRED), "K": (_NUMBER, 1.0),
               "C": (_NUMBER, 1.0), "d": (_count(1), 1),
@@ -169,7 +182,10 @@ BOUND_EVALUATIONS = _Choice(
 def _evaluation(spec, label):
     """The type and arguments of one bound evaluation, its arguments in the bound's domain."""
     args = _read(spec, {"type": (BOUND_EVALUATIONS, _REQUIRED)}, label)
-    check_bound_args(args["type"], args)
+    try:
+        check_bound_args(args["type"], args)
+    except ValidationError as exc:
+        raise ValidationError(f"{label}: {exc}") from None
     return args
 
 

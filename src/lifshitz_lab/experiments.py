@@ -20,8 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from . import _BLAS_THREADS, version
-from .anderson import (anderson_ids, chernoff_bound_P1, product_bound_P_eps_alpha_1,
-                       product_bound_P_eps_alpha_2, sample_anderson)
+from .anderson import BOUNDS, anderson_ids, sample_anderson
 from .config import (Diagnostic, ExperimentConfig, build_background, build_box, build_disorder,
                      build_params, build_profile, config_hash, energy_grid, eps_grid,
                      resolved_dict, validate)
@@ -209,19 +208,13 @@ def _run_lifshitz(config, out_dir, threads):
                   curve.meta["failures"])
 
 
-# bounds-evaluation type (config.BOUND_EVALUATIONS) -> the bound it evaluates
-_BOUNDS = {"chernoff": chernoff_bound_P1, "product1": product_bound_P_eps_alpha_1,
-           "product2": product_bound_P_eps_alpha_2}
-
-
 def _run_bounds(config, out_dir, threads):
     dis = build_disorder(config)
     rows, details = [], []
     for args in build_params(config)["evaluations"]:
-        kind = args.pop("type")
-        be = _BOUNDS[kind](dis, **args)
+        be = BOUNDS[args.pop("type")][0](dis, **args)  # a product bound's t_star is nan
         rows.append((be.name, *(be.params.get(key, "") for key in ("eps", "alpha", "nu")),
-                     be.params["d"], be.log_bound, be.t_star if kind == "chernoff" else ""))
+                     be.params["d"], be.log_bound, "" if math.isnan(be.t_star) else be.t_star))
         details.append({"name": be.name, "params": be.params, "details": be.details,
                         "log_bound": be.log_bound, "t_star": be.t_star})
     return _write(config, out_dir, "bounds", ["name", "eps", "alpha", "nu", "d", "log_bound", "t_star"],

@@ -1,7 +1,7 @@
 """Eigenvalue counting, Bloch band structure, and spectral gaps.
 
-Counting "<= E" means "strictly below E + eta", eta = 1e-12 * ||A||_1 of the
-operator counted (1e-12 for A = 0), on every path: `counts_below`,
+Counting "<= E" means "strictly below E + eta", eta = SLACK * ||A||_1 of the
+operator counted (SLACK = 1e-12 for A = 0), on every path: `counts_below`,
 `count_eigenvalues_below`, `_tridiagonal_counts` and `periodic_ids_curve`
 (each fiber H(phi)).  This module is the only one that solves for eigenvalues
 in order to count them.  `count_eigenvalues_below` counts one energy by the
@@ -52,6 +52,7 @@ DENSE_THRESHOLD = 3000  # above this, counts_below counts a wide operator by ine
 # on d = 3 boxes up to 17, so 16 keeps d = 3 boxes up to k = 3 (m = 2) dense
 BAND_RATIO = 16
 COARSE_TOL = 1e-6  # relative to ||A||_1: the first bisection of a tridiagonal count
+SLACK = 1e-12  # relative to ||A||_1: every count of eigenvalues <= E counts those below E + eta
 
 
 class SolverError(RuntimeError):
@@ -87,7 +88,7 @@ def count_eigenvalues_below(A, E: float) -> int:
     """
     mat = _checked_matrix(A, E)
     n, scale = mat.shape[0], _norm1(mat) or 1.0
-    shifted = sp.csc_matrix(mat) - (E + 1e-12 * scale) * sp.identity(n, dtype=mat.dtype, format="csc")
+    shifted = sp.csc_matrix(mat) - (E + SLACK * scale) * sp.identity(n, dtype=mat.dtype, format="csc")
     try:
         lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
                        options={"SymmetricMode": True})
@@ -166,7 +167,7 @@ def _tridiagonal_counts(diagonal: np.ndarray, off: np.ndarray, energies):
         hops[1:] += weights
         scales = np.max(np.abs(block) + hops, axis=1)
         scales[scales == 0.0] = 1.0
-        tops = float(np.max(energies)) + 2e-12 * scales
+        tops = float(np.max(energies)) + 2 * SLACK * scales
     if not np.all(np.isfinite(tops)):  # NaN in any entry or energy propagates to top
         raise SolverError(f"non-finite entry or energy in a tridiagonal count of order {block.shape[1]}")
     energies = np.asarray(energies, dtype=float)
@@ -180,7 +181,7 @@ def _tridiagonal_counts(diagonal: np.ndarray, off: np.ndarray, energies):
         else:
             abstol = COARSE_TOL * scale
             vals = _bisect(row, off, top, abstol)
-            shifted = energies + 1e-12 * scale  # E + eta
+            shifted = energies + SLACK * scale  # E + eta
             near = np.searchsorted(vals, shifted - 2 * abstol) != np.searchsorted(vals, shifted + 2 * abstol, "right")
             if np.any(near):
                 vals = _bisect(row, off, top, 0.0)
@@ -199,10 +200,10 @@ def _bisect(diagonal: np.ndarray, off: np.ndarray, top: float, abstol: float) ->
 
 
 def count_sorted_leq(sorted_vals: np.ndarray, energies, scale: float = None):
-    """#{v <= E} per energy (an int for a scalar E), slack 1e-12 * scale; scale defaults to max|v|."""
+    """#{v <= E} per energy (an int for a scalar E), slack SLACK * scale; scale defaults to max|v|."""
     if scale is None:
         scale = float(np.max(np.abs(sorted_vals), initial=0.0))
-    eta = 1e-12 * max(scale, 1e-300)
+    eta = SLACK * max(scale, 1e-300)
     counts = np.searchsorted(sorted_vals, np.asarray(energies, dtype=float) + eta, side="left")
     return int(counts) if counts.ndim == 0 else counts
 

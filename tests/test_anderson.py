@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 import lifshitz_lab.anderson as anderson_mod
 import lifshitz_lab.curves as curves_mod
 import lifshitz_lab.spectral as spectral_mod
-from lifshitz_lab.anderson import (AndersonInstance, LatticeWindow,
-                                   OptimizerWarning, anderson_ids,
+from lifshitz_lab.anderson import (AndersonInstance, OptimizerWarning, anderson_ids,
                                    assemble_anderson, chernoff_bound_P1,
                                    log_mgf_truncated,
                                    mc_chernoff_event, mc_product_event_1,
@@ -716,9 +715,30 @@ def test_product_bound_2_dominated_by_mc():
 
 
 def test_lattice_window_cardinality():
-    win = LatticeWindow(alpha=0.5, zeta=1.0)
-    assert win.cardinality(2) == 9
-    assert len(win.sites(2)) == 9
-    small = LatticeWindow(alpha=0.5, zeta=0.25)
-    assert small.half_side == 4
-    assert small.cardinality(1) == 9
+    # product2's window has half side floor((eps^s)^(-(1/2+alpha))) and (2 half + 1)^d sites
+    win = product_bound_P_eps_alpha_2(UNIFORM, eps=1.0, alpha=0.5, nu=3.0, d=2).details
+    assert win["window_half_side"] == 1 and win["n_sites"] == 9
+    small = product_bound_P_eps_alpha_2(UNIFORM, eps=0.25, alpha=0.5, nu=2.0, d=1).details
+    assert small["window_half_side"] == 4 and small["n_sites"] == 9
+
+
+@pytest.mark.parametrize("companion", [
+    lambda: mc_product_event_1(UNIFORM, eps=0.3, alpha=0.5, nu=0.5, d=1, n_trials=10),
+    lambda: mc_product_event_1(UNIFORM, eps=0.3, alpha=0.5, nu=1.0, d=1, n_trials=10),
+    lambda: mc_chernoff_event(UNIFORM, k=2, delta=-1.0, n_trials=10),
+    lambda: mc_chernoff_event(UNIFORM, k=2, delta=0.3, truncation=-1.0, n_trials=10),
+    lambda: mc_product_event_2(UNIFORM, eps=2.0, alpha=0.25, nu=2.5, d=1, n_trials=10),
+], ids=["product1_nu_below_d", "product1_nu_at_d", "chernoff_delta_negative", "chernoff_truncation_negative",
+        "product2_eps_above_1"])
+def test_mc_companion_refuses_what_its_bound_refuses(companion):
+    # each used to return a frequency (1.0, or ZeroDivisionError at nu = d) for a bound that raises
+    with pytest.raises(ValidationError):
+        companion()
+
+
+def test_mc_product_event_1_is_not_held_to_the_shell_limit():
+    # the companion forms no annulus: an outer half side above PRODUCT1_MAX_SHELLS is still sampled
+    with pytest.raises(ValidationError, match="outer half side"):
+        product_bound_P_eps_alpha_1(UNIFORM, eps=0.5, alpha=0.5, nu=1.1, d=1)
+    freq, lo, hi, successes = mc_product_event_1(UNIFORM, eps=0.5, alpha=0.5, nu=1.1, d=1, n_trials=4)
+    assert 0.0 <= lo <= freq <= hi <= 1.0

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lifshitz_lab.anderson as anderson_mod
+import lifshitz_lab.config as config_mod
 import lifshitz_lab.experiments as experiments_mod
 import lifshitz_lab.ids as ids_mod
 import lifshitz_lab.lattice as lattice_mod
@@ -715,6 +716,24 @@ def test_bounds_runs_without_params_nu(tmp_path):
     doc = {**BOUNDS_DOC, "params": {k: v for k, v in BOUNDS_DOC["params"].items() if k != "nu"}}
     assert validate(parse_config(doc)) == []
     assert run(parse_config(doc), out_dir=str(tmp_path / "b")).exit_code == 0
+
+
+def test_validate_names_every_refused_bounds_evaluation(tmp_path, capsys):
+    # the second evaluation is out of its bound's domain, the third does not read: both are reported
+    evaluations = [{"type": "chernoff", "k": 2, "delta": 0.3},
+                   {"type": "product1", "eps": 0.1, "alpha": 0.5, "nu": 4.5, "d": 1},
+                   {"type": "chernoff", "k": "x", "delta": 0.3}]
+    doc = {"kind": "bounds", "params": {"evaluations": evaluations}}
+    assert [str(d) for d in validate(parse_config(doc))] == [
+        "error: params.evaluations[1]: need nu in (d, d+2]",
+        "error: params.evaluations[2].k must be an integer >= 0, got 'x'"]
+    assert main(["bounds", "--config", write_config(tmp_path, doc), "--dry-run"]) == 2
+    err = capsys.readouterr().err
+    assert "params.evaluations[1]: need nu" in err and "params.evaluations[2].k" in err
+
+
+def test_bounds_types_are_the_library_table():
+    assert set(config_mod.BOUND_EVALUATIONS) == set(anderson_mod.BOUNDS)
 
 
 def test_decay_runs_up_to_the_operator_dimension(tmp_path):
