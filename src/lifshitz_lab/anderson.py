@@ -28,7 +28,7 @@ from .disorder import (BLOCK_COUPLINGS, DisorderSpec, Realization, ValidationErr
                        draw_couplings, lattice_cube, law_cdf, max_norm_cube)
 from .disorder import sample_realization  # noqa: F401  (perfbench/tracing.py patches this name)
 from .lattice import lattice_correlate
-from .runner import frequency
+from .runner import _integral, frequency
 from .spectral import _tridiagonal_counts, counts_below
 
 __all__ = [
@@ -94,19 +94,9 @@ def assemble_anderson(d: int, k: int, E_plus: float, v) -> AndersonInstance:
     v = np.asarray(v, dtype=float)
     if v.shape != (n,):
         raise ValidationError(f"potential must cover all {n} sites")
-    side = 2 * k + 1
-    # row-major strides of the cube indexing, matching lattice_cube order
-    strides = [side ** (d - 1 - j) for j in range(d)]
-    rows, cols = [], []
-    for axis in range(d):
-        has_next = sites[:, axis] < k
-        src = np.nonzero(has_next)[0]
-        dst = src + strides[axis]
-        rows.extend([src, dst])
-        cols.extend([dst, src])
-    rows = np.concatenate(rows) if rows else np.array([], dtype=int)
-    cols = np.concatenate(cols) if cols else np.array([], dtype=int)
-    off = sp.coo_matrix((-np.ones(len(rows)), (rows, cols)), shape=(n, n)).tocsr()
+    # hopping: the Kronecker sum over the axes of the (2k+1)-site path, in lattice_cube's row-major order
+    path, eye = sp.diags([-np.ones(2 * k)] * 2, [-1, 1]), sp.identity(2 * k + 1)
+    off = sum(functools.reduce(sp.kron, [path if j == axis else eye for j in range(d)]) for axis in range(d))
     degree = -np.asarray(off.sum(axis=1)).ravel()
     mat = (off + sp.diags(degree + E_plus + v)).tocsr()
     return AndersonInstance(d=d, k=k, E_plus=E_plus, v=v, sites=sites, matrix=mat)
@@ -358,7 +348,7 @@ def chernoff_bound_P1(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
     is clipped at probability 1.  A minimizer pinned at the bracket edge or a
     flat objective triggers OptimizerWarning.
     """
-    check_bound_args("chernoff", {"delta": delta, "K": K, "C": C, "d": d, "truncation": truncation})
+    check_bound_args("chernoff", {"k": k, "delta": delta, "K": K, "C": C, "d": d, "truncation": truncation})
     n_sites = (2 * k + 1) ** d
     trunc = delta if truncation is None else truncation
 
@@ -465,11 +455,15 @@ BOUNDS = {"chernoff": (chernoff_bound_P1, {"delta": (1.0, True), "K": (math.inf,
 
 
 def check_bound_args(kind: str, args: dict, annulus: bool = True):
-    """Raise ValidationError unless `args` (by name: d, a product bound's nu and each argument of
-    BOUNDS[kind]'s domain that args holds, None standing for one not given) lie in the domain of
-    bound `kind`, a bounds-config type, and, with `annulus`, product1's outer half side is at most
-    PRODUCT1_MAX_SHELLS.  A Monte Carlo companion passes the arguments it shares with its bound;
-    mc_product_event_1 forms no annulus."""
+    """Raise ValidationError unless `args` (by name: the integers d >= 1 and chernoff's k >= 0, a
+    product bound's nu and each argument of BOUNDS[kind]'s domain that args holds, None standing
+    for one not given) lie in the domain of bound `kind`, a bounds-config type, and, with
+    `annulus`, product1's outer half side is at most PRODUCT1_MAX_SHELLS.  A Monte Carlo companion
+    passes the arguments it shares with its bound; mc_product_event_1 forms no annulus."""
+    for key, low in (("k", 0), ("d", 1)):
+        n = _integral(args.get(key, low))
+        if n is None or n < low:
+            raise ValidationError(f"{key} must be an integer >= {low}, got {args[key]!r}")
     for key, (hi, closed) in BOUNDS[kind][1].items():
         value = args.get(key)
         if value is not None and not (0 < float(value) < hi or (closed and float(value) == hi)):
@@ -503,7 +497,7 @@ def mc_chernoff_event(spec: DisorderSpec, k: int, delta: float, K: float = 1.0,
                       C: float = 1.0, d: int = 1, n_trials: int = 10000,
                       seed: int = 0, truncation: float = None):
     """Frequency of the small-empirical-mean event the Chernoff bound majorizes."""
-    check_bound_args("chernoff", {"delta": delta, "K": K, "C": C, "d": d, "truncation": truncation})
+    check_bound_args("chernoff", {"k": k, "delta": delta, "K": K, "C": C, "d": d, "truncation": truncation})
     scale = C * (2 * k + 1) ** d
     trunc = delta if truncation is None else truncation
     thr = delta / K

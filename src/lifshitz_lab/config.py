@@ -293,8 +293,6 @@ def build_background(config: ExperimentConfig) -> PeriodicBackground:
     bg = _read(config.background, {"type": (BACKGROUNDS, "identity")}, "background", closed=True)
     if bg.pop("type") == "identity":
         return PeriodicBackground.identity(d=box.d, m=box.m)
-    if not bg["axis"] < box.d:
-        raise ValidationError(f"background.axis must be below d = {box.d}, got {bg['axis']}")
     return PeriodicBackground.two_phase(m=box.m, d=box.d, **bg)
 
 

@@ -165,9 +165,11 @@ class PeriodicBackground:
 
     @classmethod
     def two_phase(cls, m: int, low: float, high: float, d: int = 1, axis: int = 0) -> "PeriodicBackground":
-        """Scalar coefficient taking value `low` on one half cell, `high` on the other."""
+        """Scalar coefficient taking value `low` on the half cell below 0 along `axis`, `high` on the other."""
         if low <= 0 or high <= 0:
             raise ValidationError("two-phase values must be positive")
+        if not 0 <= axis < d:
+            raise ValidationError(f"two-phase axis must lie in [0, d) = [0, {d}), got {axis}")
         centers = -0.5 + (np.arange(m) + 0.5) / m
         scalar_axis = np.where(centers < 0.0, low, high)
         scalars = scalar_axis[np.indices((m,) * d)[axis].ravel()]

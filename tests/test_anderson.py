@@ -728,12 +728,28 @@ def test_lattice_window_cardinality():
     lambda: mc_chernoff_event(UNIFORM, k=2, delta=-1.0, n_trials=10),
     lambda: mc_chernoff_event(UNIFORM, k=2, delta=0.3, truncation=-1.0, n_trials=10),
     lambda: mc_product_event_2(UNIFORM, eps=2.0, alpha=0.25, nu=2.5, d=1, n_trials=10),
+    lambda: mc_chernoff_event(UNIFORM, k=-1, delta=0.3, n_trials=10),
+    lambda: mc_product_event_2(UNIFORM, eps=0.3, alpha=0.5, nu=1.5, d=0, n_trials=10),
 ], ids=["product1_nu_below_d", "product1_nu_at_d", "chernoff_delta_negative", "chernoff_truncation_negative",
-        "product2_eps_above_1"])
+        "product2_eps_above_1", "chernoff_k_negative", "product2_d0"])
 def test_mc_companion_refuses_what_its_bound_refuses(companion):
-    # each used to return a frequency (1.0, or ZeroDivisionError at nu = d) for a bound that raises
+    # each used to return a frequency (1.0, or ZeroDivisionError at nu = d or k = -1, or TypeError
+    # at d = 0) for a bound that raises
     with pytest.raises(ValidationError):
         companion()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: chernoff_bound_P1(UNIFORM, k=-1, delta=0.3, d=2),
+    lambda: chernoff_bound_P1(UNIFORM, k=2.5, delta=0.3),
+    lambda: chernoff_bound_P1(UNIFORM, k=2, delta=0.3, d=0),
+    lambda: product_bound_P_eps_alpha_1(UNIFORM, eps=0.3, alpha=0.5, nu=1.5, d=0),
+    lambda: product_bound_P_eps_alpha_2(UNIFORM, eps=0.3, alpha=0.5, nu=1.5, d=0),
+], ids=["chernoff_k_negative", "chernoff_k_fractional", "chernoff_d0", "product1_d0", "product2_d0"])
+def test_bounds_refuse_the_box_validate_refuses(call):
+    # each used to return a log bound, 0.0 for chernoff and -1.505 for the product bounds
+    with pytest.raises(ValidationError, match=r"^[kd] must be an integer >= [01], got"):
+        call()
 
 
 def test_mc_product_event_1_is_not_held_to_the_shell_limit():

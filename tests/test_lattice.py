@@ -327,6 +327,13 @@ def test_two_phase_tiling_repeats_unit_cell():
     assert np.array_equal(tiles, np.array([1.0, 5.0] * 3))
 
 
+@pytest.mark.parametrize("d, axis", [(1, 1), (2, 2), (2, -1), (3, 5)])
+def test_two_phase_refuses_an_axis_outside_the_cell(d, axis):
+    # axis = d used to raise IndexError, and axis = -1 to layer the last axis
+    with pytest.raises(ValidationError, match="two-phase axis"):
+        PeriodicBackground.two_phase(m=2, low=1.0, high=5.0, d=d, axis=axis)
+
+
 def test_periodized_field_wraps_pattern():
     bg = PeriodicBackground.identity(1, 2)
     prof = compact_profile(d=1)

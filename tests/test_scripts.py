@@ -1,5 +1,6 @@
 """Each example script runs end to end at tiny sizes."""
 
+import glob
 import importlib.util
 import os
 import sys
@@ -9,11 +10,14 @@ import pytest
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 CASES = {
-    "run_band_structure": ["--m", "2", "--n-theta", "4"],
-    "run_tail_probe": ["--k", "4", "--n-realizations", "4", "--eps-count", "6"],
     "run_ids_comparison": ["--k", "1", "--k-big", "2", "--n-realizations", "2"],
     "run_bound_checks": ["--n-trials", "20"],
 }
+
+
+def test_every_script_has_a_case():
+    names = {os.path.splitext(os.path.basename(path))[0] for path in glob.glob(os.path.join(SCRIPTS, "*.py"))}
+    assert names == set(CASES)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
