@@ -150,7 +150,8 @@ class _AndersonPlan:
     the box: for d = 1 the operator is symmetric tridiagonal, its diagonal
     degree + E_plus + v and its off-diagonal -1, and `_tridiagonal_counts`
     screens and bisects a whole block; for d >= 2 `counts_below` counts the
-    sparse operator of each realization.
+    sparse operator of each realization.  Its arrays are read-only, and it
+    holds no per-call buffer, so one plan serves every thread (`_anderson_plan`).
     """
 
     def __init__(self, d: int, k: int, nu: float, E_plus: float, tol: float):
@@ -172,6 +173,9 @@ class _AndersonPlan:
             self.tile = np.zeros((width + 2 * radius, width))
             for c in range(width):
                 self.tile[c:c + 2 * radius + 1, c] = self.kernel
+            self.tile.flags.writeable = False
+        for array in (self.kernel, self.diagonal, self.off, self.free.data, self.free.indices, self.free.indptr):
+            array.flags.writeable = False
 
     def potential(self, couplings: np.ndarray, first: int = 0) -> np.ndarray:
         """The potentials on the box of realizations first, first + 1, ..., one per row of
@@ -229,18 +233,29 @@ class _AndersonPlan:
         return counts[0] if v.ndim == 1 else np.array(counts)
 
 
+def _anderson_plan(d: int, k: int, nu: float, E_plus: float, tol: float) -> _AndersonPlan:
+    """_AndersonPlan(d, k, nu, E_plus, tol), kept for the next caller until another geometry or
+    BLOCK_COUPLINGS, which fixes the plan's block, replaces it."""
+    return _cached_plan(d, k, nu, E_plus, tol, BLOCK_COUPLINGS)
+
+
+@functools.lru_cache(maxsize=1)
+def _cached_plan(d: int, k: int, nu: float, E_plus: float, tol: float, block_couplings: int) -> _AndersonPlan:
+    return _AndersonPlan(d, k, nu, E_plus, tol)  # block_couplings keys the cache: the plan reads BLOCK_COUPLINGS
+
+
 def potential_on_box(realization: Realization, d: int, k: int, nu: float,
                      tol: float = POTENTIAL_TOL) -> np.ndarray:
     """Potential on every site of {-k..k}^d, same truncation certificate."""
     values = realization.values_at(lattice_cube(d, k + truncation_radius_for(d, nu, tol)))
-    return _AndersonPlan(d, k, nu, 0.0, tol).potential(values, realization.index)
+    return _anderson_plan(d, k, nu, 0.0, tol).potential(values, realization.index)
 
 
 def sample_anderson(disorder: DisorderSpec, d: int, k: int, nu: float,
                     E_plus: float, seed: int, index: int,
                     tol: float = POTENTIAL_TOL) -> AndersonInstance:
     """Draw one realization and assemble the instance."""
-    return assemble_anderson(d, k, E_plus, _AndersonPlan(d, k, nu, E_plus, tol).draw(disorder, seed, index))
+    return assemble_anderson(d, k, E_plus, _anderson_plan(d, k, nu, E_plus, tol).draw(disorder, seed, index))
 
 
 # -- Monte Carlo spectral statistics -------------------------------------------
@@ -256,7 +271,7 @@ def anderson_ids(disorder: DisorderSpec, d: int, k: int, nu: float, energies,
     """
     energies = np.asarray(energies, dtype=float)
     vol = float((2 * k + 1) ** d)
-    plan = _AndersonPlan(d, k, nu, E_plus, tol)
+    plan = _anderson_plan(d, k, nu, E_plus, tol)
 
     def block(indices):
         return plan.counts(plan.draws(disorder, seed, indices), energies) / vol

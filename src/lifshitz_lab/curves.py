@@ -50,16 +50,21 @@ class IDSCurve:
             if self.stderr.shape != self.values.shape:
                 raise ValidationError("stderr must match the energy grid")
 
-    def value_at(self, E: float) -> float:
-        i = self.index_of(E)
-        return float(self.values[i])
+    def value_at(self, E):
+        """N at the grid energy E (a float), or at each energy of an array E (an array)."""
+        values = self.values[self.index_of(E)]
+        return float(values) if values.ndim == 0 else values
 
-    def index_of(self, E: float) -> int:
+    def index_of(self, E):
+        """The grid index of E, or of each energy of an array E, in one lookup: the first grid
+        energy within 1e-9 (1 + max |energy|); InsufficientDataError names the first E off the grid."""
+        E = np.asarray(E, dtype=float)
         scale = 1.0 + np.max(np.abs(self.energies))
-        hits = np.nonzero(np.abs(self.energies - E) <= 1e-9 * scale)[0]
-        if len(hits) == 0:
-            raise InsufficientDataError(f"energy {E} is not on the curve's grid")
-        return int(hits[0])
+        hits = np.abs(self.energies - E[..., None]) <= 1e-9 * scale
+        missing = ~hits.any(axis=-1)
+        if missing.any():
+            raise InsufficientDataError(f"energy {E[missing].flat[0]} is not on the curve's grid")
+        return hits.argmax(axis=-1)
 
 
 def ensemble_curve(task, n: int, energies, volume: float, bc: str, threads: int = 1,

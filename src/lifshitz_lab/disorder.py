@@ -11,6 +11,10 @@ mix64(code + GOLDEN) of the Morton code (`site_hash`) and a per-draw key
 mix64(mix64(seed + GOLDEN) ^ mix64(index + GOLDEN)) meet in mix64(key ^ site
 hash), so a window is hashed once for all its draws (`draw_couplings`), and
 a cube's hashes once per process until another cube replaces them (`cube_hashes`).
+A draw mixes its hashes in the memory of its output, viewed as uint64, and
+casts them to float there, so it keeps at most one temporary of a slice's size
+live: freeing several at once handed the heap's top back to the system, and
+the next block faulted its pages in again.
 """
 
 from __future__ import annotations
@@ -42,7 +46,10 @@ LAWS = ("uniform01", "kappa_tail", "bernoulli")
 
 # couplings one slice of a draw or a site hash holds at most (256 kB per array), so
 # window-sized passes run in cache, and one block draw of an ensemble, whatever the
-# thread count (`anderson`); 2^14-2^16 drew the 1,067-site d=1 tail window fastest per row
+# thread count (`anderson`).  It fixes the block, so the d = 1 GEMM's shape and bytes.
+# 2^15 draws the 1,067-site d = 1 tail window fastest per row (5.5-7.0 us, against
+# 7.4-11 at 2^14 and 14-16 at 2^16, where the output and its temporary pass glibc's
+# trim threshold and each block faults its pages in again)
 BLOCK_COUPLINGS = 2**15
 
 _U64 = np.uint64
@@ -64,11 +71,15 @@ class CoverageError(ValueError):
         super().__init__(f"realization window misses {len(self.missing_sites)} sites: {preview}{more}")
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # SplitMix64 finalizer; z is a uint64 ndarray, arithmetic wraps mod 2^64.
-    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
-    return z ^ (z >> _U64(31))
+def _mix64(z: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    # SplitMix64 finalizer; z is a uint64 ndarray, arithmetic wraps mod 2^64.  The result is
+    # written to out (z itself mixes in place), with one temporary of z's size live at a time.
+    z = np.bitwise_xor(z, z >> _U64(30), out=out)
+    z *= _U64(0xBF58476D1CE4E5B9)
+    z ^= z >> _U64(27)
+    z *= _U64(0x94D049BB133111EB)
+    z ^= z >> _U64(31)
+    return z
 
 
 def _fold_signed(coords: np.ndarray) -> np.ndarray:
@@ -281,7 +292,7 @@ def draw_couplings(spec: DisorderSpec, hashes: np.ndarray, seed: int, index) -> 
     For a sequence of indices the result has one row per index, each bitwise
     the draw of that index alone: the keys are built on uint64 arrays, whose
     adds wrap silently (a numpy scalar's warns), and the (block, window) array
-    is drawn in column slices of at most BLOCK_COUPLINGS entries, all rows in each.
+    is drawn in slices of at most BLOCK_COUPLINGS entries, each written in place.
     """
     block = np.ndim(index) == 1
     seed, indices = int(seed), [int(i) for i in index] if block else [int(index)]
@@ -290,23 +301,29 @@ def draw_couplings(spec: DisorderSpec, hashes: np.ndarray, seed: int, index) -> 
             raise ValidationError(f"{name} must be a uint64")
     seed_key = _mix64(np.array([seed], dtype=np.uint64) + _U64(_GOLDEN))
     keys = _mix64(seed_key ^ _mix64(np.array(indices, dtype=np.uint64) + _U64(_GOLDEN)))[:, None]
-    rows, n = len(indices), hashes.size
-    if rows * n <= BLOCK_COUPLINGS:  # one slice: no buffer to fill (a block of the tail window)
-        couplings = _couplings(spec, keys, hashes)
-    else:
-        cols = max(1, BLOCK_COUPLINGS // rows)
-        couplings = np.empty((rows, n))
-        for c in range(0, n, cols):
-            couplings[:, c:c + cols] = _couplings(spec, keys, hashes[c:c + cols])
+    couplings = np.empty((len(indices), hashes.size))
+    # C-contiguous slices of at most BLOCK_COUPLINGS entries: whole rows, or a part of one row
+    rows, cols = max(1, BLOCK_COUPLINGS // max(1, hashes.size)), max(1, min(hashes.size, BLOCK_COUPLINGS))
+    for r in range(0, len(indices), rows):
+        for c in range(0, hashes.size, cols):
+            _couplings(spec, keys[r:r + rows], hashes[c:c + cols], couplings[r:r + rows, c:c + cols])
     return couplings if block else couplings[0]
 
 
-def _couplings(spec: DisorderSpec, keys: np.ndarray, hashes: np.ndarray) -> np.ndarray:
-    """Couplings of the draws with these keys (a column) on the sites with these hashes (a row)."""
-    h = _mix64(keys ^ hashes)
+def _couplings(spec: DisorderSpec, keys: np.ndarray, hashes: np.ndarray, out: np.ndarray):
+    """Write to out, C-contiguous, the couplings of the draws with these keys (a column) on the
+    sites with these hashes (a row).  The hash is mixed in out's memory viewed as uint64, whose
+    bits are then cast to float in place, so at most one temporary of out's size is live at a
+    time (and a law other than uniform01 adds its quantile's)."""
+    bits, flat = out.view(np.uint64), out.reshape(-1)
+    _mix64(np.bitwise_xor(keys, hashes, out=bits), out=bits)
+    bits >>= _U64(11)
+    flat[...] = bits.reshape(-1)  # a one-dimensional cast over its own memory copies nothing
     # 53-bit mantissa, offset by half a step: never exactly 0 or 1.
-    u = ((h >> _U64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return np.asarray(law_quantile(spec, u), dtype=float)
+    flat += 0.5
+    flat *= 2.0**-53
+    if spec.law != "uniform01":  # whose quantile is the identity
+        out[...] = law_quantile(spec, out)
 
 
 def sample_realization(spec: DisorderSpec, window: np.ndarray, seed: int, index: int) -> Realization:

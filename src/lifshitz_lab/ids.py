@@ -192,8 +192,8 @@ def lifshitz_exponent(curve: IDSCurve, E_plus: float, eps_grid, n_boot: int = 10
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0):
         raise ValidationError("eps grid must be positive")
-    base = curve.value_at(E_plus)
-    dN = np.array([curve.value_at(E_plus + e) for e in eps_grid]) - base
+    values = curve.value_at(np.concatenate([[E_plus], E_plus + eps_grid]))
+    dN = values[1:] - values[0]
     admissible = (dN > 0) & (dN > 10 * np.finfo(float).eps)
     with np.errstate(divide="ignore", invalid="ignore"):
         logdN = np.where(admissible, np.log(np.where(dN > 0, dN, 1.0)), 0.0)

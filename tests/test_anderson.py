@@ -462,6 +462,62 @@ def test_anderson_ids_drops_only_the_nan_row_of_a_block(monkeypatch, where):
     assert np.array_equal(samples[1], np.delete(samples[0], bad, axis=0))
 
 
+def test_anderson_plan_is_built_once_per_geometry(monkeypatch):
+    # the plan depends on (d, k, nu, E_plus, tol) and on BLOCK_COUPLINGS, which fixes its block: two
+    # identical ensembles, and a draw or a potential of the same geometry, build one plan, and a
+    # change of any of them builds its own
+    built = []
+    init = anderson_mod._AndersonPlan.__init__
+
+    def counted(plan, *args):
+        built.append(args)
+        init(plan, *args)
+
+    monkeypatch.setattr(anderson_mod._AndersonPlan, "__init__", counted)
+    anderson_mod._cached_plan.cache_clear()
+    base = dict(d=1, k=6, nu=4.0, E_plus=0.0, tol=1e-3)
+    energies = np.linspace(0.0, 1.5, 5)
+
+    def curve(**change):
+        p = {**base, **change}
+        return anderson_ids(UNIFORM, p["d"], p["k"], p["nu"], energies, 3, E_plus=p["E_plus"], seed=4, tol=p["tol"])
+
+    first = curve()
+    plan = anderson_mod._anderson_plan(**base)
+    assert np.array_equal(curve().values, first.values)
+    sample_anderson(UNIFORM, 1, 6, 4.0, 0.0, seed=4, index=1, tol=1e-3)
+    potential_on_box(sample_realization(UNIFORM, lattice_cube(1, plan.hashes.size // 2), 4, 1), 1, 6, 4.0, tol=1e-3)
+    assert len(built) == 1 and anderson_mod._anderson_plan(**base) is plan
+    for key, value in [("d", 2), ("k", 5), ("nu", 4.5), ("E_plus", 0.3), ("tol", 1e-4)]:
+        built.clear()
+        curve(**{key: value})
+        assert len(built) == 1, key
+        changed = anderson_mod._anderson_plan(**{**base, key: value})
+        fresh = anderson_mod._AndersonPlan(*{**base, key: value}.values())  # built for its own key, not stale
+        assert np.array_equal(changed.diagonal, fresh.diagonal) and np.array_equal(changed.kernel, fresh.kernel)
+        assert changed.hashes.size == fresh.hashes.size and changed.block == fresh.block
+        curve()  # the base geometry again, for the next key
+        plan = anderson_mod._anderson_plan(**base)
+    built.clear()
+    monkeypatch.setattr(anderson_mod, "BLOCK_COUPLINGS", 1)
+    assert plan.block > 1 and anderson_mod._anderson_plan(**base).block == 1 and len(built) == 1
+
+
+def test_cached_anderson_plan_arrays_are_read_only():
+    # one plan serves every thread, so its arrays are read-only; a draw, a count and an
+    # operator still work from them, entry for entry as a fresh assembly
+    for d in (1, 2):
+        plan = anderson_mod._anderson_plan(d, 3, 4.0, 0.5, 1e-3)
+        arrays = [plan.hashes, plan.kernel, plan.diagonal, plan.off, plan.free.data, plan.free.indices,
+                  plan.free.indptr] + ([plan.tile] if d == 1 else [])
+        for array in arrays:
+            with pytest.raises(ValueError):
+                array[(0,) * array.ndim] = 0
+        v = plan.draw(UNIFORM, 2, 5)
+        assert (plan.operator(v) != assemble_anderson(d, 3, 0.5, v).matrix).nnz == 0
+        assert plan.counts(v, 2.0) == counts_below(assemble_anderson(d, 3, 0.5, v).matrix, 2.0)
+
+
 def test_lambda_min_event_frequency_interval():
     # block draws count the event of each realization as its own draw does
     plan = anderson_mod._AndersonPlan(1, 6, 4.0, 0.0, anderson_mod.POTENTIAL_TOL)

@@ -772,17 +772,27 @@ def test_run_records_task_failures(tmp_path, monkeypatch, kind, module):
 
 def test_lifshitz_blocks_write_the_per_realization_bytes(tmp_path, monkeypatch):
     # 100 realizations in blocks of 38, 38 and 24 at k=16, nu=4 (a window of 843
-    # sites): threads 1 and 2 and one realization per block write the same bytes
+    # sites): threads 1 and 2 and one realization per block write the same bytes; each
+    # draw is recorded with its plan's block, so the last leg provably ran on blocks of one
     doc = {**ENSEMBLE_DOCS["lifshitz"], "ensemble": {"n_realizations": 100, "seed": 11},
            "params": {**ENSEMBLE_DOCS["lifshitz"]["params"], "eps_min": 0.3, "eps_max": 1.5}}
     assert anderson_mod._AndersonPlan(1, 16, 4.0, 0.0, 1e-8).block == 38
+    draws, blocks = anderson_mod._AndersonPlan.draws, []
+
+    def recorded(plan, disorder, seed, indices):
+        blocks.append((plan.block, len(indices)))
+        return draws(plan, disorder, seed, indices)
+
+    monkeypatch.setattr(anderson_mod._AndersonPlan, "draws", recorded)
     blobs = []
     for threads, block_couplings in ((1, None), (2, None), (2, 1)):
         if block_couplings:
             monkeypatch.setattr(anderson_mod, "BLOCK_COUPLINGS", block_couplings)
         out = tmp_path / f"t{threads}b{block_couplings}"
+        blocks.clear()
         result = run(parse_config(doc), out_dir=str(out), threads=threads)
         assert result.exit_code == 0
+        assert sorted(blocks) == ([(1, 1)] * 100 if block_couplings else [(38, 24), (38, 38), (38, 38)])
         blobs.append({name: (out / name).read_bytes() for name in result.manifest.files})
     assert blobs[0] == blobs[1] == blobs[2]
     assert json.loads(blobs[0]["expfit.json"])["results"]["n_points"] == 8

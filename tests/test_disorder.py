@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lifshitz_lab.disorder import (LAWS, CoverageError, DisorderSpec, Realization,
-                                   ValidationError, cube_codes, draw_couplings, encode_sites,
+from lifshitz_lab.disorder import (BLOCK_COUPLINGS, LAWS, CoverageError, DisorderSpec, Realization,
+                                   ValidationError, cube_codes, cube_hashes, draw_couplings, encode_sites,
                                    lattice_cube, law_cdf, law_quantile, sample_realization,
                                    site_hash, site_uniforms)
 
@@ -134,6 +134,39 @@ def test_split_hash_equals_the_one_piece_hash(d, radius, seed, index):
             assert np.array_equal(draw_couplings(spec, hashes, seed, index), law_quantile(spec, want))
             assert np.array_equal(sample_realization(spec, sites, seed, index).values,
                                   law_quantile(spec, want))
+
+
+def whole_array_draw(spec, hashes, seed, indices):
+    """The draw as one expression over the whole (indices, sites) array, with one new array per
+    step of the finalizer, and the per-draw keys from the Python-integer oracle."""
+    def mix(z):
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    keys = np.array([_mix64(_mix64((seed + _GOLDEN) & _MASK) ^ _mix64((i + _GOLDEN) & _MASK)) for i in indices],
+                    dtype=np.uint64)[:, None]
+    return law_quantile(spec, ((mix(keys ^ hashes) >> np.uint64(11)).astype(float) + 0.5) * 2**-53)
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_in_place_draw_keeps_the_bits_of_the_whole_array_draw(law):
+    # single draws, a tail-sized block (30 rows of the 1,067-site d = 1 window, one slice), blocks of
+    # several slices (rows of whole rows, and parts of one 40,401-site row), and seeds and indices
+    # at or above 2^64 - GOLDEN, whose + GOLDEN wraps without a warning
+    spec = DisorderSpec(law=law, kappa=1.5, p=0.3, a=0.7)
+    tail, wide = cube_hashes(1, 533), site_hash(cube_codes(2, 100))
+    assert 30 * tail.size <= BLOCK_COUPLINGS < 40 * tail.size and wide.size > BLOCK_COUPLINGS
+    top = 2**64 - _GOLDEN
+    cases = [(tail, 5, 3), (wide, top, _MASK), (tail, 7, range(30)), (tail, top - 1, range(top - 20, top + 20)),
+             (wide, 9, range(2**63, 2**63 + 3))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for hashes, seed, index in cases:
+            got = draw_couplings(spec, hashes, seed, index)
+            want = whole_array_draw(spec, hashes, seed, index if np.ndim(index) else [index])
+            assert got.shape == (want.shape if np.ndim(index) else want.shape[1:])
+            assert np.array_equal(got.view(np.uint64).ravel(), want.view(np.uint64).ravel())
 
 
 @given(st.integers(1, 2), st.integers(0, 40), st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 40),
