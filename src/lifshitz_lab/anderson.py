@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .curves import IDSCurve, ensemble_curve
 from .disorder import (BLOCK_COUPLINGS, DisorderSpec, Realization, ValidationError, cube_hashes,
@@ -74,7 +74,7 @@ class AndersonInstance:
     E_plus: float
     v: np.ndarray
     sites: np.ndarray
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix
 
     def __post_init__(self):
         if np.any(self.v < 0):
@@ -95,10 +95,11 @@ def assemble_anderson(d: int, k: int, E_plus: float, v) -> AndersonInstance:
     if v.shape != (n,):
         raise ValidationError(f"potential must cover all {n} sites")
     # hopping: the Kronecker sum over the axes of the (2k+1)-site path, in lattice_cube's row-major order
-    path, eye = sp.diags([-np.ones(2 * k)] * 2, [-1, 1]), sp.identity(2 * k + 1)
-    off = sum(functools.reduce(sp.kron, [path if j == axis else eye for j in range(d)]) for axis in range(d))
+    path, eye = scipy.sparse.diags([-np.ones(2 * k)] * 2, [-1, 1]), scipy.sparse.identity(2 * k + 1)
+    off = sum(functools.reduce(scipy.sparse.kron, [path if j == axis else eye for j in range(d)])
+              for axis in range(d))
     degree = -np.asarray(off.sum(axis=1)).ravel()
-    mat = (off + sp.diags(degree + E_plus + v)).tocsr()
+    mat = (off + scipy.sparse.diags(degree + E_plus + v)).tocsr()
     return AndersonInstance(d=d, k=k, E_plus=E_plus, v=v, sites=sites, matrix=mat)
 
 
@@ -220,9 +221,9 @@ class _AndersonPlan:
         each, from one block draw."""
         return self.potential(draw_couplings(disorder, self.hashes, seed, indices), indices.start)
 
-    def operator(self, v: np.ndarray) -> sp.csr_matrix:
+    def operator(self, v: np.ndarray) -> scipy.sparse.csr_matrix:
         """The box operator with potential v, entry for entry assemble_anderson(d, k, E_plus, v).matrix."""
-        return self.free + sp.diags(v)
+        return self.free + scipy.sparse.diags(v)
 
     def counts(self, v: np.ndarray, energies):
         """#{eigenvalues of the box operator with potential v <= E} per energy (an int for a

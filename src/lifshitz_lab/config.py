@@ -262,7 +262,12 @@ def resolved_dict(config: ExperimentConfig) -> dict:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    canon = json.dumps(resolved_dict(config), sort_keys=True, separators=(",", ":"))
+    return _digest(resolved_dict(config))
+
+
+def _digest(resolved: dict) -> str:
+    """config_hash of the config whose resolved_dict is `resolved`."""
+    canon = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 

@@ -17,13 +17,12 @@ import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from . import _BLAS_THREADS, version
 from .anderson import BOUNDS, anderson_ids, sample_anderson
-from .config import (Diagnostic, ExperimentConfig, build_background, build_box, build_disorder,
-                     build_params, build_profile, config_hash, energy_grid, eps_grid,
-                     resolved_dict, validate)
+from .config import (Diagnostic, ExperimentConfig, _digest, build_background, build_box, build_disorder,
+                     build_params, build_profile, energy_grid, eps_grid, resolved_dict, validate)
 from .curves import InsufficientDataError
 from .ids import (decay_diagnostic, empirical_ids, ile_check, lifshitz_exponent,
                   sandwich_check, theoretical_exponent, wegner_check)
@@ -104,41 +103,35 @@ def _dump_json(path: str, doc: dict):
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_json(path: str, config: ExperimentConfig, results: dict):
-    _dump_json(path, {"kind": config.kind, "config": resolved_dict(config),
-                      "config_hash": config_hash(config), "results": _jsonable(results)})
-
-
-def _write(config, out_dir, stem, header, rows, results, failures=()) -> tuple[list, list]:
-    """<stem>.csv and <stem>.json of one driver's output; returns (files, failures)."""
-    _write_csv(os.path.join(out_dir, f"{stem}.csv"), header, rows)
-    _write_json(os.path.join(out_dir, f"{stem}.json"), config, results)
-    return [f"{stem}.csv", f"{stem}.json"], [str(f) for f in failures]
+def _write_json(path: str, head: dict, results: dict):
+    """head is the run's kind, resolved config and config hash, built once per run."""
+    _dump_json(path, {**head, "results": _jsonable(results)})
 
 
 CHECKS_HEADER = ["name", "trials", "successes", "p_lo", "p_hi", "bound", "verdict"]
 
 
-def _write_check(config, out_dir, r) -> tuple[list, list]:
-    """checks.csv and checks.json of one check report; returns (files, failures)."""
-    return _write(config, out_dir, "checks", CHECKS_HEADER,
-                  [(r.name, r.trials, r.successes, r.p_lo, r.p_hi, r.bound, r.verdict)],
-                  {"report": asdict(r)})
+def _check_output(r):
+    """The checks.csv and checks.json output of one check report."""
+    return ("checks", CHECKS_HEADER, [(r.name, r.trials, r.successes, r.p_lo, r.p_hi, r.bound, r.verdict)],
+            {"report": asdict(r)}, ())
 
 
 IDS_HEADER = ["E", "N_mean", "N_stderr", "n_realizations"]
 
 
-def _write_ids(config, out_dir, curve, **extra) -> tuple[list, list]:
-    """ids.csv and ids.json of an ensemble curve; returns (files, failures)."""
+def _ids_output(curve, **extra):
+    """The ids.csv and ids.json output of an ensemble curve."""
     rows = [(float(E), float(m), float(s), curve.n_realizations)
             for E, m, s in zip(curve.energies, curve.values, curve.stderr)]
     results = {"energies": curve.energies, "N_mean": curve.values, "N_stderr": curve.stderr,
                "n_realizations": curve.n_realizations, "volume": curve.volume, **extra}
-    return _write(config, out_dir, "ids", IDS_HEADER, rows, results, curve.meta["failures"])
+    return "ids", IDS_HEADER, rows, results, curve.meta["failures"]
 
 
 # -- drivers ------------------------------------------------------------------------
+# Each returns its output as (stem, csv header, csv rows, json results, task failures);
+# `run` writes <stem>.csv and <stem>.json.
 
 
 def _bands_rows(bands):
@@ -155,21 +148,21 @@ def _bands_rows(bands):
         yield prefix + ("\r\n" + prefix).join(tail) + "\r\n"
 
 
-def _run_bands(config, out_dir, threads):
+def _run_bands(config, threads):
     bg, n_theta = build_background(config), config.theta_points
     bands = floquet_bands(bg, n_theta=n_theta)
     header = [f"theta_{j+1}" for j in range(bg.d)] + ["band_index", "energy"]
     results = {"band_ranges": bands.band_ranges(), "gaps": spectral_gaps(bands),
                "n_theta": n_theta, "period": bands.period}
-    return _write(config, out_dir, "bands", header, _bands_rows(bands), results)
+    return "bands", header, _bands_rows(bands), results, ()
 
 
-def _run_ids(config, out_dir, threads):
+def _run_ids(config, threads):
     box = build_box(config)
     curve = empirical_ids(build_background(config), build_profile(config),
                           build_disorder(config), box, config.n_realizations,
                           energy_grid(config), seed=config.seed, threads=threads)
-    return _write_ids(config, out_dir, curve, bc=box.bc)
+    return _ids_output(curve, bc=box.bc)
 
 
 def _anderson_curve(config, p, energies, threads):
@@ -178,12 +171,12 @@ def _anderson_curve(config, p, energies, threads):
                         tol=p["potential_tol"], threads=threads)
 
 
-def _run_anderson(config, out_dir, threads):
+def _run_anderson(config, threads):
     curve = _anderson_curve(config, build_params(config), energy_grid(config), threads)
-    return _write_ids(config, out_dir, curve)
+    return _ids_output(curve)
 
 
-def _run_lifshitz(config, out_dir, threads):
+def _run_lifshitz(config, threads):
     p = build_params(config)
     eps, E_plus, nu = eps_grid(config), p["E_plus"], p["nu"]
     curve = _anderson_curve(config, p, np.concatenate([[E_plus], E_plus + eps]), threads)
@@ -204,11 +197,10 @@ def _run_lifshitz(config, out_dir, threads):
                         "n_points": fit.n_points})
     except InsufficientDataError as exc:
         results["insufficient_data"] = str(exc)
-    return _write(config, out_dir, "expfit", ["eps", "dN", "log_abs_log_dN"], rows, results,
-                  curve.meta["failures"])
+    return "expfit", ["eps", "dN", "log_abs_log_dN"], rows, results, curve.meta["failures"]
 
 
-def _run_bounds(config, out_dir, threads):
+def _run_bounds(config, threads):
     dis = build_disorder(config)
     rows, details = [], []
     for args in build_params(config)["evaluations"]:
@@ -217,29 +209,29 @@ def _run_bounds(config, out_dir, threads):
                      be.params["d"], be.log_bound, "" if math.isnan(be.t_star) else be.t_star))
         details.append({"name": be.name, "params": be.params, "details": be.details,
                         "log_bound": be.log_bound, "t_star": be.t_star})
-    return _write(config, out_dir, "bounds", ["name", "eps", "alpha", "nu", "d", "log_bound", "t_star"],
-                  rows, {"evaluations": details})
+    header = ["name", "eps", "alpha", "nu", "d", "log_bound", "t_star"]
+    return "bounds", header, rows, {"evaluations": details}, ()
 
 
-def _run_wegner(config, out_dir, threads):
+def _run_wegner(config, threads):
     bg, prof, dis = build_background(config), build_profile(config), build_disorder(config)
     p = build_params(config)
     rep = wegner_check(bg, prof, dis, E=p["E"], ks=p["ks"], eps_list=eps_grid(config),
                        n_trials=p["n_trials"], theta=p["theta"], seed=config.seed,
                        min_exponent=p["min_exponent"], volume_ratio_cap=p["volume_ratio_cap"],
                        threads=threads)
-    return _write_check(config, out_dir, rep)
+    return _check_output(rep)
 
 
-def _run_ile(config, out_dir, threads):
+def _run_ile(config, threads):
     bg, prof, dis = build_background(config), build_profile(config), build_disorder(config)
     p = build_params(config)
     rep = ile_check(bg, prof, dis, E_plus=p["E_plus"], k=p["k"], alpha=p["alpha"], p=p["p"],
                     n_trials=p["n_trials"], theta=p["theta"], seed=config.seed, threads=threads)
-    return _write_check(config, out_dir, rep)
+    return _check_output(rep)
 
 
-def _run_decay(config, out_dir, threads):
+def _run_decay(config, threads):
     p = build_params(config)
     if p["model"] == "anderson":
         op = sample_anderson(build_disorder(config), d=build_box(config).d, k=p["k"], nu=p["nu"],
@@ -254,17 +246,16 @@ def _run_decay(config, out_dir, threads):
         lo, hi = float(vals[0]) - 1e-9, float(vals[-1]) + 1e-9
     entries = decay_diagnostic(op, (lo, hi))
     rows = [(e["eigenvalue"], e["decay_rate"], e["fit_r2"]) for e in entries]
-    return _write(config, out_dir, "decay", ["eigenvalue", "decay_rate", "fit_r2"], rows,
-                  {"window": [lo, hi], "entries": entries})
+    return "decay", ["eigenvalue", "decay_rate", "fit_r2"], rows, {"window": [lo, hi], "entries": entries}, ()
 
 
-def _run_sandwich(config, out_dir, threads):
+def _run_sandwich(config, threads):
     bg, prof, dis = build_background(config), build_profile(config), build_disorder(config)
     p = build_params(config)
     rep = sandwich_check(bg, prof, dis, E=p["E"], eps=p["eps"], k=p["k"],
                          n_realizations=config.n_realizations, n_theta=config.theta_points,
                          k_big=p["k_big"], eta0=p["eta0"], seed=config.seed, threads=threads)
-    return _write_check(config, out_dir, rep)
+    return _check_output(rep)
 
 
 _DRIVERS = {
@@ -302,10 +293,15 @@ def run(config: ExperimentConfig, out_dir: str = None, threads: int = None,
     target = config.out
     os.makedirs(target, exist_ok=True)
     t0 = time.time()
-    files, failures = _DRIVERS[config.kind](config, target, threads)
-    manifest = RunManifest(config_hash=config_hash(config), version=version.__version__,
+    stem, header, rows, results, failures = _DRIVERS[config.kind](config, threads)
+    resolved = resolved_dict(config)
+    head = {"kind": config.kind, "config": resolved, "config_hash": _digest(resolved)}
+    _write_csv(os.path.join(target, f"{stem}.csv"), header, rows)
+    _write_json(os.path.join(target, f"{stem}.json"), head, results)
+    failures = [str(f) for f in failures]
+    manifest = RunManifest(config_hash=head["config_hash"], version=version.__version__,
                            kind=config.kind, seed=config.seed, threads=threads,
-                           wall_time_s=time.time() - t0, files=sorted(files),
+                           wall_time_s=time.time() - t0, files=[f"{stem}.csv", f"{stem}.json"],
                            failures=failures, blas_threads=_BLAS_THREADS)
     _dump_json(os.path.join(target, "manifest.json"), _jsonable(asdict(manifest)))
     code = 3 if failures else 0

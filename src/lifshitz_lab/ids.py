@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .curves import IDSCurve, InsufficientDataError, ensemble_curve
 from .disorder import DisorderSpec, ValidationError, cube_hashes, draw_couplings

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .disorder import (BLOCK_COUPLINGS, ValidationError, cube_hashes, draw_couplings, lattice_cube,
                        max_norm_cube)
@@ -537,7 +537,7 @@ def identity_field(box: BoxSpec) -> CoefficientField:
 class AssembledOperator:
     """Sparse Hermitian finite-volume matrix plus the box (with its theta) it was built on."""
 
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix
     box: BoxSpec
 
     @property
@@ -669,7 +669,7 @@ def assemble_operator(field: CoefficientField, theta=None) -> AssembledOperator:
     keep = (node[:, :, None] >= 0) & (node[:, None, :] >= 0)
     rows = np.broadcast_to(node[:, :, None], form.shape)[keep]
     cols = np.broadcast_to(node[:, None, :], form.shape)[keep]
-    matrix = sp.csr_matrix((form[keep], (rows, cols)), shape=(box.n_nodes,) * 2)
+    matrix = scipy.sparse.csr_matrix((form[keep], (rows, cols)), shape=(box.n_nodes,) * 2)
     matrix = (matrix + matrix.getH()) * 0.5  # exact Hermitian symmetry of stored entries
     matrix.sort_indices()
     return AssembledOperator(matrix=matrix, box=box)

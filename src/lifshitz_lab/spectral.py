@@ -25,9 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy
 
 from .curves import IDSCurve
 from .disorder import ValidationError
@@ -64,13 +62,13 @@ def _checked_matrix(A, energies):
         raise SolverError("NaN energy in an eigenvalue count")
     if isinstance(A, AssembledOperator):
         return A.matrix
-    if sp.issparse(A):
+    if scipy.sparse.issparse(A):
         return A
     return np.asarray(A)
 
 
 def _norm1(mat) -> float:
-    if sp.issparse(mat):
+    if scipy.sparse.issparse(mat):
         if not (mat.format == "csr" and mat.has_canonical_format):
             mat = mat.tocsr(copy=True)  # abs() would merge duplicate entries of the input in place
         return float(abs(mat).sum(axis=0).max()) if mat.nnz else 0.0
@@ -88,10 +86,11 @@ def count_eigenvalues_below(A, E: float) -> int:
     """
     mat = _checked_matrix(A, E)
     n, scale = mat.shape[0], _norm1(mat) or 1.0
-    shifted = sp.csc_matrix(mat) - (E + SLACK * scale) * sp.identity(n, dtype=mat.dtype, format="csc")
+    eye = scipy.sparse.identity(n, dtype=mat.dtype, format="csc")
+    shifted = scipy.sparse.csc_matrix(mat) - (E + SLACK * scale) * eye
     try:
-        lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                       options={"SymmetricMode": True})
+        lu = scipy.sparse.linalg.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
+                                      options={"SymmetricMode": True})
     except RuntimeError:
         lu = None
     if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
@@ -104,7 +103,7 @@ def count_eigenvalues_below(A, E: float) -> int:
 
 def _lower_band(mat):
     """LAPACK lower band storage of a real sparse `mat` that is narrow, BAND_RATIO * (kd + 1) <= n; else None."""
-    if not sp.issparse(mat) or np.iscomplexobj(mat):
+    if not scipy.sparse.issparse(mat) or np.iscomplexobj(mat):
         return None
     coo = mat.tocoo()  # read only: for a COO input these are the caller's arrays
     offset = coo.row - coo.col
@@ -123,7 +122,7 @@ def _spectrum(mat, band) -> np.ndarray:
     try:
         if band is not None:
             return scipy.linalg.eigvals_banded(band, lower=True, overwrite_a_band=True)
-        dense = mat.toarray() if sp.issparse(mat) else np.array(mat)  # a copy to overwrite
+        dense = mat.toarray() if scipy.sparse.issparse(mat) else np.array(mat)  # a copy to overwrite
         return scipy.linalg.eigvalsh(dense, overwrite_a=True)
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise SolverError(f"eigensolve failed on a {mat.shape} operator: {exc}") from exc

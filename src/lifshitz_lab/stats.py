@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import betaincinv  # beta.ppf's kernel, bit for bit, without scipy.stats
+import scipy
 
 __all__ = ["mean_stderr", "clopper_pearson", "fit_line", "bootstrap_slope_interval"]
 
@@ -30,8 +30,9 @@ def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
     if not 0 <= successes <= trials:
         raise ValueError("successes must lie in [0, trials]")
     alpha = 1.0 - CONFIDENCE
-    lo = 0.0 if successes == 0 else float(betaincinv(successes, trials - successes + 1, alpha / 2.0))
-    hi = 1.0 if successes == trials else float(betaincinv(successes + 1, trials - successes, 1.0 - alpha / 2.0))
+    inv = scipy.special.betaincinv  # beta.ppf's kernel, bit for bit, without scipy.stats
+    lo = 0.0 if successes == 0 else float(inv(successes, trials - successes + 1, alpha / 2.0))
+    hi = 1.0 if successes == trials else float(inv(successes + 1, trials - successes, 1.0 - alpha / 2.0))
     return lo, hi
 
 

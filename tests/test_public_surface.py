@@ -68,17 +68,20 @@ def test_benchmark_harness_reaches_the_package():
 
 # Run in a fresh interpreter: this test process holds whatever the other tests
 # imported.  The probe imports the package, dry-runs every shipped config as
-# `python -m lifshitz_lab.cli <kind> --config <cfg> --dry-run` would, notes the
-# heavy SciPy subpackages loaded after each step, then evaluates the one
-# function that loads scipy.integrate on first use.  Its last line is a JSON report.
+# `python -m lifshitz_lab.cli <kind> --config <cfg> --dry-run` would, runs the
+# shipped bands config, notes the heavy SciPy modules loaded after each step,
+# then evaluates the one function that loads scipy.integrate on first use and
+# the one that loads scipy.special.  Its last line is a JSON report.
 _LEAN_IMPORT_PROBE = """
 import json, runpy, sys
-HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize")
+HEAVY = ("scipy.stats", "scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.sparse.linalg",
+         "scipy.linalg", "scipy.special", "scipy._lib._array_api")
 def loaded():
     return [m for m in HEAVY if m in sys.modules]
 import lifshitz_lab
 report = {"import": loaded()}
-for cfg in sys.argv[1:]:
+out, bands, *configs = sys.argv[1:]
+for cfg in configs:
     sys.argv = ["lifshitz_lab.cli", json.load(open(cfg))["kind"], "--config", cfg, "--dry-run"]
     code = None
     try:
@@ -86,24 +89,31 @@ for cfg in sys.argv[1:]:
     except SystemExit as exc:
         code = exc.code
     report[cfg] = {"exit": code, "loaded": loaded()}
+result = lifshitz_lab.run(lifshitz_lab.load_config(bands), out_dir=out)
+report["bands"] = {"exit": result.exit_code, "files": result.manifest.files, "loaded": loaded()}
 from lifshitz_lab.anderson import log_mgf_truncated
 from lifshitz_lab.disorder import DisorderSpec
 report["log_mgf"] = log_mgf_truncated(DisorderSpec(law="kappa_tail", kappa=1.0), 3.0, 0.5)
+report["clopper_pearson"] = lifshitz_lab.clopper_pearson(3, 10)
 print(json.dumps(report))
 """
 
 
-def test_import_and_dry_runs_leave_stats_integrate_and_optimize_unloaded():
+def test_import_and_dry_runs_leave_stats_integrate_and_optimize_unloaded(tmp_path):
     configs = sorted(str(p) for p in (ROOT / "scripts" / "configs").glob("*.json"))
     assert len(configs) >= 6
+    bands = str(ROOT / "scripts" / "configs" / "bands_two_phase.json")
     path = [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    out = subprocess.run([sys.executable, "-c", _LEAN_IMPORT_PROBE, *configs], cwd=ROOT,
-                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+    out = subprocess.run([sys.executable, "-c", _LEAN_IMPORT_PROBE, str(tmp_path / "bands"), bands, *configs],
+                         cwd=ROOT, env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
                          capture_output=True, text=True, check=True).stdout
     report = json.loads(out.splitlines()[-1])
-    value = report.pop("log_mgf")
-    assert report == {"import": [], **{cfg: {"exit": 0, "loaded": []} for cfg in configs}}
+    value, interval = report.pop("log_mgf"), report.pop("clopper_pearson")
+    assert report == {"import": [], **{cfg: {"exit": 0, "loaded": []} for cfg in configs},
+                      "bands": {"exit": 0, "files": ["bands.csv", "bands.json"], "loaded": []}}
     # the deferred import inside log_mgf_truncated runs: the value is the one
     # tests/test_anderson.py pins, bit for bit the value in this process
     assert value == log_mgf_truncated(DisorderSpec(law="kappa_tail", kappa=1.0), 3.0, 0.5)
     assert value == pytest.approx(-1.3083719736513757, abs=1e-9)
+    # so does clopper_pearson, whose first call loads scipy.special
+    assert tuple(interval) == lifshitz_lab.clopper_pearson(3, 10)

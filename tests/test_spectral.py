@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,7 +143,7 @@ def test_a_nan_energy_is_refused_before_any_solve(path, monkeypatch):
              "tridiagonal": lambda E: spectral._tridiagonal_counts(diagonal, np.zeros(49), E)}[path]
     if path != "tridiagonal":  # +-inf keep their exact counts (a tridiagonal count refuses them)
         assert count([-np.inf, np.inf]).tolist() == [0, 50]
-    with spectrum_spy() as spectrum, patch.object(spectral.spla, "splu") as splu, \
+    with spectrum_spy() as spectrum, patch.object(scipy.sparse.linalg, "splu") as splu, \
             patch.object(scipy.linalg.lapack, "dpttrf") as pttrf, pytest.raises(SolverError):
         count([np.nan] if path == "inertia" else [1.5, np.nan])  # an inertia count is of one energy
     assert not (spectrum.called or splu.called or pttrf.called)
