@@ -29,7 +29,7 @@ from .disorder import (BLOCK_COUPLINGS, DisorderSpec, Realization, ValidationErr
 from .disorder import sample_realization  # noqa: F401  (perfbench/tracing.py patches this name)
 from .lattice import lattice_correlate
 from .runner import _integral, frequency
-from .spectral import _tridiagonal_counts, counts_below
+from .spectral import COARSE_TOL, _coarse_counts, _norm1, _screen, _tridiagonal_counts, counts_below
 
 __all__ = [
     "AndersonInstance",
@@ -135,6 +135,16 @@ def _block(hashes: np.ndarray) -> int:
     return max(1, BLOCK_COUPLINGS // hashes.size)
 
 
+def _toeplitz(kernel: np.ndarray, width: int) -> np.ndarray:
+    """The read-only tile[i, c] = kernel[i - c]: couplings x..x + width + kernel.size - 2 times
+    the tile is the potential on box sites x..x + width - 1."""
+    tile = np.zeros((width + kernel.size - 1, width))
+    for c in range(width):
+        tile[c:c + kernel.size, c] = kernel
+    tile.flags.writeable = False
+    return tile
+
+
 class _AndersonPlan:
     """What every realization of an Anderson ensemble on {-k..k}^d shares.
 
@@ -151,8 +161,17 @@ class _AndersonPlan:
     the box: for d = 1 the operator is symmetric tridiagonal, its diagonal
     degree + E_plus + v and its off-diagonal -1, and `_tridiagonal_counts`
     screens and bisects a whole block; for d >= 2 `counts_below` counts the
-    sparse operator of each realization.  Its arrays are read-only, and it
-    holds no per-call buffer, so one plan serves every thread (`_anderson_plan`).
+    sparse operator of each realization.
+
+    For d = 1 the plan also holds a near radius r0, the least one whose far
+    mass `far` = sum_{r0 < |r| <= R} kernel(r) is at most COARSE_TOL ||free
+    box||_1, with the hashes of the near window lattice_cube(1, k + r0) and a
+    near tile of the kernel on |r| <= r0.  Every coupling lies in [0, 1], so
+    `far` bounds each site's far potential, and `draw_counts` counts most
+    realizations of a block from their near potentials alone.  Where r0
+    reaches R (nu near d) the near window is the window, and `near_hashes`
+    is None.  Its arrays are read-only, and it holds no per-call buffer, so
+    one plan serves every thread (`_anderson_plan`).
     """
 
     def __init__(self, d: int, k: int, nu: float, E_plus: float, tol: float):
@@ -162,26 +181,28 @@ class _AndersonPlan:
         self.kernel = max_norm_cube(lambda r: (1.0 + r) ** (-nu), d, radius)
         self.free = assemble_anderson(d, k, E_plus, np.zeros((2 * k + 1) ** d)).matrix
         self.diagonal, self.off = self.free.diagonal(), self.free.diagonal(1)  # off read when d = 1
-        self.d, self.block = d, _block(self.hashes)
+        self.d, self.block, self.near_hashes = d, _block(self.hashes), None
         if d == 1:
             # the box in chunks of CHUNK sites (all of it when shorter); the last one
             # overlaps its neighbour rather than shrink, so every product has one shape
             n = 2 * k + 1
             width = min(CHUNK, n)
             self.starts = [*range(0, n - width, width), n - width]
-            # tile[i, c] = kernel[i - c]: couplings x..x + width + 2R - 1 times tile
-            # is the potential on box sites x..x + width - 1
-            self.tile = np.zeros((width + 2 * radius, width))
-            for c in range(width):
-                self.tile[c:c + 2 * radius + 1, c] = self.kernel
-            self.tile.flags.writeable = False
+            self.tile = _toeplitz(self.kernel, width)
+            # tails[j] = sum_{j < |r| <= R} kernel(r), summed from the smallest term up
+            tails = np.append(2 * np.cumsum(self.kernel[:radius])[::-1], 0.0)
+            near = int(np.argmax(tails <= COARSE_TOL * (_norm1(self.free) or 1.0)))
+            if near < radius:
+                self.near_hashes = self.hashes[radius - near:radius + near + n]
+                self.near_tile = _toeplitz(self.kernel[radius - near:radius + near + 1], width)
+                self.far = float(tails[near])
         for array in (self.kernel, self.diagonal, self.off, self.free.data, self.free.indices, self.free.indptr):
             array.flags.writeable = False
 
     def potential(self, couplings: np.ndarray, first: int = 0) -> np.ndarray:
         """The potentials on the box of realizations first, first + 1, ..., one per row of
         couplings listed in window order (a 1-d couplings is one realization); they must be
-        nonnegative."""
+        nonnegative.  Couplings on the near window give the near part of each potential."""
         rows = couplings.reshape(-1, couplings.shape[-1])
         if self.d == 1:
             v = self._products(rows, first)
@@ -195,7 +216,8 @@ class _AndersonPlan:
     def _products(self, rows: np.ndarray, first: int) -> np.ndarray:
         """The d = 1 potentials of realizations first, first + 1, ...: each block they fall
         in is one (block, window) operand, zero in the rows not drawn, times the tile per chunk."""
-        width = self.tile.shape[1]
+        tile = self.tile if rows.shape[1] == self.hashes.size else self.near_tile
+        width = tile.shape[1]
         v = np.empty((len(rows), self.diagonal.size))
         done = 0
         while done < len(rows):
@@ -207,7 +229,7 @@ class _AndersonPlan:
                 operand = np.zeros((self.block, rows.shape[1]))
                 operand[slot:slot + take] = rows[done:done + take]
             for x in self.starts:
-                product = operand[:, x:x + self.tile.shape[0]] @ self.tile
+                product = operand[:, x:x + tile.shape[0]] @ tile
                 v[done:done + take, x:x + width] = product[slot:slot + take]
             done += take
         return v
@@ -232,6 +254,28 @@ class _AndersonPlan:
             return _tridiagonal_counts(self.diagonal + v, self.off, energies)
         counts = [counts_below(self.operator(row), energies) for row in v.reshape(-1, v.shape[-1])]
         return counts[0] if v.ndim == 1 else np.array(counts)
+
+    def draw_counts(self, disorder: DisorderSpec, seed: int, indices: range, energies) -> np.ndarray:
+        """counts(draws(disorder, seed, indices), energies), bitwise.  With a near window only its
+        couplings are drawn, and `spectral._coarse_counts` decides each realization from its near
+        potential within `far`; a realization it leaves unsure draws the whole window as row
+        i mod block of one product, so its potential, and its counts, are those of `draws`.  A
+        block whose near screen clears none of its rows is counted from the whole window: there
+        the energies reach into every box's spectrum, and bisecting a row twice costs more than
+        the near draw saves."""
+        if self.near_hashes is not None:
+            energies = np.asarray(energies, dtype=float)
+            near = self.diagonal + self.potential(draw_couplings(disorder, self.near_hashes, seed, indices),
+                                                  indices.start)
+            screen = _screen(near, self.off, energies, self.far)
+            if screen[0].any():
+                counts, rows = _coarse_counts(near, self.off, energies, screen, self.far)
+                if rows:
+                    couplings = np.zeros((rows[-1] + 1, self.hashes.size))
+                    couplings[rows] = draw_couplings(disorder, self.hashes, seed, [indices[i] for i in rows])
+                    counts[rows] = self.counts(self.potential(couplings, indices.start)[rows], energies)
+                return counts
+        return self.counts(self.draws(disorder, seed, indices), energies)
 
 
 def _anderson_plan(d: int, k: int, nu: float, E_plus: float, tol: float) -> _AndersonPlan:
@@ -275,7 +319,7 @@ def anderson_ids(disorder: DisorderSpec, d: int, k: int, nu: float, energies,
     plan = _anderson_plan(d, k, nu, E_plus, tol)
 
     def block(indices):
-        return plan.counts(plan.draws(disorder, seed, indices), energies) / vol
+        return plan.draw_counts(disorder, seed, indices, energies) / vol
 
     return ensemble_curve(block, n_realizations, energies, vol, "box", threads, plan.block,
                           model="anderson", seed=seed, nu=nu, E_plus=E_plus)

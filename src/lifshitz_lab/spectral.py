@@ -15,7 +15,8 @@ one dense `eigvalsh`; a larger one that is not narrow is counted energy by
 energy through `count_eigenvalues_below`.  `_tridiagonal_counts` counts a
 block of symmetric tridiagonal matrices (the d = 1 Anderson boxes of a block
 of realizations) by a positive-definite screen at the top energy, then a
-coarse Sturm bisection up to it.
+coarse Sturm bisection up to it; `_coarse_counts` also counts a matrix from
+its near part alone, given a bound on the rest of its diagonal.
 """
 
 from __future__ import annotations
@@ -159,35 +160,65 @@ def _tridiagonal_counts(diagonal: np.ndarray, off: np.ndarray, energies):
     A non-finite entry or energy raises SolverError for the whole block: pttrf
     passes NaN pivots.
     """
-    block = np.atleast_2d(diagonal)
+    block, energies = np.atleast_2d(diagonal), np.asarray(energies, dtype=float)
+    screen = _screen(block, off, energies)
+    _, tops, scales, _ = screen
+    counts, unsure = _coarse_counts(block, off, energies, screen)
+    for i in unsure:
+        counts[i] = count_sorted_leq(_bisect(block[i], off, tops[i], 0.0), energies, scales[i])
+    if diagonal.ndim == 2:
+        return counts
+    return int(counts[0]) if energies.ndim == 0 else counts[0]
+
+
+def _screen(block: np.ndarray, off: np.ndarray, energies: np.ndarray, far: float = 0.0):
+    """The screen of a (B, n) block at its top energies, as (cleared, tops, scales, reaches):
+    cleared[i] when row i has no eigenvalue <= tops[i], scales[i] its ||A||_1 and reaches[i]
+    the half-width of its ambiguity window (`_coarse_counts`), by which, with far > 0, its
+    top also reaches past max E + 2 eta."""
     hops, weights = np.zeros(block.shape[1]), np.abs(off)  # hops: the |off-diagonal| column sums
     hops[:-1] = weights
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite scale raises below
         hops[1:] += weights
         scales = np.max(np.abs(block) + hops, axis=1)
         scales[scales == 0.0] = 1.0
-        tops = float(np.max(energies)) + 2 * SLACK * scales
+        reaches = far + 2 * COARSE_TOL * (scales + far)
+        tops = float(np.max(energies)) + 2 * SLACK * scales + (reaches if far else 0.0)
     if not np.all(np.isfinite(tops)):  # NaN in any entry or energy propagates to top
         raise SolverError(f"non-finite entry or energy in a tridiagonal count of order {block.shape[1]}")
-    energies = np.asarray(energies, dtype=float)
-    counts = np.zeros(block.shape[:1] + energies.shape, dtype=np.intp)
     screens = block - tops[:, None]  # A - top I, overwritten by pttrf
-    for i, (row, top, scale, screen) in enumerate(zip(block, tops, scales, screens)):
-        if block.shape[1] == 1:  # stebz takes no empty off-diagonal
-            vals = row[row <= top]
-        elif scipy.linalg.lapack.dpttrf(screen, off, overwrite_d=1)[2] == 0:
-            continue  # no eigenvalue <= top: its counts stay 0
+    cleared = np.array([block.shape[1] > 1 and scipy.linalg.lapack.dpttrf(screen, off, overwrite_d=1)[2] == 0
+                        for screen in screens], dtype=bool)
+    return cleared, tops, scales, reaches
+
+
+def _coarse_counts(block: np.ndarray, off: np.ndarray, energies: np.ndarray, screen, far: float = 0.0):
+    """The coarse bisection of `_tridiagonal_counts` for a (B, n) block and its `_screen`, as
+    (counts, unsure): each row's counts where its coarse eigenvalues decide them, and the rows
+    where one lies within reach of some E + eta, whose counts are left 0.  With far > 0 a row
+    is the near part N of a matrix A = N + diag(w), 0 <= w <= far entrywise, and its counts
+    are those `_tridiagonal_counts` gives A.  By Weyl's bound lambda_i(N) <= lambda_i(A) <=
+    lambda_i(N) + far, and ||A||_1 lies within far of ||N||_1, so A's eigenvalues, and its
+    coarse and tol-0 values (within its own abstol / 2, and rounding far below SLACK, of
+    them), sit on the same side of every E + eta as N's coarse values do unless one of those
+    lies within reach = far + 2 COARSE_TOL (||N||_1 + far) of E + eta.  With far = 0 this is
+    the 2 abstol of `_tridiagonal_counts`, and the top is its top.
+    """
+    cleared, tops, scales, reaches = screen
+    counts, unsure = np.zeros(block.shape[:1] + energies.shape, dtype=np.intp), []
+    for i in np.flatnonzero(~cleared):  # a cleared row has no eigenvalue <= top: its counts stay 0
+        row, scale = block[i], scales[i]
+        if block.shape[1] == 1:  # stebz takes no empty off-diagonal, and the entry is the eigenvalue
+            vals = row[row <= tops[i]]
         else:
-            abstol = COARSE_TOL * scale
-            vals = _bisect(row, off, top, abstol)
-            shifted = energies + SLACK * scale  # E + eta
-            near = np.searchsorted(vals, shifted - 2 * abstol) != np.searchsorted(vals, shifted + 2 * abstol, "right")
-            if np.any(near):
-                vals = _bisect(row, off, top, 0.0)
-        counts[i] = count_sorted_leq(vals, energies, scale)
-    if diagonal.ndim == 2:
-        return counts
-    return int(counts[0]) if energies.ndim == 0 else counts[0]
+            vals = _bisect(row, off, tops[i], COARSE_TOL * scale)
+        shifted = energies + SLACK * scale  # E + eta
+        if (far or block.shape[1] > 1) and np.any(
+                np.searchsorted(vals, shifted - reaches[i]) != np.searchsorted(vals, shifted + reaches[i], "right")):
+            unsure.append(i)
+        else:
+            counts[i] = count_sorted_leq(vals, energies, scale)
+    return counts, unsure
 
 
 def _bisect(diagonal: np.ndarray, off: np.ndarray, top: float, abstol: float) -> np.ndarray:

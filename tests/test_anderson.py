@@ -322,6 +322,92 @@ def test_block_counts_equal_dense_counts_per_row(law, k, nu, E_plus, seed, rows)
             assert np.array_equal(row, plan.counts(v, energies))
 
 
+def _grid(kind, E_plus, lowest=None):
+    """The tail doc's energies E_plus + [0, eps], the bulk's, or the tail's and the eigenvalue `lowest`."""
+    tail = E_plus + np.concatenate([[0.0], np.geomspace(0.01, 0.3, 12)])
+    return {"tail": tail, "bulk": E_plus + np.linspace(-0.5, 5.5, 41), "edge": np.append(tail, lowest)}[kind]
+
+
+@given(st.sampled_from(LAWS), st.integers(0, 40), st.floats(0.05, 6.0), st.sampled_from([1e-2, 1e-5, 1e-8]),
+       st.sampled_from([0.0, -0.2]), st.integers(0, 2**32), st.integers(0, 100), st.integers(1, 40),
+       st.sampled_from(["tail", "bulk", "edge"]))
+@example(UNIFORM, 128, 3.0, 1e-8, 0.0, 1, 0, 30, "tail")  # the tail_anderson_d1 geometry
+@example(UNIFORM, 128, 3.0, 1e-8, 0.0, 1, 0, 30, "edge")
+@example(UNIFORM, 0, 3.0, 1e-8, 0.0, 2, 5, 9, "edge")  # one site
+@example(UNIFORM, 16, 0.5, 1e-2, 0.0, 3, 0, 9, "tail")  # nu near d: the near window is the window
+@settings(max_examples=40, deadline=None)
+def test_near_field_block_counts_are_the_whole_window_counts(law, k, gap, tol, E_plus, seed, start, size, grid):
+    # d = 1: a block counted from its near potentials, the whole window drawn only for the
+    # realizations its near count leaves unsure (or for the whole block where the near screen
+    # clears no row), counts bitwise as the whole-window draw, at random box sides, decays
+    # nu = 1 + gap, laws, seeds and runs of indices, on tail and bulk grids and on a tail grid
+    # with the lowest eigenvalue of the run's first realization, which that realization's near
+    # count cannot decide
+    tol = max(tol, 2.0 / (gap * 2000.0**gap))  # a truncation radius of at most about 2,000
+    plan = anderson_mod._AndersonPlan(1, k, 1.0 + gap, E_plus, tol)
+    # the plan keeps the whole window exactly when the outermost shell's mass alone exceeds
+    # COARSE_TOL ||free box||_1, as it does near nu = d
+    radius = (plan.hashes.size - 2 * k - 1) // 2
+    bound = spectral_mod.COARSE_TOL * (_norm1(plan.free) or 1.0)
+    assert (plan.near_hashes is None) == (2 * (1.0 + radius) ** -(1.0 + gap) > bound)
+    indices = range(start, start + size)
+    potentials = plan.draws(law, seed, indices)
+    lowest = scipy.linalg.eigvalsh_tridiagonal(plan.diagonal + potentials[0], plan.off)[0] if k else \
+        plan.diagonal[0] + potentials[0, 0]
+    energies = _grid(grid, E_plus, lowest)
+    assert np.array_equal(plan.draw_counts(law, seed, indices, energies), plan.counts(potentials, energies))
+
+
+def test_an_energy_in_a_near_ambiguity_window_draws_the_whole_window(monkeypatch):
+    # the tail geometry at k = 16: the near window holds couplings within r0 of the box, and
+    # the far mass bounds the rest of each site's potential; an energy at the lowest eigenvalue
+    # of one realization lies within its near count's ambiguity window, so that realization
+    # draws the whole window, as row i mod block of one product: its potential is bitwise the
+    # block draw's, and every count is the whole-window count
+    plan = anderson_mod._AndersonPlan(1, 16, 4.0, 0.0, anderson_mod.POTENTIAL_TOL)
+    radius, near = (plan.hashes.size - 33) // 2, (plan.near_hashes.size - 33) // 2
+    assert 0 < near < radius and 0 < plan.far <= spectral_mod.COARSE_TOL * _norm1(plan.free)
+    assert plan.far == pytest.approx(2 * sum((1.0 + r) ** -4.0 for r in range(near + 1, radius + 1)), rel=1e-12)
+    for array in (plan.near_hashes, plan.near_tile):  # read-only, as every array of the plan
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 0
+    seed, indices = 9, range(plan.block, 2 * plan.block)
+    potentials = plan.draws(UNIFORM, seed, indices)
+    near_potentials = plan.potential(draw_couplings(UNIFORM, plan.near_hashes, seed, indices), indices.start)
+    tail = potentials - near_potentials  # each site's far potential, up to the rounding of two products
+    assert np.all(tail >= -1e-14) and np.all(tail <= plan.far + 1e-14)
+    lowest = [np.linalg.eigvalsh(plan.operator(v).toarray())[0] for v in potentials]
+    pick = int(np.argmin(lowest))  # the screen clears the realizations whose boxes lie higher
+    whole, products = [], {}
+    draw, potential = anderson_mod.draw_couplings, anderson_mod._AndersonPlan.potential
+
+    def spy_draw(spec, hashes, seed, index):
+        if hashes.size == plan.hashes.size:
+            whole.extend(index)
+        return draw(spec, hashes, seed, index)
+
+    def spy_potential(plan, couplings, first=0):
+        v = potential(plan, couplings, first)
+        if couplings.shape[-1] == plan.hashes.size:
+            products.update({first + j: row for j, row in enumerate(v) if couplings[j].any()})
+        return v
+
+    monkeypatch.setattr(anderson_mod, "draw_couplings", spy_draw)
+    monkeypatch.setattr(anderson_mod._AndersonPlan, "potential", spy_potential)
+    for energies in (np.array([lowest[pick] - 0.1, lowest[pick]]), np.array([-1.0]), np.array([0.5, 5.0])):
+        whole.clear()
+        products.clear()
+        counts = plan.draw_counts(UNIFORM, seed, indices, energies)
+        assert np.array_equal(counts, plan.counts(potentials, energies))
+        if energies[-1] == lowest[pick]:  # the near path, with a fallback for pick
+            assert indices[pick] in whole and len(whole) < len(indices) and sorted(products) == sorted(whole)
+            assert all(np.array_equal(v, potentials[i - indices.start]) for i, v in products.items())
+        elif energies[0] < 0:  # below every box: the near screen clears every row, and nothing falls back
+            assert whole == []
+        else:  # inside every box: the near screen clears none, and the block draws its whole window
+            assert whole == list(indices)
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_tridiagonal_count_refuses_non_finite_entries(value):
     # pttrf passes a NaN pivot, so a NaN matrix would screen as "no eigenvalue <= top"
